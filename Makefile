@@ -1,5 +1,5 @@
 .PHONY: all build test bench fuzz trace critpath monitor monitor-baseline \
-  scale compiled testers live ci clean
+  scale compiled testers live perf-smoke ci clean
 
 all: build
 
@@ -366,12 +366,23 @@ live: build
 	  ./_build/default/bench/main.exe --only L1 \
 	  --ledger $(LIVE_DIR)/runs.jsonl --json $(LIVE_DIR)/l1.json
 
+# Benchmark smoke check (also a CI leg): one short perfbench invocation
+# per workload.  perfbench/run.py checks every tester run against the
+# verdict and Report.Ledger.digest_core pinned for its input and exits
+# non-zero on any mismatch (or when it cannot run), so a change to the
+# simulated result of any benchmark input fails here.  Nothing is timed
+# against a bound: --seconds 1 only keeps the invocations short.
+perf-smoke: build
+	set -e; for w in grid-peel apollonian-fiber far-reject; do \
+	  python3 perfbench/run.py --workload $$w --seconds 1; \
+	done
+
 # What CI runs: full build, the whole test suite, and a quick pass of the
 # experiment harness with machine-readable output (also validates the
 # --json emitter end to end).  CI additionally runs a 2-domain matrix leg
 # (see .github/workflows/ci.yml); the engine contract makes its stats
 # output identical to this serial one.
-ci: build test trace critpath monitor scale compiled testers live
+ci: build test trace critpath monitor scale compiled testers live perf-smoke
 	dune exec bench/main.exe -- --quick --no-timings --json /tmp/bench.json
 
 clean:

@@ -564,7 +564,9 @@ module Make (Msg : MESSAGE) = struct
      hook.  Exactly one run drives the team at a time — [owner] is held
      for the run's whole duration; a concurrent run that fails to get it
      steps serially, which changes nothing observable (accounting is
-     invariant under the domain count). *)
+     invariant under the domain count).  An epoch takes part of the team
+     only, workers [1..tactive]: the others sit it out, so a team grown by
+     one wide run does not hold back later narrow runs. *)
   type team = {
     tm : Mutex.t;
     tgo : Condition.t;
@@ -572,6 +574,7 @@ module Make (Msg : MESSAGE) = struct
     mutable tsize : int;  (* workers spawned (= length of tdoms) *)
     mutable tready : int;  (* workers that recorded their start epoch *)
     mutable tepoch : int;
+    mutable tactive : int;  (* workers 1..tactive take part in the epoch *)
     mutable tdone_count : int;
     mutable twork : int -> unit;  (* set per epoch by the owning run *)
     mutable tquit : bool;
@@ -593,16 +596,19 @@ module Make (Msg : MESSAGE) = struct
     let stop = ref false in
     while not !stop do
       Mutex.lock t.tm;
-      while t.tepoch = !seen && not t.tquit do
+      (* An epoch this worker sits out leaves [seen] behind, which is
+         harmless: only an epoch that includes it gets past the wait. *)
+      while (t.tepoch = !seen || d > t.tactive) && not t.tquit do
         Condition.wait t.tgo t.tm
       done;
       if t.tquit then stop := true else seen := t.tepoch;
+      let work = t.twork in
       Mutex.unlock t.tm;
       if not !stop then begin
-        t.twork d;
+        work d;
         Mutex.lock t.tm;
         t.tdone_count <- t.tdone_count + 1;
-        if t.tdone_count = t.tsize then Condition.broadcast t.tdone;
+        if t.tdone_count = t.tactive then Condition.broadcast t.tdone;
         Mutex.unlock t.tm
       end
     done
@@ -635,6 +641,7 @@ module Make (Msg : MESSAGE) = struct
               tsize = 0;
               tready = 0;
               tepoch = 0;
+              tactive = 0;
               tdone_count = 0;
               twork = ignore;
               tquit = false;
@@ -926,25 +933,28 @@ module Make (Msg : MESSAGE) = struct
     let nworkers = d_req - 1 in
     let task_start = ref false in
     let task_len = ref 0 in
+    (* Domain [d]'s slice of a [len]-item phase.  The items are cut over
+       [min d_req len] blocks, so every block is non-empty and the
+       per-phase merges over arenas [0..used-1] see every item; domains
+       past that take no part in the phase. *)
     let block d len =
-      (d * len / d_req, (d + 1) * len / d_req)
+      let used = min d_req len in
+      (d * len / used, (d + 1) * len / used)
     in
     let exec d =
       let len = !task_len in
       let lo, hi = block d len in
       if !task_start then start_range d lo hi else step_range d lo hi
     in
-    (* Published to the team each epoch.  Workers beyond this run's
-       domain count no-op; an engine bug or OOM on a worker is recorded
-       in its arena rather than deadlocking the barrier (a real node
-       failure recorded by the shard takes precedence in
-       [check_failures]). *)
+    (* Published to the team each epoch and run by workers
+       [1..used-1].  An engine bug or OOM on a worker is recorded in its
+       arena rather than deadlocking the barrier (a real node failure
+       recorded by the shard takes precedence in [check_failures]). *)
     let work d =
-      if d < d_req then
-        try exec d
-        with e ->
-          if arenas.(d).afailed = None then
-            arenas.(d).afailed <- Some (max_int, e)
+      try exec d
+      with e ->
+        if arenas.(d).afailed = None then
+          arenas.(d).afailed <- Some (max_int, e)
     in
     let my_team = ref None in
     let acquire_team () =
@@ -979,21 +989,23 @@ module Make (Msg : MESSAGE) = struct
             if start then start_range 0 0 len else step_range 0 0 len;
             1
         | Some t ->
+            let used = min d_req len in
             task_start := start;
             task_len := len;
             Mutex.lock t.tm;
             t.tdone_count <- 0;
+            t.tactive <- used - 1;
             t.twork <- work;
             t.tepoch <- t.tepoch + 1;
             Condition.broadcast t.tgo;
             Mutex.unlock t.tm;
             exec 0;
             Mutex.lock t.tm;
-            while t.tdone_count < t.tsize do
+            while t.tdone_count < t.tactive do
               Condition.wait t.tdone t.tm
             done;
             Mutex.unlock t.tm;
-            min d_req len
+            used
       end
       else begin
         if start then start_range 0 0 len else step_range 0 0 len;
@@ -1568,6 +1580,17 @@ module Make (Msg : MESSAGE) = struct
        | None -> ());
        raise e);
     if !culled > 0 || eng.fail_log <> [] then completed := false;
+    (* Post-condition: a completed run has an output at every node.  A
+       node that silently dropped out of the run is an engine bug, never
+       a result. *)
+    if !completed then
+      Array.iteri
+        (fun v o ->
+          if Option.is_none o then
+            failwith
+              (Printf.sprintf
+                 "Engine.run: run completed but node %d has no output" v))
+        outputs;
     if Obs.Metrics.enabled () then begin
       let s = eng.estats in
       Obs.Metrics.inc m_runs;

@@ -8,9 +8,25 @@ type t =
   | Up of int * int list  (* tag, payload: convergecast along part trees *)
   | Bdry of int * int list  (* tag, payload: across cut edges *)
 
-let int_cost v = 2 + Congest.Bits.int_bits ~universe:(abs v + 2)
+let formula_cost v = 2 + Congest.Bits.int_bits ~universe:(abs v + 2)
 
-let list_cost l = List.fold_left (fun acc v -> acc + int_cost v) 0 l
+(* Every payload int is priced at every hop, so magnitudes up to
+   [table_radius] come from a table; the formula prices the rest. *)
+let table_radius = 1 lsl 12
+
+let cost_table =
+  Array.init ((2 * table_radius) + 1) (fun i -> formula_cost (i - table_radius))
+
+let int_cost v =
+  if v >= -table_radius && v <= table_radius then
+    cost_table.(v + table_radius)
+  else formula_cost v
+
+let rec list_cost_from acc = function
+  | [] -> acc
+  | v :: rest -> list_cost_from (acc + int_cost v) rest
+
+let list_cost l = list_cost_from 0 l
 
 let bits = function
   | Root r -> 4 + int_cost r

@@ -13,7 +13,8 @@ type t =
     magnitude. *)
 val bits : t -> int
 
-(** Bits of one payload integer. *)
+(** Bits of one payload integer: [2 + Bits.int_bits ~universe:(|v| + 2)],
+    read from a table for [|v| <= 4096]. *)
 val int_cost : int -> int
 
 val list_cost : int list -> int

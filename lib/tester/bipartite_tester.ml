@@ -59,7 +59,7 @@ let stage2 st ~eps:_ ~seed:_ =
     st.S.nodes;
   (* Convergecast per-part totals to the roots, for the report (the
      verdict is already decided above). *)
-  let counts = Hashtbl.create 16 in
+  let counts = Array.make n None in
   P.converge st ~budget ~tag:92
     ~init:(fun nd ->
       let edges = ref 0 in
@@ -69,7 +69,7 @@ let stage2 st ~eps:_ ~seed:_ =
     ~combine:(fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
     ~encode:(fun (a, b, c) -> [ a; b; c ])
     ~decode:(function [ a; b; c ] -> (a, b, c) | _ -> assert false)
-    ~at_root:(fun nd t -> Hashtbl.replace counts nd.S.id t);
+    ~at_root:(fun nd t -> counts.(nd.S.id) <- Some t);
   (* Nominal schedule: refresh_roots (1) + BFS flood (budget) + level
      exchange (1) + convergecast (budget).  [budget] depends only on the
      partition, so this is invariant across domains / ff / mode. *)
@@ -77,7 +77,7 @@ let stage2 st ~eps:_ ~seed:_ =
   let parts =
     List.map
       (fun (root, _) ->
-        let nj, mj, oj = Hashtbl.find counts root in
+        let nj, mj, oj = Part_bfs.at_root counts root in
         { root; n_nodes = nj; m_edges = mj; odd_edges = oj })
       (S.parts st)
   in

@@ -30,7 +30,7 @@ type details = {
 let stage2 st ~eps:_ ~seed:_ =
   let bfs = Part_bfs.build st in
   let budget = bfs.Part_bfs.depth_bound + 2 in
-  let counts = Hashtbl.create 16 in
+  let counts = Array.make (Graphlib.Graph.n st.S.graph) None in
   P.converge st ~budget ~tag:93
     ~init:(fun nd ->
       let edges = ref 0 in
@@ -40,15 +40,7 @@ let stage2 st ~eps:_ ~seed:_ =
     ~combine:(fun (a, b) (x, y) -> (a + x, b + y))
     ~encode:(fun (a, b) -> [ a; b ])
     ~decode:(function [ a; b ] -> (a, b) | _ -> assert false)
-    ~at_root:(fun nd (nj, mj) ->
-      Hashtbl.replace counts nd.S.id (nj, mj);
-      if mj >= nj then
-        st.S.rejections <-
-          ( nd.S.id,
-            Printf.sprintf
-              "part %d: %d intra-part edges >= %d nodes — contains a cycle"
-              nd.S.id mj nj )
-          :: st.S.rejections);
+    ~at_root:(fun nd t -> counts.(nd.S.id) <- Some t);
   (* Nominal schedule: refresh_roots (1) + BFS flood (budget) + level
      exchange (1) + convergecast (budget); [budget] is a function of the
      partition alone, so invariant across domains / ff / mode. *)
@@ -56,7 +48,14 @@ let stage2 st ~eps:_ ~seed:_ =
   let parts =
     List.map
       (fun (root, _) ->
-        let nj, mj = Hashtbl.find counts root in
+        let nj, mj = Part_bfs.at_root counts root in
+        if mj >= nj then
+          st.S.rejections <-
+            ( root,
+              Printf.sprintf
+                "part %d: %d intra-part edges >= %d nodes — contains a cycle"
+                root mj nj )
+            :: st.S.rejections;
         { root; n_nodes = nj; m_edges = mj; excess = max 0 (mj - (nj - 1)) })
       (S.parts st)
   in

@@ -75,3 +75,6 @@ let assigned_to t st v w =
   ignore st;
   let dw = List.assoc w t.nbr_level.(v) in
   t.dist.(v) > dw || (t.dist.(v) = dw && v > w)
+
+let at_root a root =
+  match a.(root) with Some x -> x | None -> raise Not_found

@@ -58,6 +58,49 @@ let decode_pairs l =
   in
   go l
 
+(* The Collect-mode rotation table [v; deg; row...]* as rows by node. *)
+let decode_rotations pl =
+  let rows = Hashtbl.create 64 in
+  let rec scan = function
+    | [] -> ()
+    | v :: deg :: rest ->
+        let row = Array.make deg 0 in
+        let rec fill i l =
+          if i = deg then l
+          else
+            match l with
+            | x :: tl ->
+                row.(i) <- x;
+                fill (i + 1) tl
+            | [] -> failwith "Stage2.decode_rotations: short payload"
+        in
+        let rest = fill 0 rest in
+        Hashtbl.replace rows v row;
+        scan rest
+    | [ _ ] -> failwith "Stage2.decode_rotations: missing degree"
+  in
+  scan pl;
+  rows
+
+(* Host-side sharing of a root broadcast's decode, one slot per part.
+   Relays forward the root's payload list itself, so every node of a part
+   normally receives the very value its root sent.  The root's own
+   [on_receive] (round 0) stores [(payload, decoded)] in its part's slot;
+   a receiver reuses [decoded] only when its payload is physically that
+   value and decodes anything else itself.  The slot is written in round
+   0, before any relay exists, and read only in later rounds, after a
+   round barrier, so sharded fiber steps never race on it.  The simulated
+   wire and its accounting are untouched. *)
+let shared_decode st decode =
+  let slot = Array.make (Graph.n st.S.graph) None in
+  fun (nd : S.node) pl ->
+    match slot.(nd.S.part_root) with
+    | Some (sent, decoded) when sent == pl -> decoded
+    | _ ->
+        let decoded = decode pl in
+        if nd.S.part_root = nd.S.id then slot.(nd.S.id) <- Some (pl, decoded);
+        decoded
+
 let run ?(embedding = Oracle) st ~eps ~seed =
   let g = st.S.graph in
   let n = Graph.n g in
@@ -79,7 +122,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let assigned_to (nd : S.node) w = Part_bfs.assigned_to bfs st nd.S.id w in
   let is_tree_edge (nd : S.node) w = Part_bfs.is_tree_edge st nd.S.id w in
   (* Step 3: per-part node / edge / non-tree-edge counts; Euler check. *)
-  let counts = Hashtbl.create 16 in
+  let counts = Array.make n None in
   P.converge st ~budget ~tag:84
     ~init:(fun nd ->
       let edges = ref 0 and nt = ref 0 in
@@ -92,12 +135,11 @@ let run ?(embedding = Oracle) st ~eps ~seed =
     ~combine:(fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
     ~encode:(fun (a, b, c) -> [ a; b; c ])
     ~decode:(function [ a; b; c ] -> (a, b, c) | _ -> assert false)
-    ~at_root:(fun nd (nj, mj, ntj) ->
-      Hashtbl.replace counts nd.S.id (nj, mj, ntj));
+    ~at_root:(fun nd t -> counts.(nd.S.id) <- Some t);
   let euler_rejected = Hashtbl.create 4 in
   List.iter
     (fun (root, _, _, _, _) ->
-      let nj, mj, _ = Hashtbl.find counts root in
+      let nj, mj, _ = Part_bfs.at_root counts root in
       if nj >= 3 && mj > (3 * nj) - 6 then begin
         Hashtbl.replace euler_rejected root ();
         st.S.rejections <-
@@ -137,7 +179,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
          locally, and broadcasts every vertex's rotation back down.  The
          payloads are large; the engine's bandwidth accounting charges the
          pipelining rounds. *)
-      let edges_at_root = Hashtbl.create 16 in
+      let edges_at_root = Array.make n None in
       P.converge st ~budget ~tag:90
         ~init:(fun nd ->
           let acc = ref [] in
@@ -154,12 +196,12 @@ let run ?(embedding = Oracle) st ~eps ~seed =
             | [ _ ] -> assert false
           in
           go l)
-        ~at_root:(fun nd pairs -> Hashtbl.replace edges_at_root nd.S.id pairs);
+        ~at_root:(fun nd pairs -> edges_at_root.(nd.S.id) <- Some pairs);
       (* Local computation at each root. *)
       let rotations_at_root = Hashtbl.create 16 in
       List.iter
         (fun (root, members, _, _, _) ->
-          let pairs = Hashtbl.find edges_at_root root in
+          let pairs = Part_bfs.at_root edges_at_root root in
           let back = Array.of_list members in
           let fwd = Hashtbl.create 16 in
           Array.iteri (fun i v -> Hashtbl.add fwd v i) back;
@@ -186,27 +228,13 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           Hashtbl.replace rotations_at_root root payload)
         induced_parts;
       (* Broadcast the full rotation table; each node keeps its row. *)
+      let rows_of = shared_decode st decode_rotations in
       P.bcast st ~budget ~tag:91
         ~at_root:(fun nd -> Some (Hashtbl.find rotations_at_root nd.S.id))
         ~on_receive:(fun nd pl ->
-          let rec scan = function
-            | [] -> ()
-            | v :: deg :: rest ->
-                let rec split k l =
-                  if k = 0 then ([], l)
-                  else
-                    match l with
-                    | x :: tl ->
-                        let a, b = split (k - 1) tl in
-                        (x :: a, b)
-                    | [] -> assert false
-                in
-                let row, rest = split deg rest in
-                if v = nd.S.id then rotation.(v) <- Array.of_list row;
-                scan rest
-            | [ _ ] -> assert false
-          in
-          scan pl));
+          match Hashtbl.find_opt (rows_of nd pl) nd.S.id with
+          | Some row -> rotation.(nd.S.id) <- row
+          | None -> ()));
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
   P.run_program st (fun ctx nd ->
@@ -250,7 +278,8 @@ let run ?(embedding = Oracle) st ~eps ~seed =
               if assigned_to nd from then begin
                 let key_mine = List.assoc from my_keys.(nd.S.id) in
                 let pair =
-                  if compare key_mine key_other <= 0 then (key_mine, key_other)
+                  if Violation.compare_label key_mine key_other <= 0 then
+                    (key_mine, key_other)
                   else (key_other, key_mine)
                 in
                 assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
@@ -261,14 +290,14 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let nt_count = Array.make n 0 in
   P.bcast st ~budget ~tag:87
     ~at_root:(fun nd ->
-      let _, _, ntj = Hashtbl.find counts nd.S.id in
+      let _, _, ntj = Part_bfs.at_root counts nd.S.id in
       Some [ ntj ])
     ~on_receive:(fun nd pl ->
       match pl with [ ntj ] -> nt_count.(nd.S.id) <- ntj | _ -> assert false);
   (* Step 8: sample Theta (log n / eps) non-tree edges per part. *)
   let starget = sample_target ~n ~eps in
   let cap = (4 * starget) + 8 in
-  let samples = Hashtbl.create 16 in
+  let samples = Array.make n None in
   P.converge st ~budget ~tag:88
     ~init:(fun nd ->
       let ntj = nt_count.(nd.S.id) in
@@ -290,14 +319,15 @@ let run ?(embedding = Oracle) st ~eps ~seed =
     ~decode:(function
       | t :: rest -> (decode_pairs rest, t = 1)
       | [] -> assert false)
-    ~at_root:(fun nd (pairs, t) -> Hashtbl.replace samples nd.S.id (pairs, t));
+    ~at_root:(fun nd s -> samples.(nd.S.id) <- Some s);
   (* Step 9: broadcast the sample; every node checks its assigned edges. *)
   let sample_at = Array.make n [] in
+  let sample_of = shared_decode st decode_pairs in
   P.bcast st ~budget ~tag:89
     ~at_root:(fun nd ->
-      let pairs, _ = Hashtbl.find samples nd.S.id in
+      let pairs, _ = Part_bfs.at_root samples nd.S.id in
       Some (encode_pairs pairs))
-    ~on_receive:(fun nd pl -> sample_at.(nd.S.id) <- decode_pairs pl);
+    ~on_receive:(fun nd pl -> sample_at.(nd.S.id) <- sample_of nd pl);
   Array.iter
     (fun nd ->
       let found =
@@ -319,10 +349,8 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let parts_info =
     List.map
       (fun (root, _, _, _, _) ->
-        let nj, mj, ntj = Hashtbl.find counts root in
-        let pairs, trunc =
-          try Hashtbl.find samples root with Not_found -> ([], false)
-        in
+        let nj, mj, ntj = Part_bfs.at_root counts root in
+        let pairs, trunc = Option.value samples.(root) ~default:([], false) in
         {
           root;
           n_nodes = nj;

@@ -2,7 +2,12 @@ open Graphlib
 
 type label = int list
 
-let compare_label = compare
+let rec compare_label (a : label) (b : label) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b -> if x = y then compare_label a b else Int.compare x y
 
 (* Walks [v]'s rotation clockwise starting just after the parent edge (for
    the root: after an arbitrary fixed dart) and calls [f] on every dart

@@ -779,6 +779,32 @@ let test_sharded_accounting_invariant () =
         (sharded_run d = serial))
     [ 2; 3; 4 ]
 
+(* More domains than live nodes: a 20-node cycle steps all 20 nodes in
+   its later rounds, which is above the sharding threshold but below the
+   domain count.  Every node must still run to completion and keep its
+   output, exactly as in the serial run. *)
+let test_sharded_oversubscribed () =
+  let g = Generators.cycle 20 in
+  let prog ctx =
+    E.broadcast ctx (M.Int 1);
+    ignore (E.sync ctx);
+    ignore (E.sync ctx);
+    E.my_id ctx
+  in
+  let serial = E.run ~domains:1 g prog in
+  List.iter
+    (fun domains ->
+      let res = E.run ~domains g prog in
+      let tag = Printf.sprintf "domains=%d" domains in
+      check cb (tag ^ ": completed") true res.E.completed;
+      check (Alcotest.array (Alcotest.option ci)) (tag ^ ": outputs")
+        serial.E.outputs res.E.outputs;
+      check ci (tag ^ ": rounds") serial.E.stats.Congest.Stats.rounds
+        res.E.stats.Congest.Stats.rounds;
+      check ci (tag ^ ": messages") serial.E.stats.Congest.Stats.messages
+        res.E.stats.Congest.Stats.messages)
+    [ 17; 24; 64 ]
+
 let test_sharded_exception_choice () =
   (* Several nodes fail in the same round across different blocks: the
      propagated exception must be the lowest failing node's, for any
@@ -1266,6 +1292,8 @@ let () =
             test_sharded_accounting_invariant;
           Alcotest.test_case "lowest failing node wins" `Quick
             test_sharded_exception_choice;
+          Alcotest.test_case "more domains than live nodes" `Quick
+            test_sharded_oversubscribed;
         ] );
       ( "faults",
         [

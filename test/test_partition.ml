@@ -12,6 +12,34 @@ let fresh_state g =
   st
 
 (* ------------------------------------------------------------------ *)
+(* Msg                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Msg.int_cost] reads small magnitudes from a table; it must price
+   every int exactly as the defining formula does, across the table,
+   at its edges and at the extremes of [int]. *)
+let formula_cost v = 2 + Congest.Bits.int_bits ~universe:(abs v + 2)
+
+let test_int_cost_exact () =
+  let bad = ref [] in
+  let probe v =
+    if Partition.Msg.int_cost v <> formula_cost v then bad := v :: !bad
+  in
+  for v = -(1 lsl 17) to 1 lsl 17 do
+    probe v
+  done;
+  List.iter
+    (fun e -> List.iter (fun d -> probe (e + d); probe (-(e + d))) [ -1; 0; 1 ])
+    [ 1 lsl 12; 1 lsl 17; 1 lsl 30 ];
+  List.iter probe [ min_int; min_int + 1; max_int; max_int - 1 ];
+  check (Alcotest.list ci) "ints priced off the formula" [] !bad;
+  check ci "list_cost sums int_cost"
+    (List.fold_left (fun a v -> a + formula_cost v) 0 [ 0; -5; 4096; max_int ])
+    (Partition.Msg.list_cost [ 0; -5; 4096; max_int ]);
+  check ci "bits of a Down" (4 + formula_cost 7 + formula_cost 9000)
+    (Partition.Msg.bits (Partition.Msg.Down (7, [ 9000 ])))
+
+(* ------------------------------------------------------------------ *)
 (* Prims                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -442,6 +470,9 @@ let test_en_partition_qcheck =
 let () =
   Alcotest.run "partition"
     [
+      ( "msg",
+        [ Alcotest.test_case "int_cost matches the formula" `Quick
+            test_int_cost_exact ] );
       ( "prims",
         [
           Alcotest.test_case "refresh roots" `Quick test_refresh_roots;

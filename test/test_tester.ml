@@ -16,6 +16,21 @@ let test_compare_label () =
   check cb "equal" true (c [ 2; 1 ] [ 2; 1 ] = 0);
   check cb "root smallest" true (c [] [ 1 ] < 0)
 
+(* [compare_label] is a hand-written lexicographic walk; its sign must
+   match the structural order on every pair, including empty labels and
+   pairs that share a prefix (the second label is built from the first). *)
+let test_compare_label_qcheck =
+  let label = QCheck.(list_of_size Gen.(0 -- 6) (int_range (-3) 3)) in
+  QCheck.Test.make ~name:"compare_label sign = Stdlib.compare" ~count:500
+    QCheck.(triple label label (int_range 0 6))
+    (fun (a, b, k) ->
+      let shared = List.filteri (fun i _ -> i < k) a @ b in
+      let sign x = Int.compare x 0 in
+      List.for_all
+        (fun (x, y) ->
+          sign (Tester.Violation.compare_label x y) = sign (compare x y))
+        [ (a, b); (b, a); (a, shared); (shared, a); (a, a); ([], a); (a, []) ])
+
 let test_labels_on_star () =
   let g = Generators.star 4 in
   let tree = Traversal.bfs g 0 in
@@ -641,6 +656,81 @@ let test_checkpoint_rejects_exp_shifts () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Stage II shared broadcast decode                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Stage II decodes each part broadcast once per part and lets the part's
+   nodes share it.  That must be invisible: with the ids relabeled at
+   random, the parts interleave in id order, and for either embedding
+   mode the Stage II result and the stats JSON must not depend on the
+   engine settings — fiber at 1, 4 and 17 domains (more domains than
+   some live sets, so shards get single-node slices) or compiled.  One
+   input accepts; the other rejects in Stage II on Definition 7. *)
+let shared_decode_inputs =
+  lazy
+    (let rng = Random.State.make [| 131 |] in
+     [
+       ("grid", Generators.relabel rng (Generators.grid 10 10), 0.2, true);
+       ( "planar+crossings",
+         Generators.relabel rng
+           (Generators.far_from_planar (Random.State.make [| 132 |]) ~n:100
+              ~eps:0.02),
+         0.3,
+         false );
+     ])
+
+let stage2_run ~embedding ~domains ~mode g ~eps =
+  let r =
+    Tester.Planarity_tester.run ~seed:5 ~embedding ~domains ~mode g ~eps
+  in
+  let json =
+    Report.Json.to_string
+      (Report.tester_stats ~n:(Graph.n g) ~m:(Graph.m g) ~eps ~seed:5
+         ~domains:1 r)
+  in
+  (r.Tester.Planarity_tester.stage2, json)
+
+let test_shared_decode_invisible () =
+  List.iter
+    (fun (name, g, eps, accepts) ->
+      List.iter
+        (fun (ename, embedding) ->
+          let base_s2, base_json =
+            stage2_run ~embedding ~domains:1 ~mode:Congest.Compiled.Fiber g
+              ~eps
+          in
+          (* The input must exercise the path: several parts broadcast
+             a non-empty sample. *)
+          (match base_s2 with
+          | Some s2 ->
+              check cb (name ^ ": Stage II verdict") accepts
+                s2.Tester.Stage2.accepted;
+              check cb (name ^ ": several sampling parts") true
+                (List.length
+                   (List.filter
+                      (fun (p : Tester.Stage2.part_info) ->
+                        p.Tester.Stage2.sampled > 0)
+                      s2.Tester.Stage2.parts)
+                >= 2)
+          | None -> Alcotest.fail (name ^ ": Stage II did not run"));
+          List.iter
+            (fun (domains, mode) ->
+              let s2, json = stage2_run ~embedding ~domains ~mode g ~eps in
+              let tag =
+                Printf.sprintf "%s/%s domains=%d mode=%s" name ename domains
+                  (Congest.Compiled.mode_to_string mode)
+              in
+              check cb (tag ^ ": Stage2.result") true (s2 = base_s2);
+              check Alcotest.string (tag ^ ": stats JSON") base_json json)
+            [
+              (4, Congest.Compiled.Fiber);
+              (17, Congest.Compiled.Fiber);
+              (1, Congest.Compiled.Compiled);
+            ])
+        [ ("oracle", Tester.Stage2.Oracle); ("collect", Tester.Stage2.Collect) ])
+    (Lazy.force shared_decode_inputs)
+
 let () =
   Alcotest.run "tester"
     [
@@ -659,6 +749,7 @@ let () =
             test_scan_neighbor_rotation;
           q test_claim10_qcheck;
           q test_corollary9_qcheck;
+          q test_compare_label_qcheck;
         ] );
       ( "planarity-tester",
         [
@@ -735,5 +826,12 @@ let () =
           Alcotest.test_case "stretch" `Quick test_en_stretch;
           Alcotest.test_case "rounds" `Quick test_en_rounds;
           q test_en_qcheck;
+        ] );
+      (* Last: its 17-domain runs leave idle workers alive for the rest
+         of the process. *)
+      ( "stage2-shared-decode",
+        [
+          Alcotest.test_case "invisible across domains and mode" `Quick
+            test_shared_decode_invisible;
         ] );
     ]
