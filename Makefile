@@ -213,10 +213,14 @@ scale: build
 
 # Compiled execution-mode gate (also a CI leg).  Three halves:
 #   1. byte-identity — the same planartest run under --mode fiber and
-#      --mode compiled must produce cmp-identical stats JSON, and the
-#      same quick bench E1 sweep must produce cmp-identical BENCH JSON
-#      (--no-timings strips the only legitimately host-dependent
-#      fields).
+#      --mode compiled must produce cmp-identical stats JSON (a grid;
+#      then a far-from-planar input, which takes Stage I's reject path,
+#      and an apollonian triangulation, each with fast-forward on and
+#      off), and the same quick bench E1 sweep must produce
+#      cmp-identical BENCH JSON (--no-timings strips the only
+#      legitimately host-dependent fields).  Both modes run the same
+#      protocol kernels, so this holds the fiber adapter to the
+#      compiled executor.
 #   2. the differential property suite under a pinned QCHECK_SEED (the
 #      compiled-vs-fiber invariance property lives in test_prop.exe).
 #   3. the full-size C1 experiment with its throughput gate: grid
@@ -237,6 +241,20 @@ compiled: build
 	  --eps 0.3 --mode compiled --stats-json $(COMPILED_DIR)/compiled.json \
 	  --log-level warn > /dev/null
 	cmp $(COMPILED_DIR)/fiber.json $(COMPILED_DIR)/compiled.json
+	./_build/default/bin/planartest.exe gen --family far --n 1024 \
+	  --param 0.25 > $(COMPILED_DIR)/far.txt
+	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
+	  > $(COMPILED_DIR)/apollonian.txt
+	for g in far apollonian; do for ff in '' --no-fast-forward; do \
+	  for mode in fiber compiled; do \
+	    ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
+	      --eps 0.3 --mode $$mode $$ff --log-level warn \
+	      --stats-json $(COMPILED_DIR)/$$g$$ff-$$mode.json > /dev/null \
+	      || exit 1; \
+	  done; \
+	  cmp $(COMPILED_DIR)/$$g$$ff-fiber.json \
+	    $(COMPILED_DIR)/$$g$$ff-compiled.json || exit 1; \
+	done; done
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \

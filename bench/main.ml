@@ -6,7 +6,7 @@
    for paper-vs-measured).
 
    Usage:  bench [--quick|-q] [--jobs N] [--domains D] [--no-timings]
-                 [--mode fiber|compiled|auto] [--json PATH]
+                 [--mode fiber|compiled] [--json PATH]
                  [--faults SPEC] [--trace PATH]
 
    Independent (family, n, eps, seed) points inside each experiment are
@@ -15,8 +15,8 @@
    serial run.  [--domains D] additionally shards node stepping *inside*
    each tester/partition run across D engine domains — every statistic is
    identical for any D, only wall-clock changes.  [--mode] selects the
-   execution engine for the lockstep Stage I primitives (default fiber;
-   compiled runs them as fiber-free array passes — every statistic and
+   executor for the lockstep Stage I kernels (default fiber; compiled
+   runs them as fiber-free array passes — every statistic and
    the whole report are byte-identical across modes, see
    Congest.Compiled).  [--no-timings] skips the
    serial Bechamel micro-benchmark section and suppresses every printed
@@ -59,7 +59,7 @@ let () =
   let usage () =
     prerr_endline
       "usage: bench [--quick|-q] [--jobs N] [--domains D] [--no-timings] \
-       [--mode fiber|compiled|auto] [--json PATH] [--faults SPEC] \
+       [--mode fiber|compiled] [--json PATH] [--faults SPEC] \
        [--trace PATH] [--only IDS] [--ledger PATH] [--log-level LEVEL] \
        [--log-json PATH]";
     exit 2
@@ -101,8 +101,7 @@ let () =
           | Some m -> mode := m
           | None ->
               Printf.eprintf
-                "bench: --mode: unknown mode %S (expected fiber, compiled or \
-                 auto)\n"
+                "bench: --mode: unknown mode %S (expected fiber or compiled)\n"
                 argv.(i + 1);
               exit 2);
           parse (i + 2)
@@ -161,8 +160,8 @@ let only = !only
 let ledger_path = !ledger_path
 
 (* The execution mode threaded into every tester / Stage I run below.
-   The dispatcher falls back to the fiber engine on runs with faults or
-   tracing attached, and all statistics are byte-identical across modes,
+   The dispatcher runs the same kernels on the fiber engine when faults
+   are attached, and all statistics are byte-identical across modes,
    so the whole report is mode-invariant (C1 checks that claim on the
    spot, timing both modes). *)
 let mode = !mode

@@ -10,8 +10,13 @@
 open Cmdliner
 open Graphlib
 
+(* A malformed, missing or unreadable graph is a usage error: log it and
+   exit 2 rather than surface an uncaught exception. *)
 let read_graph path =
-  match path with "-" -> Gio.of_channel stdin | p -> Gio.load p
+  try match path with "-" -> Gio.of_channel stdin | p -> Gio.load p
+  with Invalid_argument msg | Sys_error msg ->
+    Obs.Log.errorf "planartest: cannot read graph %s: %s" path msg;
+    exit 2
 
 (* Structured logging (Obs.Log).  The CLI defaults to info so progress
    messages ("wrote …") stay visible; --log-level debug opens up engine
@@ -184,8 +189,7 @@ let test_cmd =
       | Some m -> m
       | None ->
           Obs.Log.errorf
-            "planartest test: unknown --mode %S (expected fiber, compiled or \
-             auto)"
+            "planartest test: unknown --mode %S (expected fiber or compiled)"
             mode_name;
           exit 2
     in
@@ -512,12 +516,12 @@ let test_cmd =
   in
   let mode_arg =
     let doc =
-      "Execution engine for the lockstep Stage I primitives: $(b,fiber) \
-       (the effect-handler reference engine), $(b,compiled) (fiber-free \
-       array passes; falls back to fiber when faults are active), or \
-       $(b,auto) (compiled whenever eligible).  The verdict, statistics, \
-       telemetry and --trace event stream are byte-identical across \
-       modes."
+      "Executor for the lockstep protocol kernels (the Stage I \
+       primitives): $(b,fiber) (the effect-handler engine) or \
+       $(b,compiled) (fiber-free array passes; falls back to fiber when \
+       faults are active).  Each kernel is written once and runs on \
+       either.  The verdict, statistics, telemetry and --trace event \
+       stream are byte-identical across modes."
     in
     Arg.(value & opt string "fiber" & info [ "mode" ] ~docv:"MODE" ~doc)
   in

@@ -1,22 +1,28 @@
 open Graphlib
 
-type mode = Fiber | Compiled | Auto
+type mode = Fiber | Compiled
 
 let pick mode ~faults =
-  match mode with
-  | Fiber -> false
-  | Compiled | Auto -> not faults
+  match mode with Fiber -> false | Compiled -> not faults
 
-let mode_to_string = function
-  | Fiber -> "fiber"
-  | Compiled -> "compiled"
-  | Auto -> "auto"
+let mode_to_string = function Fiber -> "fiber" | Compiled -> "compiled"
 
 let mode_of_string = function
   | "fiber" -> Some Fiber
   | "compiled" -> Some Compiled
-  | "auto" -> Some Auto
   | _ -> None
+
+type step = Halt | Park of int
+
+module type NET = sig
+  type ctx
+  type msg
+
+  val send : ctx -> dest:int -> msg -> unit
+  val send_port : ctx -> dest:int -> eid:int -> msg -> unit
+  val broadcast : ctx -> msg -> unit
+  val round : ctx -> int
+end
 
 (* Per-mode counters, incremented once per run by whichever engine
    executed it (the fiber engine references these with label "fiber").
@@ -87,7 +93,8 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) = struct
-  type step = Halt | Park of int
+  type msg = Msg.t
+  type nonrec step = step = Halt | Park of int
 
   (* The compiled analogue of [Engine.pool]: the same flat delivery
      state (per-directed-edge bit counters, the sender worklist with

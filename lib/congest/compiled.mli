@@ -33,27 +33,27 @@
     causal wake slots — so a compiled [.ctrace] is byte-identical to a
     serial fiber one.  Fault injection is deliberately not: it perturbs
     the lockstep assumptions, so {!pick} returns [false] under faults
-    and callers fall back to the fiber engine. *)
+    and callers run the same kernel on the fiber engine instead. *)
 
 (** Execution-mode knob threaded through [Stage1], [Planarity_tester] and
-    the CLIs ([planartest --mode], [bench --mode]). *)
+    the CLIs ([planartest --mode], [bench --mode]).  It picks the executor
+    for the lockstep kernels; the kernels themselves are written once (see
+    {!step} and {!NET}). *)
 type mode =
-  | Fiber  (** always the general effect-handler engine (the default) *)
+  | Fiber  (** the general effect-handler engine (the default) *)
   | Compiled
-      (** compiled array passes where the protocol shape allows; silently
-          falls back to the fiber engine under faults, and for general
-          [run_program]-style node programs *)
-  | Auto  (** [Compiled] when faults are off, else [Fiber] *)
+      (** compiled array passes; silently falls back to the fiber engine
+          under faults.  General [run_program]-style node programs always
+          run on fibers. *)
 
-(** [pick mode ~faults] decides whether a protocol-shaped run should
-    take the compiled path.  [Fiber] never does; [Compiled] and [Auto]
-    do exactly when no fault policy is active (tracing is supported
-    natively, so it no longer forces the fiber path). *)
+(** [pick mode ~faults] decides whether a kernel run should take the
+    compiled path: exactly when [mode = Compiled] and no fault policy is
+    active (tracing is supported natively). *)
 val pick : mode -> faults:bool -> bool
 
 val mode_to_string : mode -> string
 
-(** Accepted spellings: ["fiber"], ["compiled"], ["auto"]. *)
+(** Accepted spellings: ["fiber"], ["compiled"]. *)
 val mode_of_string : string -> mode option
 
 (** Per-mode run counters, shared by both engines: the fiber engine
@@ -66,6 +66,29 @@ val m_mode_runs : Obs.Metrics.counter
 
 val m_mode_rounds : Obs.Metrics.counter
 
+(** What a node does next, returned by a kernel's [start] / [resume]
+    hooks: [Park k] re-enters the node at the first round with a non-empty
+    inbox, or unconditionally after [k] rounds ([k <= 0] means 1); [Halt]
+    ends the node.
+
+    A {e kernel} is a lockstep protocol written as such a pair of hooks
+    over a {!NET}.  It is written once and runs on either executor:
+    {!Make.run} executes it as array passes, and [Engine.Make.kernel]
+    turns it into a fiber node program. *)
+type step = Halt | Park of int
+
+(** The node-side operations a kernel may use, provided by both
+    {!Make} and [Engine.Make] with identical directed-edge accounting. *)
+module type NET = sig
+  type ctx
+  type msg
+
+  val send : ctx -> dest:int -> msg -> unit
+  val send_port : ctx -> dest:int -> eid:int -> msg -> unit
+  val broadcast : ctx -> msg -> unit
+  val round : ctx -> int
+end
+
 module type MESSAGE = sig
   type t
 
@@ -73,11 +96,8 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) : sig
-  (** What a node does next, returned by the [start] / [resume] hooks:
-      [Park k] re-enters the node at the first round with a non-empty
-      inbox, or unconditionally after [k] rounds ([k] is clamped to
-      [>= 1], like the engine's [wait]); [Halt] ends the node. *)
-  type step = Halt | Park of int
+  type msg = Msg.t
+  type nonrec step = step = Halt | Park of int
 
   (** Per-run execution context handed to the hooks; carries the current
       node implicitly, so hooks must only use it synchronously. *)

@@ -89,6 +89,8 @@ let m_pool_edge_bytes =
     "congest_pool_edge_bytes"
 
 module Make (Msg : MESSAGE) = struct
+  type msg = Msg.t
+
   (* Per-domain stepping state.  During a round, each domain steps a
      disjoint block of nodes; everything a node program can mutate that is
      not indexed by its own id (the senders worklist, queued sends, the
@@ -496,6 +498,9 @@ module Make (Msg : MESSAGE) = struct
     in
     send_de c dest ((2 * e) + if c.id < dest then 0 else 1) msg
 
+  let send_port c ~dest ~eid msg =
+    send_de c dest ((2 * eid) + if c.id < dest then 0 else 1) msg
+
   let broadcast c msg =
     (* Port order is neighbor-ascending, matching a [send] per neighbor,
        but with no neighbor-array allocation and no binary search. *)
@@ -523,6 +528,16 @@ module Make (Msg : MESSAGE) = struct
     end
 
   let sync c = wait c 1
+
+  (* A kernel's [Park k] is exactly [wait]'s contract; the clamp keeps
+     [k <= 0] meaning one round, as in [Compiled], instead of [wait]'s
+     return-without-ending-the-round. *)
+  let kernel ~start ~resume c =
+    let rec loop = function
+      | Compiled.Halt -> ()
+      | Compiled.Park k -> loop (resume c c.id (wait c (max 1 k)))
+    in
+    loop (start c c.id)
 
   let idle c k =
     let deadline = c.eng.current_round + k in

@@ -96,6 +96,8 @@ end
 exception Stopped
 
 module Make (Msg : MESSAGE) : sig
+  type msg = Msg.t
+
   type ctx
   (** Handle to a node's identity and mailboxes, usable only inside a node
       program. *)
@@ -118,6 +120,10 @@ module Make (Msg : MESSAGE) : sig
       if [dest] is not a neighbor. *)
   val send : ctx -> dest:int -> Msg.t -> unit
 
+  (** [send_port ctx ~dest ~eid msg] queues on a known incident edge id —
+      no search.  The directed-edge accounting is identical to {!send}. *)
+  val send_port : ctx -> dest:int -> eid:int -> Msg.t -> unit
+
   (** [broadcast ctx msg] sends [msg] to every neighbor. *)
   val broadcast : ctx -> Msg.t -> unit
 
@@ -136,6 +142,18 @@ module Make (Msg : MESSAGE) : sig
       preamble), so protocols should prefer one [wait budget] over a
       budget-length [sync] loop when they only react to arrivals. *)
   val wait : ctx -> int -> (int * Msg.t) list
+
+  (** [kernel ~start ~resume] is the node program that runs a
+      {!Compiled.step} kernel on this engine: [start ctx id] once, then
+      [resume ctx id inbox] after each [wait ctx (max 1 k)] while the
+      kernel answers [Park k].  Without faults the run's stats and trace
+      are byte-identical to {!Compiled.Make.run} of the same kernel (its
+      telemetry too, at [~domains:1]). *)
+  val kernel :
+    start:(ctx -> int -> Compiled.step) ->
+    resume:(ctx -> int -> (int * Msg.t) list -> Compiled.step) ->
+    ctx ->
+    unit
 
   (** [idle ctx k] parks for exactly [k] rounds, discarding any arrivals
       (equivalent to [k] ignored syncs, but fast-forwardable). *)

@@ -13,235 +13,158 @@ module C = Compiled.Make (M)
 
 type bfs_result = { parent : int array; level : int array; rounds : int }
 
-(* Each protocol below exists twice: the fiber program (the reference)
-   and a compiled twin that runs the same per-round logic as flat array
-   passes — one [resume] per node per round instead of one fiber
-   suspend/resume.  The twins replicate the fiber send order exactly
+(* Each protocol is one kernel (see [Compiled.step]) written against
+   [Compiled.NET] and instantiated once per executor; [N.run] executes a
+   kernel and returns the run's stats.  Sends follow a fixed order
    (broadcasts in port order, [Child] replies in neighbor order), so
-   Stats and Telemetry are byte-identical; the differential tests in
-   test/test_congest.ml hold them to that. *)
+   Stats and Telemetry are the same on either executor;
+   test/test_congest.ml holds them to that. *)
+module Kernels (N : sig
+  include Compiled.NET with type msg = M.t
 
-let bfs_tree_fiber g ~root ~rounds_bound =
-  let n = Graph.n g in
-  let parent = Array.make n (-1) in
-  let level = Array.make n (-1) in
-  let res =
-    E.run g (fun ctx ->
-        let v = E.my_id ctx in
-        (if v = root then begin
-           level.(v) <- 0;
-           E.broadcast ctx (M.Level 0)
-         end);
-        for _ = 1 to rounds_bound do
-          List.iter
-            (fun (from, msg) ->
-              match msg with
-              | M.Level d ->
-                  if level.(v) < 0 then begin
-                    level.(v) <- d + 1;
-                    parent.(v) <- from;
-                    E.broadcast ctx (M.Level (d + 1))
-                  end
-              | _ -> assert false)
-            (E.sync ctx)
-        done)
-  in
-  { parent; level; rounds = res.E.stats.Stats.rounds }
+  val run :
+    Graph.t ->
+    start:(ctx -> int -> Compiled.step) ->
+    resume:(ctx -> int -> (int * M.t) list -> Compiled.step) ->
+    Stats.t
+end) =
+struct
+  (* [rounds_bound] resumes, one per round, then halt. *)
+  let countdown ~rounds_bound n =
+    let rem = Array.make n rounds_bound in
+    let first = if rounds_bound <= 0 then Compiled.Halt else Compiled.Park 1 in
+    let next v =
+      rem.(v) <- rem.(v) - 1;
+      if rem.(v) = 0 then Compiled.Halt else Compiled.Park 1
+    in
+    (first, next)
 
-let bfs_tree_compiled g ~root ~rounds_bound =
-  let n = Graph.n g in
-  let parent = Array.make n (-1) in
-  let level = Array.make n (-1) in
-  let rem = Array.make n rounds_bound in
-  let res =
-    C.run g
-      ~start:(fun ctx v ->
-        (if v = root then begin
-           level.(v) <- 0;
-           C.broadcast ctx (M.Level 0)
-         end);
-        if rounds_bound <= 0 then C.Halt else C.Park 1)
-      ~resume:(fun ctx v inbox ->
-        List.iter
-          (fun (from, msg) ->
-            match msg with
-            | M.Level d ->
-                if level.(v) < 0 then begin
-                  level.(v) <- d + 1;
-                  parent.(v) <- from;
-                  C.broadcast ctx (M.Level (d + 1))
-                end
-            | _ -> assert false)
-          inbox;
-        rem.(v) <- rem.(v) - 1;
-        if rem.(v) = 0 then C.Halt else C.Park 1)
-  in
-  { parent; level; rounds = res.C.stats.Stats.rounds }
+  let bfs_tree g ~root ~rounds_bound =
+    let n = Graph.n g in
+    let parent = Array.make n (-1) in
+    let level = Array.make n (-1) in
+    let first, next = countdown ~rounds_bound n in
+    let start ctx v =
+      if v = root then begin
+        level.(v) <- 0;
+        N.broadcast ctx (M.Level 0)
+      end;
+      first
+    and resume ctx v inbox =
+      List.iter
+        (fun (from, msg) ->
+          match msg with
+          | M.Level d ->
+              if level.(v) < 0 then begin
+                level.(v) <- d + 1;
+                parent.(v) <- from;
+                N.broadcast ctx (M.Level (d + 1))
+              end
+          | _ -> assert false)
+        inbox;
+      next v
+    in
+    let stats = N.run g ~start ~resume in
+    { parent; level; rounds = stats.Stats.rounds }
 
-let bfs_tree ?(mode = Compiled.Fiber) g ~root ~rounds_bound =
-  if Compiled.pick mode ~faults:false then
-    bfs_tree_compiled g ~root ~rounds_bound
-  else bfs_tree_fiber g ~root ~rounds_bound
+  let elect_min_id g ~rounds_bound =
+    let n = Graph.n g in
+    let leader = Array.init n (fun v -> v) in
+    let first, next = countdown ~rounds_bound n in
+    let start ctx v =
+      N.broadcast ctx (M.Leader v);
+      first
+    and resume ctx v inbox =
+      let improved = ref false in
+      List.iter
+        (fun (_, msg) ->
+          match msg with
+          | M.Leader c ->
+              if c < leader.(v) then begin
+                leader.(v) <- c;
+                improved := true
+              end
+          | _ -> assert false)
+        inbox;
+      if !improved then N.broadcast ctx (M.Leader leader.(v));
+      next v
+    in
+    ignore (N.run g ~start ~resume);
+    leader
 
-let elect_min_id_fiber g ~rounds_bound =
-  let n = Graph.n g in
-  let leader = Array.init n (fun v -> v) in
-  ignore
-    (E.run g (fun ctx ->
-         let v = E.my_id ctx in
-         E.broadcast ctx (M.Leader v);
-         for _ = 1 to rounds_bound do
-           let improved = ref false in
-           List.iter
-             (fun (_, msg) ->
-               match msg with
-               | M.Leader c ->
-                   if c < leader.(v) then begin
-                     leader.(v) <- c;
-                     improved := true
-                   end
-               | _ -> assert false)
-             (E.sync ctx);
-           if !improved then E.broadcast ctx (M.Leader leader.(v))
-         done));
-  leader
+  (* Flood-echo on a general graph: the wave builds a BFS tree; on
+     adoption a node tells its parent [Child true] and every other
+     neighbor [Child false], so each node knows when all neighbor
+     relations are resolved and all child counts are in. *)
+  let count_nodes g ~root ~rounds_bound =
+    let n = Graph.n g in
+    let first, next = countdown ~rounds_bound n in
+    let parent = Array.make n (-2) in
+    (* Every neighbor sends exactly one [Child] message (when it adopts);
+       [unknown] resolves purely by receiving them. *)
+    let unknown = Array.init n (fun v -> Graph.degree g v) in
+    let children_pending = Array.make n 0 in
+    let sum = Array.make n 1 in
+    let sent = Bytes.make n '\000' in
+    let total = ref 0 in
+    (* [Level] broadcast first, then one [Child] per neighbor in port
+       order. *)
+    let adopt ctx v from d =
+      parent.(v) <- from;
+      N.broadcast ctx (M.Level (d + 1));
+      Graph.iter_incident g v (fun w e ->
+          N.send_port ctx ~dest:w ~eid:e (M.Child (w = from)))
+    in
+    let start ctx v =
+      if v = root then adopt ctx v (-1) (-1);
+      first
+    and resume ctx v inbox =
+      List.iter
+        (fun (from, msg) ->
+          match msg with
+          | M.Level d -> if parent.(v) = -2 then adopt ctx v from d
+          | M.Child true ->
+              unknown.(v) <- unknown.(v) - 1;
+              children_pending.(v) <- children_pending.(v) + 1
+          | M.Child false -> unknown.(v) <- unknown.(v) - 1
+          | M.Count c ->
+              sum.(v) <- sum.(v) + c;
+              children_pending.(v) <- children_pending.(v) - 1
+          | _ -> assert false)
+        inbox;
+      if
+        unknown.(v) = 0
+        && children_pending.(v) = 0
+        && Bytes.get sent v = '\000'
+        && parent.(v) >= -1
+      then begin
+        Bytes.set sent v '\001';
+        if parent.(v) >= 0 then N.send ctx ~dest:parent.(v) (M.Count sum.(v))
+        else total := sum.(v)
+      end;
+      next v
+    in
+    let stats = N.run g ~start ~resume in
+    (!total, stats.Stats.rounds)
+end
 
-let elect_min_id_compiled g ~rounds_bound =
-  let n = Graph.n g in
-  let leader = Array.init n (fun v -> v) in
-  let rem = Array.make n rounds_bound in
-  ignore
-    (C.run g
-       ~start:(fun ctx v ->
-         C.broadcast ctx (M.Leader v);
-         if rounds_bound <= 0 then C.Halt else C.Park 1)
-       ~resume:(fun ctx v inbox ->
-         let improved = ref false in
-         List.iter
-           (fun (_, msg) ->
-             match msg with
-             | M.Leader c ->
-                 if c < leader.(v) then begin
-                   leader.(v) <- c;
-                   improved := true
-                 end
-             | _ -> assert false)
-           inbox;
-         if !improved then C.broadcast ctx (M.Leader leader.(v));
-         rem.(v) <- rem.(v) - 1;
-         if rem.(v) = 0 then C.Halt else C.Park 1));
-  leader
+module KE = Kernels (struct
+  include E
 
-let elect_min_id ?(mode = Compiled.Fiber) g ~rounds_bound =
-  if Compiled.pick mode ~faults:false then
-    elect_min_id_compiled g ~rounds_bound
-  else elect_min_id_fiber g ~rounds_bound
+  let run g ~start ~resume = (E.run g (E.kernel ~start ~resume)).E.stats
+end)
 
-(* Flood-echo on a general graph: the wave builds a BFS tree; on adoption a
-   node tells its parent [Child true] and every other neighbor
-   [Child false], so each node knows when all neighbor relations are
-   resolved and all child counts are in. *)
-let count_nodes_fiber g ~root ~rounds_bound =
-  let n = Graph.n g in
-  let parent = Array.make n (-2) in
-  let total = ref 0 in
-  let res =
-    E.run g (fun ctx ->
-        let v = E.my_id ctx in
-        let unknown = ref (E.degree ctx) in
-        let children_pending = ref 0 in
-        let sum = ref 1 in
-        let sent = ref false in
-        (* Every neighbor sends exactly one [Child] message (when it
-           adopts); [unknown] resolves purely by receiving them. *)
-        let adopt from d =
-          parent.(v) <- from;
-          E.broadcast ctx (M.Level (d + 1));
-          Array.iter
-            (fun w ->
-              if w = from then E.send ctx ~dest:w (M.Child true)
-              else E.send ctx ~dest:w (M.Child false))
-            (E.neighbors ctx)
-        in
-        (if v = root then adopt (-1) (-1));
-        for _ = 1 to rounds_bound do
-          List.iter
-            (fun (from, msg) ->
-              match msg with
-              | M.Level d -> if parent.(v) = -2 then adopt from d
-              | M.Child true ->
-                  decr unknown;
-                  incr children_pending
-              | M.Child false -> decr unknown
-              | M.Count c ->
-                  sum := !sum + c;
-                  decr children_pending
-              | _ -> assert false)
-            (E.sync ctx);
-          if
-            !unknown = 0 && !children_pending = 0 && (not !sent)
-            && parent.(v) >= -1
-          then begin
-            sent := true;
-            if parent.(v) >= 0 then E.send ctx ~dest:parent.(v) (M.Count !sum)
-            else total := !sum
-          end
-        done)
-  in
-  (!total, res.E.stats.Stats.rounds)
+module KC = Kernels (struct
+  include C
 
-let count_nodes_compiled g ~root ~rounds_bound =
-  let n = Graph.n g in
-  let parent = Array.make n (-2) in
-  let unknown = Array.init n (fun v -> Graph.degree g v) in
-  let children_pending = Array.make n 0 in
-  let sum = Array.make n 1 in
-  let sent = Bytes.make n '\000' in
-  let rem = Array.make n rounds_bound in
-  let total = ref 0 in
-  (* [Level] broadcast first, then one [Child] per neighbor in port
-     order — the fiber twin's exact send sequence. *)
-  let adopt ctx v from d =
-    parent.(v) <- from;
-    C.broadcast ctx (M.Level (d + 1));
-    Graph.iter_incident g v (fun w e ->
-        C.send_port ctx ~dest:w ~eid:e (M.Child (w = from)))
-  in
-  let res =
-    C.run g
-      ~start:(fun ctx v ->
-        (if v = root then adopt ctx v (-1) (-1));
-        if rounds_bound <= 0 then C.Halt else C.Park 1)
-      ~resume:(fun ctx v inbox ->
-        List.iter
-          (fun (from, msg) ->
-            match msg with
-            | M.Level d -> if parent.(v) = -2 then adopt ctx v from d
-            | M.Child true ->
-                unknown.(v) <- unknown.(v) - 1;
-                children_pending.(v) <- children_pending.(v) + 1
-            | M.Child false -> unknown.(v) <- unknown.(v) - 1
-            | M.Count c ->
-                sum.(v) <- sum.(v) + c;
-                children_pending.(v) <- children_pending.(v) - 1
-            | _ -> assert false)
-          inbox;
-        (if
-           unknown.(v) = 0
-           && children_pending.(v) = 0
-           && Bytes.get sent v = '\000'
-           && parent.(v) >= -1
-         then begin
-           Bytes.set sent v '\001';
-           if parent.(v) >= 0 then C.send ctx ~dest:parent.(v) (M.Count sum.(v))
-           else total := sum.(v)
-         end);
-        rem.(v) <- rem.(v) - 1;
-        if rem.(v) = 0 then C.Halt else C.Park 1)
-  in
-  (!total, res.C.stats.Stats.rounds)
+  let run g ~start ~resume = (C.run g ~start ~resume).C.stats
+end)
 
-let count_nodes ?(mode = Compiled.Fiber) g ~root ~rounds_bound =
-  if Compiled.pick mode ~faults:false then
-    count_nodes_compiled g ~root ~rounds_bound
-  else count_nodes_fiber g ~root ~rounds_bound
+let bfs_tree ?(mode = Compiled.Fiber) =
+  if Compiled.pick mode ~faults:false then KC.bfs_tree else KE.bfs_tree
+
+let elect_min_id ?(mode = Compiled.Fiber) =
+  if Compiled.pick mode ~faults:false then KC.elect_min_id else KE.elect_min_id
+
+let count_nodes ?(mode = Compiled.Fiber) =
+  if Compiled.pick mode ~faults:false then KC.count_nodes else KE.count_nodes

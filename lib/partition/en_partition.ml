@@ -5,7 +5,6 @@ type result = {
   cut : int;
   clusters : int;
   radius_bound : int;
-  capped : int;
 }
 
 (* Shifted values travel as fixed-point integers so the wire format stays
@@ -16,14 +15,13 @@ let run ?(seed = 0) g ~eps =
   if not (eps > 0.0 && eps < 1.0) then invalid_arg "En_partition.run: eps";
   let n = Graph.n g in
   let st = State.create g in
-  if n = 0 then { state = st; cut = 0; clusters = 0; radius_bound = 0; capped = 0 }
+  if n = 0 then { state = st; cut = 0; clusters = 0; radius_bound = 0 }
   else begin
     let beta = eps /. 2.0 in
     (* All shifts are below R = (2/eps) ln n + O(1/eps) w.p. 1 - 1/n. *)
     let radius_bound =
       2 + int_of_float (ceil (log (float_of_int (max n 2)) /. beta))
     in
-    let capped = ref 0 in
     (* best wave per node: (value, source, delivering neighbor) *)
     let best_val = Array.make n neg_infinity in
     let best_src = Array.make n (-1) in
@@ -33,10 +31,8 @@ let run ?(seed = 0) g ~eps =
         let rng = Random.State.make [| seed; v; 0xe14 |] in
         let r_v = -.log (1.0 -. Random.State.float rng 1.0) /. beta in
         let r_v =
-          if r_v >= float_of_int radius_bound then begin
-            incr capped;
+          if r_v >= float_of_int radius_bound then
             float_of_int radius_bound -. 1.0
-          end
           else r_v
         in
         best_val.(v) <- r_v;
@@ -103,6 +99,5 @@ let run ?(seed = 0) g ~eps =
       cut = State.cut_edges st;
       clusters = List.length (State.parts st);
       radius_bound;
-      capped = !capped;
     }
   end

@@ -22,7 +22,6 @@ type result = {
   cut : int;
   clusters : int;
   radius_bound : int;  (** the R rounds the waves were given *)
-  capped : int;  (** vertices whose shift exceeded R (probability o(1)) *)
 }
 
 val run : ?seed:int -> Graphlib.Graph.t -> eps:float -> result

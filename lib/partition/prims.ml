@@ -59,13 +59,14 @@ let run_program ?(seed = 0) (st : State.t) program =
     @ st.State.rejections
 
 (* The four lockstep primitives below ([refresh_roots], [bcast],
-   [converge], [boundary]) each exist twice: the fiber program above is
-   the reference, and a compiled twin runs the same per-round logic
-   through [Congest.Compiled] — flat array passes, no fibers — with
-   byte-identical Stats/Telemetry (the dispatch is invisible to
-   callers).  General [run_program] node programs always stay on the
+   [converge], [boundary]) are each one kernel (see
+   [Congest.Compiled.step]) written against [Congest.Compiled.NET] and
+   instantiated for both executors: [Congest.Compiled]'s flat array
+   passes ([Kc]), or the fiber engine through [Eng.kernel] ([Ke]).
+   Stats and Telemetry are byte-identical either way, so the dispatch
+   is invisible to callers.  General [run_program] node programs always stay on the
    fiber engine: they can wait at arbitrary nesting depths, which is
-   exactly what the compiled shape gives up. *)
+   exactly what the kernel shape gives up. *)
 let compiled_active (st : State.t) =
   Congest.Compiled.pick st.State.mode
     ~faults:(Congest.Faults.active st.State.faults)
@@ -85,19 +86,31 @@ let run_compiled (st : State.t) ~start ~resume =
     List.map (fun (_, v, reason) -> (v, reason)) res.Cmp.rejections
     @ st.State.rejections
 
-let refresh_roots_compiled (st : State.t) =
-  let g = st.State.graph in
-  run_compiled st
-    ~start:(fun ctx v ->
+(* [N.run] executes a kernel over the state's graph and charges the run
+   to [st]. *)
+module Kernels (N : sig
+  include Congest.Compiled.NET with type msg = Msg.t
+
+  val run :
+    State.t ->
+    start:(ctx -> int -> Congest.Compiled.step) ->
+    resume:(ctx -> int -> (int * Msg.t) list -> Congest.Compiled.step) ->
+    unit
+end) =
+struct
+  open Congest.Compiled
+
+  let refresh_roots (st : State.t) =
+    let g = st.State.graph in
+    let start ctx v =
       let nd = State.node st v in
       Graph.iter_incident g v (fun nbr e ->
-          Cmp.send_port ctx ~dest:nbr ~eid:e (Msg.Root nd.State.part_root));
-      Cmp.Park 1)
-    ~resume:(fun _ctx v inbox ->
+          N.send_port ctx ~dest:nbr ~eid:e (Msg.Root nd.State.part_root));
+      Park 1
+    and resume _ctx v inbox =
       let nd = State.node st v in
       (* Inbox senders arrive in ascending order, matching port order, so
-         one pointer walks both in a single merged pass (no [incident]
-         allocation on this path). *)
+         one pointer walks both in a single merged pass. *)
       let port = ref 0 in
       List.iter
         (fun (from, msg) ->
@@ -109,40 +122,22 @@ let refresh_roots_compiled (st : State.t) =
               nd.State.nbr_root.(!port) <- r
           | _ -> assert false)
         inbox;
-      Cmp.Halt)
+      Halt
+    in
+    N.run st ~start ~resume
 
-let refresh_roots st =
-  traced st "refresh_roots" @@ fun () ->
-  if compiled_active st then refresh_roots_compiled st
-  else
-    run_program st (fun ctx nd ->
-      Array.iter
-        (fun (nbr, _) -> Eng.send ctx ~dest:nbr (Msg.Root nd.State.part_root))
-        (Graph.incident st.State.graph nd.State.id);
-      let inbox = Eng.sync ctx in
-      let inc = Graph.incident st.State.graph nd.State.id in
-      (* Inbox senders arrive in ascending order, matching [inc]'s sort
-         order, so one pointer walks both in a single merged pass. *)
-      let port = ref 0 in
+  (* [bcast] and [converge] park for the whole budget: the only rounds
+     that change anything are the ones a message arrives in, so a node
+     is re-entered on arrivals only (and the executor may fast-forward
+     network-wide quiet spans) without altering the round schedule —
+     every node still finishes exactly at round [budget]. *)
+  let bcast (st : State.t) ~budget ~tag ~at_root ~on_receive =
+    let relay ctx nd payload =
       List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Root r ->
-              while fst inc.(!port) <> from do
-                incr port
-              done;
-              nd.State.nbr_root.(!port) <- r
-          | _ -> assert false)
-        inbox)
-
-let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
-  let relay ctx nd payload =
-    List.iter
-      (fun c -> Cmp.send ctx ~dest:c (Msg.Down (tag, payload)))
-      nd.State.children
-  in
-  run_compiled st
-    ~start:(fun ctx v ->
+        (fun c -> N.send ctx ~dest:c (Msg.Down (tag, payload)))
+        nd.State.children
+    in
+    let start ctx v =
       let nd = State.node st v in
       (if State.is_root st v then
          match at_root nd with
@@ -150,8 +145,8 @@ let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
              on_receive nd payload;
              relay ctx nd payload
          | None -> ());
-      if budget > 0 then Cmp.Park budget else Cmp.Halt)
-    ~resume:(fun ctx v inbox ->
+      if budget > 0 then Park budget else Halt
+    and resume ctx v inbox =
       let nd = State.node st v in
       List.iter
         (fun (from, msg) ->
@@ -166,155 +161,81 @@ let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
               relay ctx nd payload
           | _ -> assert false)
         inbox;
-      let left = budget - Cmp.round ctx in
-      if left > 0 then Cmp.Park left else Cmp.Halt)
+      let left = budget - N.round ctx in
+      if left > 0 then Park left else Halt
+    in
+    N.run st ~start ~resume
 
-let bcast st ~budget ~tag ~at_root ~on_receive =
-  traced st "bcast" @@ fun () ->
-  if compiled_active st then bcast_compiled st ~budget ~tag ~at_root ~on_receive
-  else
-    run_program st (fun ctx nd ->
-      let relay payload =
-        List.iter
-          (fun c -> Eng.send ctx ~dest:c (Msg.Down (tag, payload)))
-          nd.State.children
-      in
-      (if State.is_root st nd.State.id then
-         match at_root nd with
-         | Some payload ->
-             on_receive nd payload;
-             relay payload
-         | None -> ());
-      (* Wait out the budget instead of syncing [budget] times: the only
-         rounds that change anything are the ones a [Down] arrives in, so
-         the engine may park this node (and fast-forward whole-network
-         quiet spans) without altering the round schedule — every node
-         still finishes exactly at round [budget]. *)
-      wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | Msg.Down (t, payload) ->
-                 if t <> tag then
-                   failwith
-                     (Printf.sprintf "bcast: lockstep violation (tag %d vs %d)"
-                        t tag);
-                 assert (from = nd.State.parent);
-                 on_receive nd payload;
-                 relay payload
-             | _ -> assert false)))
-
-let converge_compiled (st : State.t) ~budget ~tag ~init ~combine ~encode
-    ~decode ~at_root =
-  let n = Graph.n st.State.graph in
-  let pending = Array.make n 0 in
-  let accs = Array.make n None in
-  let sent = Bytes.make n '\000' in
-  let maybe_send ctx v nd =
-    if pending.(v) = 0 && Bytes.get sent v = '\000' then begin
-      Bytes.set sent v '\001';
-      let acc = Option.get accs.(v) in
-      if nd.State.parent >= 0 then
-        Cmp.send ctx ~dest:nd.State.parent (Msg.Up (tag, encode acc))
-      else at_root nd acc
-    end
-  in
-  run_compiled st
-    ~start:(fun ctx v ->
+  let converge (st : State.t) ~budget ~tag ~init ~combine ~encode ~decode
+      ~at_root =
+    let n = Graph.n st.State.graph in
+    let pending = Array.make n 0 in
+    let accs = Array.make n None in
+    let sent = Bytes.make n '\000' in
+    (* Fires at a leaf on start-up and otherwise only on a round an [Up]
+       arrives. *)
+    let maybe_send ctx v nd =
+      if pending.(v) = 0 && Bytes.get sent v = '\000' then begin
+        Bytes.set sent v '\001';
+        let acc = Option.get accs.(v) in
+        if nd.State.parent >= 0 then
+          N.send ctx ~dest:nd.State.parent (Msg.Up (tag, encode acc))
+        else at_root nd acc
+      end
+    in
+    let park v left =
+      if left > 0 then Park left
+      else if Bytes.get sent v = '\000' then
+        failwith "converge: budget too small for tree depth"
+      else Halt
+    in
+    let start ctx v =
       let nd = State.node st v in
       pending.(v) <- List.length nd.State.children;
       accs.(v) <- Some (init nd);
       maybe_send ctx v nd;
-      if budget > 0 then Cmp.Park budget
-      else if Bytes.get sent v = '\000' then
-        failwith "converge: budget too small for tree depth"
-      else Cmp.Halt)
-    ~resume:(fun ctx v inbox ->
+      park v budget
+    and resume ctx v inbox =
       let nd = State.node st v in
-      (* As in the fiber twin's [wait_rounds]: the processing hook only
-         runs on a non-empty inbox (a deadline wake-up with no traffic
-         changes nothing). *)
-      (if inbox <> [] then begin
-         List.iter
-           (fun (from, msg) ->
-             match msg with
-             | Msg.Up (t, payload) ->
-                 if t <> tag then
-                   failwith
-                     (Printf.sprintf
-                        "converge: lockstep violation (tag %d vs %d)" t tag);
-                 if not (List.mem from nd.State.children) then
-                   failwith "converge: message from non-child";
-                 accs.(v) <- Some (combine (Option.get accs.(v)) (decode payload));
-                 pending.(v) <- pending.(v) - 1
-             | _ -> assert false)
-           inbox;
-         maybe_send ctx v nd
-       end);
-      let left = budget - Cmp.round ctx in
-      if left > 0 then Cmp.Park left
-      else if Bytes.get sent v = '\000' then
-        failwith "converge: budget too small for tree depth"
-      else Cmp.Halt)
+      (* A deadline wake-up with no traffic changes nothing. *)
+      if inbox <> [] then begin
+        List.iter
+          (fun (from, msg) ->
+            match msg with
+            | Msg.Up (t, payload) ->
+                if t <> tag then
+                  failwith
+                    (Printf.sprintf "converge: lockstep violation (tag %d vs %d)"
+                       t tag);
+                if not (List.mem from nd.State.children) then
+                  failwith "converge: message from non-child";
+                accs.(v) <- Some (combine (Option.get accs.(v)) (decode payload));
+                pending.(v) <- pending.(v) - 1
+            | _ -> assert false)
+          inbox;
+        maybe_send ctx v nd
+      end;
+      park v (budget - N.round ctx)
+    in
+    N.run st ~start ~resume
 
-let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
-  traced st "converge" @@ fun () ->
-  if compiled_active st then
-    converge_compiled st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
-  else
-    run_program st (fun ctx nd ->
-      let pending = ref (List.length nd.State.children) in
-      let acc = ref (init nd) in
-      let sent = ref false in
-      let maybe_send () =
-        if !pending = 0 && not !sent then begin
-          sent := true;
-          if nd.State.parent >= 0 then
-            Eng.send ctx ~dest:nd.State.parent (Msg.Up (tag, encode !acc))
-          else at_root nd !acc
-        end
-      in
-      maybe_send ();
-      (* As in [bcast]: [maybe_send] can only newly fire on a round an
-         [Up] arrives (the initial call above covers leaves), so waiting
-         until the next arrival or the deadline preserves the message
-         schedule exactly. *)
-      wait_rounds ctx ~budget (fun inbox ->
-          List.iter
-            (fun (from, msg) ->
-              match msg with
-              | Msg.Up (t, payload) ->
-                  if t <> tag then
-                    failwith
-                      (Printf.sprintf
-                         "converge: lockstep violation (tag %d vs %d)" t tag);
-                  if not (List.mem from nd.State.children) then
-                    failwith "converge: message from non-child";
-                  acc := combine !acc (decode payload);
-                  decr pending
-              | _ -> assert false)
-            inbox;
-          maybe_send ());
-      if not !sent then failwith "converge: budget too small for tree depth")
-
-let boundary_compiled (st : State.t) ~tag ~payload ~on_receive =
-  let g = st.State.graph in
-  run_compiled st
-    ~start:(fun ctx v ->
+  let boundary (st : State.t) ~tag ~payload ~on_receive =
+    let g = st.State.graph in
+    let start ctx v =
       let nd = State.node st v in
-      let deg = Graph.degree g v in
-      for port = 0 to deg - 1 do
+      for port = 0 to Graph.degree g v - 1 do
         if nd.State.nbr_root.(port) <> nd.State.part_root then begin
           let nbr = Graph.nbr g v port in
           match payload nd ~port ~nbr with
           | Some pl ->
-              Cmp.send_port ctx ~dest:nbr
+              N.send_port ctx ~dest:nbr
                 ~eid:(Graph.incident_eid g v port)
                 (Msg.Bdry (tag, pl))
           | None -> ()
         end
       done;
-      Cmp.Park 1)
-    ~resume:(fun _ctx v inbox ->
+      Park 1
+    and resume _ctx v inbox =
       let nd = State.node st v in
       List.iter
         (fun (from, msg) ->
@@ -327,30 +248,40 @@ let boundary_compiled (st : State.t) ~tag ~payload ~on_receive =
               on_receive nd ~nbr:from pl
           | _ -> assert false)
         inbox;
-      Cmp.Halt)
+      Halt
+    in
+    N.run st ~start ~resume
+end
+
+module Ke = Kernels (struct
+  include Eng
+
+  let run st ~start ~resume =
+    run_program st (fun ctx _ -> Eng.kernel ~start ~resume ctx)
+end)
+
+module Kc = Kernels (struct
+  include Cmp
+
+  let run = run_compiled
+end)
+
+let refresh_roots st =
+  traced st "refresh_roots" @@ fun () ->
+  if compiled_active st then Kc.refresh_roots st else Ke.refresh_roots st
+
+let bcast st ~budget ~tag ~at_root ~on_receive =
+  traced st "bcast" @@ fun () ->
+  if compiled_active st then Kc.bcast st ~budget ~tag ~at_root ~on_receive
+  else Ke.bcast st ~budget ~tag ~at_root ~on_receive
+
+let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
+  traced st "converge" @@ fun () ->
+  if compiled_active st then
+    Kc.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+  else Ke.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
 
 let boundary st ~tag ~payload ~on_receive =
   traced st "boundary" @@ fun () ->
-  if compiled_active st then boundary_compiled st ~tag ~payload ~on_receive
-  else
-    run_program st (fun ctx nd ->
-      let inc = Graph.incident st.State.graph nd.State.id in
-      Array.iteri
-        (fun port (nbr, _) ->
-          if nd.State.nbr_root.(port) <> nd.State.part_root then
-            match payload nd ~port ~nbr with
-            | Some pl -> Eng.send ctx ~dest:nbr (Msg.Bdry (tag, pl))
-            | None -> ())
-        inc;
-      let inbox = Eng.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Bdry (t, pl) ->
-              if t <> tag then
-                failwith
-                  (Printf.sprintf "boundary: lockstep violation (tag %d vs %d)"
-                     t tag);
-              on_receive nd ~nbr:from pl
-          | _ -> assert false)
-        inbox)
+  if compiled_active st then Kc.boundary st ~tag ~payload ~on_receive
+  else Ke.boundary st ~tag ~payload ~on_receive

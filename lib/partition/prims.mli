@@ -1,9 +1,11 @@
 (** Tree and boundary communication primitives of the Stage I emulation.
 
     Every function executes one complete CONGEST protocol over the whole
-    network (an {!Congest.Engine.Make.run}) in which all nodes follow the
-    same fixed round schedule, so chaining primitives keeps every node in
-    lockstep — exactly the fixed-budget scheduling the paper uses (it
+    network in which all nodes follow the same fixed round schedule.  Each
+    is written once, as a kernel (see {!Congest.Compiled.step}), and runs
+    on the executor [st.mode] selects: the compiled array passes, or the
+    fiber engine (always under faults).  Chaining primitives keeps every
+    node in lockstep — exactly the fixed-budget scheduling the paper uses (it
     budgets each emulated super-round by the [4^i] diameter bound; we
     budget by the true maximum part depth and account the nominal schedule
     separately).

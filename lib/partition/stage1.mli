@@ -70,11 +70,10 @@ val phases_for : eps:float -> alpha:int -> int
            {!Congest.Engine.Make.run}): [f 1] per stepped round,
            [f delta] per fast-forwarded span.  Must not touch simulated
            state; drives {!Obs.Heartbeat} ticks.
-    @param mode execution mode for the lockstep primitives (default
-           [Fiber]): [Compiled]/[Auto] run them as fiber-free array
-           passes when no faults and no trace are attached, with
-           byte-identical results, Stats and Telemetry (see
-           {!Congest.Compiled}).
+    @param mode executor for the lockstep primitives' kernels (default
+           [Fiber]): [Compiled] runs them as fiber-free array passes when
+           no faults are attached, with byte-identical results, Stats and
+           Telemetry (see {!Congest.Compiled}).
     @param state run on this pre-built {!State.t} instead of
            [State.create g] — the resume half of checkpointing (restore a
            state with {!State.restore}, then pass it here together with

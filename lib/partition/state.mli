@@ -10,9 +10,9 @@
     preallocated {!Congest.Engine.Make.pool} serves every run). *)
 module Eng : module type of Congest.Engine.Make (Msg)
 
-(** The compiled (fiber-free) twin over the same message type; the
-    lockstep {!Prims} primitives dispatch to it when {!t.mode} selects
-    the compiled path (see {!Congest.Compiled}). *)
+(** The compiled (fiber-free) executor over the same message type; the
+    lockstep {!Prims} kernels run on it when {!t.mode} selects the
+    compiled path (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
 
 type node = {
@@ -95,10 +95,10 @@ type t = {
           that cannot complete under it raises {!Congest.Faults.Degraded}
           rather than failing silently *)
   mutable mode : Congest.Compiled.mode;
-      (** execution mode for the lockstep {!Prims} primitives (default
-          [Fiber]); [Compiled]/[Auto] run them as fiber-free array passes
-          when no faults and no trace are attached — accounting is
-          byte-identical either way (see {!Congest.Compiled}).  General
+      (** executor for the lockstep {!Prims} kernels (default [Fiber]);
+          [Compiled] runs them as fiber-free array passes when no faults
+          are attached — accounting is byte-identical either way (see
+          {!Congest.Compiled}).  General
           {!Prims.run_program} node programs always use the fiber
           engine. *)
   mutable cpool : Cmp.pool option;

@@ -113,10 +113,10 @@ type report = {
     clustering itself is unaffected, like telemetry): the verdict is then
     [Accept], [Degraded] — or [Reject] only when no fault actually fired,
     so the report is identical for any [domains] and [fast_forward]
-    setting, faults included.  [mode] selects the execution engine for the
-    lockstep Stage I primitives (default [Fiber]): [Compiled]/[Auto] run
-    them as fiber-free array passes when no faults and no trace are
-    attached, with a byte-identical report, Stats and Telemetry (see
+    setting, faults included.  [mode] selects the executor for the
+    lockstep Stage I kernels (default [Fiber]): [Compiled] runs them as
+    fiber-free array passes when no faults are attached, with a
+    byte-identical report, Stats and Telemetry (see
     {!Congest.Compiled}); Stage II and general node programs always use
     the fiber engine.  [checkpoint] enables phase-boundary
     checkpoint/resume (see {!checkpoint}); it requires the [Stage_one]

@@ -173,11 +173,14 @@ let test_bench_rejects_unknown_mode () =
 
 let test_planartest_rejects_unknown_mode () =
   with_graph (fun g ->
-      let code, _, err =
-        run [ planartest; "test"; g; "--eps"; "0.3"; "--mode"; "bogus" ]
-      in
-      check ci "unknown --mode exits 2" 2 code;
-      check cb "stderr names the bad value" true (contains err "bogus"))
+      List.iter
+        (fun mode ->
+          let code, _, err =
+            run [ planartest; "test"; g; "--eps"; "0.3"; "--mode"; mode ]
+          in
+          check ci ("--mode " ^ mode ^ " exits 2") 2 code;
+          check cb "stderr names the bad value" true (contains err mode))
+        [ "bogus"; "auto" ])
 
 let test_planartest_mode_stats_identical () =
   with_graph (fun g ->
@@ -197,9 +200,51 @@ let test_planartest_mode_stats_identical () =
             slurp out)
       in
       check Alcotest.string "fiber and compiled stats JSON are byte-identical"
-        (stats "fiber") (stats "compiled");
-      check Alcotest.string "auto matches fiber too" (stats "fiber")
-        (stats "auto"))
+        (stats "fiber") (stats "compiled"))
+
+(* ------------------------------------------------------------------ *)
+(* planartest graph input: malformed or missing files are usage errors  *)
+(* ------------------------------------------------------------------ *)
+
+let test_planartest_bad_graph_exits_2 () =
+  let bad =
+    [
+      ("non-numeric ids", "3 2\nx y\n0 1\n");
+      ("endpoint too large", "3 1\n0 5\n");
+      ("endpoint equal to n", "3 1\n3 1\n");
+      ("edge-count mismatch", "3 2\n0 1\n");
+      ("empty file", "");
+      ("negative n", "-3 0\n");
+      ("self-loop", "3 1\n1 1\n");
+      ("double space", "3 1\n0  1\n");
+    ]
+  in
+  let dir = Filename.temp_dir "badgraph" "" in
+  let missing = Filename.concat dir "no-such-graph.txt" in
+  let expect_exit_2 what path =
+    List.iter
+      (fun cmd ->
+        let code, _, err = run [ planartest; cmd; path ] in
+        let what = Printf.sprintf "planartest %s on %s" cmd what in
+        check ci (what ^ " exits 2") 2 code;
+        check cb (what ^ ": no uncaught exception") false
+          (contains err "uncaught exception"))
+      [ "test"; "info"; "partition"; "spanner" ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (what, text) ->
+          let path = Filename.temp_file "badgraph" ".txt" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              write_file path text;
+              expect_exit_2 what path))
+        bad;
+      expect_exit_2 "nonexistent path" missing;
+      expect_exit_2 "directory" dir)
 
 (* ------------------------------------------------------------------ *)
 (* planartest --property: the tester portfolio through the CLI         *)
@@ -449,6 +494,11 @@ let () =
             test_planartest_property_runs;
           Alcotest.test_case "planartest property stats identical across modes"
             `Quick test_planartest_property_mode_stats_identical;
+        ] );
+      ( "input",
+        [
+          Alcotest.test_case "planartest malformed graph exits 2" `Quick
+            test_planartest_bad_graph_exits_2;
         ] );
       ( "live",
         [

@@ -1115,6 +1115,47 @@ let test_protocols_compiled_differential =
       QCheck.Test.fail_reportf "compiled/fiber divergence at n=%d seed=%d" n
         seed)
 
+(* A kernel's [Park k] with [k <= 0] means one round on both executors.
+   The fiber adapter must clamp before calling [wait], whose [k <= 0]
+   returns without ending the round: unclamped, this kernel would spin
+   forever inside round 1. *)
+module Clamp_kernel (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let last = 6
+
+  let start ctx v =
+    if v = 0 then N.broadcast ctx (M.Int 0);
+    Congest.Compiled.Park 0
+
+  let resume ctx _v inbox =
+    let r = N.round ctx in
+    if inbox <> [] && r < last - 1 then N.broadcast ctx (M.Int r);
+    if r >= last then Congest.Compiled.Halt
+    else Congest.Compiled.Park (if r mod 2 = 0 then 0 else -3)
+end
+
+module C = Congest.Compiled.Make (M)
+
+let test_kernel_park_clamp () =
+  let module KE = Clamp_kernel (E) in
+  let module KC = Clamp_kernel (C) in
+  let g = Generators.path 8 in
+  List.iter
+    (fun fast_forward ->
+      let fiber =
+        E.run ~fast_forward g (E.kernel ~start:KE.start ~resume:KE.resume)
+      in
+      let compiled =
+        C.run ~fast_forward g ~start:KC.start ~resume:KC.resume
+      in
+      let fs = fiber.E.stats and cs = compiled.C.stats in
+      check cb "fiber completed" true fiber.E.completed;
+      check cb "compiled completed" true compiled.C.completed;
+      check ci "one round per park" KE.last fs.Congest.Stats.rounds;
+      check cb "messages sent" true (fs.Congest.Stats.messages > 0);
+      check cb
+        (Printf.sprintf "identical stats (ff=%b)" fast_forward)
+        true (fs = cs))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Million-node substrate: pooled buffers and delay buckets            *)
@@ -1339,5 +1380,7 @@ let () =
           Alcotest.test_case "flood-echo count" `Quick test_protocols_count;
           q test_protocols_count_qcheck;
           q test_protocols_compiled_differential;
+          Alcotest.test_case "kernel Park 0 / Park -3 is one round" `Quick
+            test_kernel_park_clamp;
         ] );
     ]

@@ -224,16 +224,15 @@ let prop_compiled_matches_fiber =
       in
       List.for_all
         (fun fast_forward ->
-          let base = observe Congest.Compiled.Fiber fast_forward in
-          List.for_all
-            (fun mode ->
-              if observe mode fast_forward = base then true
-              else
-                QCheck.Test.fail_reportf
-                  "mode %s diverges from fiber: %s n=%d seed=%d eps=%.2f ff=%b"
-                  (Congest.Compiled.mode_to_string mode)
-                  (family_name family) n seed eps fast_forward)
-            [ Congest.Compiled.Compiled; Congest.Compiled.Auto ])
+          if
+            observe Congest.Compiled.Compiled fast_forward
+            = observe Congest.Compiled.Fiber fast_forward
+          then true
+          else
+            QCheck.Test.fail_reportf
+              "mode compiled diverges from fiber: %s n=%d seed=%d eps=%.2f \
+               ff=%b"
+              (family_name family) n seed eps fast_forward)
         [ true; false ])
 
 (* --- 4. fuzz the framing / fragmentation path ------------------------ *)
