@@ -266,8 +266,8 @@ compiled: build
 
 # Tester-portfolio gate (also a CI leg).  Three parts:
 #   1. the harness unit suite: verdict plumbing, Degraded propagation
-#      under faults, checkpoint validation, eps-clamp boundaries for
-#      both budgets.
+#      under faults, checkpoint validation, the run's settings reaching
+#      every partition mode, eps-clamp boundaries.
 #   2. the portfolio differential suite under a pinned QCHECK_SEED:
 #      bipartiteness / cycle-freeness testers vs the centralized
 #      references, never-reject on holding inputs (faults off or on),
@@ -275,9 +275,11 @@ compiled: build
 #      domains x ff x mode totals invariance.  On failure the shrunk
 #      qcheck counterexample is in the captured log under TESTERS_DIR
 #      for CI artifact upload — paste it into a regression test.
-#   3. a quick T1 portfolio run (T1 hard-asserts every
-#      (property, instance) verdict internally and exits 1 on any
-#      mismatch), plus CLI byte-identity of the new testers' stats JSON
+#   3. a quick T1 + E11 run (T1 hard-asserts every (property,
+#      instance) verdict internally and exits 1 on any mismatch; E11
+#      does the same for the Corollary 16 testers under the Stage I
+#      and the randomized partition), plus CLI byte-identity of the new
+#      testers' stats JSON
 #      across --mode fiber/compiled.
 TESTERS_DIR ?= /tmp/planartesters
 testers: build
@@ -289,7 +291,7 @@ testers: build
 	  ./_build/default/test/test_prop.exe test portfolio \
 	  > $(TESTERS_DIR)/portfolio.txt 2>&1; \
 	  code=$$?; cat $(TESTERS_DIR)/portfolio.txt; exit $$code
-	dune exec bench/main.exe -- --quick --no-timings --only T1 \
+	dune exec bench/main.exe -- --quick --no-timings --only T1,E11 \
 	  --json $(TESTERS_DIR)/t1.json
 	./_build/default/bin/planartest.exe gen --family grid --n 256 \
 	  > $(TESTERS_DIR)/g.txt

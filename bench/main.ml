@@ -796,23 +796,28 @@ let e11_minor_free_testers () =
       ("triangulation (far)", Generators.apollonian rng n, `Bip, false);
     ]
   in
+  let prop_name = function `Cyc -> "cycle-free" | `Bip -> "bipartite" in
   let results =
     parmap
       (fun (name, g, prop, expect) ->
-        let det =
-          match prop with
-          | `Cyc -> Tester.Minor_free_testers.test_cycle_freeness g ~eps:0.3
-          | `Bip -> Tester.Minor_free_testers.test_bipartiteness g ~eps:0.3
+        let test partition =
+          let t =
+            match prop with
+            | `Cyc ->
+                snd
+                  (Tester.Cycle_free_tester.run ?partition ~domains ~mode g
+                     ~eps:0.3)
+            | `Bip ->
+                snd
+                  (Tester.Bipartite_tester.run ?partition ~domains ~mode g
+                     ~eps:0.3)
+          in
+          ( t.Tester.Harness.verdict = Tester.Harness.Accept,
+            t.Tester.Harness.rounds )
         in
-        let rand =
-          let mode = Tester.Minor_free_testers.Randomized 0.1 in
-          match prop with
-          | `Cyc ->
-              Tester.Minor_free_testers.test_cycle_freeness ~mode g ~eps:0.3
-          | `Bip ->
-              Tester.Minor_free_testers.test_bipartiteness ~mode g ~eps:0.3
-        in
-        (name, prop, expect, det, rand))
+        let det, rounds = test None in
+        let rand, _ = test (Some (Tester.Harness.Randomized 0.1)) in
+        (name, prop, expect, det, rand, rounds))
       cases
   in
   emit "E11" ~title:"cycle-freeness and bipartiteness testers (minor-free promise)"
@@ -821,29 +826,36 @@ let e11_minor_free_testers () =
        O(poly(1/eps)(log 1/delta + log* n)) randomized"
     (J.List
        (List.map
-          (fun (name, prop, expect, det, rand) ->
+          (fun (name, prop, expect, det, rand, rounds) ->
             J.Obj
               [
                 ("input", J.String name);
-                ( "property",
-                  J.String
-                    (match prop with `Cyc -> "cycle-free" | `Bip -> "bipartite")
-                );
+                ("property", J.String (prop_name prop));
                 ("expect", J.Bool expect);
-                ("det", J.Bool det.Tester.Minor_free_testers.accepted);
-                ("rand", J.Bool rand.Tester.Minor_free_testers.accepted);
-                ("rounds", J.Int det.Tester.Minor_free_testers.rounds);
+                ("det", J.Bool det);
+                ("rand", J.Bool rand);
+                ("rounds", J.Int rounds);
               ])
           results));
   row "%-26s %-14s %-8s %-9s %-9s %-9s\n" "input" "property" "expect" "det"
     "rand" "rounds";
   List.iter
-    (fun (name, prop, expect, det, rand) ->
-      row "%-26s %-14s %-8b %-9b %-9b %-9d\n" name
-        (match prop with `Cyc -> "cycle-free" | `Bip -> "bipartite")
-        expect det.Tester.Minor_free_testers.accepted
-        rand.Tester.Minor_free_testers.accepted
-        det.Tester.Minor_free_testers.rounds)
+    (fun (name, prop, expect, det, rand, rounds) ->
+      row "%-26s %-14s %-8b %-9b %-9b %-9d\n" name (prop_name prop) expect det
+        rand rounds)
+    results;
+  (* Hard gate (like T1's): the deterministic partition decides every row
+     with certainty, and one-sided error holds for both partitions, so a
+     holding input must be accepted by [rand] too.  Soundness of [rand]
+     is only promised with probability 1 - delta, so it is not gated. *)
+  List.iter
+    (fun (name, prop, expect, det, rand, _) ->
+      if det <> expect || (expect && not rand) then begin
+        Printf.eprintf
+          "bench: E11: %s on %s expected accept=%b, got det=%b rand=%b\n"
+          (prop_name prop) name expect det rand;
+        exit 1
+      end)
     results
 
 let e12_emulation_cost () =

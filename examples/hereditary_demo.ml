@@ -18,18 +18,34 @@ let outerplanar g =
   in
   Planarity.Lr.is_planar (Graph.make ~n:(n + 1) edges)
 
+(* The hereditary tester on the shared harness: Stage I partitions, and
+   Stage II checks each part's induced subgraph, rejecting at the part
+   root.  Returns the number of parts and the cut size alongside the
+   verdict. *)
+let test_hereditary g ~eps ~check_part =
+  Tester.Harness.run ~property:"outerplanarity" g ~eps
+    ~stage2:(fun st ~eps:_ ~seed:_ ->
+      let parts = Partition.State.parts st in
+      List.iter
+        (fun (root, members) ->
+          if not (check_part (fst (Graph.induced g members))) then
+            st.Partition.State.rejections <-
+              (root, Printf.sprintf "part %d is not outerplanar" root)
+              :: st.Partition.State.rejections)
+        parts;
+      (List.length parts, Partition.State.cut_edges st))
+
 let () =
   let rng = Random.State.make [| 77 |] in
   Printf.printf "hereditary tester (outerplanarity per part):\n";
   List.iter
     (fun (name, g) ->
-      let o =
-        Tester.Minor_free_testers.test_hereditary g ~eps:0.3
-          ~check_part:outerplanar
-      in
-      Printf.printf "  %-22s accepted=%b (parts=%d, cut=%d)\n" name
-        o.Tester.Minor_free_testers.accepted o.Tester.Minor_free_testers.parts
-        o.Tester.Minor_free_testers.cut)
+      let parts, t = test_hereditary g ~eps:0.3 ~check_part:outerplanar in
+      Printf.printf "  %-22s accepted=%b (%s)\n" name
+        (t.Tester.Harness.verdict = Tester.Harness.Accept)
+        (match parts with
+        | Some (parts, cut) -> Printf.sprintf "parts=%d, cut=%d" parts cut
+        | None -> "Stage I rejected"))
     [
       ("cycle 120 (outerplanar)", Generators.cycle 120);
       ("tree 120 (outerplanar)", Generators.random_tree rng 120);

@@ -11,10 +11,10 @@ type result = {
    integral: value = (r_v - dist) * scale. *)
 let scale = 1 lsl 16
 
-let run ?(seed = 0) g ~eps =
+let run ?(seed = 0) ?state g ~eps =
   if not (eps > 0.0 && eps < 1.0) then invalid_arg "En_partition.run: eps";
   let n = Graph.n g in
-  let st = State.create g in
+  let st = match state with Some st -> st | None -> State.create g in
   if n = 0 then { state = st; cut = 0; clusters = 0; radius_bound = 0 }
   else begin
     let beta = eps /. 2.0 in

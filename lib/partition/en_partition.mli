@@ -14,8 +14,11 @@
     shifted distances differ by enough, which happens with probability
     [O(beta)] — so the expected cut is [O(eps * m)].
 
-    Writes the resulting partition into a fresh {!State.t} (part roots,
-    parent/children trees), ready for {!Tester.Stage2}. *)
+    Writes the resulting partition into [state] (default a fresh
+    {!State.t}): part roots and parent/children trees, ready for
+    {!Tester.Stage2}.  The waves, the children round and the closing
+    root refresh are distributed rounds, run with [state]'s engine
+    settings (telemetry, trace, domains, faults, mode, ...). *)
 
 type result = {
   state : State.t;
@@ -24,4 +27,5 @@ type result = {
   radius_bound : int;  (** the R rounds the waves were given *)
 }
 
-val run : ?seed:int -> Graphlib.Graph.t -> eps:float -> result
+val run :
+  ?seed:int -> ?state:State.t -> Graphlib.Graph.t -> eps:float -> result

@@ -154,10 +154,10 @@ let weighted_selection st ~budget ~trials ~seed =
           nd.State.fsel_weight <- w
       | None -> ())
 
-let run ?(alpha = 3) ?(stop_when_met = true) g ~eps ~delta ~seed =
+let run ?(alpha = 3) ?(stop_when_met = true) ?state g ~eps ~delta ~seed =
   if not (eps > 0.0 && eps < 1.0) then
     invalid_arg "Random_partition.run: eps in (0,1)";
-  let st = State.create g in
+  let st = match state with Some st -> st | None -> State.create g in
   let n = Graph.n g and m = Graph.m g in
   let target = eps *. float_of_int n in
   let trials = trials_for ~delta in

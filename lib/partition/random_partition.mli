@@ -23,11 +23,15 @@ type result = {
 (** Draws per phase: [ceil (ln (1/delta)) + 1]. *)
 val trials_for : delta:float -> int
 
-(** [run ?alpha ?stop_when_met g ~eps ~delta ~seed] executes the
-    partition.  [alpha] is the promised arboricity bound (3 for planar). *)
+(** [run ?alpha ?stop_when_met ?state g ~eps ~delta ~seed] executes the
+    partition.  [alpha] is the promised arboricity bound (3 for planar).
+    [state] (default a fresh [State.create g]) is the state to partition
+    in place; its engine settings (telemetry, trace, domains, faults,
+    mode, ...) apply to every round the partition runs. *)
 val run :
   ?alpha:int ->
   ?stop_when_met:bool ->
+  ?state:State.t ->
   Graphlib.Graph.t ->
   eps:float ->
   delta:float ->

@@ -17,7 +17,7 @@ let m_stage2_rounds =
     ~buckets:(Obs.Metrics.exponential_buckets ~start:1 ~factor:2 ~count:20)
     "planartest_stage2_rounds"
 
-type partition_mode = Stage_one | Exponential_shifts
+type partition_mode = Stage_one | Exponential_shifts | Randomized of float
 
 (* Everything Stage I needs to continue from a phase boundary.  Plain
    marshal-safe data only: [State.node] is ints/bools/lists/arrays, and
@@ -59,27 +59,21 @@ type totals = {
   crashed_nodes : int;
 }
 
-type eps_budget = Edge_budget | Vertex_budget
-
-(* Random_partition's target is [eps' * n] vertices' worth of cut edges.
-   An edge-budget property (distance counted in edge edits out of [m],
-   which is what planarity, bipartiteness and cycle-freeness all use in
-   the general-graph model) rescales its [eps * m] budget to
-   [eps' = eps * m / n]; a vertex-budget property already speaks vertex
-   units and only needs the clamp.  Either way, for a large sparse graph
-   the ratio can land below [1 / n], at which point the target [eps' * n]
-   rounds below one edge and the partition goal is vacuous; clamp so
+(* Random_partition's target is [eps' * n] vertices' worth of cut edges,
+   while every property on the harness counts its distance in edge edits
+   out of [m] (the general sparse-graph model), so the [eps * m] budget
+   rescales to [eps' = eps * m / n].  For a large sparse graph the ratio
+   can land below [1 / n], at which point the target [eps' * n] rounds
+   below one edge and the partition goal is vacuous; clamp so
    [eps' * n >= 1] always holds (and below the degenerate 1.0). *)
-let effective_eps ?(budget = Edge_budget) g ~eps =
+let effective_eps g ~eps =
   let n = Graph.n g in
   if n = 0 then eps
   else
-    let raw =
-      match budget with
-      | Edge_budget -> eps *. float_of_int (Graph.m g) /. float_of_int n
-      | Vertex_budget -> eps
-    in
-    min 0.999 (max raw (1.0 /. float_of_int n))
+    min 0.999
+      (max
+         (eps *. float_of_int (Graph.m g) /. float_of_int n)
+         (1.0 /. float_of_int n))
 
 let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
     ?(measure_diameters = false) ?telemetry ?trace ?(domains = 1)
@@ -98,6 +92,13 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
             partition (Exponential_shifts clusters centrally, with no phase \
             boundaries to checkpoint at)"
            property)
+  | Some _, Randomized _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Tester.Harness.run (%s): checkpointing requires the Stage_one \
+            partition (Randomized offers no phase boundaries to checkpoint \
+            at)"
+           property)
   | _ -> ());
   (* Heartbeat plumbing — all host-side.  [hb_on_round] ticks from the
      engine's quiescent round boundaries; the sample closure reads the
@@ -105,69 +106,86 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
      phase counters below; phase boundaries force a publication. *)
   let hb_phases_done = ref 0 in
   let hb_phases_total =
-    ref
-      (match partition with
-      | Stage_one -> Partition.Stage1.phases_for ~eps ~alpha + 1
-      | Exponential_shifts -> 1 (* centralized clustering; Stage II only *))
+    match partition with
+    | Stage_one -> Partition.Stage1.phases_for ~eps ~alpha + 1
+    | Exponential_shifts | Randomized _ -> 2 (* one partition run; Stage II *)
+  in
+  let hb_publish () = Option.iter Obs.Heartbeat.publish heartbeat in
+  (* One state carries the whole run.  It pre-exists the partition so the
+     [on_phase] closure can capture it for checkpoint snapshots, so the
+     heartbeat can sample it, and so every partition's rounds run with
+     this run's engine settings. *)
+  let st, resume =
+    match Option.bind checkpoint (fun ck -> ck.load ()) with
+    | None -> (Partition.State.create g, None)
+    | Some s ->
+        (* Splice the pre-interruption per-round series into this run's
+           recorder, so the final stats JSON is byte-identical to an
+           uninterrupted run's. *)
+        (match (s.ck_telemetry, telemetry) with
+        | Some src, Some dst -> Congest.Telemetry.restore_into dst ~from:src
+        | _ -> ());
+        (* Same splice for the event trace: the resumed run's .ctrace then
+           carries the pre-interruption rounds, phases and aggregate
+           totals as if never stopped (host-clock deltas restart — see
+           {!Congest.Trace.restore_into}). *)
+        (match (s.ck_trace, trace) with
+        | Some src, Some dst -> Congest.Trace.restore_into dst ~from:src
+        | _ -> ());
+        hb_phases_done := s.ck_phase - 1;
+        ( Partition.State.restore g ~nodes:s.ck_nodes ~stats:s.ck_stats
+            ~rejections:s.ck_rejections ~nominal_rounds:s.ck_nominal_rounds,
+          Some (s.ck_phase, s.ck_phases_rev) )
   in
   let hb_on_round =
     Option.map (fun hb rounds -> Obs.Heartbeat.tick hb ~rounds) heartbeat
   in
-  let attach_heartbeat st =
-    Option.iter
-      (fun hb ->
-        let stats = st.Partition.State.stats in
-        Obs.Heartbeat.attach hb ~sample:(fun () ->
-            {
-              Obs.Heartbeat.rounds = stats.Congest.Stats.rounds;
-              charged_rounds = stats.Congest.Stats.charged_rounds;
-              messages = stats.Congest.Stats.messages;
-              total_bits = stats.Congest.Stats.total_bits;
-              phases_done = !hb_phases_done;
-              phases_total = !hb_phases_total;
-            });
-        Obs.Heartbeat.publish hb)
-      heartbeat
+  st.Partition.State.telemetry <- telemetry;
+  st.Partition.State.trace <- trace;
+  st.Partition.State.domains <- domains;
+  st.Partition.State.fast_forward <- fast_forward;
+  st.Partition.State.faults <- faults;
+  st.Partition.State.mode <- mode;
+  st.Partition.State.on_round <- hb_on_round;
+  Option.iter
+    (fun hb ->
+      let stats = st.Partition.State.stats in
+      Obs.Heartbeat.attach hb ~sample:(fun () ->
+          {
+            Obs.Heartbeat.rounds = stats.Congest.Stats.rounds;
+            charged_rounds = stats.Congest.Stats.charged_rounds;
+            messages = stats.Congest.Stats.messages;
+            total_bits = stats.Congest.Stats.total_bits;
+            phases_done = !hb_phases_done;
+            phases_total = hb_phases_total;
+          });
+      Obs.Heartbeat.publish hb)
+    heartbeat;
+  (* The non-Stage-I partitions run as one labelled "partition" phase.
+     Like Stage I, a fault that breaks their lockstep assumptions
+     surfaces as some protocol-level failure, which is a degraded
+     execution, never a verdict. *)
+  let alternative_partition run_partition =
+    Option.iter (fun tel -> Congest.Telemetry.phase tel "partition") telemetry;
+    Option.iter (fun tr -> Congest.Trace.phase tr "partition") trace;
+    Obs.Log.set_context ~phase:"partition" ();
+    let degraded =
+      try
+        run_partition ();
+        None
+      with
+      | Congest.Faults.Degraded msg -> Some msg
+      | e when faults_active ->
+          Some ("partition interrupted under faults: " ^ Printexc.to_string e)
+    in
+    Obs.Log.set_context ~phase:"" ();
+    hb_phases_done := 1;
+    hb_publish ();
+    degraded
   in
-  let hb_publish () = Option.iter Obs.Heartbeat.publish heartbeat in
-  let stage1, st =
+  let stage1, partition_degraded =
     match partition with
     | Stage_one ->
-        (* The state pre-exists the run so the [on_phase] closure can
-           capture it for checkpoint snapshots and so the heartbeat can
-           sample it; with neither feature in use this is exactly
-           [Stage1.run]'s own [State.create g] hoisted out. *)
-        let st0, resume =
-          match checkpoint with
-          | None -> (Partition.State.create g, None)
-          | Some ck -> (
-              match ck.load () with
-              | Some s ->
-                  (* Splice the pre-interruption per-round series into
-                     this run's recorder, so the final stats JSON is
-                     byte-identical to an uninterrupted run's. *)
-                  (match (s.ck_telemetry, telemetry) with
-                  | Some src, Some dst ->
-                      Congest.Telemetry.restore_into dst ~from:src
-                  | _ -> ());
-                  (* Same splice for the event trace: the resumed run's
-                     .ctrace then carries the pre-interruption rounds,
-                     phases and aggregate totals as if never stopped
-                     (host-clock deltas restart — see
-                     {!Congest.Trace.restore_into}). *)
-                  (match (s.ck_trace, trace) with
-                  | Some src, Some dst -> Congest.Trace.restore_into dst ~from:src
-                  | _ -> ());
-                  ( Partition.State.restore g ~nodes:s.ck_nodes
-                      ~stats:s.ck_stats ~rejections:s.ck_rejections
-                      ~nominal_rounds:s.ck_nominal_rounds,
-                    Some (s.ck_phase, s.ck_phases_rev) )
-              | None -> (Partition.State.create g, None))
-        in
-        (match resume with
-        | Some (next_phase, _) -> hb_phases_done := next_phase - 1
-        | None -> ());
-        attach_heartbeat st0;
         let completed = ref 0 in
         let on_phase next_phase phases_rev =
           incr completed;
@@ -178,10 +196,10 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
                 {
                   ck_phase = next_phase;
                   ck_phases_rev = phases_rev;
-                  ck_nodes = st0.Partition.State.nodes;
-                  ck_stats = Congest.Stats.copy st0.Partition.State.stats;
-                  ck_rejections = st0.Partition.State.rejections;
-                  ck_nominal_rounds = st0.Partition.State.nominal_rounds;
+                  ck_nodes = st.Partition.State.nodes;
+                  ck_stats = Congest.Stats.copy st.Partition.State.stats;
+                  ck_rejections = st.Partition.State.rejections;
+                  ck_nominal_rounds = st.Partition.State.nominal_rounds;
                   ck_telemetry = Option.map Congest.Telemetry.copy telemetry;
                   ck_trace = Option.map Congest.Trace.copy trace;
                 }
@@ -191,30 +209,22 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
         let r =
           Partition.Stage1.run ~alpha ~measure_diameters ?telemetry ?trace
             ~domains ~fast_forward ?faults ~mode ?on_round:hb_on_round
-            ~state:st0 ?resume ~on_phase g ~eps
+            ~state:st ?resume ~on_phase g ~eps
         in
         hb_phases_done := List.length r.Partition.Stage1.phases;
-        (Some r, r.Partition.Stage1.state)
+        (Some r, r.Partition.Stage1.degraded)
     | Exponential_shifts ->
-        let r = Partition.En_partition.run ~seed g ~eps in
-        let st = r.Partition.En_partition.state in
-        st.Partition.State.telemetry <- telemetry;
-        st.Partition.State.trace <- trace;
-        st.Partition.State.domains <- domains;
-        st.Partition.State.fast_forward <- fast_forward;
-        (* Like telemetry/domains, faults apply to the engine runs issued
-           from here on (Stage II); the centralized En clustering above
-           already ran. *)
-        st.Partition.State.faults <- faults;
-        st.Partition.State.mode <- mode;
-        st.Partition.State.on_round <- hb_on_round;
-        attach_heartbeat st;
-        (None, st)
+        ( None,
+          alternative_partition (fun () ->
+              ignore (Partition.En_partition.run ~seed ~state:st g ~eps)) )
+    | Randomized delta ->
+        ( None,
+          alternative_partition (fun () ->
+              ignore
+                (Partition.Random_partition.run ~alpha ~state:st g
+                   ~eps:(effective_eps g ~eps) ~delta ~seed)) )
   in
-  let degraded = ref None in
-  (match stage1 with
-  | Some r -> degraded := r.Partition.Stage1.degraded
-  | None -> ());
+  let degraded = ref partition_degraded in
   let partition_rejected =
     match stage1 with
     | Some r -> r.Partition.Stage1.rejected <> []
@@ -251,7 +261,7 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
         Obs.Metrics.observe m_stage2_rounds
           (st.Partition.State.stats.Congest.Stats.rounds - rounds_before);
       Obs.Log.set_context ~phase:"" ();
-      if Option.is_some r then hb_phases_done := !hb_phases_total;
+      if Option.is_some r then hb_phases_done := hb_phases_total;
       r
     end
     else None

@@ -5,8 +5,9 @@
     few cut edges (rejecting on the way if the auxiliary-graph arboricity
     exceeds [alpha]), then a property-specific Stage II checks each part
     locally.  This module owns everything that is common to the recipe —
-    the Stage I invocation (including checkpoint/resume and the
-    centralized [Exponential_shifts] baseline), the Accept / Reject /
+    the choice of partition (Stage I with checkpoint/resume, or one of
+    the two alternatives of {!partition_mode}) and the wiring of the
+    run's engine settings into it, the Accept / Reject /
     Degraded verdict plumbing with its one-sided-error guarantee under
     faults, the eps-rescaling clamp, and the Stats / Telemetry / metrics
     wiring — so a concrete tester ({!Planarity_tester},
@@ -33,11 +34,18 @@ type verdict =
 
 (** How to obtain the partition for Stage II.
 
-    [Stage_one] is the paper's distributed Stage I.  [Exponential_shifts]
-    is the centralized exponential-shifts clustering used as a baseline;
-    it performs no distributed rounds itself, so checkpointing is
-    unavailable with it. *)
-type partition_mode = Stage_one | Exponential_shifts
+    [Stage_one] is the paper's deterministic Stage I.
+    [Exponential_shifts] is the exponential-shifts clustering
+    ({!Partition.En_partition}) used as a baseline.  [Randomized delta]
+    is the Theorem 4 randomized partition for minor-free graphs
+    ({!Partition.Random_partition}) with confidence [delta], run at
+    {!effective_eps}: it reaches the [eps * m] cut target with
+    probability [1 - delta], so on an [eps]-far minor-free input Stage II
+    rejects with that probability (Corollary 16); one-sided error is
+    unaffected.  Both alternatives run their rounds on the same state
+    and engine settings as Stage II; neither exposes phase boundaries,
+    so checkpointing requires [Stage_one]. *)
+type partition_mode = Stage_one | Exponential_shifts | Randomized of float
 
 (** A resumable snapshot of Stage I at a phase boundary.  Contains only
     marshal-safe data (no closures, no fibers); see {!Report.Checkpoint}
@@ -71,7 +79,7 @@ type checkpoint = {
 
 (** Accounting totals for a complete run, identical in meaning to the
     fields of {!Congest.Stats.t} plus the verdict and the Stage I result
-    ([None] when [Exponential_shifts] was used).  [nominal_rounds] is
+    ([None] unless the partition was [Stage_one]).  [nominal_rounds] is
     the CONGEST-model round count (what the paper bounds);  [rounds] is
     the rounds actually simulated (smaller when fast-forward skips
     quiescent rounds). *)
@@ -89,23 +97,16 @@ type totals = {
   crashed_nodes : int;
 }
 
-(** How a property counts its distance budget, for {!effective_eps}.
-
-    [Edge_budget]: eps-far means ≥ eps·m edge edits (general sparse
-    model; planarity, bipartiteness and cycle-freeness all use this), so
-    the partition target rescales by m/n.  [Vertex_budget]: eps already
-    speaks vertex units and passes through unrescaled. *)
-type eps_budget = Edge_budget | Vertex_budget
-
-(** [effective_eps ?budget g ~eps] is the eps actually handed to the
-    randomized partition: rescaled per [budget] (default [Edge_budget]),
-    then clamped into [\[1/n, 0.999\]] so the cut-edge target
-    [eps' * n] never rounds below one edge and never reaches the
-    degenerate 1.0.  On an empty graph [eps] is returned unchanged.
-    Invariant (exposed for boundary tests): for n ≥ 1,
+(** [effective_eps g ~eps] is the eps handed to the [Randomized]
+    partition: the edge budget [eps * m] (every property on the harness
+    counts distance in edge edits) rescaled into Random_partition's
+    vertex units, [eps * m / n], then clamped into [\[1/n, 0.999\]] so
+    the cut-edge target [eps' * n] never rounds below one edge and never
+    reaches the degenerate 1.0.  On an empty graph [eps] is returned
+    unchanged.  Invariant (exposed for boundary tests): for n ≥ 1,
     [effective_eps g ~eps *. float n >= 1.0] up to floating-point
     rounding of [1/n]. *)
-val effective_eps : ?budget:eps_budget -> Graphlib.Graph.t -> eps:float -> float
+val effective_eps : Graphlib.Graph.t -> eps:float -> float
 
 (** [run ~property ~stage2 g ~eps] executes the two-stage recipe and
     returns [(stage2_result, totals)].
@@ -122,8 +123,10 @@ val effective_eps : ?budget:eps_budget -> Graphlib.Graph.t -> eps:float -> float
 
     All other parameters are shared knobs with the same defaults and
     byte-identical-accounting guarantees as {!Partition.Stage1.run}:
-    [seed] (default 0; Stage II randomness and [Exponential_shifts]
-    clustering), [alpha] (default 3), [partition] (default [Stage_one]),
+    [seed] (default 0; Stage II randomness and the randomness of the
+    [Exponential_shifts] and [Randomized] partitions), [alpha] (default
+    3; the [Randomized] partition's promised arboricity too),
+    [partition] (default [Stage_one]),
     [measure_diameters], [telemetry], [trace], [domains] (default 1),
     [fast_forward] (default [true]), [faults], [mode] (default [Fiber]),
     [checkpoint].
@@ -131,7 +134,8 @@ val effective_eps : ?budget:eps_budget -> Graphlib.Graph.t -> eps:float -> float
     [heartbeat]: attach an {!Obs.Heartbeat.t} to the run.  The harness
     connects its sample source to the partition state's accumulated
     stats and phase progress ([phases_total] counts the Stage I phase
-    budget plus one for Stage II), ticks it from the engine's quiescent
+    budget plus one for Stage II, or two for the other partitions: one
+    partition run plus Stage II), ticks it from the engine's quiescent
     round boundaries, and force-publishes at every phase boundary.
     Entirely host-side: the simulated stream — verdict, stats,
     telemetry, trace, stable metrics — is byte-identical with or
@@ -141,8 +145,9 @@ val effective_eps : ?budget:eps_budget -> Graphlib.Graph.t -> eps:float -> float
     [Reject] on a fault-free run; under an active fault policy that
     actually fired, evidence yields [Degraded] instead (one-sided error
     is preserved — property-holding inputs never Reject), as does a
-    corrupted partition state or a [Congest.Faults.Degraded] escape from
-    Stage II. *)
+    corrupted partition state, a [Congest.Faults.Degraded] escape from
+    the partition or Stage II, or any other exception escaping them while
+    faults are active. *)
 val run :
   ?seed:int ->
   ?alpha:int ->

@@ -13,6 +13,7 @@ type verdict = Harness.verdict =
 type partition_mode = Harness.partition_mode =
   | Stage_one
   | Exponential_shifts
+  | Randomized of float
 
 type snapshot = Harness.snapshot = {
   ck_phase : int;

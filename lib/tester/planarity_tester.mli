@@ -26,10 +26,12 @@ type verdict = Harness.verdict =
     Section 1.1 alternative (the Elkin–Neiman-style clustering of
     {!Partition.En_partition}), giving [O(log^2 n poly(1/eps))] rounds and
     losing the deterministic completeness of the partition step (the
-    planarity verdict stays one-sided either way). *)
+    planarity verdict stays one-sided either way); [Randomized delta] is
+    the Theorem 4 partition (see {!Harness.partition_mode}). *)
 type partition_mode = Harness.partition_mode =
   | Stage_one
   | Exponential_shifts
+  | Randomized of float
 
 (** A resumable image of a [Stage_one] run, captured at a Stage I phase
     boundary — the only points where every engine pool is quiescent, so
@@ -94,12 +96,13 @@ type report = {
 
 (** [run ?seed ?alpha ?partition g ~eps] executes the tester on the
     simulator.  [seed] drives the randomized steps (Stage II's edge
-    sampling, and the shifts in [Exponential_shifts] mode).  [telemetry]
+    sampling, and the partition's own draws in [Exponential_shifts] and
+    [Randomized] mode).  [telemetry]
     records per-round series, with one {!Congest.Telemetry} phase per
     Stage I phase plus a ["stage2"] phase.  [trace] records typed
-    per-event data (see {!Congest.Trace}) with the same phase labels; in
-    [Exponential_shifts] mode it covers the engine runs issued from
-    Stage II on, like telemetry.  [measure_diameters] (default
+    per-event data (see {!Congest.Trace}) with the same phase labels
+    (the [Exponential_shifts] and [Randomized] partitions record as one
+    ["partition"] phase).  [measure_diameters] (default
     [false]) fills the exact per-phase part diameters in the Stage I
     trace — a centralized diagnostic the tester itself never consults,
     and an all-pairs-BFS sweep per phase, so it is off unless asked
@@ -109,8 +112,7 @@ type report = {
     skip provably quiescent rounds in O(1); accounting is identical
     either way, so disabling it is only useful to measure the
     optimisation.  [faults] injects a deterministic fault schedule into
-    every engine run (in [Exponential_shifts] mode the centralized
-    clustering itself is unaffected, like telemetry): the verdict is then
+    every engine run, the partition's included: the verdict is then
     [Accept], [Degraded] — or [Reject] only when no fault actually fired,
     so the report is identical for any [domains] and [fast_forward]
     setting, faults included.  [mode] selects the executor for the
@@ -120,7 +122,7 @@ type report = {
     {!Congest.Compiled}); Stage II and general node programs always use
     the fiber engine.  [checkpoint] enables phase-boundary
     checkpoint/resume (see {!checkpoint}); it requires the [Stage_one]
-    partition and raises [Invalid_argument] with [Exponential_shifts].
+    partition and raises [Invalid_argument] with any other.
     Snapshots carry the telemetry series and the event-trace state, so a
     resumed run's stats JSON (verdict, totals and per-round telemetry)
     is byte-identical to an uninterrupted run's, and a resumed run's

@@ -563,6 +563,12 @@ let prop_portfolio_invariance =
               snd
                 (Tester.Cycle_free_tester.run ~seed ~domains ~fast_forward
                    ~mode g ~eps:0.3) );
+          ( "cycle-free (Randomized 0.1)",
+            fun ~domains ~fast_forward ~mode ->
+              snd
+                (Tester.Cycle_free_tester.run
+                   ~partition:(Tester.Harness.Randomized 0.1) ~seed ~domains
+                   ~fast_forward ~mode g ~eps:0.3) );
         ]
       in
       List.for_all

@@ -314,29 +314,24 @@ let test_soundness_qcheck =
 let test_cycle_freeness () =
   let tree = Generators.random_tree (Random.State.make [| 8 |]) 150 in
   check cb "forest accepted" true
-    (Tester.Minor_free_testers.test_cycle_freeness tree ~eps:0.3)
-      .Tester.Minor_free_testers.accepted;
+    (Tester.Cycle_free_tester.accepts tree ~eps:0.3);
   let grid = Generators.grid 10 10 in
   check cb "grid rejected (far from forest)" false
-    (Tester.Minor_free_testers.test_cycle_freeness grid ~eps:0.3)
-      .Tester.Minor_free_testers.accepted
+    (Tester.Cycle_free_tester.accepts grid ~eps:0.3)
 
 let test_cycle_freeness_randomized () =
   let tree = Generators.random_tree (Random.State.make [| 9 |]) 150 in
   check cb "forest accepted (randomized)" true
-    (Tester.Minor_free_testers.test_cycle_freeness
-       ~mode:(Tester.Minor_free_testers.Randomized 0.1) tree ~eps:0.3)
-      .Tester.Minor_free_testers.accepted
+    (Tester.Cycle_free_tester.accepts
+       ~partition:(Tester.Harness.Randomized 0.1) tree ~eps:0.3)
 
 let test_bipartiteness () =
   let grid = Generators.grid 10 10 in
   check cb "grid accepted" true
-    (Tester.Minor_free_testers.test_bipartiteness grid ~eps:0.3)
-      .Tester.Minor_free_testers.accepted;
+    (Tester.Bipartite_tester.accepts grid ~eps:0.3);
   let tri = Generators.apollonian (Random.State.make [| 10 |]) 120 in
   check cb "triangulation rejected" false
-    (Tester.Minor_free_testers.test_bipartiteness tri ~eps:0.3)
-      .Tester.Minor_free_testers.accepted
+    (Tester.Bipartite_tester.accepts tri ~eps:0.3)
 
 let test_bipartite_one_sided_qcheck =
   QCheck.Test.make ~name:"bipartiteness tester accepts bipartite planar"
@@ -345,16 +340,14 @@ let test_bipartite_one_sided_qcheck =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let g = Generators.random_bipartite_planar rng 64 in
-      (Tester.Minor_free_testers.test_bipartiteness g ~eps:0.3)
-        .Tester.Minor_free_testers.accepted)
+      Tester.Bipartite_tester.accepts g ~eps:0.3)
 
 let test_cycle_free_one_sided_qcheck =
   QCheck.Test.make ~name:"cycle-freeness tester accepts forests" ~count:20
     QCheck.(pair (int_range 5 120) (int_range 0 10000))
     (fun (n, seed) ->
       let g = Generators.random_tree (Random.State.make [| seed |]) n in
-      (Tester.Minor_free_testers.test_cycle_freeness g ~eps:0.4)
-        .Tester.Minor_free_testers.accepted)
+      Tester.Cycle_free_tester.accepts g ~eps:0.4)
 
 (* ------------------------------------------------------------------ *)
 (* Spanners                                                            *)
@@ -437,30 +430,39 @@ let test_en_qcheck =
 (* Hereditary tester and the vertex-label ablation                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The hereditary tester the paper sketches after Corollary 16, on the
+   shared harness: Stage II checks each part's induced subgraph and
+   rejects at the part root. *)
+let hereditary_accepts g ~eps ~check_part =
+  let _, t =
+    Tester.Harness.run ~property:"hereditary" g ~eps
+      ~stage2:(fun st ~eps:_ ~seed:_ ->
+        List.iter
+          (fun (root, members) ->
+            if not (check_part (fst (Graph.induced g members))) then
+              st.Partition.State.rejections <-
+                (root, Printf.sprintf "part %d fails the property" root)
+                :: st.Partition.State.rejections)
+          (Partition.State.parts st))
+  in
+  t.Tester.Harness.verdict = Tester.Harness.Accept
+
 let test_hereditary_planarity_as_property () =
   (* Use per-part planarity itself as a hereditary property. *)
   let planar_g = Generators.apollonian (Random.State.make [| 31 |]) 120 in
   let far_g = Generators.far_from_planar (Random.State.make [| 32 |]) ~n:120 ~eps:0.3 in
   check cb "planar parts pass" true
-    (Tester.Minor_free_testers.test_hereditary planar_g ~eps:0.3
-       ~check_part:Planarity.Lr.is_planar)
-      .Tester.Minor_free_testers.accepted;
+    (hereditary_accepts planar_g ~eps:0.3 ~check_part:Planarity.Lr.is_planar);
   check cb "far graph has a failing part" false
-    (Tester.Minor_free_testers.test_hereditary far_g ~eps:0.3
-       ~check_part:Planarity.Lr.is_planar)
-      .Tester.Minor_free_testers.accepted
+    (hereditary_accepts far_g ~eps:0.3 ~check_part:Planarity.Lr.is_planar)
 
 let test_hereditary_max_degree () =
   (* "max degree <= 4" is hereditary; grids satisfy it, stars do not. *)
   let grid = Generators.grid 8 8 in
   let ok g = Graph.max_degree g <= 4 in
-  check cb "grid passes" true
-    (Tester.Minor_free_testers.test_hereditary grid ~eps:0.3 ~check_part:ok)
-      .Tester.Minor_free_testers.accepted;
+  check cb "grid passes" true (hereditary_accepts grid ~eps:0.3 ~check_part:ok);
   let star = Generators.star 30 in
-  check cb "star fails" false
-    (Tester.Minor_free_testers.test_hereditary star ~eps:0.9 ~check_part:ok)
-      .Tester.Minor_free_testers.accepted
+  check cb "star fails" false (hereditary_accepts star ~eps:0.9 ~check_part:ok)
 
 let test_vertex_label_ablation () =
   (* The paper's literal labeling falsely flags planar graphs; corner keys
@@ -530,7 +532,7 @@ let test_en_mode_soundness () =
 let test_effective_eps_boundaries () =
   let cf = Alcotest.float 1e-12 in
   let invariant name g eps =
-    let eps' = Tester.Minor_free_testers.effective_eps g ~eps in
+    let eps' = Tester.Harness.effective_eps g ~eps in
     check cb (name ^ ": eps' * n >= 1") true
       (eps' *. float_of_int (Graph.n g) >= 1.0);
     check cb (name ^ ": eps' <= 0.999") true (eps' <= 0.999)
@@ -539,19 +541,19 @@ let test_effective_eps_boundaries () =
      and must be clamped up to exactly 1/n. *)
   let path = Generators.path 1000 in
   check cf "sparse floor is 1/n" 0.001
-    (Tester.Minor_free_testers.effective_eps path ~eps:0.0001);
+    (Tester.Harness.effective_eps path ~eps:0.0001);
   invariant "path" path 0.0001;
   (* Dense graph, large eps: the rescale exceeds 1 and must cap at
      0.999. *)
   let dense = Generators.complete 50 in
   check cf "dense cap is 0.999" 0.999
-    (Tester.Minor_free_testers.effective_eps dense ~eps:0.9);
+    (Tester.Harness.effective_eps dense ~eps:0.9);
   (* Mid-range: no clamp, plain rescale eps * m / n. *)
   let grid = Generators.grid 10 10 in
   let eps = 0.3 in
   check cf "mid-range is eps*m/n"
     (eps *. float_of_int (Graph.m grid) /. float_of_int (Graph.n grid))
-    (Tester.Minor_free_testers.effective_eps grid ~eps);
+    (Tester.Harness.effective_eps grid ~eps);
   invariant "grid" grid eps;
   (* The degenerate regime that motivated the floor: m << n / eps used to
      produce a vacuous cut target (eps' * n < 1). *)

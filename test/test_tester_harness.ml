@@ -1,7 +1,8 @@
 (* Unit tests for the shared tester harness (lib/tester/harness.ml):
    verdict plumbing driven by synthetic Stage II callbacks, Degraded
    propagation under fault injection, checkpoint parameter validation,
-   and the eps-rescaling clamp boundary cases for both budgets. *)
+   the run's engine settings reaching every partition mode, and the
+   eps-rescaling clamp boundary cases. *)
 
 open Graphlib
 module H = Tester.Harness
@@ -21,21 +22,7 @@ let test_effective_eps_edge_budget () =
   let n = float_of_int (Graph.n g) and m = float_of_int (Graph.m g) in
   check cf "midrange: eps * m / n" (0.3 *. m /. n) (H.effective_eps g ~eps:0.3);
   check cf "tiny eps floors at 1/n" (1.0 /. n) (H.effective_eps g ~eps:1e-9);
-  check cf "huge eps caps at 0.999" 0.999 (H.effective_eps g ~eps:10.0);
-  (* default budget is Edge_budget *)
-  check cf "default = Edge_budget"
-    (H.effective_eps ~budget:H.Edge_budget g ~eps:0.3)
-    (H.effective_eps g ~eps:0.3)
-
-let test_effective_eps_vertex_budget () =
-  let g = Generators.grid 6 6 in
-  let n = float_of_int (Graph.n g) in
-  check cf "midrange passes through" 0.3
-    (H.effective_eps ~budget:H.Vertex_budget g ~eps:0.3);
-  check cf "zero eps floors at 1/n" (1.0 /. n)
-    (H.effective_eps ~budget:H.Vertex_budget g ~eps:0.0);
-  check cf "huge eps caps at 0.999" 0.999
-    (H.effective_eps ~budget:H.Vertex_budget g ~eps:5.0)
+  check cf "huge eps caps at 0.999" 0.999 (H.effective_eps g ~eps:10.0)
 
 let test_effective_eps_degenerate () =
   (* empty graph: eps is returned unchanged, no division by n *)
@@ -48,9 +35,7 @@ let test_effective_eps_degenerate () =
   check cf "n = 1 cap beats floor" 0.999
     (H.effective_eps (Graph.make ~n:1 []) ~eps:0.3)
 
-(* The documented invariant, fuzzed: eps' * n >= 1 and eps' <= 0.999 for
-   every budget, and Minor_free_testers.effective_eps is exactly the
-   Edge_budget clamp (the PR that introduced the harness re-routed it). *)
+(* The documented invariant, fuzzed: eps' * n >= 1 and eps' <= 0.999. *)
 let prop_effective_eps_invariant =
   QCheck.Test.make ~name:"effective_eps: eps' * n >= 1, eps' <= 0.999"
     ~count:200
@@ -69,26 +54,17 @@ let prop_effective_eps_invariant =
         | _ -> Graph.make ~n []
       in
       let eps = float_of_int e /. 20.0 in
-      List.for_all
-        (fun budget ->
-          let eps' = H.effective_eps ~budget g ~eps in
-          let n = Graph.n g in
-          (* 1/n is not exactly representable, so the product can land an
-             ulp below 1.0 — the documented invariant holds up to
-             rounding.  At n = 1 the two clamps conflict (1/n = 1.0 is
-             above the 0.999 cap) and the cap wins. *)
-          (n = 0
-          || (eps' *. float_of_int n >= 1.0 -. 1e-9 && eps' <= 0.999)
-          || eps' = 0.999)
-          || QCheck.Test.fail_reportf "clamp violated: n=%d eps=%.3f eps'=%f"
-               n eps eps')
-        [ H.Edge_budget; H.Vertex_budget ]
-      && (let a = Tester.Minor_free_testers.effective_eps g ~eps in
-          let b = H.effective_eps ~budget:H.Edge_budget g ~eps in
-          a = b
-          || QCheck.Test.fail_reportf
-               "Minor_free_testers.effective_eps %f <> Edge_budget clamp %f" a
-               b))
+      let eps' = H.effective_eps g ~eps in
+      let n = Graph.n g in
+      (* 1/n is not exactly representable, so the product can land an ulp
+         below 1.0 — the documented invariant holds up to rounding.  At
+         n = 1 the two clamps conflict (1/n = 1.0 is above the 0.999 cap)
+         and the cap wins. *)
+      n = 0
+      || (eps' *. float_of_int n >= 1.0 -. 1e-9 && eps' <= 0.999)
+      || eps' = 0.999
+      || QCheck.Test.fail_reportf "clamp violated: n=%d eps=%.3f eps'=%f" n
+           eps eps')
 
 (* ------------------------------------------------------------------ *)
 (* verdict plumbing with synthetic Stage II callbacks                   *)
@@ -180,15 +156,23 @@ let test_checkpoint_every_validated () =
 
 let test_checkpoint_requires_stage_one () =
   let g = Generators.grid 4 4 in
-  Alcotest.check_raises "Exponential_shifts rejected"
-    (Invalid_argument
-       "Tester.Harness.run (unit): checkpointing requires the Stage_one \
-        partition (Exponential_shifts clusters centrally, with no phase \
-        boundaries to checkpoint at)") (fun () ->
-      ignore
-        (H.run ~partition:H.Exponential_shifts
-           ~checkpoint:(dummy_checkpoint 1)
-           ~property:"unit" ~stage2:noop_stage2 g ~eps:0.3))
+  List.iter
+    (fun (partition, msg) ->
+      Alcotest.check_raises
+        (msg ^ " rejected")
+        (Invalid_argument
+           ("Tester.Harness.run (unit): checkpointing requires the Stage_one \
+             partition (" ^ msg ^ ")")) (fun () ->
+          ignore
+            (H.run ~partition ~checkpoint:(dummy_checkpoint 1)
+               ~property:"unit" ~stage2:noop_stage2 g ~eps:0.3)))
+    [
+      ( H.Exponential_shifts,
+        "Exponential_shifts clusters centrally, with no phase boundaries to \
+         checkpoint at" );
+      ( H.Randomized 0.1,
+        "Randomized offers no phase boundaries to checkpoint at" );
+    ]
 
 let test_exponential_shifts_has_no_stage1 () =
   let g = Generators.grid 5 5 in
@@ -201,6 +185,66 @@ let test_exponential_shifts_has_no_stage1 () =
   check cb "no Stage I result" true (t.H.stage1 = None)
 
 (* ------------------------------------------------------------------ *)
+(* every partition mode runs with the run's engine settings             *)
+(* ------------------------------------------------------------------ *)
+
+(* The telemetry recorder must see every round the run simulates: the
+   partition's as well as Stage II's, whichever partition produced it. *)
+let test_telemetry_covers_partition () =
+  let g = Generators.grid 12 12 in
+  List.iter
+    (fun (name, partition) ->
+      let telemetry = Congest.Telemetry.create () in
+      let _, t =
+        H.run ~partition ~telemetry ~property:"unit"
+          ~stage2:(fun st ~eps:_ ~seed:_ -> ignore (Tester.Part_bfs.build st))
+          g ~eps:0.3
+      in
+      let phases = Congest.Telemetry.phases telemetry in
+      let sum f = List.fold_left (fun acc p -> acc + f p) 0 phases in
+      check Alcotest.int (name ^ ": phase rounds = totals.rounds") t.H.rounds
+        (sum (fun p -> p.Congest.Telemetry.rounds));
+      check Alcotest.int
+        (name ^ ": phase messages = totals.messages")
+        t.H.messages
+        (sum (fun p -> p.Congest.Telemetry.messages)))
+    [
+      ("Stage_one", H.Stage_one);
+      ("Exponential_shifts", H.Exponential_shifts);
+      ("Randomized 0.1", H.Randomized 0.1);
+    ]
+
+(* Faults reach the non-Stage-I partitions too, and whatever they break
+   there degrades the run: a planar input accepts or degrades, and the
+   harness never lets a protocol failure escape. *)
+let test_faulty_partition_degrades () =
+  let g = Generators.grid 12 12 in
+  let faults =
+    match Congest.Faults.of_spec "drop=0.05,seed=3" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, partition) ->
+      let _, t =
+        Tester.Cycle_free_tester.run ~partition ~faults
+          (Generators.random_tree (Random.State.make [| 5 |]) 144)
+          ~eps:0.3
+      in
+      (match t.H.verdict with
+      | H.Accept | H.Degraded _ -> ()
+      | H.Reject _ -> Alcotest.fail (name ^ ": forest rejected under faults"));
+      let _, t = Tester.Bipartite_tester.run ~partition ~faults g ~eps:0.3 in
+      check cb (name ^ ": faults fired") true (t.H.dropped > 0);
+      match t.H.verdict with
+      | H.Accept | H.Degraded _ -> ()
+      | H.Reject _ -> Alcotest.fail (name ^ ": grid rejected under faults"))
+    [
+      ("Exponential_shifts", H.Exponential_shifts);
+      ("Randomized 0.1", H.Randomized 0.1);
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tester_harness"
@@ -209,8 +253,6 @@ let () =
         [
           Alcotest.test_case "edge budget" `Quick
             test_effective_eps_edge_budget;
-          Alcotest.test_case "vertex budget" `Quick
-            test_effective_eps_vertex_budget;
           Alcotest.test_case "degenerate graphs" `Quick
             test_effective_eps_degenerate;
           q prop_effective_eps_invariant;
@@ -235,5 +277,12 @@ let () =
             test_checkpoint_requires_stage_one;
           Alcotest.test_case "Exponential_shifts runs" `Quick
             test_exponential_shifts_has_no_stage1;
+        ] );
+      ( "partition",
+        [
+          Alcotest.test_case "telemetry covers the partition" `Quick
+            test_telemetry_covers_partition;
+          Alcotest.test_case "faulty partition degrades" `Quick
+            test_faulty_partition_degrades;
         ] );
     ]
