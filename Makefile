@@ -397,13 +397,20 @@ perf-smoke: build
 	  python3 perfbench/run.py --workload $$w --seconds 1; \
 	done
 
-# What CI runs: full build, the whole test suite, and a quick pass of the
-# experiment harness with machine-readable output (also validates the
-# --json emitter end to end).  CI additionally runs a 2-domain matrix leg
-# (see .github/workflows/ci.yml); the engine contract makes its stats
-# output identical to this serial one.
+# What CI runs: full build, the whole test suite, every gate above, and
+# a quick pass of the experiment harness twice, serial and on 2 domains
+# (also validates the --json emitter end to end).  The engine contract
+# makes every simulated member of the two documents identical, and
+# `planarmon compare --no-wall` gates exactly that (it skips what the
+# invocation fixes: the --jobs/--domains echo, M1's per-domain engine
+# bytes).  The build-test-bench CI leg runs the same three commands.
 ci: build test trace critpath monitor scale compiled testers live perf-smoke
-	dune exec bench/main.exe -- --quick --no-timings --json /tmp/bench.json
+	./_build/default/bench/main.exe --quick --no-timings --domains 1 \
+	  --jobs 1 --json /tmp/bench-d1.json > /dev/null
+	./_build/default/bench/main.exe --quick --no-timings --domains 2 \
+	  --jobs 2 --json /tmp/bench-d2.json > /dev/null
+	./_build/default/bin/planarmon.exe compare --no-wall /tmp/bench-d1.json \
+	  /tmp/bench-d2.json
 
 clean:
 	dune clean

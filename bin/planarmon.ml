@@ -296,15 +296,6 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Keys that are configuration, not measurement: the determinism
-   contract says stable numbers agree across jobs/domains, so two
-   reports from different parallelism configs must still gate. *)
-let ignored_key k =
-  List.mem k [ "jobs"; "host_cores"; "domains" ] || contains k "speedup"
-
-(* Wall-clock-like leaves: gated by threshold instead of exact match. *)
-let wall_key k = contains k "seconds" || contains k "wall" || k = "ns_per_run"
-
 type cmp = {
   mutable det : (string * string * string) list;  (* path, old, new *)
   mutable wall : (string * float * float) list;   (* path, old, new *)
@@ -319,11 +310,11 @@ let num_of = function
 
 let leaf_str j = Json.to_string j
 
-(* Structural walk.  [key] is the member name the value sits under
-   (inherited through lists); [host] is true inside a "host" block,
-   where everything that is not wall-like is scheduling noise and is
-   skipped. *)
-let rec walk c ~host ~key path a b =
+(* Structural walk under {!Report.field_class}.  [key] is the member
+   name the value sits under (inherited through lists); [skip] is true
+   under a Host or Config member, where only Clock leaves are still
+   looked at (gated). *)
+let rec walk c ~skip ~key path a b =
   match (a, b) with
   | Json.Obj ma, Json.Obj mb ->
       let ka = List.map fst ma and kb = List.map fst mb in
@@ -338,13 +329,14 @@ let rec walk c ~host ~key path a b =
       else
         List.iter
           (fun (k, va) ->
-            if not (ignored_key k) then
-              let vb = List.assoc k mb in
-              walk c
-                ~host:(host || k = "host")
-                ~key:k
-                (path ^ "." ^ k)
-                va vb)
+            let skip =
+              skip
+              ||
+              match Report.field_class k with
+              | Report.Host | Report.Config -> true
+              | Report.Simulated | Report.Clock -> false
+            in
+            walk c ~skip ~key:k (path ^ "." ^ k) va (List.assoc k mb))
           ma
   | Json.List la, Json.List lb ->
       if List.length la <> List.length lb then begin
@@ -358,10 +350,10 @@ let rec walk c ~host ~key path a b =
       else
         List.iteri
           (fun i (va, vb) ->
-            walk c ~host ~key (Printf.sprintf "%s[%d]" path i) va vb)
+            walk c ~skip ~key (Printf.sprintf "%s[%d]" path i) va vb)
           (List.combine la lb)
   | _ ->
-      if wall_key key then begin
+      if Report.field_class key = Report.Clock then begin
         match (num_of a, num_of b) with
         | Some x, Some y ->
             c.n_wall <- c.n_wall + 1;
@@ -370,14 +362,14 @@ let rec walk c ~host ~key path a b =
             if a <> b then c.det <- (path, leaf_str a, leaf_str b) :: c.det;
             c.n_det <- c.n_det + 1
       end
-      else if host then ()  (* scheduling noise: stepped counts, GC, ... *)
+      else if skip then ()
       else begin
         c.n_det <- c.n_det + 1;
         if a <> b then c.det <- (path, leaf_str a, leaf_str b) :: c.det
       end
 
 (* metrics/v1: stable families must be structurally identical; families
-   whose name smells like wall clock gate series-by-series (matched on
+   whose name classifies as Clock gate series-by-series (matched on
    labels, series present on one side only are host artifacts and
    skipped); everything else host-side is ignored. *)
 let compare_metrics c old_j new_j =
@@ -426,8 +418,8 @@ let compare_metrics c old_j new_j =
       | None -> ()
       | Some (_, f_new) ->
           if stable then
-            walk c ~host:false ~key:name ("metrics." ^ name) f_old f_new
-          else if contains name "wall" then begin
+            walk c ~skip:false ~key:name ("metrics." ^ name) f_old f_new
+          else if Report.field_class name = Report.Clock then begin
             let series f =
               match f with
               | Json.Obj fm -> (
@@ -512,7 +504,7 @@ let compare_cmd =
       c.n_det <- c.n_det + 1
     end
     else if ta = Report.metrics_schema then compare_metrics c old_j new_j
-    else walk c ~host:false ~key:"" "$" old_j new_j;
+    else walk c ~skip:false ~key:"" "$" old_j new_j;
     let det = List.rev c.det in
     let floor_for path =
       (* congest_run_wall_us counters are microseconds; everything else

@@ -186,6 +186,36 @@ let bench_envelope ~quick ~jobs ~domains experiments =
       ("experiments", Json.List experiments);
     ]
 
+type field_class = Simulated | Clock | Host | Config
+
+let field_class key =
+  let has sub =
+    let n = String.length key and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub key i m = sub || at (i + 1)) in
+    at 0
+  in
+  if key = "host" || has "host_cores" || has "per_sec" || has "speedup"
+     || has "overhead"
+  then Host
+  else if has "seconds" || has "wall" || has "ns_per_run" then Clock
+  else if
+    List.mem key
+      [ "jobs"; "domains"; "node_bytes"; "slab_bytes"; "bytes_per_node";
+        "publishes_per_run" ]
+  then Config
+  else Simulated
+
+let rec keep_fields keep = function
+  | Json.Obj members ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if keep (field_class k) then Some (k, keep_fields keep v)
+             else None)
+           members)
+  | Json.List xs -> Json.List (List.map (keep_fields keep) xs)
+  | j -> j
+
 (* [metrics/v1]: the {!Obs.Metrics} snapshot as a stable JSON document.
    Families arrive sorted by name and series by label values (the
    registry guarantees it), so two snapshots of identical simulated

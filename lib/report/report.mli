@@ -124,6 +124,32 @@ val harness_stats :
     objects ([{"id", "title", "claim", "data"}]). *)
 val bench_envelope : quick:bool -> jobs:int -> domains:int -> Json.t list -> Json.t
 
+(** What a member of a report measures, decided by its key alone.  This
+    is the one rule for which numbers are simulated, shared by
+    [bench --no-timings] (drops [Clock] and [Host] members), the bench
+    ledger digest (keeps only [Simulated] members) and
+    [planarmon compare] (matches [Simulated] leaves exactly, gates
+    [Clock] leaves by threshold, skips every other leaf under a [Host]
+    or [Config] member). *)
+type field_class =
+  | Simulated  (** a pure function of the simulated run *)
+  | Clock  (** a wall-clock duration: seconds, [wall], [ns_per_run] *)
+  | Host
+      (** varies with the machine but is not a duration: the core count,
+          the [host] profiling block, and rates or ratios of durations
+          ([per_sec], [speedup], [overhead]) *)
+  | Config
+      (** fixed by the invocation's knobs rather than by the simulated
+          run: [jobs], [domains], the engine bytes that grow with
+          [--domains] ([node_bytes], [slab_bytes], [bytes_per_node]) and
+          the heartbeat publication count, which follows its cadence *)
+
+val field_class : string -> field_class
+
+(** [keep_fields keep j] drops, at every depth of [j], each object
+    member whose key's {!field_class} fails [keep]. *)
+val keep_fields : (field_class -> bool) -> Json.t -> Json.t
+
 (** [metrics_json ()] is the ["metrics/v1"] snapshot of an
     {!Obs.Metrics} registry (default: the process-wide one): families
     sorted by name, series by label values, histogram buckets carrying

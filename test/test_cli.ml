@@ -126,6 +126,36 @@ let test_planarmon_bad_args () =
   let code, _, _ = run [ planarmon; "compare"; "only-one-file" ] in
   check ci "missing operand exits 2" 2 code
 
+(* Two bench documents from the same commit differ in their clock
+   readings (C1 per-round throughput, L1 heartbeat overhead) and, across
+   --jobs/--domains, in the members the invocation fixes (the envelope
+   echo, M1's engine bytes).  None of them is simulated accounting, so
+   compare --no-wall must pass them; a simulated member still gates. *)
+let bench_doc ~domains ~per_sec ~overhead ~node_bytes ~rounds =
+  Printf.sprintf
+    {|{"schema":"bench.planarity/v1","quick":true,"jobs":%d,"domains":%d,"experiments":[{"id":"C1","title":"t","claim":"c","data":[{"family":"grid","rounds":%d,"fiber_seconds":%g,"fiber_rounds_per_sec":%g,"compiled_rounds_per_sec":%g,"speedup":%g}]},{"id":"L1","title":"t","claim":"c","data":{"rounds":%d,"publishes_per_run":%d,"overhead_pct":%g}},{"id":"M1","title":"t","claim":"c","data":[{"n":2500,"node_bytes":%d,"edge_bytes":235200,"slab_bytes":%d,"bytes_per_node":%g}]}]}|}
+    domains domains rounds (1000.0 /. per_sec) per_sec (9.0 *. per_sec) 9.0
+    rounds domains overhead node_bytes (2 * node_bytes)
+    (float_of_int node_bytes /. 2500.0)
+
+let test_planarmon_compare_bench_clock_fields () =
+  let doc ?(domains = 1) ?(per_sec = 4793.0) ?(overhead = 9.55)
+      ?(node_bytes = 182508) ?(rounds = 15884) () =
+    bench_doc ~domains ~per_sec ~overhead ~node_bytes ~rounds
+  in
+  let compare what expect candidate =
+    with_two_files (doc ()) candidate (fun a b ->
+        let code, out, _ = run [ planarmon; "compare"; "--no-wall"; a; b ] in
+        check ci what expect code;
+        if expect = 1 then
+          check cb "offender is the rounds member" true (contains out "rounds"))
+  in
+  compare "clock readings do not mismatch" 0
+    (doc ~per_sec:5120.0 ~overhead:1.2 ());
+  compare "--jobs/--domains members do not mismatch" 0
+    (doc ~domains:2 ~node_bytes:222508 ());
+  compare "a simulated member still mismatches" 1 (doc ~rounds:15885 ())
+
 (* ------------------------------------------------------------------ *)
 (* bench --json -: stream separation                                   *)
 (* ------------------------------------------------------------------ *)
@@ -144,6 +174,50 @@ let test_bench_stream_split () =
   | Error e -> Alcotest.failf "stdout is not pure JSON: %s" e);
   check cb "human report moved to stderr" true (contains err "E1");
   check cb "no human chrome leaked into stdout" false (contains out "====")
+
+(* --no-timings keeps no member that Report.field_class calls a clock or
+   host reading, in the JSON or in the text (P1 is the experiment with
+   both kinds). *)
+let test_bench_no_timings_drops_clock_and_host () =
+  let code, out, err =
+    run [ bench; "--only"; "P1"; "--quick"; "--no-timings"; "--json"; "-" ]
+  in
+  check ci "bench exits 0" 0 code;
+  let rec timed = function
+    | Report.Json.Obj members ->
+        List.concat_map
+          (fun (k, v) ->
+            match Report.field_class k with
+            | Report.Clock | Report.Host -> k :: timed v
+            | Report.Simulated | Report.Config -> timed v)
+          members
+    | Report.Json.List xs -> List.concat_map timed xs
+    | _ -> []
+  in
+  (match Report.Json_parse.of_string out with
+  | Ok doc ->
+      check (Alcotest.list Alcotest.string) "no clock or host member" []
+        (timed doc)
+  | Error e -> Alcotest.failf "stdout is not JSON: %s" e);
+  check cb "report names no host core count" false (contains err "host cores")
+
+(* A violated experiment invariant stops bench with exit 1 and a
+   "bench: <ID>:" message, never an uncaught exception. *)
+let test_bench_gate_exits_1 () =
+  let code, _, err =
+    run
+      [
+        "env"; "L1_MAX_OVERHEAD_PCT=-1000"; bench; "--only"; "L1"; "--quick";
+      ]
+  in
+  check ci "violated L1 gate exits 1" 1 code;
+  check cb "message names the experiment" true (contains err "bench: L1: ");
+  let code, _, err =
+    run [ "env"; "L1_MAX_OVERHEAD_PCT=lots"; bench; "--only"; "L1"; "--quick" ]
+  in
+  check ci "malformed threshold exits 2" 2 code;
+  check cb "message names the variable" true
+    (contains err "L1_MAX_OVERHEAD_PCT")
 
 let test_bench_rejects_unknown_experiment () =
   let code, _, err = run [ bench; "--only"; "E99"; "--quick" ] in
@@ -472,6 +546,8 @@ let () =
             test_planarmon_compare_io_error;
           Alcotest.test_case "bad arguments exit 2" `Quick
             test_planarmon_bad_args;
+          Alcotest.test_case "compare skips bench clock fields" `Quick
+            test_planarmon_compare_bench_clock_fields;
         ] );
       ( "bench",
         [
@@ -481,6 +557,10 @@ let () =
             test_bench_rejects_unknown_experiment;
           Alcotest.test_case "unknown --mode exits 2" `Quick
             test_bench_rejects_unknown_mode;
+          Alcotest.test_case "--no-timings drops clock and host" `Quick
+            test_bench_no_timings_drops_clock_and_host;
+          Alcotest.test_case "violated gate exits 1" `Quick
+            test_bench_gate_exits_1;
         ] );
       ( "mode",
         [

@@ -418,6 +418,82 @@ let test_bench_schema () =
   check ci "domains recorded" 4
     (match field j "domains" with J.Int d -> d | _ -> -1)
 
+(* Report.field_class is the one rule bench --no-timings, the bench
+   ledger digest and planarmon compare share; this pins the class of
+   every key those three consumers have disagreed on. *)
+let test_field_class () =
+  let show = function
+    | Report.Simulated -> "simulated"
+    | Report.Clock -> "clock"
+    | Report.Host -> "host"
+    | Report.Config -> "config"
+  in
+  List.iter
+    (fun (key, expect) ->
+      check Alcotest.string key (show expect) (show (Report.field_class key)))
+    [
+      (* A3 *)
+      ("full_no_ff_seconds", Report.Clock);
+      ("full_ff_seconds", Report.Clock);
+      ("ff_speedup", Report.Host);
+      (* P1 *)
+      ("host_cores", Report.Host);
+      ("baseline_no_ff_seconds", Report.Clock);
+      ("seconds", Report.Clock);
+      ("speedup_vs_no_ff", Report.Host);
+      (* M1: engine arenas are per domain, so these follow --domains *)
+      ("wall_seconds", Report.Clock);
+      ("node_bytes", Report.Config);
+      ("slab_bytes", Report.Config);
+      ("bytes_per_node", Report.Config);
+      ("edge_bytes", Report.Simulated);
+      ("bytes_per_edge", Report.Simulated);
+      (* C1 and L1 *)
+      ("fiber_seconds", Report.Clock);
+      ("fiber_rounds_per_sec", Report.Host);
+      ("compiled_rounds_per_sec", Report.Host);
+      ("speedup", Report.Host);
+      ("overhead_pct", Report.Host);
+      ("bare_seconds", Report.Clock);
+      ("publishes_per_run", Report.Config);
+      (* B, stats/v3, metrics/v1, the envelope *)
+      ("ns_per_run", Report.Clock);
+      ("host", Report.Host);
+      ("wall_s", Report.Clock);
+      ("congest_run_wall_us", Report.Clock);
+      ("host_workload_wall_s", Report.Clock);
+      ("jobs", Report.Config);
+      ("domains", Report.Config);
+      (* simulated accounting *)
+      ("rounds", Report.Simulated);
+      ("nominal_rounds", Report.Simulated);
+      ("messages", Report.Simulated);
+      ("total_bits", Report.Simulated);
+      ("fast_forwarded_rounds", Report.Simulated);
+      ("max_domains", Report.Simulated);
+    ]
+
+let test_keep_fields () =
+  let doc =
+    J.Obj
+      [
+        ("rounds", J.Int 5);
+        ("host_cores", J.Int 2);
+        ( "runs",
+          J.List
+            [ J.Obj [ ("domains", J.Int 1); ("seconds", J.Float 0.5) ] ] );
+      ]
+  in
+  check Alcotest.string "only simulated members survive"
+    {|{"rounds":5,"runs":[{}]}|}
+    (J.to_string (Report.keep_fields (( = ) Report.Simulated) doc));
+  check Alcotest.string "--no-timings keeps config members"
+    {|{"rounds":5,"runs":[{"domains":1}]}|}
+    (J.to_string
+       (Report.keep_fields
+          (function Report.Clock | Report.Host -> false | _ -> true)
+          doc))
+
 (* ------------------------------------------------------------------ *)
 (* metrics/v1: the Obs.Metrics snapshot document                       *)
 (* ------------------------------------------------------------------ *)
@@ -893,6 +969,8 @@ let () =
           Alcotest.test_case "check_schema rejects unknown versions" `Quick
             test_check_schema;
           Alcotest.test_case "bench.planarity/v1" `Quick test_bench_schema;
+          Alcotest.test_case "field classes" `Quick test_field_class;
+          Alcotest.test_case "keep_fields projection" `Quick test_keep_fields;
           Alcotest.test_case "metrics/v1" `Quick test_metrics_schema;
           Alcotest.test_case "heartbeat/v1" `Quick test_heartbeat_schema;
           Alcotest.test_case "heartbeat metrics projection" `Quick
