@@ -26,10 +26,11 @@ fuzz: build
 	  ./_build/default/test/test_prop.exe
 
 # End-to-end tracing check (also a CI leg): record the same tester run
-# under --domains 1, --domains 4 and --no-fast-forward, assert with
-# `planartrace diff` that the simulated accounting is byte-identical in
-# all three traces (only host metrics may differ), and validate the
-# Perfetto export round-trip — the export is a pure function of the
+# under --domains 1, --domains 4, --no-fast-forward and --mode compiled
+# (fast-forward on and off), assert with `planartrace diff` that the
+# simulated accounting of each is byte-identical to the serial fiber
+# trace (only host metrics may differ), and validate the Perfetto
+# export round-trip — the export is a pure function of the
 # .ctrace bytes, so exporting the golden trace twice must be
 # byte-identical.  TRACE_DIR (default /tmp/planartrace) keeps the
 # artifacts for upload on CI failure.
@@ -45,11 +46,16 @@ trace: build
 	  --eps 0.3 --domains 4 --trace $(TRACE_DIR)/d4.ctrace
 	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
 	  --eps 0.3 --no-fast-forward --trace $(TRACE_DIR)/noff.ctrace
+	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
+	  --eps 0.3 --mode compiled --trace $(TRACE_DIR)/comp.ctrace
+	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
+	  --eps 0.3 --mode compiled --no-fast-forward \
+	  --trace $(TRACE_DIR)/comp-noff.ctrace
 	./_build/default/bin/planartrace.exe info $(TRACE_DIR)/d1.ctrace
-	./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
-	  $(TRACE_DIR)/d4.ctrace
-	./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
-	  $(TRACE_DIR)/noff.ctrace
+	set -e; for t in d4 noff comp comp-noff; do \
+	  ./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
+	    $(TRACE_DIR)/$$t.ctrace; \
+	done
 	./_build/default/bin/planartrace.exe export $(TRACE_DIR)/d1.ctrace \
 	  -o $(TRACE_DIR)/d1.perfetto.json
 	./_build/default/bin/planartrace.exe export $(TRACE_DIR)/d1.ctrace \
@@ -213,10 +219,9 @@ scale: build
 
 # Compiled execution-mode gate (also a CI leg).  Three halves:
 #   1. byte-identity — the same planartest run under --mode fiber and
-#      --mode compiled must produce cmp-identical stats JSON (a grid;
-#      then a far-from-planar input, which takes Stage I's reject path,
-#      and an apollonian triangulation, each with fast-forward on and
-#      off), and the same quick bench E1 sweep must produce
+#      --mode compiled must produce cmp-identical stats JSON (a grid, a
+#      far-from-planar input, which takes Stage I's reject path, and an
+#      apollonian triangulation, each with fast-forward on and off), and the same quick bench E1 sweep must produce
 #      cmp-identical BENCH JSON (--no-timings strips the only
 #      legitimately host-dependent fields).  Both modes run the same
 #      protocol kernels, so this holds the fiber adapter to the
@@ -233,19 +238,12 @@ C1_MIN_SPEEDUP ?= 10
 compiled: build
 	mkdir -p $(COMPILED_DIR)
 	./_build/default/bin/planartest.exe gen --family grid --n 1024 \
-	  > $(COMPILED_DIR)/g.txt
-	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
-	  --eps 0.3 --mode fiber --stats-json $(COMPILED_DIR)/fiber.json \
-	  --log-level warn > /dev/null
-	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
-	  --eps 0.3 --mode compiled --stats-json $(COMPILED_DIR)/compiled.json \
-	  --log-level warn > /dev/null
-	cmp $(COMPILED_DIR)/fiber.json $(COMPILED_DIR)/compiled.json
+	  > $(COMPILED_DIR)/grid.txt
 	./_build/default/bin/planartest.exe gen --family far --n 1024 \
 	  --param 0.25 > $(COMPILED_DIR)/far.txt
 	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
 	  > $(COMPILED_DIR)/apollonian.txt
-	for g in far apollonian; do for ff in '' --no-fast-forward; do \
+	for g in grid far apollonian; do for ff in '' --no-fast-forward; do \
 	  for mode in fiber compiled; do \
 	    ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
 	      --eps 0.3 --mode $$mode $$ff --log-level warn \

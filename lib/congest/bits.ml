@@ -1,7 +1,15 @@
-let int_bits ~universe =
-  let u = max universe 2 in
-  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  go 0 (u - 1)
+(* Bit length of [v >= 0] by halving the search range: six fixed steps
+   cover a 63-bit int, so pricing a message costs O(1) per integer. *)
+let bit_length v =
+  let v = ref v and n = ref 0 in
+  if !v lsr 32 <> 0 then (v := !v lsr 32; n := 32);
+  if !v lsr 16 <> 0 then (v := !v lsr 16; n := !n + 16);
+  if !v lsr 8 <> 0 then (v := !v lsr 8; n := !n + 8);
+  if !v lsr 4 <> 0 then (v := !v lsr 4; n := !n + 4);
+  if !v lsr 2 <> 0 then (v := !v lsr 2; n := !n + 2);
+  if !v lsr 1 <> 0 then !n + 2 else !n + !v
+
+let int_bits ~universe = bit_length (max universe 2 - 1)
 
 let id_bits n = int_bits ~universe:(max n 2)
 

@@ -22,6 +22,11 @@ module type NET = sig
   val send_port : ctx -> dest:int -> eid:int -> msg -> unit
   val broadcast : ctx -> msg -> unit
   val round : ctx -> int
+
+  type inbox
+
+  val inbox_is_empty : inbox -> bool
+  val iter_inbox : ctx -> (int -> msg -> unit) -> inbox -> unit
 end
 
 (* Per-mode counters, incremented once per run by whichever engine
@@ -98,11 +103,27 @@ module Make (Msg : MESSAGE) = struct
 
   (* The compiled analogue of [Engine.pool]: the same flat delivery
      state (per-directed-edge bit counters, the sender worklist with
-     contiguous send spans, the LIFO inbox slab) minus everything fibers
+     contiguous send spans, the inbox slab) minus everything fibers
      needed — no continuation array, no arenas, no per-step effect
-     dispatch.  The slab layout is copied deliberately: identical push
-     and drain order is what makes inboxes byte-identical to the fiber
-     engine's. *)
+     dispatch — plus the due-set scheduler.  Delivery pushes in the
+     fiber engine's order and each node's slab chain is linked in that
+     (FIFO) order, which is what makes inboxes byte-identical to the
+     fiber engine's lists without building one.
+
+     Scheduler.  A parked node sits in exactly one intrusive,
+     doubly-linked list ([bnext]/[bprev]): the wheel slot
+     [wake land (W - 1)] when its deadline is less than [W] rounds past
+     the round it parked in, otherwise the overflow list.  Wheel
+     deadlines always lie in one [W]-round window starting at or after
+     the next round to run, so a slot holds a single deadline; [settle]
+     migrates overflow nodes into the wheel once their deadline enters
+     the window ([ov_min] is a lower bound on the overflow deadlines, so
+     the check is O(1) until that happens).  A round's due set is its
+     deadline slot plus every parked node that received a message; it
+     is put in ascending id order by sorting it or, once it holds n/8
+     nodes or more, by one scan over the ids (at most 8 ids per due
+     node; a budget's last round wakes every node at once).  Nothing
+     else is touched. *)
   type pool = {
     pgraph : Graph.t;
     edge_bits : int array;  (* per directed edge, reset by the charge pass *)
@@ -116,8 +137,17 @@ module Make (Msg : MESSAGE) = struct
     mutable s_len : int;
     receivers : int array;  (* nodes with a non-empty inbox *)
     mutable receivers_len : int;
-    live : int array;  (* parked nodes, ascending, compacted per round *)
     wake : int array;  (* absolute resume deadline per parked node *)
+    where : Bytes.t;  (* '\000' not parked, '\001' wheel, '\002' overflow *)
+    bnext : int array;
+    bprev : int array;
+    slots : int array;  (* wheel list heads; length W, a power of two *)
+    mutable ov_head : int;
+    mutable ov_min : int;
+    mutable in_wheel : int;
+    due : int array;  (* the round's due nodes *)
+    due_tmp : int array;  (* merge scratch; only sets under n/8 are sorted *)
+    mutable dirty : bool;  (* set until a run ends with every node halted *)
     (* Causal parent of the round's first delivery per node (sender and
        send round of the frame that flipped [ib_head] from empty), for
        the trace's Resume wake-cause slots — same contract as the fiber
@@ -125,6 +155,7 @@ module Make (Msg : MESSAGE) = struct
     mutable wake_sender : int array;
     mutable wake_sent : int array;
     ib_head : int array;
+    ib_tail : int array;
     mutable ib_sender : int array;
     mutable ib_next : int array;
     mutable ib_msgs : Msg.t array;
@@ -134,6 +165,10 @@ module Make (Msg : MESSAGE) = struct
 
   let pool g =
     let n = Graph.n g in
+    let w = ref 1024 in
+    while !w < n do
+      w := 2 * !w
+    done;
     {
       pgraph = g;
       edge_bits = Array.make (2 * Graph.m g) 0;
@@ -147,11 +182,21 @@ module Make (Msg : MESSAGE) = struct
       s_len = 0;
       receivers = Array.make (max 1 n) 0;
       receivers_len = 0;
-      live = Array.make (max 1 n) 0;
       wake = Array.make (max 1 n) 0;
+      where = Bytes.make n '\000';
+      bnext = Array.make (max 1 n) (-1);
+      bprev = Array.make (max 1 n) (-1);
+      slots = Array.make !w (-1);
+      ov_head = -1;
+      ov_min = max_int;
+      in_wheel = 0;
+      due = Array.make (max 1 n) 0;
+      due_tmp = Array.make (max 1 (n / 8)) 0;
+      dirty = false;
       wake_sender = [||];
       wake_sent = [||];
       ib_head = Array.make (max 1 n) (-1);
+      ib_tail = Array.make (max 1 n) (-1);
       ib_sender = [||];
       ib_next = [||];
       ib_msgs = [||];
@@ -160,7 +205,8 @@ module Make (Msg : MESSAGE) = struct
     }
 
   (* Clear leftovers from a previous (possibly abandoned) run, touching
-     only what that run actually dirtied. *)
+     only what that run actually dirtied; the scheduler is clean after
+     any run that ended with every node halted. *)
   let reset_pool p =
     for i = 0 to p.senders_len - 1 do
       Bytes.unsafe_set p.queued p.senders.(i) '\000'
@@ -174,7 +220,15 @@ module Make (Msg : MESSAGE) = struct
       p.ib_head.(p.receivers.(i)) <- -1
     done;
     p.receivers_len <- 0;
-    p.ib_len <- 0
+    p.ib_len <- 0;
+    if p.dirty then begin
+      Bytes.fill p.where 0 (Bytes.length p.where) '\000';
+      Array.fill p.slots 0 (Array.length p.slots) (-1);
+      p.ov_head <- -1;
+      p.in_wheel <- 0;
+      p.dirty <- false
+    end;
+    p.ov_min <- max_int
 
   let push_send p dest de msg =
     let cap = Array.length p.s_dest in
@@ -194,6 +248,8 @@ module Make (Msg : MESSAGE) = struct
     p.s_msgs.(p.s_len) <- msg;
     p.s_len <- p.s_len + 1
 
+  (* Append to [dest]'s chain, so walking it from [ib_head] yields push
+     order. *)
   let push_inbox p ~sender ~dest msg =
     let cap = Array.length p.ib_sender in
     if p.ib_len = cap then begin
@@ -209,10 +265,116 @@ module Make (Msg : MESSAGE) = struct
     end;
     let s = p.ib_len in
     p.ib_sender.(s) <- sender;
-    p.ib_next.(s) <- p.ib_head.(dest);
+    p.ib_next.(s) <- -1;
     p.ib_msgs.(s) <- msg;
-    p.ib_head.(dest) <- s;
+    if p.ib_head.(dest) < 0 then p.ib_head.(dest) <- s
+    else p.ib_next.(p.ib_tail.(dest)) <- s;
+    p.ib_tail.(dest) <- s;
     p.ib_len <- s + 1
+
+  (* Park [v] until absolute round [w], from round [now < w]. *)
+  let park p ~now v w =
+    let mask = Array.length p.slots - 1 in
+    p.wake.(v) <- w;
+    let head =
+      if w - now <= mask then begin
+        Bytes.unsafe_set p.where v '\001';
+        p.in_wheel <- p.in_wheel + 1;
+        let h = p.slots.(w land mask) in
+        p.slots.(w land mask) <- v;
+        h
+      end
+      else begin
+        Bytes.unsafe_set p.where v '\002';
+        if w < p.ov_min then p.ov_min <- w;
+        let h = p.ov_head in
+        p.ov_head <- v;
+        h
+      end
+    in
+    p.bprev.(v) <- -1;
+    p.bnext.(v) <- head;
+    if head >= 0 then p.bprev.(head) <- v
+
+  let unpark p v =
+    let nx = p.bnext.(v) and pv = p.bprev.(v) in
+    let in_wheel = Bytes.unsafe_get p.where v = '\001' in
+    if in_wheel then p.in_wheel <- p.in_wheel - 1;
+    if pv >= 0 then p.bnext.(pv) <- nx
+    else if in_wheel then
+      p.slots.(p.wake.(v) land (Array.length p.slots - 1)) <- nx
+    else p.ov_head <- nx;
+    if nx >= 0 then p.bprev.(nx) <- pv;
+    Bytes.unsafe_set p.where v '\000'
+
+  (* Move every overflow node with a deadline before [lo + W] into the
+     wheel, anchoring its window at [lo] (no parked deadline is earlier
+     than [lo]); afterwards [ov_min] bounds what is left. *)
+  let settle p lo =
+    let hi = lo + Array.length p.slots in
+    if p.ov_min < hi then begin
+      let v = ref p.ov_head and m = ref max_int in
+      while !v >= 0 do
+        let u = !v in
+        v := p.bnext.(u);
+        let w = p.wake.(u) in
+        if w < hi then begin
+          unpark p u;
+          park p ~now:lo u w
+        end
+        else if w < !m then m := w
+      done;
+      p.ov_min <- !m
+    end
+
+  (* The earliest parked deadline, at or after [lo]: exact, because
+     [settle] leaves no overflow deadline inside the wheel's window. *)
+  let rec next_deadline p lo =
+    settle p lo;
+    if p.in_wheel > 0 then begin
+      let mask = Array.length p.slots - 1 in
+      let r = ref lo in
+      while p.slots.(!r land mask) < 0 do
+        incr r
+      done;
+      !r
+    end
+    else next_deadline p p.ov_min
+
+  (* Ascending sort of [a.(lo) .. a.(hi - 1)]: insertion sort on short
+     ranges, merge sort (through [tmp]) above; an already ordered split
+     skips its merge, so sorted input costs one pass. *)
+  let rec sort_range (a : int array) tmp lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort_range a tmp lo mid;
+      sort_range a tmp mid hi;
+      if a.(mid - 1) > a.(mid) then begin
+        Array.blit a lo tmp lo (mid - lo);
+        let i = ref lo and j = ref mid and k = ref lo in
+        while !i < mid do
+          if !j < hi && a.(!j) < tmp.(!i) then begin
+            a.(!k) <- a.(!j);
+            incr j
+          end
+          else begin
+            a.(!k) <- tmp.(!i);
+            incr i
+          end;
+          incr k
+        done
+      end
+    end
 
   type engine = {
     graph : Graph.t;
@@ -230,6 +392,20 @@ module Make (Msg : MESSAGE) = struct
 
   let reject c reason =
     c.eng.reject_log <- (c.eng.current_round, c.cur, reason) :: c.eng.reject_log
+
+  (* The inbox handed to [resume] is the head of the node's slab chain
+     ([-1] when empty); it is valid until the hook returns. *)
+  type inbox = int
+
+  let inbox_is_empty s = s < 0
+
+  let iter_inbox c f s =
+    let p = c.eng.p in
+    let s = ref s in
+    while !s >= 0 do
+      f p.ib_sender.(!s) p.ib_msgs.(!s);
+      s := p.ib_next.(!s)
+    done
 
   (* Node [c.cur] runs once per round, so its sends stay contiguous from
      the offset recorded on first use — same invariant as the fiber
@@ -286,6 +462,7 @@ module Make (Msg : MESSAGE) = struct
       | _ -> (pool g, false)
     in
     p.in_use <- true;
+    p.dirty <- true;
     let traced = trace <> None in
     if traced && Array.length p.wake_sender < n then begin
       p.wake_sender <- Array.make (max 1 n) (-1);
@@ -303,87 +480,70 @@ module Make (Msg : MESSAGE) = struct
       }
     in
     let ctx = { cur = -1; eng } in
-    let wake = p.wake in
-    (* The live list: parked nodes in ascending id order, compacted in
-       place each round — the array analogue of the fiber engine's
-       run-queue, and the source of the identical resume order. *)
-    let live = p.live in
-    let live_len = ref 0 in
-    let min_wake = ref max_int in
+    let wake = p.wake and where = p.where and due = p.due in
+    let live = ref 0 in  (* parked nodes *)
     let completed = ref true in
     let running = ref true in
-    (* Chains are LIFO; prepending while walking head-to-tail rebuilds
-       push order (ascending sender, reverse send order within a sender)
-       — byte-identical to [Engine.build_inbox]. *)
-    let build_inbox v =
-      let head = p.ib_head.(v) in
-      if head < 0 then []
-      else begin
-        let acc = ref [] in
-        let s = ref head in
-        while !s >= 0 do
-          acc := (p.ib_sender.(!s), p.ib_msgs.(!s)) :: !acc;
-          s := p.ib_next.(!s)
-        done;
-        p.ib_head.(v) <- -1;
-        !acc
-      end
-    in
     (* Resume/park trace events, predicted before/after the step loop in
        ascending id order — the same two-pass shape as the fiber
        engine's prescan/postscan, so the fiber event stream is
        byte-identical across modes.  Candidates are the due nodes with
-       fast-forward on and every live node with it off (the fiber
+       fast-forward on and every parked node with it off (the fiber
        baseline resumes every waiting fiber every round). *)
-    let fiber_scratch = ref [||] in
-    let trace_prescan tr =
-      if Array.length !fiber_scratch = 0 then
-        fiber_scratch := Array.make (max 1 n) 0;
-      let sc = !fiber_scratch in
-      let cnt = ref 0 in
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if (not eng.ff) || p.ib_head.(v) >= 0 || wake.(v) <= eng.current_round
-        then begin
-          (* Prefer-arrival rule, as in the fiber engine: any delivery
-             this round outranks an expired deadline. *)
-          if p.ib_head.(v) >= 0 then
-            Trace.fiber_resume tr ~round:eng.current_round ~node:v
-              ~cause:Trace.Wake_deliver ~sender:p.wake_sender.(v)
-              ~sent:p.wake_sent.(v)
-          else
-            Trace.fiber_resume tr ~round:eng.current_round ~node:v
-              ~cause:Trace.Wake_deadline ~sender:(-1) ~sent:(-1);
-          sc.(!cnt) <- v;
-          incr cnt
-        end
-      done;
-      !cnt
+    let trace_resume tr v =
+      (* Prefer-arrival rule, as in the fiber engine: any delivery this
+         round outranks an expired deadline. *)
+      if p.ib_head.(v) >= 0 then
+        Trace.fiber_resume tr ~round:eng.current_round ~node:v
+          ~cause:Trace.Wake_deliver ~sender:p.wake_sender.(v)
+          ~sent:p.wake_sent.(v)
+      else
+        Trace.fiber_resume tr ~round:eng.current_round ~node:v
+          ~cause:Trace.Wake_deadline ~sender:(-1) ~sent:(-1)
     in
-    (* Entries the step loop nulled out (halted or failed) are skipped;
-       with fast-forward off a surviving fiber's park deadline is the
-       next round (the fiber baseline re-suspends with [Suspend 1]),
-       except candidates past a failed hook, which were never stepped
-       and keep last round's deadline. *)
-    let trace_postscan tr cnt ~failed_ci =
-      let sc = !fiber_scratch in
-      for i = 0 to cnt - 1 do
-        let v = sc.(i) in
-        if v >= 0 then
-          let wk =
-            if eng.ff then wake.(v)
-            else if i > failed_ci then eng.current_round
-            else eng.current_round + 1
-          in
-          Trace.fiber_park tr ~round:eng.current_round ~node:v ~wake:wk
-      done
+    let trace_prescan tr nd =
+      if eng.ff then
+        for i = 0 to nd - 1 do
+          trace_resume tr due.(i)
+        done
+      else
+        for v = 0 to n - 1 do
+          if Bytes.unsafe_get where v <> '\000' then trace_resume tr v
+        done
+    in
+    (* Halted and failed candidates are no longer parked and are
+       skipped; with fast-forward off a surviving fiber's park deadline
+       is the next round (the fiber baseline re-suspends with
+       [Suspend 1]), except candidates past a failed hook, which were
+       never stepped and keep last round's deadline. *)
+    let trace_postscan tr nd ~failed =
+      let r = eng.current_round in
+      if eng.ff then
+        for i = 0 to nd - 1 do
+          let v = due.(i) in
+          if Bytes.unsafe_get where v <> '\000' then
+            Trace.fiber_park tr ~round:r ~node:v ~wake:wake.(v)
+        done
+      else
+        for v = 0 to n - 1 do
+          if Bytes.unsafe_get where v <> '\000' then
+            Trace.fiber_park tr ~round:r ~node:v
+              ~wake:(if v > failed then r else r + 1)
+        done
     in
     let one_round () =
       eng.estats.Stats.rounds <- eng.estats.Stats.rounds + 1;
       eng.current_round <- eng.current_round + 1;
+      let r = eng.current_round in
       let round_bits = ref 0 and round_msgs = ref 0 in
+      let nd = ref 0 in
       (* Deliver: senders ascending, each sender's span in reverse send
-         order — the fiber engine's exact serial delivery order. *)
+         order — the fiber engine's exact serial delivery order.  A
+         parked node's first delivery makes it due.  [Msg.bits] is
+         memoized for a message physically equal to the previous one (a
+         broadcast, a relayed payload); no hook runs inside this pass,
+         so the memo cannot go stale. *)
+      let prev = ref (-1) and prev_bits = ref 0 in
       for i = 0 to p.senders_len - 1 do
         let v = p.senders.(i) in
         Bytes.unsafe_set p.queued v '\000';
@@ -392,28 +552,40 @@ module Make (Msg : MESSAGE) = struct
         for j = hi - 1 downto lo do
           let dest = p.s_dest.(j) and de = p.s_eids.(j) in
           let msg = p.s_msgs.(j) in
-          let b = Msg.bits msg in
-          eng.estats.messages <- eng.estats.messages + 1;
-          eng.estats.total_bits <- eng.estats.total_bits + b;
+          let b =
+            if !prev >= 0 && p.s_msgs.(!prev) == msg then !prev_bits
+            else begin
+              let b = Msg.bits msg in
+              prev_bits := b;
+              b
+            end
+          in
+          prev := j;
           incr round_msgs;
           round_bits := !round_bits + b;
           p.edge_bits.(de) <- p.edge_bits.(de) + b;
           if p.ib_head.(dest) < 0 then begin
             p.receivers.(p.receivers_len) <- dest;
             p.receivers_len <- p.receivers_len + 1;
+            if Bytes.unsafe_get where dest <> '\000' then begin
+              due.(!nd) <- dest;
+              incr nd
+            end;
             if traced then begin
               p.wake_sender.(dest) <- v;
-              p.wake_sent.(dest) <- eng.current_round - 1
+              p.wake_sent.(dest) <- r - 1
             end
           end;
           push_inbox p ~sender:v ~dest msg;
           (match trace with
           | Some tr ->
-              Trace.message tr ~round:eng.current_round
-                ~sent:(eng.current_round - 1) ~sender:v ~dest ~edge:de ~bits:b
+              Trace.message tr ~round:r ~sent:(r - 1) ~sender:v ~dest ~edge:de
+                ~bits:b
           | None -> ())
         done
       done;
+      eng.estats.messages <- eng.estats.messages + !round_msgs;
+      eng.estats.total_bits <- eng.estats.total_bits + !round_bits;
       (* Charge bandwidth per directed edge by re-scanning the same
          entries; zeroing [edge_bits] doubles as the visited mark. *)
       let max_frames = ref 1 in
@@ -439,78 +611,82 @@ module Make (Msg : MESSAGE) = struct
       p.s_len <- 0;
       eng.estats.Stats.charged_rounds <-
         eng.estats.Stats.charged_rounds + !max_frames;
-      (* Step: ascending id order over the live list.  With fast-forward
-         on, only due nodes (inbox or deadline) count as stepped — the
-         fiber engine resumes exactly those; with it off, the legacy
-         baseline steps every waiting node each round (the node's own
-         hook still only runs on arrival or deadline, exactly like
-         [Engine.wait]'s internal loop). *)
-      let fib_cnt =
-        match trace with Some tr -> trace_prescan tr | None -> 0
-      in
-      let stepped = ref 0 in
-      let kept = ref 0 in
-      let failure = ref None in
-      let sc = !fiber_scratch in
+      (* The round's deadline slot; receivers are already listed.  A
+         dense due set is re-listed in order by one scan over the ids. *)
+      settle p r;
+      let v = ref p.slots.(r land (Array.length p.slots - 1)) in
+      while !v >= 0 do
+        if p.ib_head.(!v) < 0 then begin
+          due.(!nd) <- !v;
+          incr nd
+        end;
+        v := p.bnext.(!v)
+      done;
+      let nd = !nd in
+      if 8 * nd >= n then begin
+        let k = ref 0 in
+        for u = 0 to n - 1 do
+          if
+            Bytes.unsafe_get where u <> '\000'
+            && (p.ib_head.(u) >= 0 || wake.(u) = r)
+          then begin
+            due.(!k) <- u;
+            incr k
+          end
+        done
+      end
+      else sort_range due p.due_tmp 0 nd;
+      (match trace with Some tr -> trace_prescan tr nd | None -> ());
+      (* Step the due nodes in ascending id order.  With fast-forward on
+         they are what the fiber engine resumes; with it off, the legacy
+         baseline also steps every other parked node (its own hook
+         still only runs on arrival or deadline, exactly like
+         [Engine.wait]'s internal loop), so all of them count. *)
+      let live_before = !live in
       let ci = ref 0 in
-      let failed_ci = ref max_int in
-      min_wake := max_int;
-      let keep v =
-        live.(!kept) <- v;
-        incr kept;
-        if wake.(v) < !min_wake then min_wake := wake.(v)
-      in
+      let failure = ref None in
       (try
-         for i = 0 to !live_len - 1 do
-           let v = live.(i) in
-           let due = p.ib_head.(v) >= 0 || wake.(v) <= eng.current_round in
-           if not eng.ff then incr stepped;
-           if due then begin
-             let inbox = build_inbox v in
-             if eng.ff then incr stepped;
-             ctx.cur <- v;
-             if traced then begin
-               (* Halted or failed unless the hook parks again; the
-                  candidate order of this loop matches the prescan's
-                  exactly (nothing stepped so far changed an unvisited
-                  node's due-ness), so [ci] walks the same scratch. *)
-               sc.(!ci) <- -1;
-               incr ci
-             end;
-             match resume ctx v inbox with
-             | Park k ->
-                 wake.(v) <- eng.current_round + max 1 k;
-                 if traced then sc.(!ci - 1) <- v;
-                 keep v
-             | Halt -> ()
-           end
-           else begin
-             if traced && not eng.ff then incr ci;
-             keep v
-           end
+         while !ci < nd do
+           let v = due.(!ci) in
+           unpark p v;
+           ctx.cur <- v;
+           (match resume ctx v p.ib_head.(v) with
+           | Park k -> park p ~now:r v (r + max 1 k)
+           | Halt -> decr live);
+           incr ci
          done
-       with e ->
-         failure := Some e;
-         if traced then failed_ci := !ci - 1);
-      live_len := !kept;
+       with e -> failure := Some e);
+      let failed = if !failure = None then max_int else due.(!ci) in
+      let stepped =
+        if eng.ff then if !failure = None then nd else !ci + 1
+        else if !failure = None then live_before
+        else begin
+          (* Every parked node up to the failed one was stepped: those
+             below it are still parked or halted this round. *)
+          let c = ref (live_before - !live + 1) in
+          for u = 0 to failed - 1 do
+            if Bytes.unsafe_get where u <> '\000' then incr c
+          done;
+          !c
+        end
+      in
       (match eng.telemetry with
       | Some tel ->
-          Telemetry.tick tel ~stepped:!stepped ~domains:1 ~bits:!round_bits
+          Telemetry.tick tel ~stepped ~domains:1 ~bits:!round_bits
             ~frames:!max_frames ~messages:!round_msgs
       | None -> ());
       (match trace with
       | Some tr ->
-          trace_postscan tr fib_cnt ~failed_ci:!failed_ci;
-          Trace.round_tick tr ~round:eng.current_round ~bits:!round_bits
-            ~frames:!max_frames ~messages:!round_msgs ~stepped:!stepped
+          trace_postscan tr nd ~failed;
+          Trace.round_tick tr ~round:r ~bits:!round_bits ~frames:!max_frames
+            ~messages:!round_msgs ~stepped
       | None -> ());
       (* A hook exception aborts after the round's accounting — the same
          point the fiber engine's propagate mode re-raises (after the
          telemetry tick and trace emission, before the inbox recycle;
          the next run's [reset_pool] clears the leftovers). *)
       (match !failure with Some e -> raise e | None -> ());
-      (* Recycle the inbox chains (messages delivered to already-halted
-         nodes were never consumed by [build_inbox]). *)
+      (* Recycle the inbox chains, including those of halted nodes. *)
       for i = 0 to p.receivers_len - 1 do
         p.ib_head.(p.receivers.(i)) <- -1
       done;
@@ -518,8 +694,9 @@ module Make (Msg : MESSAGE) = struct
       p.ib_len <- 0
     in
     let maybe_fast_forward () =
-      if eng.ff && p.senders_len = 0 && !min_wake < max_int then begin
-        let delta = !min_wake - eng.current_round - 1 in
+      if eng.ff && p.senders_len = 0 then begin
+        let delta = next_deadline p (eng.current_round + 1) in
+        let delta = delta - eng.current_round - 1 in
         let budget = max_rounds - eng.estats.Stats.rounds in
         let delta = if delta > budget then budget else delta in
         if delta > 0 then begin
@@ -549,24 +726,21 @@ module Make (Msg : MESSAGE) = struct
          ctx.cur <- v;
          match start ctx v with
          | Park k ->
-             let w = max 1 k in
-             wake.(v) <- w;
-             live.(!live_len) <- v;
-             incr live_len;
-             if w < !min_wake then min_wake := w
+             park p ~now:0 v (max 1 k);
+             incr live
          | Halt -> ()
        done;
        (match trace with
        | Some tr ->
            (* Initial parks; with fast-forward off the fiber baseline's
               first suspension is always [Suspend 1], deadline round 1. *)
-           for i = 0 to !live_len - 1 do
-             let v = live.(i) in
-             Trace.fiber_park tr ~round:0 ~node:v
-               ~wake:(if eng.ff then wake.(v) else 1)
+           for v = 0 to n - 1 do
+             if Bytes.unsafe_get where v <> '\000' then
+               Trace.fiber_park tr ~round:0 ~node:v
+                 ~wake:(if eng.ff then wake.(v) else 1)
            done
        | None -> ());
-       while !running && !live_len > 0 do
+       while !running && !live > 0 do
          if eng.estats.Stats.rounds >= max_rounds then begin
            running := false;
            completed := false
@@ -583,6 +757,7 @@ module Make (Msg : MESSAGE) = struct
            end
          end
        done;
+       if !live = 0 then p.dirty <- false;
        if owned then p.in_use <- false;
        match trace with
        | Some tr -> Trace.run_end tr ~rounds:eng.current_round

@@ -9,8 +9,22 @@
     number of rounds, and is re-entered once per delivery or deadline with
     its inbox.  That shape needs no fiber at all: this module executes it
     as flat array passes over the CSR substrate — one pass per simulated
-    round, no continuations, no per-node stacks, no allocation beyond the
-    messages themselves.
+    round, no continuations, no per-node stacks.
+
+    {b Cost.}  A round costs O(due nodes + delivered messages), plus
+    sorting the due set; once that set holds n/8 nodes or more it is
+    listed by one scan over the ids instead (at most 8 ids per due
+    node).  A
+    parked node waits in a round-indexed deadline bucket (a wheel of
+    O(n) slots, with an overflow list for deadlines past its window);
+    a delivery marks its receiver due, and the round steps exactly its
+    due nodes, in ascending id order.  Nodes that are merely parked are
+    never visited, and fast-forward reads its target from the nearest
+    non-empty bucket.  A resumed node reads its inbox in place from the
+    delivery slab ({!NET.inbox}), so delivery allocates nothing beyond
+    the messages themselves, and [Msg.bits] is taken once for a run of
+    physically equal messages (a broadcast, a relayed payload).  All of
+    this state lives in the reusable {!Make.pool}.
 
     {b Byte-identity contract.}  For the same graph and the same
     (deterministic, fault-free) protocol, a compiled run produces
@@ -19,7 +33,10 @@
     sender, reverse send order within a sender), the inbox construction,
     bandwidth charging ([max_edge_bits], [oversized], frame counts), round
     and fast-forward accounting, and the per-round telemetry ticks all
-    replicate {!Engine}'s serial half exactly.  The differential suite in
+    replicate {!Engine}'s serial half exactly.  With fast-forward off the
+    fiber baseline resumes every waiting fiber every round; compiled
+    execution still steps only the due nodes but counts every parked one
+    as stepped, as that baseline does.  The differential suite in
     [test/test_prop.ml] and the [make compiled] CI leg enforce this.
 
     Compiled execution is serial by construction (a round is a single
@@ -87,6 +104,18 @@ module type NET = sig
   val send_port : ctx -> dest:int -> eid:int -> msg -> unit
   val broadcast : ctx -> msg -> unit
   val round : ctx -> int
+
+  (** A round's inbox as handed to [resume]: every (sender, message)
+      delivered this round, in the fiber engine's delivery order
+      (ascending sender, reverse send order within a sender).  Only
+      valid until the hook returns. *)
+  type inbox
+
+  val inbox_is_empty : inbox -> bool
+
+  (** [iter_inbox ctx f inbox] calls [f sender msg] on each delivery in
+      order. *)
+  val iter_inbox : ctx -> (int -> msg -> unit) -> inbox -> unit
 end
 
 module type MESSAGE = sig
@@ -130,6 +159,13 @@ module Make (Msg : MESSAGE) : sig
   (** Record rejection evidence, like [Engine.reject]. *)
   val reject : ctx -> string -> unit
 
+  (** The head of the node's slab chain, linked in delivery order, so
+      reading an inbox allocates nothing. *)
+  type inbox
+
+  val inbox_is_empty : inbox -> bool
+  val iter_inbox : ctx -> (int -> Msg.t -> unit) -> inbox -> unit
+
   type result = {
     rejections : (int * int * string) list;
         (** (round, node, reason), chronological *)
@@ -142,7 +178,7 @@ module Make (Msg : MESSAGE) : sig
       node has halted: deliveries, bandwidth charging, telemetry ticks,
       fast-forward over quiescent spans and [max_rounds] cut-off all
       follow [Engine.run]'s serial semantics byte-for-byte.  [resume] is
-      invoked per node (ascending) with the round's inbox — possibly [[]]
+      invoked per due node (ascending) with the round's inbox — empty
       when the park deadline expired with no traffic.  An exception from
       a hook aborts the run after the round's accounting, exactly where
       the fiber engine's propagate mode re-raises.  With [?trace]
@@ -162,7 +198,7 @@ module Make (Msg : MESSAGE) : sig
     ?pool:pool ->
     Graphlib.Graph.t ->
     start:(ctx -> int -> step) ->
-    resume:(ctx -> int -> (int * Msg.t) list -> step) ->
+    resume:(ctx -> int -> inbox -> step) ->
     result
   (** [?on_round] is the same host-side per-round observer as
       [Engine.run]'s: [f 1] per stepped round, [f delta] per

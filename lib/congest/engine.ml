@@ -529,6 +529,18 @@ module Make (Msg : MESSAGE) = struct
 
   let sync c = wait c 1
 
+  type inbox = (int * Msg.t) list
+
+  let inbox_is_empty = function [] -> true | _ :: _ -> false
+
+  (* A direct walk of [wait]'s list: wrapping it per resume would be
+     allocation the compiled path does not have. *)
+  let rec iter_inbox c f = function
+    | [] -> ()
+    | (s, m) :: rest ->
+        f s m;
+        iter_inbox c f rest
+
   (* A kernel's [Park k] is exactly [wait]'s contract; the clamp keeps
      [k <= 0] meaning one round, as in [Compiled], instead of [wait]'s
      return-without-ending-the-round. *)

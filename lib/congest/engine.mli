@@ -143,6 +143,13 @@ module Make (Msg : MESSAGE) : sig
       budget-length [sync] loop when they only react to arrivals. *)
   val wait : ctx -> int -> (int * Msg.t) list
 
+  (** A kernel's inbox on this engine is {!wait}'s list, so
+      {!Compiled.NET} is satisfied with no conversion. *)
+  type inbox = (int * Msg.t) list
+
+  val inbox_is_empty : inbox -> bool
+  val iter_inbox : ctx -> (int -> Msg.t -> unit) -> inbox -> unit
+
   (** [kernel ~start ~resume] is the node program that runs a
       {!Compiled.step} kernel on this engine: [start ctx id] once, then
       [resume ctx id inbox] after each [wait ctx (max 1 k)] while the
@@ -151,7 +158,7 @@ module Make (Msg : MESSAGE) : sig
       telemetry too, at [~domains:1]). *)
   val kernel :
     start:(ctx -> int -> Compiled.step) ->
-    resume:(ctx -> int -> (int * Msg.t) list -> Compiled.step) ->
+    resume:(ctx -> int -> inbox -> Compiled.step) ->
     ctx ->
     unit
 

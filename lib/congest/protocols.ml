@@ -25,7 +25,7 @@ module Kernels (N : sig
   val run :
     Graph.t ->
     start:(ctx -> int -> Compiled.step) ->
-    resume:(ctx -> int -> (int * M.t) list -> Compiled.step) ->
+    resume:(ctx -> int -> inbox -> Compiled.step) ->
     Stats.t
 end) =
 struct
@@ -51,8 +51,8 @@ struct
       end;
       first
     and resume ctx v inbox =
-      List.iter
-        (fun (from, msg) ->
+      N.iter_inbox ctx
+        (fun from msg ->
           match msg with
           | M.Level d ->
               if level.(v) < 0 then begin
@@ -76,8 +76,8 @@ struct
       first
     and resume ctx v inbox =
       let improved = ref false in
-      List.iter
-        (fun (_, msg) ->
+      N.iter_inbox ctx
+        (fun _ msg ->
           match msg with
           | M.Leader c ->
               if c < leader.(v) then begin
@@ -119,8 +119,8 @@ struct
       if v = root then adopt ctx v (-1) (-1);
       first
     and resume ctx v inbox =
-      List.iter
-        (fun (from, msg) ->
+      N.iter_inbox ctx
+        (fun from msg ->
           match msg with
           | M.Level d -> if parent.(v) = -2 then adopt ctx v from d
           | M.Child true ->

@@ -94,7 +94,7 @@ module Kernels (N : sig
   val run :
     State.t ->
     start:(ctx -> int -> Congest.Compiled.step) ->
-    resume:(ctx -> int -> (int * Msg.t) list -> Congest.Compiled.step) ->
+    resume:(ctx -> int -> inbox -> Congest.Compiled.step) ->
     unit
 end) =
 struct
@@ -107,13 +107,13 @@ struct
       Graph.iter_incident g v (fun nbr e ->
           N.send_port ctx ~dest:nbr ~eid:e (Msg.Root nd.State.part_root));
       Park 1
-    and resume _ctx v inbox =
+    and resume ctx v inbox =
       let nd = State.node st v in
       (* Inbox senders arrive in ascending order, matching port order, so
          one pointer walks both in a single merged pass. *)
       let port = ref 0 in
-      List.iter
-        (fun (from, msg) ->
+      N.iter_inbox ctx
+        (fun from msg ->
           match msg with
           | Msg.Root r ->
               while Graph.nbr g v !port <> from do
@@ -132,10 +132,11 @@ struct
      network-wide quiet spans) without altering the round schedule —
      every node still finishes exactly at round [budget]. *)
   let bcast (st : State.t) ~budget ~tag ~at_root ~on_receive =
-    let relay ctx nd payload =
-      List.iter
-        (fun c -> N.send ctx ~dest:c (Msg.Down (tag, payload)))
-        nd.State.children
+    (* A relay forwards the very message value it received: every hop
+       of one part's broadcast carries one physical [Down], which the
+       compiled delivery pass prices once per round. *)
+    let relay ctx nd msg =
+      List.iter (fun c -> N.send ctx ~dest:c msg) nd.State.children
     in
     let start ctx v =
       let nd = State.node st v in
@@ -143,13 +144,13 @@ struct
          match at_root nd with
          | Some payload ->
              on_receive nd payload;
-             relay ctx nd payload
+             relay ctx nd (Msg.Down (tag, payload))
          | None -> ());
       if budget > 0 then Park budget else Halt
     and resume ctx v inbox =
       let nd = State.node st v in
-      List.iter
-        (fun (from, msg) ->
+      N.iter_inbox ctx
+        (fun from msg ->
           match msg with
           | Msg.Down (t, payload) ->
               if t <> tag then
@@ -158,7 +159,7 @@ struct
                      tag);
               assert (from = nd.State.parent);
               on_receive nd payload;
-              relay ctx nd payload
+              relay ctx nd msg
           | _ -> assert false)
         inbox;
       let left = budget - N.round ctx in
@@ -198,9 +199,9 @@ struct
     and resume ctx v inbox =
       let nd = State.node st v in
       (* A deadline wake-up with no traffic changes nothing. *)
-      if inbox <> [] then begin
-        List.iter
-          (fun (from, msg) ->
+      if not (N.inbox_is_empty inbox) then begin
+        N.iter_inbox ctx
+          (fun from msg ->
             match msg with
             | Msg.Up (t, payload) ->
                 if t <> tag then
@@ -235,10 +236,10 @@ struct
         end
       done;
       Park 1
-    and resume _ctx v inbox =
+    and resume ctx v inbox =
       let nd = State.node st v in
-      List.iter
-        (fun (from, msg) ->
+      N.iter_inbox ctx
+        (fun from msg ->
           match msg with
           | Msg.Bdry (t, pl) ->
               if t <> tag then

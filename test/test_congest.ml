@@ -17,6 +17,27 @@ let test_int_bits () =
   check ci "universe 9" 4 (Congest.Bits.int_bits ~universe:9);
   check ci "universe 1024" 10 (Congest.Bits.int_bits ~universe:1024)
 
+(* [int_bits] is a constant-time bit length; it must price every universe
+   exactly like the per-bit loop it replaced. *)
+let test_int_bits_matches_loop () =
+  let loop ~universe =
+    let u = max universe 2 in
+    let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
+    go 0 (u - 1)
+  in
+  let probes = ref [ min_int; -1; 0; 1; 2; 3; max_int - 1; max_int ] in
+  for k = 1 to 61 do
+    let p = 1 lsl k in
+    probes := (p - 1) :: p :: (p + 1) :: !probes
+  done;
+  List.iter
+    (fun u ->
+      check ci
+        (Printf.sprintf "universe %d" u)
+        (loop ~universe:u)
+        (Congest.Bits.int_bits ~universe:u))
+    !probes
+
 let test_id_bits () =
   check ci "n=1" 1 (Congest.Bits.id_bits 1);
   check ci "n=1000" 10 (Congest.Bits.id_bits 1000)
@@ -1128,7 +1149,8 @@ module Clamp_kernel (N : Congest.Compiled.NET with type msg = M.t) = struct
 
   let resume ctx _v inbox =
     let r = N.round ctx in
-    if inbox <> [] && r < last - 1 then N.broadcast ctx (M.Int r);
+    if (not (N.inbox_is_empty inbox)) && r < last - 1 then
+      N.broadcast ctx (M.Int r);
     if r >= last then Congest.Compiled.Halt
     else Congest.Compiled.Park (if r mod 2 = 0 then 0 else -3)
 end
@@ -1156,6 +1178,247 @@ let test_kernel_park_clamp () =
         (Printf.sprintf "identical stats (ff=%b)" fast_forward)
         true (fs = cs))
     [ true; false ]
+
+(* ------------------------------------------------------------------ *)
+(* Compiled scheduler edge cases, against the fiber adapter            *)
+(* ------------------------------------------------------------------ *)
+
+module T = Congest.Trace
+
+let trace_events tr =
+  let acc = ref [] in
+  T.iter_events tr (fun e -> acc := e :: !acc);
+  List.rev !acc
+
+(* What one executor did with a kernel: the stats and completion flag (or
+   the exception it raised), the exact trace totals and the events the
+   ring kept. *)
+type outcome = {
+  o_stats : Congest.Stats.t option;
+  o_completed : bool;
+  o_exn : string option;
+  o_totals : T.totals;
+  o_events : T.event list;
+}
+
+let outcome ~capacity run =
+  let tr = T.create ~config:{ T.default_config with T.capacity } () in
+  let o_stats, o_completed, o_exn =
+    match run tr with
+    | stats, completed -> (Some stats, completed, None)
+    | exception e -> (None, false, Some (Printexc.to_string e))
+  in
+  T.finish tr;
+  { o_stats; o_completed; o_exn; o_totals = T.totals tr; o_events = trace_events tr }
+
+let check_same_outcome what (a : outcome) (b : outcome) =
+  check cb (what ^ ": stats") true (a.o_stats = b.o_stats);
+  check cb (what ^ ": completed") a.o_completed b.o_completed;
+  check (Alcotest.option Alcotest.string) (what ^ ": exception") a.o_exn b.o_exn;
+  check cb (what ^ ": trace totals") true (a.o_totals = b.o_totals);
+  check ci (what ^ ": kept events") (List.length a.o_events)
+    (List.length b.o_events);
+  check cb (what ^ ": events") true (a.o_events = b.o_events)
+
+module type KERNEL = functor (N : Congest.Compiled.NET with type msg = M.t) -> sig
+  val start : N.ctx -> int -> Congest.Compiled.step
+  val resume : N.ctx -> int -> N.inbox -> Congest.Compiled.step
+end
+
+let fiber_outcome ?max_rounds ?(capacity = 1 lsl 16) ~fast_forward g
+    (module K : KERNEL) =
+  let module KE = K (E) in
+  outcome ~capacity (fun trace ->
+      let r =
+        E.run ?max_rounds ~fast_forward ~trace g
+          (E.kernel ~start:KE.start ~resume:KE.resume)
+      in
+      (r.E.stats, r.E.completed))
+
+let compiled_outcome ?max_rounds ?(capacity = 1 lsl 16) ?pool ~fast_forward g
+    (module K : KERNEL) =
+  let module KC = K (C) in
+  outcome ~capacity (fun trace ->
+      let r =
+        C.run ?max_rounds ?pool ~fast_forward ~trace g ~start:KC.start
+          ~resume:KC.resume
+      in
+      (r.C.stats, r.C.completed))
+
+(* Every deadline lies far past the scheduler's initial window: the
+   start-up parks (10_000 + 1_000 v), the re-parks of a ping-pong wave
+   that wakes overflow nodes early (~20_000, nearly coinciding), and the
+   odd nodes' 12_345 + v re-parks.  Fast-forward must land on each
+   deadline exactly. *)
+module Far_parks (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let resumes = Array.make 8 0
+
+  let start ctx v =
+    if v = 0 then N.broadcast ctx (M.Int 0);
+    Congest.Compiled.Park (10_000 + (1_000 * v))
+
+  let resume ctx v inbox =
+    resumes.(v) <- resumes.(v) + 1;
+    let r = N.round ctx in
+    if not (N.inbox_is_empty inbox) then begin
+      if r < 20 then N.broadcast ctx (M.Int r);
+      Congest.Compiled.Park (20_000 - (7 * r) - v)
+    end
+    else if resumes.(v) >= 24 then Congest.Compiled.Halt
+    else if v mod 2 = 0 then Congest.Compiled.Park 3
+    else Congest.Compiled.Park (12_345 + v)
+end
+
+let test_compiled_far_parks () =
+  let g = Generators.path 8 in
+  List.iter
+    (fun (fast_forward, capacity) ->
+      let f = fiber_outcome ~capacity ~fast_forward g (module Far_parks) in
+      let c = compiled_outcome ~capacity ~fast_forward g (module Far_parks) in
+      check cb "ran past 10_000 rounds" true
+        (match f.o_stats with
+        | Some s -> s.Congest.Stats.rounds > 10_000
+        | None -> false);
+      check_same_outcome (Printf.sprintf "far parks ff=%b" fast_forward) f c)
+    (* with fast-forward off every parked node is resumed every round, so
+       the ring keeps the tail of the run; the totals stay exact *)
+    [ (true, 1 lsl 16); (false, 1 lsl 12) ]
+
+(* Odd nodes halt at start-up and node 2 halts in round 3, while their
+   neighbors keep sending to them: deliveries to halted nodes are charged
+   but resume nobody. *)
+module Halted_arrivals (N : Congest.Compiled.NET with type msg = M.t) =
+struct
+  let start ctx v =
+    if v mod 2 = 1 then Congest.Compiled.Halt
+    else begin
+      N.broadcast ctx (M.Int v);
+      Congest.Compiled.Park 2
+    end
+
+  let resume ctx v _inbox =
+    let r = N.round ctx in
+    if r >= 9 || (v = 2 && r >= 3) then Congest.Compiled.Halt
+    else begin
+      N.broadcast ctx (M.Int r);
+      Congest.Compiled.Park (1 + (v mod 3))
+    end
+end
+
+let test_compiled_halted_arrivals () =
+  let g = Generators.cycle 9 in
+  List.iter
+    (fun fast_forward ->
+      let f = fiber_outcome ~fast_forward g (module Halted_arrivals) in
+      let c = compiled_outcome ~fast_forward g (module Halted_arrivals) in
+      check cb "completed" true c.o_completed;
+      check_same_outcome
+        (Printf.sprintf "halted arrivals ff=%b" fast_forward)
+        f c)
+    [ true; false ]
+
+(* Never halts: node 0 keeps a message in flight, the others park on
+   staggered deadlines (some beyond the initial window). *)
+module Forever (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let start ctx v =
+    if v = 0 then N.broadcast ctx (M.Int 0);
+    Congest.Compiled.Park (if v = 0 then 1 else 5 + (v * 700))
+
+  let resume ctx v _inbox =
+    if v = 0 then begin
+      N.broadcast ctx (M.Int (N.round ctx));
+      Congest.Compiled.Park 1
+    end
+    else Congest.Compiled.Park (3 + v)
+end
+
+(* A hook exception in round 4 at node 3, after lower ids stepped and
+   while the others (some in the overflow list) stay parked. *)
+module Fails (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let start ctx v =
+    if v = 0 then N.broadcast ctx (M.Int 0);
+    Congest.Compiled.Park (if v >= 5 then 4_000 + v else 1)
+
+  let resume ctx v _inbox =
+    let r = N.round ctx in
+    if r = 4 && v = 3 then raise Exit;
+    if v = 0 then N.broadcast ctx (M.Int r);
+    Congest.Compiled.Park 1
+end
+
+let test_compiled_max_rounds_cut () =
+  let g = Generators.path 8 in
+  List.iter
+    (fun fast_forward ->
+      let what = Printf.sprintf "max_rounds cut ff=%b" fast_forward in
+      let f = fiber_outcome ~max_rounds:37 ~fast_forward g (module Forever) in
+      let pool = C.pool g in
+      let c =
+        compiled_outcome ~max_rounds:37 ~pool ~fast_forward g (module Forever)
+      in
+      check cb (what ^ ": incomplete") false c.o_completed;
+      check_same_outcome what f c;
+      (* The cut left nodes parked in the pool's scheduler. *)
+      let reused = compiled_outcome ~pool ~fast_forward g (module Far_parks) in
+      let fresh = compiled_outcome ~fast_forward g (module Far_parks) in
+      check_same_outcome (what ^ ": next run on the same pool") fresh reused)
+    [ true; false ]
+
+let test_compiled_hook_exception () =
+  let g = Generators.path 8 in
+  List.iter
+    (fun fast_forward ->
+      let what = Printf.sprintf "hook exception ff=%b" fast_forward in
+      let f = fiber_outcome ~fast_forward g (module Fails) in
+      let pool = C.pool g in
+      let c = compiled_outcome ~pool ~fast_forward g (module Fails) in
+      check (Alcotest.option Alcotest.string) (what ^ ": raised")
+        (Some (Printexc.to_string Exit)) c.o_exn;
+      check_same_outcome what f c;
+      let reused = compiled_outcome ~pool ~fast_forward g (module Far_parks) in
+      let fresh = compiled_outcome ~fast_forward g (module Far_parks) in
+      check_same_outcome (what ^ ": next run on the same pool") fresh reused)
+    [ true; false ]
+
+(* The compiled executor allocates nothing per delivery beyond the
+   messages themselves: node 0 sends [count] messages to node 1 on its
+   known edge (no neighbor search), and node 1 reads them all from one
+   inbox.  Doubling [count] on a warm pool may
+   cost at most the extra messages' words (an [M.Int] is 2 words). *)
+let alloc_count = ref 0
+let alloc_sum = ref 0
+let alloc_add _ (M.Int x) = alloc_sum := !alloc_sum + x
+
+let alloc_start ctx v =
+  if v = 0 then
+    for i = 1 to !alloc_count do
+      C.send_port ctx ~dest:1 ~eid:0 (M.Int i)
+    done;
+  C.Park 1
+
+let alloc_resume ctx _ inbox =
+  C.iter_inbox ctx alloc_add inbox;
+  C.Halt
+
+let test_compiled_alloc_per_message () =
+  let g = Generators.path 2 in
+  let pool = C.pool g in
+  let words count =
+    alloc_count := count;
+    alloc_sum := 0;
+    let w0 = Gc.minor_words () in
+    ignore (C.run ~pool g ~start:alloc_start ~resume:alloc_resume);
+    let w = Gc.minor_words () -. w0 in
+    check ci "every message read" (count * (count + 1) / 2) !alloc_sum;
+    w
+  in
+  ignore (words 4_000);
+  let small = words 2_000 and large = words 4_000 in
+  let extra = large -. small in
+  check cb
+    (Printf.sprintf "2000 extra messages cost %.0f words (<= 4000)" extra)
+    true
+    (extra <= 2.0 *. 2_000.)
 
 (* ------------------------------------------------------------------ *)
 (* Million-node substrate: pooled buffers and delay buckets            *)
@@ -1253,6 +1516,8 @@ let () =
         [
           Alcotest.test_case "int_bits" `Quick test_int_bits;
           Alcotest.test_case "id_bits" `Quick test_id_bits;
+          Alcotest.test_case "int_bits matches the per-bit loop" `Quick
+            test_int_bits_matches_loop;
         ] );
       ( "engine",
         [
@@ -1382,5 +1647,18 @@ let () =
           q test_protocols_compiled_differential;
           Alcotest.test_case "kernel Park 0 / Park -3 is one round" `Quick
             test_kernel_park_clamp;
+        ] );
+      ( "compiled-scheduler",
+        [
+          Alcotest.test_case "parks far beyond the wheel" `Quick
+            test_compiled_far_parks;
+          Alcotest.test_case "arrivals at halted nodes" `Quick
+            test_compiled_halted_arrivals;
+          Alcotest.test_case "max_rounds cut leaves nodes parked" `Quick
+            test_compiled_max_rounds_cut;
+          Alcotest.test_case "hook exception, then the same pool" `Quick
+            test_compiled_hook_exception;
+          Alcotest.test_case "no allocation per delivery" `Quick
+            test_compiled_alloc_per_message;
         ] );
     ]

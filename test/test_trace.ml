@@ -257,6 +257,51 @@ let test_fast_forward_invariance () =
         && a.T.messages = b.T.messages ))
     (T.sim_phases t_on) (T.sim_phases t_off)
 
+(* The compiled executor's promise is per event, not per aggregate: the
+   same tester run under --mode fiber and --mode compiled records the
+   same .ctrace view — every ring event in order, the exact totals and
+   the per-phase accounting — with fast-forward on and off, on a planar
+   grid and on a far-from-planar input (Stage I's reject path).  The
+   ring is sized to hold every event, so nothing is compared lossily. *)
+let test_compiled_events_identical () =
+  let grid = Generators.grid 10 10 in
+  let far =
+    Generators.far_from_planar (Random.State.make [| 5 |]) ~n:120 ~eps:0.25
+  in
+  let view mode fast_forward g =
+    let tr =
+      T.create ~config:{ T.default_config with T.capacity = 1 lsl 21 } ()
+    in
+    ignore
+      (Tester.Planarity_tester.run ~mode ~fast_forward ~trace:tr ~seed:1 g
+         ~eps:0.3);
+    T.finish tr;
+    Report.Ctrace.of_trace tr
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun fast_forward ->
+          let tag what = Printf.sprintf "%s ff=%b: %s" name fast_forward what in
+          let f = view Congest.Compiled.Fiber fast_forward g
+          and c = view Congest.Compiled.Compiled fast_forward g in
+          let ev_f = f.Report.Ctrace.events and ev_c = c.Report.Ctrace.events in
+          check ci (tag "ring kept every event") 0
+            f.Report.Ctrace.totals.T.overwritten;
+          check cb (tag "events recorded") true (Array.length ev_f > 0);
+          check ci (tag "event count") (Array.length ev_f) (Array.length ev_c);
+          let first_diff = ref (-1) in
+          Array.iteri
+            (fun i e -> if !first_diff < 0 && e <> ev_c.(i) then first_diff := i)
+            ev_f;
+          check ci (tag "first differing event") (-1) !first_diff;
+          check cb (tag "totals identical") true
+            (f.Report.Ctrace.totals = c.Report.Ctrace.totals);
+          check cb (tag "sim phases identical") true
+            (f.Report.Ctrace.sim_phases = c.Report.Ctrace.sim_phases))
+        [ true; false ])
+    [ ("grid", grid); ("far", far) ]
+
 (* Full stack: the tester threads span/phase labels down through
    Partition.Stage1 and Prims, and the contract survives the trip. *)
 let test_tester_trace_determinism () =
@@ -866,6 +911,8 @@ let () =
             test_fast_forward_invariance;
           Alcotest.test_case "tester threads labels; deterministic" `Quick
             test_tester_trace_determinism;
+          Alcotest.test_case "compiled and fiber events identical" `Quick
+            test_compiled_events_identical;
         ] );
       ( "checkpoint",
         [
