@@ -1648,7 +1648,7 @@ let () =
           Alcotest.test_case "kernel Park 0 / Park -3 is one round" `Quick
             test_kernel_park_clamp;
         ] );
-      ( "compiled-scheduler",
+      ( "scheduler",
         [
           Alcotest.test_case "parks far beyond the wheel" `Quick
             test_compiled_far_parks;
