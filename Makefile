@@ -221,11 +221,15 @@ scale: build
 #   1. byte-identity — the same planartest run under --mode fiber and
 #      --mode compiled must produce cmp-identical stats JSON (a grid, a
 #      far-from-planar input, which takes Stage I's reject path, and an
-#      apollonian triangulation, each with fast-forward on and off), and the same quick bench E1 sweep must produce
-#      cmp-identical BENCH JSON (--no-timings strips the only
-#      legitimately host-dependent fields).  Both modes run the same
-#      protocol kernels, so this holds the fiber adapter to the
-#      compiled executor.
+#      apollonian triangulation, each with fast-forward on and off), and
+#      the same quick bench E1 sweep must produce cmp-identical BENCH
+#      JSON (--no-timings strips the only legitimately host-dependent
+#      fields).  Both modes run the same protocol kernels, so this holds
+#      the fiber adapter to the compiled executor.  Each input also runs
+#      under --domains 4 in both modes, gated by `planarmon compare
+#      --no-wall` against the serial fiber stats JSON: only the members
+#      that echo the domain count (Report.field_class Config) may
+#      differ.
 #   2. the differential property suite under a pinned QCHECK_SEED (the
 #      compiled-vs-fiber invariance property lives in test_prop.exe).
 #   3. the full-size C1 experiment with its throughput gate: grid
@@ -252,6 +256,15 @@ compiled: build
 	  done; \
 	  cmp $(COMPILED_DIR)/$$g$$ff-fiber.json \
 	    $(COMPILED_DIR)/$$g$$ff-compiled.json || exit 1; \
+	done; \
+	for mode in fiber compiled; do \
+	  ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
+	    --eps 0.3 --mode $$mode --domains 4 --log-level warn \
+	    --stats-json $(COMPILED_DIR)/$$g-d4-$$mode.json > /dev/null \
+	    || exit 1; \
+	  ./_build/default/bin/planarmon.exe compare --no-wall \
+	    $(COMPILED_DIR)/$$g-fiber.json \
+	    $(COMPILED_DIR)/$$g-d4-$$mode.json || exit 1; \
 	done; done
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null

@@ -511,10 +511,21 @@ let e4_soundness () =
 
 module S1 = Partition.Stage1
 
+(* Stage I reads its engine settings from the state it runs on. *)
+let s1_state_with ~domains ~mode ~fast_forward g =
+  let st = Partition.State.create g in
+  st.Partition.State.domains <- domains;
+  st.Partition.State.mode <- mode;
+  st.Partition.State.fast_forward <- fast_forward;
+  st
+
+(* A fresh state at this invocation's --domains and --mode. *)
+let s1_state g = s1_state_with ~domains ~mode ~fast_forward:true g
+
 let e5_weight_decay () =
   let n = if quick then 300 else 800 in
   let g = Generators.apollonian (Random.State.make [| 5 |]) n in
-  let r = S1.run ~stop_when_met:false ~domains ~mode g ~eps:0.35 in
+  let r = S1.run ~stop_when_met:false ~state:(s1_state g) g ~eps:0.35 in
   let live, idle =
     List.partition (fun (p : S1.phase_trace) -> p.S1.cut_before > 0) r.S1.phases
   in
@@ -548,7 +559,7 @@ let e5_weight_decay () =
 let e6_diameter_growth () =
   let side = if quick then 16 else 24 in
   let g = Generators.grid side side in
-  let r = S1.run ~stop_when_met:false ~domains ~mode g ~eps:0.4 in
+  let r = S1.run ~stop_when_met:false ~state:(s1_state g) g ~eps:0.4 in
   (* every phase with several parts, then the first single-part one *)
   let single = List.find_opt (fun p -> p.S1.parts = 1) r.S1.phases in
   let rows =
@@ -579,7 +590,7 @@ let e7_cut_quality () =
   let g = Generators.apollonian (Random.State.make [| 6 |]) n in
   let rows =
     parmap
-      (fun eps -> (eps, S1.run ~domains ~mode g ~eps))
+      (fun eps -> (eps, S1.run ~state:(s1_state g) g ~eps))
       [ 0.5; 0.4; 0.3; 0.2; 0.1 ]
   in
   let target eps = eps *. float_of_int (Graph.m g) /. 2.0 in
@@ -604,7 +615,7 @@ let e8_randomized_partition () =
   let g = Generators.grid side side in
   let trials = if quick then 8 else 20 in
   let det =
-    S1.run ~domains ~mode g
+    S1.run ~state:(s1_state g) g
       ~eps:(2.0 *. 0.5 *. float_of_int (Graph.n g) /. float_of_int (Graph.m g))
   in
   let det_cut = Partition.State.cut_edges det.S1.state in
@@ -805,7 +816,7 @@ let e11_minor_free_testers () =
 let e12_emulation_cost () =
   let n = if quick then 300 else 800 in
   let g = Generators.apollonian (Random.State.make [| 9 |]) n in
-  let r = S1.run ~domains ~mode g ~eps:0.3 in
+  let r = S1.run ~state:(s1_state g) g ~eps:0.3 in
   let stats = r.S1.state.Partition.State.stats in
   let module St = Congest.Stats in
   line "n=%d m=%d  phases=%d" (Graph.n g) (Graph.m g) (List.length r.S1.phases);
@@ -918,7 +929,7 @@ let e14_embedding_modes () =
 let a1_selection_rule () =
   let n = if quick then 300 else 600 in
   let g = Generators.apollonian (Random.State.make [| 61 |]) n in
-  let det = S1.run ~domains ~mode g ~eps:0.4 in
+  let det = S1.run ~state:(s1_state g) g ~eps:0.4 in
   let avg_ratio phases =
     let rs =
       List.filter_map
@@ -1041,13 +1052,15 @@ let a3_adaptive_schedule () =
     List.map
       (fun eps ->
         let full fast_forward () =
-          S1.run ~stop_when_met:false ~domains ~mode ~fast_forward g ~eps
+          S1.run ~stop_when_met:false
+            ~state:(s1_state_with ~domains ~mode ~fast_forward g)
+            g ~eps
         in
         let slow, slow_s = time (full false) in
         let f, fast_s = time (full true) in
         gate (same_stage1 slow f)
           "eps %.2f: fast-forward changed the full schedule's stats" eps;
-        (eps, S1.run ~domains ~mode g ~eps, f, slow_s, fast_s))
+        (eps, S1.run ~state:(s1_state g) g ~eps, f, slow_s, fast_s))
       [ 0.5; 0.3 ]
   in
   let schedule head key pick =
@@ -1278,7 +1291,11 @@ let bechamel_section () =
       mk "lr_planarity_n1000" (fun () ->
           ignore (Planarity.Lr.is_planar g_planarity));
       mk "lr_embed_n1000" (fun () -> ignore (Planarity.Lr.embed g_planarity));
-      mk "stage1_n150" (fun () -> ignore (S1.run ~mode g_small ~eps:0.3));
+      mk "stage1_n150" (fun () ->
+          let state =
+            s1_state_with ~domains:1 ~mode ~fast_forward:true g_small
+          in
+          ignore (S1.run ~state g_small ~eps:0.3));
       mk "full_tester_planar_n150" (fun () ->
           ignore (PT.run ~mode g_small ~eps:0.3 ~seed:1));
       mk "full_tester_far_n150" (fun () ->
@@ -1407,8 +1424,9 @@ let c1_compiled_hot_path () =
   let point (family, ff) =
     let g = e1_graph family n in
     let run m () =
-      S1.run ~measure_diameters:false ~domains:1 ~fast_forward:ff ~mode:m g
-        ~eps:0.1
+      S1.run ~measure_diameters:false
+        ~state:(s1_state_with ~domains:1 ~mode:m ~fast_forward:ff g)
+        g ~eps:0.1
     in
     ignore (run Congest.Compiled.Compiled ()) (* warm the allocator *);
     let rf, sf = best_of_3 (run Congest.Compiled.Fiber) in

@@ -29,68 +29,6 @@ module type NET = sig
   val iter_inbox : ctx -> (int -> msg -> unit) -> inbox -> unit
 end
 
-(* Per-mode counters, incremented once per run by whichever engine
-   executed it (the fiber engine references these with label "fiber").
-   Stable: simulated round counts are ff- and domain-invariant. *)
-let m_mode_runs =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Engine runs by execution mode" "congest_mode_runs"
-
-let m_mode_rounds =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Simulated rounds by execution mode" "congest_mode_rounds"
-
-(* The run-level families below are the same ones [Engine] registers —
-   registration is idempotent, so both engines share one set of series
-   and a compiled run is indistinguishable from a serial fiber run in
-   every family except the mode-labelled pair above.  The strings must
-   stay byte-identical to engine.ml's. *)
-let m_runs =
-  Obs.Metrics.counter ~help:"Engine runs completed" "congest_runs"
-
-let m_incomplete_runs =
-  Obs.Metrics.counter
-    ~help:"Engine runs that stopped early (max_rounds, crash culls or \
-           recorded node failures)"
-    "congest_incomplete_runs"
-
-let m_rounds =
-  Obs.Metrics.counter ~help:"Simulated rounds executed" "congest_rounds"
-
-let m_charged_rounds =
-  Obs.Metrics.counter
-    ~help:"Rounds charged to the CONGEST budget (incl. fragmentation frames)"
-    "congest_charged_rounds"
-
-let m_messages =
-  Obs.Metrics.counter ~help:"Messages delivered" "congest_messages"
-
-let m_bits = Obs.Metrics.counter ~help:"Total bits delivered" "congest_bits"
-
-let m_oversized =
-  Obs.Metrics.counter
-    ~help:"Edge-rounds exceeding the bandwidth (fragmented into frames)"
-    "congest_oversized_edges"
-
-let m_ff_rounds =
-  Obs.Metrics.counter ~stable:false
-    ~help:"Quiescent rounds skipped by fast-forward (subset of congest_rounds)"
-    "congest_fast_forwarded_rounds"
-
-let m_faults =
-  Obs.Metrics.counter ~label_names:[ "kind" ]
-    ~help:"Fault-injection firings by kind" "congest_faults"
-
-let m_crashed =
-  Obs.Metrics.counter ~help:"Crash-stop events charged to nodes"
-    "congest_crashed_nodes"
-
-let m_run_wall =
-  Obs.Metrics.counter ~stable:false ~label_names:[ "domains" ]
-    ~help:"Host wall clock spent inside Engine.run, microseconds, by \
-           requested domain count"
-    "congest_run_wall_us"
-
 module type MESSAGE = sig
   type t
 
@@ -380,7 +318,6 @@ module Make (Msg : MESSAGE) = struct
     graph : Graph.t;
     p : pool;
     estats : Stats.t;
-    telemetry : Telemetry.t option;
     ff : bool;
     mutable reject_log : (int * int * string) list;  (* reverse chron. *)
     mutable current_round : int;
@@ -447,13 +384,10 @@ module Make (Msg : MESSAGE) = struct
   let run ?bandwidth ?(max_rounds = 1_000_000) ?telemetry ?trace
       ?(fast_forward = true) ?on_round ?pool:opool g ~start ~resume =
     let n = Graph.n g in
-    let m_t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-    let bw =
-      match bandwidth with Some b -> b | None -> Bits.default_bandwidth n
+    let acct =
+      Account.create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g
     in
-    (match trace with
-    | Some tr -> Trace.set_meta tr ~n ~m:(Graph.m g) ~bandwidth:bw
-    | None -> ());
+    let bw = (Account.stats acct).Stats.bandwidth in
     let p, owned =
       match opool with
       | Some p when p.pgraph == g && not p.in_use ->
@@ -472,8 +406,7 @@ module Make (Msg : MESSAGE) = struct
       {
         graph = g;
         p;
-        estats = Stats.create ~bandwidth:bw;
-        telemetry;
+        estats = Account.stats acct;
         ff = fast_forward;
         reject_log = [];
         current_round = 0;
@@ -482,8 +415,6 @@ module Make (Msg : MESSAGE) = struct
     let ctx = { cur = -1; eng } in
     let wake = p.wake and where = p.where and due = p.due in
     let live = ref 0 in  (* parked nodes *)
-    let completed = ref true in
-    let running = ref true in
     (* Resume/park trace events, predicted before/after the step loop in
        ascending id order — the same two-pass shape as the fiber
        engine's prescan/postscan, so the fiber event stream is
@@ -533,7 +464,8 @@ module Make (Msg : MESSAGE) = struct
     in
     let one_round () =
       eng.estats.Stats.rounds <- eng.estats.Stats.rounds + 1;
-      eng.current_round <- eng.current_round + 1;
+      (* The clock follows [Stats.rounds], which also moves by skips. *)
+      eng.current_round <- eng.estats.Stats.rounds;
       let r = eng.current_round in
       let round_bits = ref 0 and round_msgs = ref 0 in
       let nd = ref 0 in
@@ -670,17 +602,12 @@ module Make (Msg : MESSAGE) = struct
           !c
         end
       in
-      (match eng.telemetry with
-      | Some tel ->
-          Telemetry.tick tel ~stepped ~domains:1 ~bits:!round_bits
-            ~frames:!max_frames ~messages:!round_msgs
-      | None -> ());
       (match trace with
-      | Some tr ->
-          trace_postscan tr nd ~failed;
-          Trace.round_tick tr ~round:r ~bits:!round_bits ~frames:!max_frames
-            ~messages:!round_msgs ~stepped
+      | Some tr -> trace_postscan tr nd ~failed
       | None -> ());
+      Account.close_round acct ~stepped ~domains:1 ~dropped:0 ~duplicated:0
+        ~delayed:0 ~crashed:0 ~bits:!round_bits ~frames:!max_frames
+        ~messages:!round_msgs;
       (* A hook exception aborts after the round's accounting — the same
          point the fiber engine's propagate mode re-raises (after the
          telemetry tick and trace emission, before the inbox recycle;
@@ -693,105 +620,47 @@ module Make (Msg : MESSAGE) = struct
       p.receivers_len <- 0;
       p.ib_len <- 0
     in
-    let maybe_fast_forward () =
-      if eng.ff && p.senders_len = 0 then begin
-        let delta = next_deadline p (eng.current_round + 1) in
-        let delta = delta - eng.current_round - 1 in
-        let budget = max_rounds - eng.estats.Stats.rounds in
-        let delta = if delta > budget then budget else delta in
-        if delta > 0 then begin
-          eng.estats.Stats.rounds <- eng.estats.Stats.rounds + delta;
-          eng.estats.Stats.charged_rounds <-
-            eng.estats.Stats.charged_rounds + delta;
-          eng.estats.Stats.fast_forwarded_rounds <-
-            eng.estats.Stats.fast_forwarded_rounds + delta;
-          eng.current_round <- eng.current_round + delta;
-          (match eng.telemetry with
-          | Some tel -> Telemetry.fast_forward tel ~rounds:delta
-          | None -> ());
+    let completed =
+      Account.guard acct
+        ~release:(fun () -> if owned then p.in_use <- false)
+        (fun () ->
+          (* Start phase: ascending id order, no telemetry tick — like the
+             fiber engine's start-up. *)
+          for v = 0 to n - 1 do
+            ctx.cur <- v;
+            match start ctx v with
+            | Park k ->
+                park p ~now:0 v (max 1 k);
+                incr live
+            | Halt -> ()
+          done;
           (match trace with
           | Some tr ->
-              Trace.fast_forward tr ~round:(eng.current_round - delta)
-                ~rounds:delta
+              (* Initial parks; with fast-forward off the fiber baseline's
+                 first suspension is always [Suspend 1], deadline round 1. *)
+              for v = 0 to n - 1 do
+                if Bytes.unsafe_get where v <> '\000' then
+                  Trace.fiber_park tr ~round:0 ~node:v
+                    ~wake:(if eng.ff then wake.(v) else 1)
+              done
           | None -> ());
-          (* Host-side observer, same contract as the fiber engine's. *)
-          match on_round with Some f -> f delta | None -> ()
-        end
-      end
+          (* Skip target: the nearest non-empty deadline bucket. *)
+          let completed =
+            Account.drive acct
+              ~live:(fun () -> !live > 0)
+              ~wake:(fun () ->
+                if eng.ff && p.senders_len = 0 then
+                  next_deadline p (eng.current_round + 1)
+                else max_int)
+              ~step:one_round
+          in
+          if !live = 0 then p.dirty <- false;
+          completed)
     in
-    (try
-       (* Start phase: ascending id order, no telemetry tick — like the
-          fiber engine's start-up. *)
-       for v = 0 to n - 1 do
-         ctx.cur <- v;
-         match start ctx v with
-         | Park k ->
-             park p ~now:0 v (max 1 k);
-             incr live
-         | Halt -> ()
-       done;
-       (match trace with
-       | Some tr ->
-           (* Initial parks; with fast-forward off the fiber baseline's
-              first suspension is always [Suspend 1], deadline round 1. *)
-           for v = 0 to n - 1 do
-             if Bytes.unsafe_get where v <> '\000' then
-               Trace.fiber_park tr ~round:0 ~node:v
-                 ~wake:(if eng.ff then wake.(v) else 1)
-           done
-       | None -> ());
-       while !running && !live > 0 do
-         if eng.estats.Stats.rounds >= max_rounds then begin
-           running := false;
-           completed := false
-         end
-         else begin
-           maybe_fast_forward ();
-           if eng.estats.Stats.rounds >= max_rounds then begin
-             running := false;
-             completed := false
-           end
-           else begin
-             one_round ();
-             match on_round with Some f -> f 1 | None -> ()
-           end
-         end
-       done;
-       if !live = 0 then p.dirty <- false;
-       if owned then p.in_use <- false;
-       match trace with
-       | Some tr -> Trace.run_end tr ~rounds:eng.current_round
-       | None -> ()
-     with e ->
-       if owned then p.in_use <- false;
-       (match trace with
-       | Some tr -> Trace.run_end tr ~rounds:eng.current_round
-       | None -> ());
-       raise e);
-    if Obs.Metrics.enabled () then begin
-      let s = eng.estats in
-      Obs.Metrics.inc m_runs;
-      if not !completed then Obs.Metrics.inc m_incomplete_runs;
-      Obs.Metrics.inc ~by:s.Stats.rounds m_rounds;
-      Obs.Metrics.inc ~by:s.Stats.charged_rounds m_charged_rounds;
-      Obs.Metrics.inc ~by:s.Stats.messages m_messages;
-      Obs.Metrics.inc ~by:s.Stats.total_bits m_bits;
-      Obs.Metrics.inc ~by:s.Stats.oversized m_oversized;
-      Obs.Metrics.inc ~by:s.Stats.fast_forwarded_rounds m_ff_rounds;
-      Obs.Metrics.inc ~labels:[ "dropped" ] ~by:s.Stats.dropped m_faults;
-      Obs.Metrics.inc ~labels:[ "duplicated" ] ~by:s.Stats.duplicated m_faults;
-      Obs.Metrics.inc ~labels:[ "delayed" ] ~by:s.Stats.delayed m_faults;
-      Obs.Metrics.inc ~by:s.Stats.crashed_nodes m_crashed;
-      Obs.Metrics.inc ~labels:[ "compiled" ] m_mode_runs;
-      Obs.Metrics.inc ~labels:[ "compiled" ] ~by:s.Stats.rounds m_mode_rounds;
-      let dt_us =
-        int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6) |> max 0
-      in
-      Obs.Metrics.inc ~labels:[ "1" ] ~by:dt_us m_run_wall
-    end;
+    Account.finish acct ~mode:"compiled" ~wall:"1" ~completed;
     {
       rejections = List.rev eng.reject_log;
       stats = eng.estats;
-      completed = !completed;
+      completed;
     }
 end

@@ -31,9 +31,14 @@
     {!Stats.t} and {!Telemetry} output byte-identical to the fiber engine
     at the same [fast_forward] setting: the delivery order (ascending
     sender, reverse send order within a sender), the inbox construction,
-    bandwidth charging ([max_edge_bits], [oversized], frame counts), round
-    and fast-forward accounting, and the per-round telemetry ticks all
-    replicate {!Engine}'s serial half exactly.  With fast-forward off the
+    bandwidth charging ([max_edge_bits], [oversized], frame counts)
+    replicate {!Engine}'s serial half exactly, and round and
+    fast-forward accounting, telemetry ticks, the [max_rounds] cut-off
+    and the run-level [congest_*] metrics are not replicated at all:
+    both executors call the one {!Account}, so a compiled run differs
+    from a serial fiber run in no metric family but the mode-labelled
+    [congest_mode_runs]/[congest_mode_rounds] pair, and there by the
+    label only.  With fast-forward off the
     fiber baseline resumes every waiting fiber every round; compiled
     execution still steps only the due nodes but counts every parked one
     as stepped, as that baseline does.  The differential suite in
@@ -72,16 +77,6 @@ val mode_to_string : mode -> string
 
 (** Accepted spellings: ["fiber"], ["compiled"]. *)
 val mode_of_string : string -> mode option
-
-(** Per-mode run counters, shared by both engines: the fiber engine
-    increments them with label ["fiber"], compiled runs with
-    ["compiled"].  Stable — simulated round counts are ff- and
-    domain-invariant — so they appear in the metrics stable projection;
-    they are the one family where a fiber-mode and a compiled-mode run of
-    the same workload differ (by the mode label only, never the values). *)
-val m_mode_runs : Obs.Metrics.counter
-
-val m_mode_rounds : Obs.Metrics.counter
 
 (** What a node does next, returned by a kernel's [start] / [resume]
     hooks: [Park k] re-enters the node at the first round with a non-empty

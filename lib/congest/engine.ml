@@ -12,61 +12,6 @@ exception Stopped
    escapes this module. *)
 exception Shard_stop
 
-(* Run-level metrics, recorded once per [run] from the coordinator after
-   the last round — never on the per-round hot path.  Everything marked
-   stable is a pure function of (program, graph, seed, faults): the same
-   numbers for any [?domains] and for fast-forward on/off, per the PR 2
-   determinism contract.  Registration is idempotent, so every
-   [Make] instantiation shares the same families. *)
-let m_runs =
-  Obs.Metrics.counter ~help:"Engine runs completed" "congest_runs"
-
-let m_incomplete_runs =
-  Obs.Metrics.counter
-    ~help:"Engine runs that stopped early (max_rounds, crash culls or \
-           recorded node failures)"
-    "congest_incomplete_runs"
-
-let m_rounds =
-  Obs.Metrics.counter ~help:"Simulated rounds executed" "congest_rounds"
-
-let m_charged_rounds =
-  Obs.Metrics.counter
-    ~help:"Rounds charged to the CONGEST budget (incl. fragmentation frames)"
-    "congest_charged_rounds"
-
-let m_messages =
-  Obs.Metrics.counter ~help:"Messages delivered" "congest_messages"
-
-let m_bits = Obs.Metrics.counter ~help:"Total bits delivered" "congest_bits"
-
-let m_oversized =
-  Obs.Metrics.counter
-    ~help:"Edge-rounds exceeding the bandwidth (fragmented into frames)"
-    "congest_oversized_edges"
-
-let m_ff_rounds =
-  (* Not stable: the whole point of this counter is to differ between
-     fast-forward on and off (it counts the skipped spans), so it cannot
-     be part of the ff-invariant projection. *)
-  Obs.Metrics.counter ~stable:false
-    ~help:"Quiescent rounds skipped by fast-forward (subset of congest_rounds)"
-    "congest_fast_forwarded_rounds"
-
-let m_faults =
-  Obs.Metrics.counter ~label_names:[ "kind" ]
-    ~help:"Fault-injection firings by kind" "congest_faults"
-
-let m_crashed =
-  Obs.Metrics.counter ~help:"Crash-stop events charged to nodes"
-    "congest_crashed_nodes"
-
-let m_run_wall =
-  Obs.Metrics.counter ~stable:false ~label_names:[ "domains" ]
-    ~help:"Host wall clock spent inside Engine.run, microseconds, by \
-           requested domain count"
-    "congest_run_wall_us"
-
 (* Memory-substrate gauges, set at every pool creation (the M1 gate reads
    them after a run): analytic bytes of the vertex- and edge-indexed
    arrays at creation time — a pure function of (n, m), hence stable. *)
@@ -438,7 +383,6 @@ module Make (Msg : MESSAGE) = struct
     seed : int;
     p : pool;
     estats : Stats.t;
-    telemetry : Telemetry.t option;
     ff : bool;  (* park fibers across rounds + skip quiescent spans *)
     mutable reject_log : (int * int * string) list;
         (* (round, node, reason), reverse chronological *)
@@ -698,13 +642,10 @@ module Make (Msg : MESSAGE) = struct
       ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
       ?on_round ?(on_error = `Propagate) ?pool:opool g program =
     let n = Graph.n g in
-    let m_t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-    let bw =
-      match bandwidth with Some b -> b | None -> Bits.default_bandwidth n
+    let acct =
+      Account.create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g
     in
-    (match trace with
-    | Some tr -> Trace.set_meta tr ~n ~m:(Graph.m g) ~bandwidth:bw
-    | None -> ());
+    let bw = (Account.stats acct).Stats.bandwidth in
     let d_req = if domains < 1 then 1 else domains in
     let record_errors = on_error = `Record in
     (* Fault layer.  All decisions happen during delivery — the serial,
@@ -744,8 +685,7 @@ module Make (Msg : MESSAGE) = struct
         graph = g;
         seed;
         p;
-        estats = Stats.create ~bandwidth:bw;
-        telemetry;
+        estats = Account.stats acct;
         ff = fast_forward;
         reject_log = [];
         fail_log = [];
@@ -1103,9 +1043,7 @@ module Make (Msg : MESSAGE) = struct
        Updated after every phase, it both gates fast-forward and bounds
        how far it may jump. *)
     let min_wake = ref max_int in
-    let completed = ref true in
     let culled = ref 0 in
-    let running = ref true in
     (* Fiber resume/park trace events are predicted on the coordinating
        domain, never recorded from workers: before a step phase, scan the
        live worklist with the exact resume predicate [step_range] uses
@@ -1154,7 +1092,8 @@ module Make (Msg : MESSAGE) = struct
     in
     let one_round () =
       eng.estats.Stats.rounds <- eng.estats.Stats.rounds + 1;
-      eng.current_round <- eng.current_round + 1;
+      (* The clock follows [Stats.rounds], which also moves by skips. *)
+      eng.current_round <- eng.estats.Stats.rounds;
       let round_bits = ref 0 and round_msgs = ref 0 in
       let round_dropped = ref 0
       and round_duplicated = ref 0
@@ -1434,19 +1373,14 @@ module Make (Msg : MESSAGE) = struct
         match trace with Some tr -> trace_prescan tr | None -> 0
       in
       let nd_used = run_phase ~start:false !live_len in
-      (match eng.telemetry with
-      | Some tel ->
-          Telemetry.tick tel ~stepped:(total_stepped nd_used) ~domains:nd_used
-            ~dropped:!round_dropped ~duplicated:!round_duplicated
-            ~delayed:!round_delayed ~crashed:!round_crashed ~bits:!round_bits
-            ~frames:!max_frames ~messages:!round_msgs
-      | None -> ());
+      let stepped = total_stepped nd_used in
+      (match trace with Some tr -> trace_postscan tr fib_cnt | None -> ());
+      Account.close_round acct ~stepped ~domains:nd_used
+        ~dropped:!round_dropped ~duplicated:!round_duplicated
+        ~delayed:!round_delayed ~crashed:!round_crashed ~bits:!round_bits
+        ~frames:!max_frames ~messages:!round_msgs;
       (match trace with
       | Some tr ->
-          trace_postscan tr fib_cnt;
-          let stepped = total_stepped nd_used in
-          Trace.round_tick tr ~round:eng.current_round ~bits:!round_bits
-            ~frames:!max_frames ~messages:!round_msgs ~stepped;
           if nd_used > 1 then begin
             let mx = ref 0 in
             for d = 0 to nd_used - 1 do
@@ -1487,130 +1421,86 @@ module Make (Msg : MESSAGE) = struct
       p.receivers_len <- 0;
       p.ib_len <- 0
     in
-    (* Quiescent-round fast-forward: with no frame in flight anywhere and
-       every live fiber parked on a wake round strictly in the future, the
-       next [min_wake - current_round - 1] rounds are provably empty —
-       deliver nothing, charge one frame, resume nobody.  Advance the
-       counters in O(1) instead of simulating them; the round in which the
-       earliest waiter expires is still simulated normally.  Nominal and
-       charged accounting are exactly what the stepped rounds would have
-       produced. *)
-    let maybe_fast_forward () =
-      (* Under faults, a deferred message's due round bounds the skip just
-         like the earliest waiter does: the round a delayed frame lands in
-         must be simulated.  (Crash windows need no extra cap: a frozen
-         node's effective wake already accounts for its recovery, and
-         crash events landing in a skipped quiescent span are observably
-         identical to the unskipped execution.) *)
-      let wake_target = if !dq_min < !min_wake then !dq_min else !min_wake in
-      if fast_forward && pending_sends () = 0 && wake_target < max_int then begin
-        let delta = wake_target - eng.current_round - 1 in
-        let budget = max_rounds - eng.estats.Stats.rounds in
-        let delta = if delta > budget then budget else delta in
-        if delta > 0 then begin
-          eng.estats.Stats.rounds <- eng.estats.Stats.rounds + delta;
-          eng.estats.Stats.charged_rounds <-
-            eng.estats.Stats.charged_rounds + delta;
-          eng.estats.Stats.fast_forwarded_rounds <-
-            eng.estats.Stats.fast_forwarded_rounds + delta;
-          eng.current_round <- eng.current_round + delta;
-          (match eng.telemetry with
-          | Some tel -> Telemetry.fast_forward tel ~rounds:delta
-          | None -> ());
+    let completed =
+      Account.guard acct
+        ~release:(fun () ->
+          (* Every fiber still parked — a node suspended when [max_rounds]
+             hit, or a crash-stopped node culled from the live list — is
+             discontinued here so finalizers run (a no-op on a clean exit:
+             [conts] is already all-[None]). *)
+          finalize ();
+          release_team ();
+          if owned then p.in_use <- false)
+        (fun () ->
+          let (_ : int) = run_phase ~start:true n in
+          check_failures ();
+          merge_failures ();
+          merge_rejects ();
+          live_len := 0;
+          min_wake := max_int;
+          for v = 0 to n - 1 do
+            if conts.(v) != none_k then begin
+              live.(!live_len) <- v;
+              incr live_len;
+              if p.wake.(v) < !min_wake then min_wake := p.wake.(v)
+            end
+          done;
           (match trace with
           | Some tr ->
-              Trace.fast_forward tr ~round:(eng.current_round - delta)
-                ~rounds:delta
+              for i = 0 to !live_len - 1 do
+                let v = live.(i) in
+                Trace.fiber_park tr ~round:0 ~node:v ~wake:p.wake.(v)
+              done
           | None -> ());
-          (* Host-side observer; runs on the coordinator in a quiescent
-             span, after all accounting for the skip is settled. *)
-          match on_round with Some f -> f delta | None -> ()
-        end
-      end
+          (* Quiescent-round fast-forward: with no frame in flight anywhere
+             and every live fiber parked on a wake round strictly in the
+             future, the rounds before the earliest wake are provably
+             empty.  Under faults, a deferred message's due round bounds
+             the skip just like the earliest waiter does: the round a
+             delayed frame lands in must be simulated.  (Crash windows
+             need no extra cap: a frozen node's effective wake already
+             accounts for its recovery, and crash events landing in a
+             skipped quiescent span are observably identical to the
+             unskipped execution.) *)
+          let completed =
+            Account.drive acct
+              ~live:(fun () -> !live_len > 0)
+              ~wake:(fun () ->
+                if fast_forward && pending_sends () = 0 then
+                  if !dq_min < !min_wake then !dq_min else !min_wake
+                else max_int)
+              ~step:one_round
+          in
+          (* A final skip moved only [Stats.rounds]. *)
+          eng.current_round <- eng.estats.Stats.rounds;
+          (* Crash events inside a span the final fast-forward jumped over
+             were never seen by [one_round]; count them now (before
+             [finalize] kills the fibers the liveness check reads) so the
+             tally matches a round-by-round execution. *)
+          if has_crash then
+            while
+              !crash_start_i < Array.length crash_starts
+              && fst crash_starts.(!crash_start_i) <= eng.current_round
+            do
+              let r, v = crash_starts.(!crash_start_i) in
+              if conts.(v) != none_k then begin
+                eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
+                match trace with
+                | Some tr ->
+                    Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v
+                      ~dest:v ~edge:(-1)
+                      ~info:(if crash_until.(v) = max_int then -1
+                             else crash_until.(v) - r)
+                | None -> ()
+              end;
+              incr crash_start_i
+            done;
+          completed && !culled = 0 && eng.fail_log = [])
     in
-    (try
-       let (_ : int) = run_phase ~start:true n in
-       check_failures ();
-       merge_failures ();
-       merge_rejects ();
-       live_len := 0;
-       min_wake := max_int;
-       for v = 0 to n - 1 do
-         if conts.(v) != none_k then begin
-           live.(!live_len) <- v;
-           incr live_len;
-           if p.wake.(v) < !min_wake then min_wake := p.wake.(v)
-         end
-       done;
-       (match trace with
-       | Some tr ->
-           for i = 0 to !live_len - 1 do
-             let v = live.(i) in
-             Trace.fiber_park tr ~round:0 ~node:v ~wake:p.wake.(v)
-           done
-       | None -> ());
-       while !running && !live_len > 0 do
-         if eng.estats.Stats.rounds >= max_rounds then begin
-           running := false;
-           completed := false
-         end
-         else begin
-           maybe_fast_forward ();
-           if eng.estats.Stats.rounds >= max_rounds then begin
-             running := false;
-             completed := false
-           end
-           else begin
-             one_round ();
-             match on_round with Some f -> f 1 | None -> ()
-           end
-         end
-       done;
-       (* Crash events inside a span the final fast-forward jumped over
-          were never seen by [one_round]; count them now (before
-          [finalize] kills the fibers the liveness check reads) so the
-          tally matches a round-by-round execution. *)
-       if has_crash then
-         while
-           !crash_start_i < Array.length crash_starts
-           && fst crash_starts.(!crash_start_i) <= eng.current_round
-         do
-           let r, v = crash_starts.(!crash_start_i) in
-           if conts.(v) != none_k then begin
-             eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
-             match trace with
-             | Some tr ->
-                 Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v ~dest:v
-                   ~edge:(-1)
-                   ~info:(if crash_until.(v) = max_int then -1
-                          else crash_until.(v) - r)
-             | None -> ()
-           end;
-           incr crash_start_i
-         done;
-       (* Every fiber still parked — a node suspended when [max_rounds]
-          hit, or a crash-stopped node culled from the live list — is
-          discontinued here so finalizers run (a no-op on a clean exit:
-          [conts] is already all-[None]). *)
-       finalize ();
-       release_team ();
-       if owned then p.in_use <- false;
-       match trace with
-       | Some tr -> Trace.run_end tr ~rounds:eng.current_round
-       | None -> ()
-     with e ->
-       finalize ();
-       release_team ();
-       if owned then p.in_use <- false;
-       (match trace with
-       | Some tr -> Trace.run_end tr ~rounds:eng.current_round
-       | None -> ());
-       raise e);
-    if !culled > 0 || eng.fail_log <> [] then completed := false;
     (* Post-condition: a completed run has an output at every node.  A
        node that silently dropped out of the run is an engine bug, never
        a result. *)
-    if !completed then
+    if completed then
       Array.iteri
         (fun v o ->
           if Option.is_none o then
@@ -1618,33 +1508,12 @@ module Make (Msg : MESSAGE) = struct
               (Printf.sprintf
                  "Engine.run: run completed but node %d has no output" v))
         outputs;
-    if Obs.Metrics.enabled () then begin
-      let s = eng.estats in
-      Obs.Metrics.inc m_runs;
-      if not !completed then Obs.Metrics.inc m_incomplete_runs;
-      Obs.Metrics.inc ~by:s.Stats.rounds m_rounds;
-      Obs.Metrics.inc ~by:s.Stats.charged_rounds m_charged_rounds;
-      Obs.Metrics.inc ~by:s.Stats.messages m_messages;
-      Obs.Metrics.inc ~by:s.Stats.total_bits m_bits;
-      Obs.Metrics.inc ~by:s.Stats.oversized m_oversized;
-      Obs.Metrics.inc ~by:s.Stats.fast_forwarded_rounds m_ff_rounds;
-      Obs.Metrics.inc ~labels:[ "dropped" ] ~by:s.Stats.dropped m_faults;
-      Obs.Metrics.inc ~labels:[ "duplicated" ] ~by:s.Stats.duplicated m_faults;
-      Obs.Metrics.inc ~labels:[ "delayed" ] ~by:s.Stats.delayed m_faults;
-      Obs.Metrics.inc ~by:s.Stats.crashed_nodes m_crashed;
-      Obs.Metrics.inc ~labels:[ "fiber" ] Compiled.m_mode_runs;
-      Obs.Metrics.inc ~labels:[ "fiber" ] ~by:s.Stats.rounds
-        Compiled.m_mode_rounds;
-      let dt_us =
-        int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6) |> max 0
-      in
-      Obs.Metrics.inc ~labels:[ string_of_int d_req ] ~by:dt_us m_run_wall
-    end;
+    Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
     {
       outputs;
       rejections = List.rev eng.reject_log;
       failures = List.rev eng.fail_log;
       stats = eng.estats;
-      completed = !completed;
+      completed;
     }
 end

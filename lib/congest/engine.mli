@@ -65,6 +65,14 @@
     the earliest waiter expires is always simulated normally, so nominal
     and charged accounting are unchanged.
 
+    {b Run accounting.}  What a run counts is not this module's: the
+    {!Stats.t} record, the per-round telemetry tick and trace round
+    tick, the fast-forward skip, the [max_rounds] round driver, the
+    trace's run end and the run-level [congest_*] metrics all live in
+    {!Account}, which {!Compiled} shares.  This module keeps the
+    stepping, delivery, per-edge bandwidth charging and the event-level
+    trace records (messages, faults, fiber resume/park, shards).
+
     {b Fault injection.}  [run ?faults] consults a {!Faults.policy} at
     delivery time — the serial, deterministically ordered half of a round
     — to drop, duplicate, delay or truncate individual messages and to
@@ -238,10 +246,10 @@ module Make (Msg : MESSAGE) : sig
       @param max_rounds safety limit; exceeding it stops the run with
              [completed = false].  Fast-forwarded spans are capped so the
              run stops at exactly [max_rounds] simulated rounds.
-      @param telemetry when given, one {!Telemetry.tick} is recorded per
-             simulated round (bits, frames, messages, fibers stepped,
-             domains used); fast-forwarded rounds are recorded through
-             {!Telemetry.fast_forward}.
+      @param telemetry when given, {!Account} records one
+             {!Telemetry.tick} per simulated round (bits, frames,
+             messages, fibers stepped, domains used); fast-forwarded
+             rounds are recorded through {!Telemetry.fast_forward}.
       @param trace when given, typed per-event records (message
              deliveries, fault firings, fiber resume/park, fast-forward
              spans, per-round accounting, domain-shard boundaries) are

@@ -164,8 +164,8 @@ let restore_into dst ~from =
   dst.cur <- c.cur;
   dst.closed <- c.closed
 
-let tick ?(stepped = 0) ?(domains = 1) ?(dropped = 0) ?(duplicated = 0)
-    ?(delayed = 0) ?(crashed = 0) t ~bits ~frames ~messages =
+let tick t ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed ~bits
+    ~frames ~messages =
   let p = t.cur in
   p.rounds <- p.rounds + 1;
   p.frames <- p.frames + frames;
@@ -193,7 +193,8 @@ let fast_forward t ~rounds =
      nodes stepped.  The per-phase aggregates and series therefore stay
      byte-identical whether or not fast-forwarding fired. *)
   for _ = 1 to rounds do
-    tick t ~bits:0 ~frames:1 ~messages:0
+    tick t ~stepped:0 ~domains:1 ~dropped:0 ~duplicated:0 ~delayed:0
+      ~crashed:0 ~bits:0 ~frames:1 ~messages:0
   done
 
 type phase_view = {

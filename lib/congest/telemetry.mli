@@ -59,23 +59,24 @@ val copy : t -> t
     kept. *)
 val restore_into : t -> from:t -> unit
 
-(** [tick t ~bits ~frames ~messages] records one simulated round:
-    [bits] delivered in total, [frames] charged for the most loaded
-    directed edge (>= 1), [messages] delivered.  Called by the engine.
-    [stepped] is the number of node fibers actually resumed this round
-    (defaults to 0 for callers that do not track it); [domains] is the
-    number of domains that participated in stepping the round (1 when
-    the round ran serially).  [dropped] / [duplicated] / [delayed] /
-    [crashed] record fault-layer events charged to this round (all
-    default to 0; see {!Faults}). *)
+(** [tick t ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed
+    ~bits ~frames ~messages] records one simulated round: [bits]
+    delivered in total, [frames] charged for the most loaded directed
+    edge (>= 1), [messages] delivered.  Called once per round by
+    {!Account}.  [stepped] is the number of nodes actually resumed this
+    round; [domains] is the number of domains that participated in
+    stepping the round (1 when the round ran serially).  [dropped] /
+    [duplicated] / [delayed] / [crashed] record fault-layer events
+    charged to this round (see {!Faults}).  Every argument is required,
+    so a tick allocates nothing. *)
 val tick :
-  ?stepped:int ->
-  ?domains:int ->
-  ?dropped:int ->
-  ?duplicated:int ->
-  ?delayed:int ->
-  ?crashed:int ->
   t ->
+  stepped:int ->
+  domains:int ->
+  dropped:int ->
+  duplicated:int ->
+  delayed:int ->
+  crashed:int ->
   bits:int ->
   frames:int ->
   messages:int ->

@@ -83,19 +83,10 @@ let nominal_phase_rounds ~n ~phase =
   (fd + cv + merge_steps) * per_step
 
 let run ?(alpha = 3) ?(stop_when_met = true) ?(measure_diameters = true)
-    ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
-    ?(mode = Congest.Compiled.Fiber) ?on_round ?state ?resume ?on_phase g ~eps
-    =
+    ?state ?resume ?on_phase g ~eps =
   if not (eps > 0.0 && eps < 1.0) then invalid_arg "Stage1.run: eps in (0,1)";
   let st = match state with Some st -> st | None -> State.create g in
-  st.State.telemetry <- telemetry;
-  st.State.trace <- trace;
-  st.State.domains <- domains;
-  st.State.fast_forward <- fast_forward;
-  st.State.faults <- faults;
-  st.State.mode <- mode;
-  st.State.on_round <- on_round;
-  let faults_active = Congest.Faults.active faults in
+  let faults_active = Congest.Faults.active st.State.faults in
   let n = Graph.n g and m = Graph.m g in
   let target = eps *. float_of_int m /. 2.0 in
   let t = phases_for ~eps ~alpha in
@@ -112,12 +103,7 @@ let run ?(alpha = 3) ?(stop_when_met = true) ?(measure_diameters = true)
   let degraded = ref None in
   (try
      while (not !stop) && !phase <= t do
-       let phase_label = Printf.sprintf "stage1-phase-%d" !phase in
-       Option.iter
-         (fun tel -> Congest.Telemetry.phase tel phase_label)
-         telemetry;
-       Option.iter (fun tr -> Congest.Trace.phase tr phase_label) trace;
-       Obs.Log.set_context ~phase:phase_label ();
+       State.phase st (Printf.sprintf "stage1-phase-%d" !phase);
        let rounds_before = st.State.stats.Congest.Stats.rounds in
        let cut_before = State.cut_edges st in
        Prims.refresh_roots st;

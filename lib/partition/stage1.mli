@@ -49,37 +49,17 @@ val phases_for : eps:float -> alpha:int -> int
     @param measure_diameters compute each phase's exact maximum part
            diameter for the trace (default [true]; all-pairs BFS per part
            — disable on large inputs, the trace then records [-1]).
-    @param telemetry record a per-round series for every engine run, with
-           one {!Congest.Telemetry} phase per partition phase
-           (["stage1-phase-<i>"]).
-    @param trace record typed per-event data for every engine run (see
-           {!Congest.Trace}), with one trace phase per partition phase
-           (same ["stage1-phase-<i>"] labels as telemetry) and one span
-           per primitive.
-    @param domains shard every engine run's node stepping across this many
-           OCaml domains (default 1; the result is identical for any
-           value — see {!Congest.Engine}).
-    @param fast_forward skip provably quiescent rounds in O(1) (default
-           [true]; accounting is identical either way — disable only to
-           measure the optimisation).
-    @param faults inject a deterministic fault schedule into every engine
-           run (see {!Congest.Faults}).  A fault-broken execution returns
-           with [degraded = Some _] instead of raising; rejections found
-           under faults are not trustworthy evidence.
-    @param on_round host-side observer forwarded to every engine run (see
-           {!Congest.Engine.Make.run}): [f 1] per stepped round,
-           [f delta] per fast-forwarded span.  Must not touch simulated
-           state; drives {!Obs.Heartbeat} ticks.
-    @param mode executor for the lockstep primitives' kernels (default
-           [Fiber]): [Compiled] runs them as fiber-free array passes when
-           no faults are attached, with byte-identical results, Stats and
-           Telemetry (see {!Congest.Compiled}).
-    @param state run on this pre-built {!State.t} instead of
-           [State.create g] — the resume half of checkpointing (restore a
-           state with {!State.restore}, then pass it here together with
-           [?resume]).  The observer fields of [state] are overwritten
-           from this call's [?telemetry]/[?trace]/[?domains]/
-           [?fast_forward]/[?faults] arguments as usual.
+    @param state run on this {!State.t} instead of [State.create g].
+           The state is the one carrier of the run's settings: every
+           engine run reads its telemetry and trace recorders, domain
+           count, fast-forward switch, fault policy, executor mode and
+           [on_round] observer from it (the {!State.create} defaults —
+           no recorders, serial, fast-forward on, no faults, [Fiber] —
+           when omitted), and each partition phase opens a
+           ["stage1-phase-<i>"] phase on its recorders ({!State.phase}).
+           It is also the resume half of checkpointing: restore a state
+           with {!State.restore}, configure it, then pass it here
+           together with [?resume].
     @param resume [(next_phase, phases_rev)]: start the phase loop at
            [next_phase] (1-based) with the reverse-chronological phase
            traces accumulated so far — exactly the pair an [?on_phase]
@@ -97,13 +77,6 @@ val run :
   ?alpha:int ->
   ?stop_when_met:bool ->
   ?measure_diameters:bool ->
-  ?telemetry:Congest.Telemetry.t ->
-  ?trace:Congest.Trace.t ->
-  ?domains:int ->
-  ?fast_forward:bool ->
-  ?faults:Congest.Faults.policy ->
-  ?mode:Congest.Compiled.mode ->
-  ?on_round:(int -> unit) ->
   ?state:State.t ->
   ?resume:int * phase_trace list ->
   ?on_phase:(int -> phase_trace list -> unit) ->

@@ -126,6 +126,11 @@ let cmp_pool st =
       st.cpool <- Some p;
       p
 
+let phase st label =
+  Option.iter (fun tel -> Congest.Telemetry.phase tel label) st.telemetry;
+  Option.iter (fun tr -> Congest.Trace.phase tr label) st.trace;
+  Obs.Log.set_context ~phase:label ()
+
 let node st v = st.nodes.(v)
 let is_root st v = st.nodes.(v).part_root = v
 

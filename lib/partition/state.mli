@@ -134,6 +134,11 @@ val restore :
 (** The state's compiled-path pool, allocating it on first use. *)
 val cmp_pool : t -> Cmp.pool
 
+(** [phase st label] opens the phase [label] on every observer the state
+    carries: a {!Congest.Telemetry} phase, a {!Congest.Trace} phase and
+    the log context. *)
+val phase : t -> string -> unit
+
 val node : t -> int -> node
 
 (** [is_root st v] holds when [v] is its part's root. *)

@@ -200,8 +200,8 @@ let field_class key =
   else if has "seconds" || has "wall" || has "ns_per_run" then Clock
   else if
     List.mem key
-      [ "jobs"; "domains"; "node_bytes"; "slab_bytes"; "bytes_per_node";
-        "publishes_per_run" ]
+      [ "jobs"; "domains"; "parallel_rounds"; "max_domains"; "node_bytes";
+        "slab_bytes"; "bytes_per_node"; "publishes_per_run" ]
   then Config
   else Simulated
 

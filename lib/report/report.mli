@@ -140,9 +140,11 @@ type field_class =
           ([per_sec], [speedup], [overhead]) *)
   | Config
       (** fixed by the invocation's knobs rather than by the simulated
-          run: [jobs], [domains], the engine bytes that grow with
-          [--domains] ([node_bytes], [slab_bytes], [bytes_per_node]) and
-          the heartbeat publication count, which follows its cadence *)
+          run: [jobs], [domains], the shard counters telemetry keeps per
+          phase ([parallel_rounds], [max_domains], which follow
+          [--domains]), the engine bytes that grow with [--domains]
+          ([node_bytes], [slab_bytes], [bytes_per_node]) and the
+          heartbeat publication count, which follows its cadence *)
 
 val field_class : string -> field_class
 

@@ -166,9 +166,7 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
      surfaces as some protocol-level failure, which is a degraded
      execution, never a verdict. *)
   let alternative_partition run_partition =
-    Option.iter (fun tel -> Congest.Telemetry.phase tel "partition") telemetry;
-    Option.iter (fun tr -> Congest.Trace.phase tr "partition") trace;
-    Obs.Log.set_context ~phase:"partition" ();
+    Partition.State.phase st "partition";
     let degraded =
       try
         run_partition ();
@@ -207,9 +205,8 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
           hb_publish ()
         in
         let r =
-          Partition.Stage1.run ~alpha ~measure_diameters ?telemetry ?trace
-            ~domains ~fast_forward ?faults ~mode ?on_round:hb_on_round
-            ~state:st ?resume ~on_phase g ~eps
+          Partition.Stage1.run ~alpha ~measure_diameters ~state:st ?resume
+            ~on_phase g ~eps
         in
         hb_phases_done := List.length r.Partition.Stage1.phases;
         (Some r, r.Partition.Stage1.degraded)
@@ -239,11 +236,7 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
       degraded := Some (Printf.sprintf "partition state corrupted: %s" msg));
   let stage2_result =
     if !degraded = None && not partition_rejected then begin
-      Option.iter
-        (fun tel -> Congest.Telemetry.phase tel "stage2")
-        telemetry;
-      Option.iter (fun tr -> Congest.Trace.phase tr "stage2") trace;
-      Obs.Log.set_context ~phase:"stage2" ();
+      Partition.State.phase st "stage2";
       hb_publish ();
       let rounds_before = st.Partition.State.stats.Congest.Stats.rounds in
       let r =

@@ -276,6 +276,40 @@ let test_planartest_mode_stats_identical () =
       check Alcotest.string "fiber and compiled stats JSON are byte-identical"
         (stats "fiber") (stats "compiled"))
 
+(* The domain count is an engine setting, not a simulated fact: the
+   stats JSON of one run at --domains 1 and 4 differs only in members
+   that follow it (the echoed [domains], telemetry's per-phase
+   [parallel_rounds] and [max_domains]), which compare --no-wall
+   skips. *)
+let test_planartest_domains_compare () =
+  let g = Filename.temp_file "domgraph" ".txt" in
+  let d1 = Filename.temp_file "d1" ".json" in
+  let d4 = Filename.temp_file "d4" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ g; d1; d4 ])
+    (fun () ->
+      let code, out, _ =
+        run [ planartest; "gen"; "--family"; "grid"; "-n"; "256" ]
+      in
+      check ci "gen exits 0" 0 code;
+      write_file g out;
+      List.iter
+        (fun (d, path) ->
+          let code, _, _ =
+            run
+              [
+                planartest; "test"; g; "--eps"; "0.3"; "--domains"; d;
+                "--stats-json"; path; "--log-level"; "warn";
+              ]
+          in
+          check ci ("--domains " ^ d ^ " run exits 0") 0 code)
+        [ ("1", d1); ("4", d4) ];
+      check cb "the 4-domain run sharded rounds" true
+        (contains (slurp d4) {|"max_domains":4|});
+      let code, out, _ = run [ planarmon; "compare"; "--no-wall"; d1; d4 ] in
+      check ci "compare --no-wall exits 0" 0 code;
+      check cb "no mismatch reported" false (contains out "MISMATCH"))
+
 (* ------------------------------------------------------------------ *)
 (* planartest graph input: malformed or missing files are usage errors  *)
 (* ------------------------------------------------------------------ *)
@@ -574,6 +608,8 @@ let () =
             test_planartest_property_runs;
           Alcotest.test_case "planartest property stats identical across modes"
             `Quick test_planartest_property_mode_stats_identical;
+          Alcotest.test_case "planartest domains 1 vs 4 compare equal" `Quick
+            test_planartest_domains_compare;
         ] );
       ( "input",
         [

@@ -472,7 +472,8 @@ let test_telemetry_empty_phases_with_ff () =
   Congest.Telemetry.fast_forward tel ~rounds:5;
   Congest.Telemetry.phase tel "empty-mid";
   Congest.Telemetry.phase tel "ticked";
-  Congest.Telemetry.tick tel ~bits:8 ~frames:1 ~messages:1;
+  Congest.Telemetry.tick tel ~stepped:0 ~domains:1 ~dropped:0 ~duplicated:0
+    ~delayed:0 ~crashed:0 ~bits:8 ~frames:1 ~messages:1;
   Congest.Telemetry.phase tel "empty-tail";
   let phases = Congest.Telemetry.phases tel in
   check

@@ -464,13 +464,15 @@ let test_field_class () =
       ("host_workload_wall_s", Report.Clock);
       ("jobs", Report.Config);
       ("domains", Report.Config);
+      (* telemetry's shard counters follow --domains *)
+      ("parallel_rounds", Report.Config);
+      ("max_domains", Report.Config);
       (* simulated accounting *)
       ("rounds", Report.Simulated);
       ("nominal_rounds", Report.Simulated);
       ("messages", Report.Simulated);
       ("total_bits", Report.Simulated);
       ("fast_forwarded_rounds", Report.Simulated);
-      ("max_domains", Report.Simulated);
     ]
 
 let test_keep_fields () =

@@ -245,6 +245,161 @@ let test_faulty_partition_degrades () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* one run, many projections                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every surface that reports a run's totals projects the same count:
+   the harness totals, the partition state's Stats, the telemetry
+   phases, the trace's exact totals and phases, the run-level
+   [congest_*] counters and the heartbeat.  One harness run per leg with
+   every observer attached and a freshly reset metrics registry. *)
+let test_projections_agree () =
+  let module M = Obs.Metrics in
+  let module St = Congest.Stats in
+  let module Tel = Congest.Telemetry in
+  let module Tr = Congest.Trace in
+  let counter ?(labels = []) name =
+    match List.find_opt (fun f -> f.M.name = name) (M.snapshot ()) with
+    | None -> Alcotest.failf "metric %s not registered" name
+    | Some f -> (
+        match List.find_opt (fun s -> s.M.labels = labels) f.M.series with
+        | Some { M.value = M.Counter_v v; _ } -> v
+        | _ -> 0)
+  in
+  let grid = Generators.grid 16 16 in
+  let far =
+    Generators.far_from_planar (Random.State.make [| 7 |]) ~n:256 ~eps:0.25
+  in
+  let leg (name, g, mode, fast_forward, faults) =
+    let ci what = Alcotest.check Alcotest.int (name ^ ": " ^ what) in
+    Fun.protect
+      ~finally:(fun () -> M.set_enabled false)
+      (fun () ->
+        M.set_enabled true;
+        M.reset ();
+        let telemetry = Tel.create () and trace = Tr.create () in
+        let heartbeat =
+          Obs.Heartbeat.create ~run_id:name ~fingerprint:"projections"
+            ~property:"planarity" ()
+        in
+        let _, t =
+          H.run ~telemetry ~trace ~heartbeat ~mode ~fast_forward ?faults
+            ~property:"planarity"
+            ~stage2:(fun st ~eps ~seed -> Tester.Stage2.run st ~eps ~seed)
+            g ~eps:0.3
+        in
+        let s =
+          match t.H.stage1 with
+          | Some r -> r.Partition.Stage1.state.S.stats
+          | None -> Alcotest.fail "Stage_one run has no Stage I result"
+        in
+        let tel = Tel.phases telemetry in
+        let sum f = List.fold_left (fun acc p -> acc + f p) 0 tel in
+        let tt = Tr.totals trace and tp = Tr.sim_phases trace in
+        let tsum f = List.fold_left (fun acc p -> acc + f p) 0 tp in
+        let hb = Obs.Heartbeat.current heartbeat in
+        let mode_label = Congest.Compiled.mode_to_string mode in
+        (* rounds *)
+        ci "totals rounds = Stats" s.St.rounds t.H.rounds;
+        ci "telemetry rounds" s.St.rounds (sum (fun p -> p.Tel.rounds));
+        ci "trace rounds" s.St.rounds tt.Tr.rounds;
+        ci "trace phase rounds" s.St.rounds
+          (tsum (fun (p : Tr.sim_phase) -> p.Tr.rounds));
+        ci "congest_rounds" s.St.rounds (counter "congest_rounds");
+        (* general node programs run on fibers in either mode *)
+        ci "congest_mode_rounds" s.St.rounds
+          (counter ~labels:[ ("mode", "fiber") ] "congest_mode_rounds"
+          + counter ~labels:[ ("mode", "compiled") ] "congest_mode_rounds");
+        Alcotest.check cb (name ^ ": the mode's executor ran") true
+          (counter ~labels:[ ("mode", mode_label) ] "congest_mode_rounds" > 0);
+        ci "heartbeat rounds" s.St.rounds hb.Obs.Heartbeat.rounds;
+        (* charged rounds: the engine-side projections agree; the state's
+           Stats also holds Stage II's oracle embedding charge, which no
+           engine run simulates *)
+        let charged = counter "congest_charged_rounds" in
+        ci "telemetry frames" charged (sum (fun p -> p.Tel.frames));
+        ci "trace frames" charged tt.Tr.frames;
+        Alcotest.check cb (name ^ ": Stats charged covers the engine's") true
+          (s.St.charged_rounds >= charged);
+        ci "heartbeat charged rounds" s.St.charged_rounds
+          hb.Obs.Heartbeat.charged_rounds;
+        (* messages *)
+        ci "totals messages = Stats" s.St.messages t.H.messages;
+        ci "telemetry messages" s.St.messages (sum (fun p -> p.Tel.messages));
+        ci "trace messages" s.St.messages tt.Tr.messages;
+        ci "trace phase messages" s.St.messages
+          (tsum (fun (p : Tr.sim_phase) -> p.Tr.messages));
+        ci "congest_messages" s.St.messages (counter "congest_messages");
+        ci "heartbeat messages" s.St.messages hb.Obs.Heartbeat.messages;
+        (* bits *)
+        ci "totals bits = Stats" s.St.total_bits t.H.total_bits;
+        ci "telemetry bits" s.St.total_bits (sum (fun p -> p.Tel.bits));
+        ci "trace bits" s.St.total_bits tt.Tr.bits;
+        ci "trace phase bits" s.St.total_bits
+          (tsum (fun (p : Tr.sim_phase) -> p.Tr.bits));
+        ci "congest_bits" s.St.total_bits (counter "congest_bits");
+        ci "heartbeat bits" s.St.total_bits hb.Obs.Heartbeat.total_bits;
+        (* fast-forwarded rounds *)
+        let ff = s.St.fast_forwarded_rounds in
+        ci "totals ff = Stats" ff t.H.fast_forwarded_rounds;
+        ci "telemetry ff" ff (sum (fun p -> p.Tel.fast_forwarded));
+        ci "trace ff" ff tt.Tr.fast_forwarded;
+        ci "trace phase ff" ff
+          (tsum (fun (p : Tr.sim_phase) -> p.Tr.fast_forwarded));
+        ci "congest_fast_forwarded_rounds" ff
+          (counter "congest_fast_forwarded_rounds");
+        (* fault counters *)
+        List.iter
+          (fun (kind, stats, totals, telemetry, trace) ->
+            ci (kind ^ " totals = Stats") stats totals;
+            ci (kind ^ " telemetry") stats (sum telemetry);
+            ci (kind ^ " trace") stats trace;
+            ci ("congest_faults " ^ kind) stats
+              (counter ~labels:[ ("kind", kind) ] "congest_faults"))
+          [
+            ("dropped", s.St.dropped, t.H.dropped, (fun p -> p.Tel.dropped),
+             tt.Tr.dropped);
+            ("duplicated", s.St.duplicated, t.H.duplicated,
+             (fun p -> p.Tel.duplicated), tt.Tr.duplicated);
+            ("delayed", s.St.delayed, t.H.delayed, (fun p -> p.Tel.delayed),
+             tt.Tr.delayed);
+          ];
+        ci "crashed totals = Stats" s.St.crashed_nodes t.H.crashed_nodes;
+        ci "crashed telemetry" s.St.crashed_nodes
+          (sum (fun p -> p.Tel.crashed));
+        ci "crashed trace" s.St.crashed_nodes tt.Tr.crashed;
+        ci "congest_crashed_nodes" s.St.crashed_nodes
+          (counter "congest_crashed_nodes");
+        (* the leg exercised what it names *)
+        Alcotest.check cb (name ^ ": ran rounds") true (s.St.rounds > 0);
+        if not fast_forward then ci "no skip with fast-forward off" 0 ff
+        else if faults = None then
+          Alcotest.check cb (name ^ ": fast-forward skipped") true (ff > 0);
+        if faults <> None then
+          Alcotest.check cb (name ^ ": faults fired") true (s.St.dropped > 0))
+  in
+  let drop =
+    match Congest.Faults.of_spec "drop=0.01,seed=7" with
+    | Ok p -> Some p
+    | Error e -> Alcotest.fail e
+  in
+  List.iter leg
+    (List.concat_map
+       (fun (gname, g) ->
+         List.concat_map
+           (fun mode ->
+             List.map
+               (fun ff ->
+                 ( Printf.sprintf "%s %s ff=%b" gname
+                     (Congest.Compiled.mode_to_string mode)
+                     ff,
+                   g, mode, ff, None ))
+               [ true; false ])
+           [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
+       [ ("grid", grid); ("far", far) ]
+    @ [ ("grid fiber drop=0.01", grid, Congest.Compiled.Fiber, true, drop) ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tester_harness"
@@ -284,5 +439,10 @@ let () =
             test_telemetry_covers_partition;
           Alcotest.test_case "faulty partition degrades" `Quick
             test_faulty_partition_degrades;
+        ] );
+      ( "projections",
+        [
+          Alcotest.test_case "all projections agree on the totals" `Quick
+            test_projections_agree;
         ] );
     ]
