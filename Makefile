@@ -226,10 +226,12 @@ scale: build
 #      JSON (--no-timings strips the only legitimately host-dependent
 #      fields).  Both modes run the same protocol kernels, so this holds
 #      the fiber adapter to the compiled executor.  Each input also runs
-#      under --domains 4 in both modes, gated by `planarmon compare
-#      --no-wall` against the serial fiber stats JSON: only the members
-#      that echo the domain count (Report.field_class Config) may
-#      differ.
+#      under --domains 4 in both modes, and under an oversubscribed
+#      --domains 17 on fibers (node hooks then run on many worker
+#      domains, which is where a per-node table written from the wrong
+#      node would race), each gated by `planarmon compare --no-wall`
+#      against the serial fiber stats JSON: only the members that echo
+#      the domain count (Report.field_class Config) may differ.
 #   2. the differential property suite under a pinned QCHECK_SEED (the
 #      compiled-vs-fiber invariance property lives in test_prop.exe).
 #   3. the full-size C1 experiment with its throughput gate: grid
@@ -265,7 +267,15 @@ compiled: build
 	  ./_build/default/bin/planarmon.exe compare --no-wall \
 	    $(COMPILED_DIR)/$$g-fiber.json \
 	    $(COMPILED_DIR)/$$g-d4-$$mode.json || exit 1; \
-	done; done
+	done; \
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
+	  --eps 0.3 --mode fiber --domains 17 --log-level warn \
+	  --stats-json $(COMPILED_DIR)/$$g-d17-fiber.json > /dev/null \
+	  || exit 1; \
+	./_build/default/bin/planarmon.exe compare --no-wall \
+	  $(COMPILED_DIR)/$$g-fiber.json \
+	  $(COMPILED_DIR)/$$g-d17-fiber.json || exit 1; \
+	done
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \

@@ -32,7 +32,7 @@ let exchange st ~budget ~tag =
     st.State.nodes;
   Prims.boundary st
     ~tag:((tag * 3) + 1)
-    ~payload:(fun nd ~port:_ ~nbr:_ -> Some [ nd.State.color ])
+    ~payload:(fun nd -> Some [ nd.State.color ])
     ~on_receive:(fun nd ~nbr pl ->
       match pl with
       | [ c ] ->

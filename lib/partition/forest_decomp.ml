@@ -3,37 +3,81 @@ type agg = Many | Counts of (int * int) list
 let super_rounds_for n =
   2 + int_of_float (ceil (log (float_of_int (max n 2)) /. log 1.5))
 
-let add_count lst r x =
-  let rec go = function
-    | [] -> [ (r, x) ]
-    | (r', c) :: rest when r' = r -> (r', c + x) :: rest
-    | p :: rest -> p :: go rest
-  in
-  go lst
+(* The notice counts of every node for one super-round, in place.  Node
+   [v] owns [fill.(v)] and the slots [v * cap .. v * cap + cap - 1] of
+   [keys] / [cnts]: its distinct neighbouring-part roots in first-arrival
+   order with their counts, [fill.(v)] of them, or [fill.(v) = -1] once
+   more than [cap = 3 * alpha] distinct roots arrived ([Many]).  Only
+   [v]'s own hooks (its notice deliveries, its convergecast start-up and
+   resumes) touch those words, so fiber rounds sharded over domains
+   never write one slot from two domains. *)
+module Table = struct
+  type t = { cap : int; fill : int array; keys : int array; cnts : int array }
 
-let cap alpha = function
-  | Many -> Many
-  | Counts lst -> if List.length lst > 3 * alpha then Many else Counts lst
+  let create ~nodes ~alpha =
+    let cap = 3 * alpha in
+    {
+      cap;
+      fill = Array.make nodes 0;
+      keys = Array.make (nodes * cap) 0;
+      cnts = Array.make (nodes * cap) 0;
+    }
 
-let combine alpha a b =
-  match (a, b) with
-  | Many, _ | _, Many -> Many
-  | Counts la, Counts lb ->
-      cap alpha (Counts (List.fold_left (fun acc (r, x) -> add_count acc r x) la lb))
+  let clear t = Array.fill t.fill 0 (Array.length t.fill) 0
 
-let encode = function
-  | Many -> [ -1 ]
-  | Counts lst -> List.concat_map (fun (r, x) -> [ r; x ]) lst
+  let rec slot keys r i stop =
+    if i = stop || keys.(i) = r then i else slot keys r (i + 1) stop
 
-let decode = function
-  | [ -1 ] -> Many
-  | l ->
-      let rec pairs = function
-        | [] -> []
-        | r :: x :: rest -> (r, x) :: pairs rest
-        | [ _ ] -> failwith "Forest_decomp.decode: odd payload"
+  let add t v r x =
+    let k = t.fill.(v) in
+    if k >= 0 then begin
+      let base = v * t.cap in
+      let i = slot t.keys r base (base + k) in
+      if i < base + k then t.cnts.(i) <- t.cnts.(i) + x
+      else if k = t.cap then t.fill.(v) <- -1
+      else begin
+        t.keys.(i) <- r;
+        t.cnts.(i) <- x;
+        t.fill.(v) <- k + 1
+      end
+    end
+
+  let rec add_pairs t v = function
+    | [] -> ()
+    | r :: x :: rest ->
+        add t v r x;
+        add_pairs t v rest
+    | [ _ ] -> failwith "Forest_decomp.decode: odd payload"
+
+  let absorb t v = function [ -1 ] -> t.fill.(v) <- -1 | pl -> add_pairs t v pl
+
+  (* Read out back to front, so each list is built without a reversal. *)
+  let encode t v =
+    let k = t.fill.(v) in
+    if k < 0 then [ -1 ]
+    else
+      let base = v * t.cap in
+      let rec go i acc =
+        if i < base then acc else go (i - 1) (t.keys.(i) :: t.cnts.(i) :: acc)
       in
-      Counts (pairs l)
+      go (base + k - 1) []
+
+  let agg t v =
+    let k = t.fill.(v) in
+    if k < 0 then Many
+    else
+      let base = v * t.cap in
+      let rec go i acc =
+        if i < base then acc else go (i - 1) ((t.keys.(i), t.cnts.(i)) :: acc)
+      in
+      Counts (go (base + k - 1) [])
+end
+
+(* The convergecast value: a node's own table, or a child's [Up] payload
+   on its way into the parent's.  [Prims.converge] only ever combines a
+   node's own value with a decoded child payload, and only reads out (to
+   encode, or at the root) a node's own value. *)
+type acc = Own of int | Child of int list
 
 let root_logic ~can_deactivate (nd : State.node) a l =
   if nd.State.active then begin
@@ -78,25 +122,39 @@ let run st ~alpha ~super_rounds ~budget =
       (fun nd -> (not nd.State.active) && nd.State.deact_round < l)
       roots
   in
+  let table = Table.create ~nodes:(Array.length st.State.nodes) ~alpha in
   let l = ref 1 in
   let stop = ref false in
   while (not !stop) && !l <= super_rounds + 1 do
     (* Notices from boundary nodes of active parts. *)
-    Array.iter (fun nd -> nd.State.scratch_list <- []) st.State.nodes;
+    Table.clear table;
     Prims.boundary st ~tag:((!l * 10) + 1)
-      ~payload:(fun nd ~port:_ ~nbr:_ ->
+      ~payload:(fun nd ->
         if nd.State.active then Some [ nd.State.part_root ] else None)
       ~on_receive:(fun nd ~nbr:_ pl ->
         match pl with
-        | [ r ] -> nd.State.scratch_list <- add_count nd.State.scratch_list r 1
+        | [ r ] -> Table.add table nd.State.id r 1
         | _ -> assert false);
     (* Aggregate per-part notice counts to the root. *)
     let sr = !l in
     Prims.converge st ~budget ~tag:((sr * 10) + 2)
-      ~init:(fun nd -> cap alpha (Counts nd.State.scratch_list))
-      ~combine:(combine alpha) ~encode ~decode
+      ~init:(fun nd -> Own nd.State.id)
+      ~combine:(fun a b ->
+        match (a, b) with
+        | Own v, Child pl ->
+            Table.absorb table v pl;
+            a
+        | _ -> invalid_arg "Forest_decomp: combine")
+      ~encode:(function
+        | Own v -> Table.encode table v
+        | Child _ -> invalid_arg "Forest_decomp: encode")
+      ~decode:(fun pl -> Child pl)
       ~at_root:(fun nd a ->
-        root_logic ~can_deactivate:(sr <= super_rounds) nd a sr);
+        match a with
+        | Own v ->
+            root_logic ~can_deactivate:(sr <= super_rounds) nd
+              (Table.agg table v) sr
+        | Child _ -> invalid_arg "Forest_decomp: at_root");
     (* Roots announce whether the part remains active. *)
     Prims.bcast st ~budget ~tag:((sr * 10) + 3)
       ~at_root:(fun nd ->

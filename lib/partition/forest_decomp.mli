@@ -23,3 +23,35 @@ val run : State.t -> alpha:int -> super_rounds:int -> budget:int -> int
     which every bounded-arboricity graph fully deactivates (a third of the
     live parts deactivate per super-round). *)
 val super_rounds_for : int -> int
+
+(** A part's view of its active neighbouring parts: [Counts] lists each
+    distinct neighbouring part root with its edge multiplicity, in
+    first-arrival order; [Many] means more than [3 * alpha] of them. *)
+type agg = Many | Counts of (int * int) list
+
+(** The per-node bounded tables behind the notice round and its
+    convergecast, exposed for testing.  Node [v]'s table holds at most
+    [3 * alpha] [(root, count)] slots in first-arrival order, or an
+    overflow mark that reads out as [Many].  A node's table is written
+    only through its own node's hooks. *)
+module Table : sig
+  type t
+
+  val create : nodes:int -> alpha:int -> t
+
+  (** Empty every node's table. *)
+  val clear : t -> unit
+
+  (** [add t v r x] counts [x] more edges from part [r] at node [v]. *)
+  val add : t -> int -> int -> int -> unit
+
+  (** [absorb t v payload] decodes a child's [Up] payload ([[-1]] for
+      [Many], else [root; count] pairs) and combines it into [v]'s table.
+      @raise Failure on an odd payload. *)
+  val absorb : t -> int -> int list -> unit
+
+  (** [v]'s [Up] payload: [[-1]] for [Many], else the flat pairs. *)
+  val encode : t -> int -> int list
+
+  val agg : t -> int -> agg
+end

@@ -102,16 +102,42 @@ let designate st ~budget =
 
 let is_charge (nd : State.node) = nd.State.charge_node = nd.State.id
 
+(* [Prims.boundary] filter: only the designated cross edge.  A node that
+   is not a charge node has no payload for it. *)
+let on_charge_edge (nd : State.node) nbr = nbr = nd.State.charge_nbr
+
+let rec marked_in u = function
+  | [] -> false
+  | (e : State.bdry_child) :: rest ->
+      (e.State.marked && e.State.child = u) || marked_in u rest
+
+(* Whether the designated edge from child charge node [u] got marked;
+   also a [Prims.boundary] filter. *)
+let marked_child (nd : State.node) u = marked_in u nd.State.bdry_children
+
+(* In place, on every entry of child charge node [u]: [bdry_children]
+   keeps its order and every other entry. *)
+let rec set_child_color u c = function
+  | [] -> ()
+  | (e : State.bdry_child) :: rest ->
+      if e.State.child = u then e.State.child_color <- c;
+      set_child_color u c rest
+
+let rec mark_child u = function
+  | [] -> ()
+  | (e : State.bdry_child) :: rest ->
+      if e.State.child = u then e.State.marked <- true;
+      mark_child u rest
+
 (* Announce designated edges across the cut, populate [bdry_children] on
    the parent side, and resolve mutual (2-cycle) selections by dropping the
    higher root's edge — only the randomized variant can produce them. *)
 let announce_and_resolve st ~budget =
   Array.iter (fun nd -> nd.State.w0 <- 0) st.State.nodes;
   (* w0 reused briefly as a "my part must drop" flag accumulator. *)
-  Prims.boundary st ~tag:3004
-    ~payload:(fun nd ~port:_ ~nbr ->
-      if is_charge nd && nbr = nd.State.charge_nbr then
-        Some [ nd.State.part_root; nd.State.charge_weight ]
+  Prims.boundary st ~tag:3004 ~to_nbr:on_charge_edge
+    ~payload:(fun nd ->
+      if is_charge nd then Some [ nd.State.part_root; nd.State.charge_weight ]
       else None)
     ~on_receive:(fun nd ~nbr pl ->
       match pl with
@@ -123,7 +149,14 @@ let announce_and_resolve st ~budget =
             ()
           else begin
             nd.State.bdry_children <-
-              (nbr, croot, w, 0, false) :: nd.State.bdry_children;
+              {
+                State.child = nbr;
+                child_root = croot;
+                weight = w;
+                child_color = 0;
+                marked = false;
+              }
+              :: nd.State.bdry_children;
             if mutual && croot < nd.State.part_root then
               (* Our own selection is the dropped side. *)
               nd.State.w0 <- 1
@@ -158,25 +191,18 @@ let announce_and_resolve st ~budget =
 (* CHW marking rules (Sub-step 2b). *)
 let marking st ~budget =
   (* Children report their final color across the designated edges. *)
-  Prims.boundary st ~tag:4001
-    ~payload:(fun nd ~port:_ ~nbr ->
-      if is_charge nd && nbr = nd.State.charge_nbr then Some [ nd.State.color ]
-      else None)
+  Prims.boundary st ~tag:4001 ~to_nbr:on_charge_edge
+    ~payload:(fun nd -> if is_charge nd then Some [ nd.State.color ] else None)
     ~on_receive:(fun nd ~nbr pl ->
       match pl with
-      | [ c ] ->
-          nd.State.bdry_children <-
-            List.map
-              (fun (u, croot, w, cc, m) ->
-                if u = nbr then (u, croot, w, c, m) else (u, croot, w, cc, m))
-              nd.State.bdry_children
+      | [ c ] -> set_child_color nbr c nd.State.bdry_children
       | _ -> assert false);
   (* Sum incoming weights per child color class up to the root. *)
   let add (a1, a2, a3) (b1, b2, b3) = (a1 + b1, a2 + b2, a3 + b3) in
   Prims.converge st ~budget ~tag:4002
     ~init:(fun nd ->
       List.fold_left
-        (fun acc (_, _, w, c, _) ->
+        (fun acc { State.weight = w; child_color = c; _ } ->
           match c with
           | 1 -> add acc (w, 0, 0)
           | 2 -> add acc (0, w, 0)
@@ -211,12 +237,11 @@ let marking st ~budget =
       match pl with
       | [ om; rule ] ->
           if is_charge nd then nd.State.out_marked <- om = 1;
-          nd.State.bdry_children <-
-            List.map
-              (fun (u, croot, w, cc, m) ->
-                let marked = m || rule = 1 || (rule = 2 && cc = 3) in
-                (u, croot, w, cc, marked))
-              nd.State.bdry_children
+          List.iter
+            (fun (e : State.bdry_child) ->
+              if rule = 1 || (rule = 2 && e.State.child_color = 3) then
+                e.State.marked <- true)
+            nd.State.bdry_children
       | _ -> assert false);
   (* Cross-edge notifications: child-marked (u -> v) and parent-marked
      (v -> u). *)
@@ -224,20 +249,15 @@ let marking st ~budget =
       (if is_charge nd && nd.State.out_marked then
          Prims.send ctx ~dest:nd.State.charge_nbr (Msg.Bdry (4004, [ 1 ])));
       List.iter
-        (fun (u, _, _, _, m) ->
-          if m then Prims.send ctx ~dest:u (Msg.Bdry (4004, [ 2 ])))
+        (fun (e : State.bdry_child) ->
+          if e.State.marked then
+            Prims.send ctx ~dest:e.State.child (Msg.Bdry (4004, [ 2 ])))
         nd.State.bdry_children;
       let inbox = Prims.sync ctx in
       List.iter
         (fun (from, msg) ->
           match msg with
-          | Msg.Bdry (4004, [ 1 ]) ->
-              nd.State.bdry_children <-
-                List.map
-                  (fun (u, croot, w, cc, m) ->
-                    if u = from then (u, croot, w, cc, true)
-                    else (u, croot, w, cc, m))
-                  nd.State.bdry_children
+          | Msg.Bdry (4004, [ 1 ]) -> mark_child from nd.State.bdry_children
           | Msg.Bdry (4004, [ 2 ]) ->
               assert (is_charge nd);
               nd.State.out_marked <- true
@@ -275,14 +295,9 @@ let levels_and_decision st ~budget =
         match pl with [ l ] -> nd.State.tlevel <- l | _ -> assert false);
     Prims.boundary st
       ~tag:(5001 + (step * 10))
-      ~payload:(fun nd ~port:_ ~nbr ->
-        if
-          nd.State.tlevel = step
-          && List.exists
-               (fun (u, _, _, _, m) -> m && u = nbr)
-               nd.State.bdry_children
-        then Some [ step + 1 ]
-        else None)
+      ~to_nbr:marked_child
+      ~payload:(fun nd ->
+        if nd.State.tlevel = step then Some [ step + 1 ] else None)
       ~on_receive:(fun nd ~nbr pl ->
         match pl with
         | [ l ] ->
@@ -333,18 +348,15 @@ let levels_and_decision st ~budget =
         | _ -> assert false);
     Prims.boundary st
       ~tag:(5501 + (step * 10))
-      ~payload:(fun nd ~port:_ ~nbr ->
-        if is_charge nd && nbr = nd.State.charge_nbr && nd.State.scratch >= 0
-        then Some [ nd.State.scratch; nd.State.scratch2 ]
+      ~to_nbr:on_charge_edge
+      ~payload:(fun nd ->
+        if is_charge nd && nd.State.scratch >= 0 then
+          Some [ nd.State.scratch; nd.State.scratch2 ]
         else None)
       ~on_receive:(fun nd ~nbr pl ->
         match pl with
         | [ w0; w1 ] ->
-            if
-              List.exists
-                (fun (u, _, _, _, m) -> m && u = nbr)
-                nd.State.bdry_children
-            then begin
+            if marked_child nd nbr then begin
               nd.State.w0 <- nd.State.w0 + w0;
               nd.State.w1 <- nd.State.w1 + w1
             end
@@ -390,14 +402,10 @@ let levels_and_decision st ~budget =
         match pl with [ b ] -> nd.State.scratch <- b | _ -> assert false);
     Prims.boundary st
       ~tag:(6001 + (step * 10))
-      ~payload:(fun nd ~port:_ ~nbr ->
-        if
-          nd.State.scratch >= 0
-          && nd.State.tlevel = step
-          && List.exists
-               (fun (u, _, _, _, m) -> m && u = nbr)
-               nd.State.bdry_children
-        then Some [ nd.State.scratch ]
+      ~to_nbr:marked_child
+      ~payload:(fun nd ->
+        if nd.State.scratch >= 0 && nd.State.tlevel = step then
+          Some [ nd.State.scratch ]
         else None)
       ~on_receive:(fun nd ~nbr pl ->
         match pl with

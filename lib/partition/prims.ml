@@ -111,17 +111,19 @@ struct
       let nd = State.node st v in
       (* Inbox senders arrive in ascending order, matching port order, so
          one pointer walks both in a single merged pass. *)
-      let port = ref 0 in
-      N.iter_inbox ctx
-        (fun from msg ->
-          match msg with
-          | Msg.Root r ->
-              while Graph.nbr g v !port <> from do
-                incr port
-              done;
-              nd.State.nbr_root.(!port) <- r
-          | _ -> assert false)
-        inbox;
+      if not (N.inbox_is_empty inbox) then begin
+        let port = ref 0 in
+        N.iter_inbox ctx
+          (fun from msg ->
+            match msg with
+            | Msg.Root r ->
+                while Graph.nbr g v !port <> from do
+                  incr port
+                done;
+                nd.State.nbr_root.(!port) <- r
+            | _ -> assert false)
+          inbox
+      end;
       Halt
     in
     N.run st ~start ~resume
@@ -149,19 +151,20 @@ struct
       if budget > 0 then Park budget else Halt
     and resume ctx v inbox =
       let nd = State.node st v in
-      N.iter_inbox ctx
-        (fun from msg ->
-          match msg with
-          | Msg.Down (t, payload) ->
-              if t <> tag then
-                failwith
-                  (Printf.sprintf "bcast: lockstep violation (tag %d vs %d)" t
-                     tag);
-              assert (from = nd.State.parent);
-              on_receive nd payload;
-              relay ctx nd msg
-          | _ -> assert false)
-        inbox;
+      if not (N.inbox_is_empty inbox) then
+        N.iter_inbox ctx
+          (fun from msg ->
+            match msg with
+            | Msg.Down (t, payload) ->
+                if t <> tag then
+                  failwith
+                    (Printf.sprintf "bcast: lockstep violation (tag %d vs %d)"
+                       t tag);
+                assert (from = nd.State.parent);
+                on_receive nd payload;
+                relay ctx nd msg
+            | _ -> assert false)
+          inbox;
       let left = budget - N.round ctx in
       if left > 0 then Park left else Halt
     in
@@ -220,35 +223,50 @@ struct
     in
     N.run st ~start ~resume
 
-  let boundary (st : State.t) ~tag ~payload ~on_receive =
+  (* The payload is computed once per sender, at its first cut port, and
+     that one [Bdry] value goes out on every addressed cut port: the
+     compiled delivery pass prices a run of physically equal messages
+     once.  Payloads and filters are pure, so evaluating them once per
+     sender instead of once per port changes nothing on the wire. *)
+  let rec first_cut (nd : State.node) port deg =
+    if port >= deg || nd.State.nbr_root.(port) <> nd.State.part_root then port
+    else first_cut nd (port + 1) deg
+
+  let boundary (st : State.t) ~tag ~to_nbr ~payload ~on_receive =
     let g = st.State.graph in
     let start ctx v =
       let nd = State.node st v in
-      for port = 0 to Graph.degree g v - 1 do
-        if nd.State.nbr_root.(port) <> nd.State.part_root then begin
-          let nbr = Graph.nbr g v port in
-          match payload nd ~port ~nbr with
-          | Some pl ->
-              N.send_port ctx ~dest:nbr
-                ~eid:(Graph.incident_eid g v port)
-                (Msg.Bdry (tag, pl))
-          | None -> ()
-        end
-      done;
+      let deg = Graph.degree g v in
+      let port = first_cut nd 0 deg in
+      (if port < deg then
+         match payload nd with
+         | Some pl ->
+             let msg = Msg.Bdry (tag, pl) in
+             for port = port to deg - 1 do
+               if nd.State.nbr_root.(port) <> nd.State.part_root then begin
+                 let nbr = Graph.nbr g v port in
+                 if to_nbr nd nbr then
+                   N.send_port ctx ~dest:nbr
+                     ~eid:(Graph.incident_eid g v port)
+                     msg
+               end
+             done
+         | None -> ());
       Park 1
     and resume ctx v inbox =
       let nd = State.node st v in
-      N.iter_inbox ctx
-        (fun from msg ->
-          match msg with
-          | Msg.Bdry (t, pl) ->
-              if t <> tag then
-                failwith
-                  (Printf.sprintf "boundary: lockstep violation (tag %d vs %d)"
-                     t tag);
-              on_receive nd ~nbr:from pl
-          | _ -> assert false)
-        inbox;
+      if not (N.inbox_is_empty inbox) then
+        N.iter_inbox ctx
+          (fun from msg ->
+            match msg with
+            | Msg.Bdry (t, pl) ->
+                if t <> tag then
+                  failwith
+                    (Printf.sprintf
+                       "boundary: lockstep violation (tag %d vs %d)" t tag);
+                on_receive nd ~nbr:from pl
+            | _ -> assert false)
+          inbox;
       Halt
     in
     N.run st ~start ~resume
@@ -282,7 +300,9 @@ let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
     Kc.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
   else Ke.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
 
-let boundary st ~tag ~payload ~on_receive =
+let every_nbr _ _ = true
+
+let boundary ?(to_nbr = every_nbr) st ~tag ~payload ~on_receive =
   traced st "boundary" @@ fun () ->
-  if compiled_active st then Kc.boundary st ~tag ~payload ~on_receive
-  else Ke.boundary st ~tag ~payload ~on_receive
+  if compiled_active st then Kc.boundary st ~tag ~to_nbr ~payload ~on_receive
+  else Ke.boundary st ~tag ~to_nbr ~payload ~on_receive

@@ -60,13 +60,21 @@ val converge :
   at_root:(State.node -> 'a -> unit) ->
   unit
 
-(** One round of cross-part messaging: [payload nd ~port ~nbr] is consulted
-    for every incident edge leading outside the part; deliveries invoke
-    [on_receive nd ~nbr payload]. *)
+(** One round of cross-part messaging.  [payload nd] is computed at most
+    once per node — only for a node with an incident edge leading
+    outside its part — and [None] keeps the node silent.  One
+    [Msg.Bdry] value carrying it goes out on every incident edge leading
+    outside the part whose neighbor [to_nbr nd nbr] accepts (default:
+    every one); sharing the value keeps the host cost of a message O(1)
+    words, and the compiled delivery pass prices the whole run of them
+    once.  Deliveries invoke [on_receive nd ~nbr payload].  [payload]
+    and [to_nbr] must be pure: neither may depend on how often, or in
+    what order, it is called. *)
 val boundary :
+  ?to_nbr:(State.node -> int -> bool) ->
   State.t ->
   tag:int ->
-  payload:(State.node -> port:int -> nbr:int -> int list option) ->
+  payload:(State.node -> int list option) ->
   on_receive:(State.node -> nbr:int -> int list -> unit) ->
   unit
 

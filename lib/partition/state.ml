@@ -3,6 +3,14 @@ open Graphlib
 module Eng = Congest.Engine.Make (Msg)
 module Cmp = Congest.Compiled.Make (Msg)
 
+type bdry_child = {
+  child : int;
+  child_root : int;
+  weight : int;
+  mutable child_color : int;
+  mutable marked : bool;
+}
+
 type node = {
   id : int;
   mutable part_root : int;
@@ -21,7 +29,7 @@ type node = {
   mutable color : int;
   mutable parent_color : int;
   mutable out_marked : bool;
-  mutable bdry_children : (int * int * int * int * bool) list;
+  mutable bdry_children : bdry_child list;
   mutable tlevel : int;
   mutable w0 : int;
   mutable w1 : int;

@@ -15,6 +15,16 @@ module Eng : module type of Congest.Engine.Make (Msg)
     compiled path (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
 
+(** A designated child edge [(u, v)] as its parent-side endpoint [v]
+    sees it.  Only [v]'s own hooks write it. *)
+type bdry_child = {
+  child : int;  (** the child part's charge node [u], [v]'s neighbor *)
+  child_root : int;  (** the child part's root *)
+  weight : int;  (** the selected out-edge's weight *)
+  mutable child_color : int;  (** the child part's final color, 0 = unknown *)
+  mutable marked : bool;  (** the edge got marked (CHW Sub-step 2b) *)
+}
+
 type node = {
   id : int;
   mutable part_root : int;
@@ -44,11 +54,9 @@ type node = {
           coloring's final broadcast *)
   mutable parent_color : int;  (** color of the F-parent part (root-only) *)
   mutable out_marked : bool;  (** the selected out-edge got marked *)
-  mutable bdry_children : (int * int * int * int * bool) list;
+  mutable bdry_children : bdry_child list;
       (** at a boundary node [v]: one entry per designated child edge whose
-          cross endpoint is [v] —
-          (child charge node, child part root, weight, child color,
-           marked) *)
+          cross endpoint is [v], newest first *)
   mutable tlevel : int;  (** level within the shallow marked tree, -1 unset *)
   mutable w0 : int;  (** accumulated weight of even edges below (root-only) *)
   mutable w1 : int;  (** accumulated weight of odd edges below (root-only) *)

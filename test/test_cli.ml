@@ -310,6 +310,71 @@ let test_planartest_domains_compare () =
       check ci "compare --no-wall exits 0" 0 code;
       check cb "no mismatch reported" false (contains out "MISMATCH"))
 
+(* A far input plus one hub adjacent to 40 nodes: its notice table
+   overflows ([3 * alpha] = 9 slots at the default alpha), and the
+   tables are written from hooks on worker domains at --domains 4 and
+   17.  The compiled run at --domains 1 is byte-identical to the fiber
+   one; every other leg compares equal to it under --no-wall. *)
+let test_planartest_hub_stats_identical () =
+  let g = Filename.temp_file "hubgraph" ".txt" in
+  let json leg = Filename.temp_file ("hub-" ^ leg) ".json" in
+  let legs =
+    List.concat_map
+      (fun d ->
+        List.map (fun mode -> (mode, d, json (mode ^ d))) [ "fiber"; "compiled" ])
+      [ "1"; "4"; "17" ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, _, p) -> Sys.remove p) legs;
+      Sys.remove g)
+    (fun () ->
+      let code, out, _ =
+        run
+          [
+            planartest; "gen"; "--family"; "far"; "-n"; "512"; "--param"; "0.25";
+          ]
+      in
+      check ci "gen exits 0" 0 code;
+      let n, m, edges =
+        match String.split_on_char '\n' out with
+        | header :: edges -> (
+            match String.split_on_char ' ' header with
+            | [ n; m ] -> (int_of_string n, int_of_string m, edges)
+            | _ -> Alcotest.fail "gen header")
+        | [] -> Alcotest.fail "gen output"
+      in
+      let spokes = List.init 40 (fun i -> Printf.sprintf "%d %d" (i * 12) n) in
+      write_file g
+        (Printf.sprintf "%d %d\n%s%s\n" (n + 1) (m + 40)
+           (String.concat "\n" (List.filter (( <> ) "") edges @ [ "" ]))
+           (String.concat "\n" spokes));
+      List.iter
+        (fun (mode, d, path) ->
+          let code, out, _ =
+            run
+              [
+                planartest; "test"; g; "--eps"; "0.3"; "--mode"; mode;
+                "--domains"; d; "--stats-json"; path; "--log-level"; "warn";
+              ]
+          in
+          check ci (Printf.sprintf "%s --domains %s exits 0" mode d) 0 code;
+          check cb "rejects" true (contains out "REJECT"))
+        legs;
+      let reference = List.nth legs 0 and serial_compiled = List.nth legs 1 in
+      let path (_, _, p) = p in
+      check Alcotest.string "compiled --domains 1 stats JSON byte-identical"
+        (slurp (path reference)) (slurp (path serial_compiled));
+      List.iter
+        (fun (mode, d, p) ->
+          let code, _, _ =
+            run [ planarmon; "compare"; "--no-wall"; path reference; p ]
+          in
+          check ci
+            (Printf.sprintf "%s --domains %s compares equal" mode d)
+            0 code)
+        (List.tl legs))
+
 (* ------------------------------------------------------------------ *)
 (* planartest graph input: malformed or missing files are usage errors  *)
 (* ------------------------------------------------------------------ *)
@@ -610,6 +675,8 @@ let () =
             `Quick test_planartest_property_mode_stats_identical;
           Alcotest.test_case "planartest domains 1 vs 4 compare equal" `Quick
             test_planartest_domains_compare;
+          Alcotest.test_case "planartest far hub stats identical" `Quick
+            test_planartest_hub_stats_identical;
         ] );
       ( "input",
         [

@@ -1285,6 +1285,46 @@ let test_compiled_far_parks () =
        the ring keeps the tail of the run; the totals stay exact *)
     [ (true, 1 lsl 16); (false, 1 lsl 12) ]
 
+(* [on_round] is the host-side round clock (heartbeats, progress bars):
+   its deltas, one per stepped round plus one per fast-forwarded span,
+   must sum to exactly [Stats.rounds] on both executors.  The heartbeat
+   cannot catch an executor that under-reports a skip, since it
+   publishes the larger of its sampled and its ticked rounds; this test
+   does.  The [max_rounds] leg cuts the run inside a skip. *)
+let test_on_round_sums_to_rounds () =
+  let g = Generators.path 8 in
+  List.iter
+    (fun (fast_forward, max_rounds) ->
+      let what executor =
+        Printf.sprintf "%s ff=%b max_rounds=%d" executor fast_forward
+          max_rounds
+      in
+      let check_sum executor (s : Congest.Stats.t) sum =
+        if fast_forward then
+          check cb (what executor ^ ": skipped") true
+            (s.Congest.Stats.fast_forwarded_rounds > 0);
+        check ci (what executor ^ ": on_round deltas = rounds")
+          s.Congest.Stats.rounds sum
+      in
+      let sum = ref 0 in
+      let module KE = Far_parks (E) in
+      let r =
+        E.run ~max_rounds ~fast_forward
+          ~on_round:(fun d -> sum := !sum + d)
+          g
+          (E.kernel ~start:KE.start ~resume:KE.resume)
+      in
+      check_sum "engine" r.E.stats !sum;
+      let sum = ref 0 in
+      let module KC = Far_parks (C) in
+      let r =
+        C.run ~max_rounds ~fast_forward
+          ~on_round:(fun d -> sum := !sum + d)
+          g ~start:KC.start ~resume:KC.resume
+      in
+      check_sum "compiled" r.C.stats !sum)
+    [ (true, 1_000_000); (false, 1_000_000); (true, 15_000) ]
+
 (* Odd nodes halt at start-up and node 2 halts in round 3, while their
    neighbors keep sending to them: deliveries to halted nodes are charged
    but resume nobody. *)
@@ -1592,6 +1632,8 @@ let () =
             test_fast_forward_capped_by_max_rounds;
           Alcotest.test_case "stats identical with traffic" `Quick
             test_fast_forward_stats_identical_with_traffic;
+          Alcotest.test_case "on_round deltas sum to rounds" `Quick
+            test_on_round_sums_to_rounds;
         ] );
       ( "sharding",
         [

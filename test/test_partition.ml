@@ -105,7 +105,7 @@ let test_boundary () =
   (* three singleton parts; everyone messages across every cut edge *)
   let seen = Array.make 3 [] in
   Partition.Prims.boundary st ~tag:4
-    ~payload:(fun nd ~port:_ ~nbr:_ -> Some [ nd.S.id * 10 ])
+    ~payload:(fun nd -> Some [ nd.S.id * 10 ])
     ~on_receive:(fun nd ~nbr pl -> seen.(nd.S.id) <- (nbr, List.hd pl) :: seen.(nd.S.id));
   check
     (Alcotest.list (Alcotest.pair ci ci))
@@ -184,6 +184,175 @@ let test_fd_planar_never_rejects_qcheck =
     (fun (n, seed) ->
       let g = Generators.apollonian (Random.State.make [| seed |]) n in
       (run_fd g).S.rejections = [])
+
+(* The list-based notice counting [Forest_decomp.Table] replaced, kept
+   here verbatim as the reference: notices accumulate with [add_count],
+   a node's own value is [cap]ped, each child's [Up] payload is
+   [decode]d and [combine]d in, and [encode] writes the result. *)
+module Ref_counts = struct
+  type agg = Many | Counts of (int * int) list
+
+  let add_count lst r x =
+    let rec go = function
+      | [] -> [ (r, x) ]
+      | (r', c) :: rest when r' = r -> (r', c + x) :: rest
+      | p :: rest -> p :: go rest
+    in
+    go lst
+
+  let cap alpha = function
+    | Many -> Many
+    | Counts lst -> if List.length lst > 3 * alpha then Many else Counts lst
+
+  let combine alpha a b =
+    match (a, b) with
+    | Many, _ | _, Many -> Many
+    | Counts la, Counts lb ->
+        cap alpha
+          (Counts (List.fold_left (fun acc (r, x) -> add_count acc r x) la lb))
+
+  let encode = function
+    | Many -> [ -1 ]
+    | Counts lst -> List.concat_map (fun (r, x) -> [ r; x ]) lst
+
+  let decode = function
+    | [ -1 ] -> Many
+    | l ->
+        let rec pairs = function
+          | [] -> []
+          | r :: x :: rest -> (r, x) :: pairs rest
+          | [ _ ] -> failwith "Forest_decomp.decode: odd payload"
+        in
+        Counts (pairs l)
+
+  (* One node: its notices, then its children's payloads in order. *)
+  let run ~alpha notices payloads =
+    let notes = List.fold_left (fun l r -> add_count l r 1) [] notices in
+    let own = cap alpha (Counts notes) in
+    List.fold_left (fun acc pl -> combine alpha acc (decode pl)) own payloads
+end
+
+module Fd_table = Partition.Forest_decomp.Table
+
+let outcome f = match f () with v -> Ok v | exception Failure m -> Error m
+
+let ref_outcome ~alpha notices payloads =
+  outcome (fun () ->
+      let a = Ref_counts.run ~alpha notices payloads in
+      ( Ref_counts.encode a,
+        match a with
+        | Ref_counts.Many -> None
+        | Ref_counts.Counts l -> Some l ))
+
+(* Node [v] of a shared table; the other nodes' streams are interleaved
+   with [v]'s, so a write into the wrong slot shows up as a mismatch. *)
+let table_outcome ~alpha streams v =
+  let t = Fd_table.create ~nodes:(Array.length streams) ~alpha in
+  Fd_table.clear t;
+  let failed = Array.make (Array.length streams) None in
+  let guard u f =
+    if failed.(u) = None then
+      match f () with () -> () | exception Failure m -> failed.(u) <- Some m
+  in
+  let longest =
+    Array.fold_left
+      (fun a (ns, ps) -> max a (max (List.length ns) (List.length ps)))
+      0 streams
+  in
+  for i = 0 to longest - 1 do
+    Array.iteri
+      (fun u (ns, _) ->
+        match List.nth_opt ns i with
+        | Some r -> guard u (fun () -> Fd_table.add t u r 1)
+        | None -> ())
+      streams
+  done;
+  for i = 0 to longest - 1 do
+    Array.iteri
+      (fun u (_, ps) ->
+        match List.nth_opt ps i with
+        | Some pl -> guard u (fun () -> Fd_table.absorb t u pl)
+        | None -> ())
+      streams
+  done;
+  match failed.(v) with
+  | Some m -> Error m
+  | None ->
+      Ok
+        ( Fd_table.encode t v,
+          match Fd_table.agg t v with
+          | Partition.Forest_decomp.Many -> None
+          | Partition.Forest_decomp.Counts l -> Some l )
+
+let counts_outcome =
+  Alcotest.(
+    result
+      (pair (list int) (option (list (pair int int))))
+      string)
+
+let check_table_matches ~alpha streams =
+  Array.iteri
+    (fun v (ns, ps) ->
+      check counts_outcome
+        (Printf.sprintf "alpha %d, node %d" alpha v)
+        (ref_outcome ~alpha ns ps)
+        (table_outcome ~alpha streams v))
+    streams
+
+let test_fd_table_edges () =
+  let alpha = 3 in
+  let k = 3 * alpha in
+  let roots n = List.init n (fun i -> 100 + i) in
+  let counts n =
+    Ref_counts.encode
+      (Ref_counts.Counts (List.map (fun r -> (r, 2)) (roots n)))
+  in
+  check_table_matches ~alpha
+    [|
+      (* exactly 3 alpha distinct roots fit; one more overflows *)
+      (roots k, []);
+      (roots (k + 1), []);
+      (* repeated roots: counts add up, first-arrival order kept *)
+      ([ 7; 3; 7; 7; 5; 3 ], []);
+      (* children push the union to exactly 3 alpha, then past it *)
+      (roots (k - 2), [ counts (k - 1) ]);
+      (roots (k - 2), [ counts k; counts (k + 1) ]);
+      (* a [Many] child, before and after real counts *)
+      ([ 1; 2 ], [ [ -1 ] ]);
+      ([ 1 ], [ [ 1; 4; 9; 2 ]; [ -1 ]; [ 3; 3 ] ]);
+      (* odd payloads fail, also into an overflowed table *)
+      ([ 1 ], [ [ 1; 2; 3 ] ]);
+      (roots (k + 1), [ [ 5 ] ]);
+      ([], []);
+    |];
+  check_table_matches ~alpha:1 [| (roots 3, []); (roots 4, [ [ -1; 4 ] ]) |]
+
+let test_fd_table_qcheck =
+  let open QCheck in
+  let odd l = if List.length l mod 2 = 0 then 1 :: l else l in
+  let payload =
+    Gen.(
+      frequency
+        [
+          (1, return [ -1 ]);
+          (1, list_size (int_range 1 5) (int_range 0 12) >|= odd);
+          ( 8,
+            list_size (int_range 0 6) (pair (int_range 0 12) (int_range 1 5))
+            >|= List.concat_map (fun (r, x) -> [ r; x ]) );
+        ])
+  in
+  (* Roots from a small range, so repeats and overflows are common. *)
+  let stream =
+    Gen.(
+      pair
+        (list_size (int_range 0 14) (int_range 0 12))
+        (list_size (int_range 0 4) payload))
+  in
+  Test.make ~name:"notice table == list-based counting" ~count:300
+    (make Gen.(pair (int_range 1 3) (array_size (int_range 1 4) stream)))
+    (fun (alpha, streams) ->
+      check_table_matches ~alpha streams;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Cole-Vishkin coloring                                               *)
@@ -493,6 +662,9 @@ let () =
           Alcotest.test_case "accepts K10" `Quick test_fd_accepts_k10;
           Alcotest.test_case "weights" `Quick test_fd_weights_are_multiplicities;
           q test_fd_planar_never_rejects_qcheck;
+          Alcotest.test_case "notice table edge cases" `Quick
+            test_fd_table_edges;
+          q test_fd_table_qcheck;
         ] );
       ( "cole-vishkin",
         [
