@@ -106,6 +106,9 @@ let is_charge (nd : State.node) = nd.State.charge_node = nd.State.id
    is not a charge node has no payload for it. *)
 let on_charge_edge (nd : State.node) nbr = nbr = nd.State.charge_nbr
 
+(* Walks rather than [List.exists] / [List.iter] over a closure: the
+   filter runs once per cut port and the updates once per delivery,
+   where a closure per call would be the allocation. *)
 let rec marked_in u = function
   | [] -> false
   | (e : State.bdry_child) :: rest ->
