@@ -29,7 +29,9 @@ fuzz: build
 # under --domains 1, --domains 4, --no-fast-forward and --mode compiled
 # (fast-forward on and off), assert with `planartrace diff` that the
 # simulated accounting of each is byte-identical to the serial fiber
-# trace (only host metrics may differ), and validate the Perfetto
+# trace (only host metrics may differ), do the same for the run under
+# --faults drop=0.01,seed=7 at --domains 1, --domains 4 and
+# --no-fast-forward, and validate the Perfetto
 # export round-trip — the export is a pure function of the
 # .ctrace bytes, so exporting the golden trace twice must be
 # byte-identical.  TRACE_DIR (default /tmp/planartrace) keeps the
@@ -55,6 +57,16 @@ trace: build
 	set -e; for t in d4 noff comp comp-noff; do \
 	  ./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
 	    $(TRACE_DIR)/$$t.ctrace; \
+	done
+	set -e; for t in "d1 --domains 1" "d4 --domains 4" "noff --no-fast-forward"; do \
+	  set -- $$t; tag=$$1; shift; \
+	  ./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
+	    --eps 0.3 --faults drop=0.01,seed=7 "$$@" \
+	    --trace $(TRACE_DIR)/faulted-$$tag.ctrace > /dev/null; \
+	done
+	set -e; for t in d4 noff; do \
+	  ./_build/default/bin/planartrace.exe diff \
+	    $(TRACE_DIR)/faulted-d1.ctrace $(TRACE_DIR)/faulted-$$t.ctrace; \
 	done
 	./_build/default/bin/planartrace.exe export $(TRACE_DIR)/d1.ctrace \
 	  -o $(TRACE_DIR)/d1.perfetto.json

@@ -1137,7 +1137,9 @@ let p1_engine_wallclock () =
     (fun path ->
       (* One extra traced run of the same point: the recording hooks stay
          out of the timed runs above, so [--trace] cannot distort them. *)
-      let tr = Congest.Trace.create () in
+      let tr =
+        Congest.Trace.create (Congest.Telemetry.create ~series:false ())
+      in
       ignore (planarity ~trace:tr g ~eps:0.3 ~seed:1);
       Congest.Trace.finish tr;
       (try Report.Ctrace.write path tr

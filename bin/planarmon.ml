@@ -186,7 +186,7 @@ let run_workload w =
   let trace =
     Congest.Trace.create
       ~config:{ Congest.Trace.default_config with capacity }
-      ()
+      (Congest.Telemetry.create ~series:false ())
   in
   let t0 = Unix.gettimeofday () in
   let r =

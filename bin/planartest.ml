@@ -246,30 +246,33 @@ let test_cmd =
              ~every_rounds:heartbeat_every ~every_secs:heartbeat_secs
              ?on_publish ~run_id ~fingerprint ~property ())
     in
-    (* Checkpointed runs always record telemetry, even without
+    (* Checkpointed runs always record telemetry series, even without
        --stats-json: the snapshot carries the series, so a later resume
-       that does ask for --stats-json still gets the full history. *)
+       that does ask for --stats-json still gets the full history.  A
+       trace projects a telemetry, so a traced run always has one, with
+       series only when something keeps them. *)
+    let series = stats_json <> None || checkpoint_path <> None in
     let telemetry =
-      if stats_json <> None || checkpoint_path <> None then
-        Some (Congest.Telemetry.create ())
+      if series || trace_out <> None then
+        Some (Congest.Telemetry.create ~series ())
       else None
     in
     let trace =
       Option.map
-        (fun _ ->
+        (fun tel ->
           match trace_capacity with
-          | None -> Congest.Trace.create ()
+          | None -> Congest.Trace.create tel
           | Some cap when cap >= 1 ->
               Congest.Trace.create
                 ~config:
                   { Congest.Trace.default_config with
                     Congest.Trace.capacity = cap }
-                ()
+                tel
           | Some cap ->
               Obs.Log.errorf
                 "planartest test: --trace-capacity must be >= 1 (got %d)" cap;
               exit 2)
-        trace_out
+        (if trace_out <> None then telemetry else None)
     in
     let checkpoint =
       match checkpoint_path with

@@ -73,6 +73,7 @@ type t = {
 }
 
 let create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g =
+  let telemetry = Trace.resolve ~telemetry trace in
   let n = Graph.n g in
   let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
   let bw =
@@ -92,8 +93,21 @@ let create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g =
 
 let stats a = a.stats
 
+let open_round a =
+  let s = a.stats in
+  s.Stats.rounds <- s.Stats.rounds + 1;
+  s.Stats.rounds
+
 let close_round a ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed
     ~bits ~frames ~messages =
+  let s = a.stats in
+  s.Stats.charged_rounds <- s.Stats.charged_rounds + frames;
+  s.Stats.messages <- s.Stats.messages + messages;
+  s.Stats.total_bits <- s.Stats.total_bits + bits;
+  s.Stats.dropped <- s.Stats.dropped + dropped;
+  s.Stats.duplicated <- s.Stats.duplicated + duplicated;
+  s.Stats.delayed <- s.Stats.delayed + delayed;
+  s.Stats.crashed_nodes <- s.Stats.crashed_nodes + crashed;
   (match a.telemetry with
   | Some tel ->
       Telemetry.tick tel ~stepped ~domains ~dropped ~duplicated ~delayed
@@ -101,9 +115,26 @@ let close_round a ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed
   | None -> ());
   match a.trace with
   | Some tr ->
-      Trace.round_tick tr ~round:a.stats.Stats.rounds ~bits ~frames ~messages
+      Trace.round_tick tr ~round:s.Stats.rounds ~bits ~frames ~messages
         ~stepped
   | None -> ()
+
+let crashed a k =
+  if k > 0 then begin
+    a.stats.Stats.crashed_nodes <- a.stats.Stats.crashed_nodes + k;
+    match a.telemetry with
+    | Some tel -> Telemetry.amend tel ~frames:0 ~crashed:k
+    | None -> ()
+  end
+
+let charge ~stats ~telemetry k =
+  if k > 0 then begin
+    stats.Stats.charged_rounds <- stats.Stats.charged_rounds + k;
+    (match telemetry with
+    | Some tel -> Telemetry.amend tel ~frames:k ~crashed:0
+    | None -> ());
+    if Obs.Metrics.enabled () then Obs.Metrics.inc ~by:k m_charged_rounds
+  end
 
 (* Quiescent-span skip: the rounds strictly before [target] are provably
    empty — nothing delivered, one frame charged, nobody resumed — so they

@@ -8,31 +8,41 @@
     - the run's {!Stats.t} record, created with the bandwidth default
       ({!Bits.default_bandwidth}) and announced to the trace
       ({!Trace.set_meta});
-    - the close of every stepped round: one {!Telemetry.tick} and one
-      {!Trace.round_tick};
+    - every simulated count.  This module is the only code that adds to
+      the [rounds], [charged_rounds], [messages], [total_bits],
+      [fast_forwarded_rounds], [dropped], [duplicated], [delayed] and
+      [crashed_nodes] of a {!Stats.t} and to a {!Telemetry.t}; each count
+      is written into both by the same call.  {!Trace.totals} and
+      {!Trace.sim_phases} read the telemetry, and the [congest_*]
+      metrics read the stats, so every surface projects one count;
+    - the open and close of every stepped round ({!open_round},
+      {!close_round}, which also records the trace's [Round] event);
     - the fast-forward skip over a provably quiescent span: [rounds],
       [charged_rounds] and [fast_forwarded_rounds] in {!Stats.t},
-      {!Telemetry.fast_forward}, {!Trace.fast_forward} and the host-side
-      [on_round delta];
+      {!Telemetry.fast_forward}, the trace's [Fast_forward] event and
+      the host-side [on_round delta];
     - the round driver: the [max_rounds] cut-off, the skip, [on_round 1]
       after each stepped round, and {!Trace.run_end} on the normal and the
       exception path alike;
     - the run-level [congest_*] {!Obs.Metrics} families, registered here
-      and nowhere else, and bumped once per run by {!finish}.
+      and nowhere else, and bumped once per run by {!finish} (and by
+      {!charge}, which lies outside any run).
 
     An executor keeps its event-level trace calls (message, resume, park,
-    shard, fault), its delivery and its per-edge charge pass, and writes
-    the per-round message, bit and frame totals into {!stats} itself, at
-    the same point of the round as before: a node program reading its
-    engine's stats mid-round sees the round already opened and its
-    deliveries counted.  The simulated clock is [(stats a).rounds]; an
-    executor's own round counter follows it. *)
+    shard, fault), its delivery, and its per-edge charge pass, which
+    alone writes [max_edge_bits] and [oversized].  It sums each round's
+    messages, bits, frames and fault events into locals and hands them
+    to {!close_round}: a node program reading its engine's stats
+    mid-round sees the round opened but not yet its deliveries.  The
+    simulated clock is [(stats a).rounds]; an executor's own round
+    counter follows it. *)
 
 type t
 
 (** [create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g] starts
     the accounting of one run over [g].  [bandwidth = None] means
-    {!Bits.default_bandwidth}[ (Graph.n g)].  Starts the run's wall clock
+    {!Bits.default_bandwidth}[ (Graph.n g)].  The run ticks
+    {!Trace.resolve}[ ~telemetry trace].  Starts the run's wall clock
     when metrics are enabled. *)
 val create :
   bandwidth:int option ->
@@ -46,10 +56,15 @@ val create :
 (** The run's simulated record, updated in place. *)
 val stats : t -> Stats.t
 
+(** [open_round a] opens the next round and returns it: the new
+    simulated clock [(stats a).rounds]. *)
+val open_round : t -> int
+
 (** [close_round a ~stepped ~domains ~dropped ~duplicated ~delayed
     ~crashed ~bits ~frames ~messages] closes the round [(stats a).rounds]
-    after its step phase: one telemetry tick and one trace round tick
-    carrying the round's totals. *)
+    after its step phase: adds the round's totals ([frames] is its
+    charge) to the stats, ticks the telemetry once and records the
+    trace's [Round] event. *)
 val close_round :
   t ->
   stepped:int ->
@@ -62,6 +77,19 @@ val close_round :
   frames:int ->
   messages:int ->
   unit
+
+(** [crashed a k] counts [k] crash events that took effect inside the
+    run's final fast-forwarded span, after its last stepped round, in the
+    stats and in the telemetry's open phase — where a round-by-round
+    execution counts them in {!close_round}. *)
+val crashed : t -> int -> unit
+
+(** [charge ~stats ~telemetry k] adds [k] rounds of a substituted
+    subroutine that no engine run simulates (Stage II's oracle
+    embedding): to [stats.charged_rounds], to the telemetry's open
+    phase's [frames] (and so to the trace projecting it) and to the
+    [congest_charged_rounds] metric. *)
+val charge : stats:Stats.t -> telemetry:Telemetry.t option -> int -> unit
 
 (** [drive a ~live ~wake ~step] runs rounds while [live ()] holds and
     returns [false] iff [max_rounds] cut the run short.  Before each round

@@ -463,9 +463,8 @@ module Make (Msg : MESSAGE) = struct
         done
     in
     let one_round () =
-      eng.estats.Stats.rounds <- eng.estats.Stats.rounds + 1;
       (* The clock follows [Stats.rounds], which also moves by skips. *)
-      eng.current_round <- eng.estats.Stats.rounds;
+      eng.current_round <- Account.open_round acct;
       let r = eng.current_round in
       let round_bits = ref 0 and round_msgs = ref 0 in
       let nd = ref 0 in
@@ -516,8 +515,6 @@ module Make (Msg : MESSAGE) = struct
           | None -> ())
         done
       done;
-      eng.estats.messages <- eng.estats.messages + !round_msgs;
-      eng.estats.total_bits <- eng.estats.total_bits + !round_bits;
       (* Charge bandwidth per directed edge by re-scanning the same
          entries; zeroing [edge_bits] doubles as the visited mark. *)
       let max_frames = ref 1 in
@@ -541,8 +538,6 @@ module Make (Msg : MESSAGE) = struct
       done;
       p.senders_len <- 0;
       p.s_len <- 0;
-      eng.estats.Stats.charged_rounds <-
-        eng.estats.Stats.charged_rounds + !max_frames;
       (* The round's deadline slot; receivers are already listed.  A
          dense due set is re-listed in order by one scan over the ids. *)
       settle p r;

@@ -1091,9 +1091,8 @@ module Make (Msg : MESSAGE) = struct
       done
     in
     let one_round () =
-      eng.estats.Stats.rounds <- eng.estats.Stats.rounds + 1;
       (* The clock follows [Stats.rounds], which also moves by skips. *)
-      eng.current_round <- eng.estats.Stats.rounds;
+      eng.current_round <- Account.open_round acct;
       let round_bits = ref 0 and round_msgs = ref 0 in
       let round_dropped = ref 0
       and round_duplicated = ref 0
@@ -1109,7 +1108,6 @@ module Make (Msg : MESSAGE) = struct
         do
           let r, v = crash_starts.(!crash_start_i) in
           if conts.(v) != none_k then begin
-            eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
             incr round_crashed;
             match trace with
             | Some tr ->
@@ -1145,8 +1143,6 @@ module Make (Msg : MESSAGE) = struct
                 let dest = a.s_dest.(j) and de = a.s_eids.(j) in
                 let msg = a.s_msgs.(j) in
                 let b = Msg.bits msg in
-                eng.estats.messages <- eng.estats.messages + 1;
-                eng.estats.total_bits <- eng.estats.total_bits + b;
                 incr round_msgs;
                 round_bits := !round_bits + b;
                 p.edge_bits.(de) <- p.edge_bits.(de) + b;
@@ -1174,16 +1170,11 @@ module Make (Msg : MESSAGE) = struct
              the iteration order below is the deterministic serial order,
              so the schedule is invariant under the domain count. *)
           let charge_wire de b =
-            eng.estats.messages <- eng.estats.messages + 1;
-            eng.estats.total_bits <- eng.estats.total_bits + b;
             incr round_msgs;
             round_bits := !round_bits + b;
             p.edge_bits.(de) <- p.edge_bits.(de) + b
           in
-          let drop_one () =
-            eng.estats.dropped <- eng.estats.dropped + 1;
-            incr round_dropped
-          in
+          let drop_one () = incr round_dropped in
           let trace_fault kind ~sender ~dest ~de ~info =
             match trace with
             | Some tr ->
@@ -1295,13 +1286,11 @@ module Make (Msg : MESSAGE) = struct
                   | Faults.Duplicate ->
                       charge_wire de b;
                       charge_wire de b;
-                      eng.estats.duplicated <- eng.estats.duplicated + 1;
                       incr round_duplicated;
                       trace_fault Trace.Duplicate ~sender:v ~dest ~de ~info:0;
                       deliver ~sent ~de ~bits:b v dest msg;
                       deliver ~sent ~de ~bits:b v dest msg
                   | Faults.Delay dl ->
-                      eng.estats.delayed <- eng.estats.delayed + 1;
                       incr round_delayed;
                       trace_fault Trace.Delay ~sender:v ~dest ~de ~info:dl;
                       let due = eng.current_round + dl in
@@ -1367,7 +1356,6 @@ module Make (Msg : MESSAGE) = struct
         a.asenders_len <- 0;
         a.s_len <- 0
       done;
-      eng.estats.charged_rounds <- eng.estats.charged_rounds + !max_frames;
       (* Step the live nodes (sharded when worthwhile). *)
       let fib_cnt =
         match trace with Some tr -> trace_prescan tr | None -> 0
@@ -1477,14 +1465,15 @@ module Make (Msg : MESSAGE) = struct
              were never seen by [one_round]; count them now (before
              [finalize] kills the fibers the liveness check reads) so the
              tally matches a round-by-round execution. *)
-          if has_crash then
+          if has_crash then begin
+            let late = ref 0 in
             while
               !crash_start_i < Array.length crash_starts
               && fst crash_starts.(!crash_start_i) <= eng.current_round
             do
               let r, v = crash_starts.(!crash_start_i) in
               if conts.(v) != none_k then begin
-                eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
+                incr late;
                 match trace with
                 | Some tr ->
                     Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v
@@ -1495,6 +1484,8 @@ module Make (Msg : MESSAGE) = struct
               end;
               incr crash_start_i
             done;
+            Account.crashed acct !late
+          end;
           completed && !culled = 0 && eng.fail_log = [])
     in
     (* Post-condition: a completed run has an output at every node.  A

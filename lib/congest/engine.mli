@@ -249,7 +249,9 @@ module Make (Msg : MESSAGE) : sig
       @param telemetry when given, {!Account} records one
              {!Telemetry.tick} per simulated round (bits, frames,
              messages, fibers stepped, domains used); fast-forwarded
-             rounds are recorded through {!Telemetry.fast_forward}.
+             rounds are recorded through {!Telemetry.fast_forward}.  A
+             traced run ticks its trace's telemetry
+             ({!Trace.resolve}): pass that one, or none.
       @param trace when given, typed per-event records (message
              deliveries, fault firings, fiber resume/park, fast-forward
              spans, per-round accounting, domain-shard boundaries) are
@@ -259,9 +261,10 @@ module Make (Msg : MESSAGE) : sig
              categories (shard boundaries) reflect the actual execution.
              Fiber resume/park events are predicted on the coordinating
              domain from the same resume predicate the stepper uses, so
-             they too are domain-count invariant.  Tracing is independent
-             of [?telemetry]; with the argument omitted the engine's hot
-             path pays a single branch per event site.
+             they too are domain-count invariant.  The trace's exact
+             totals are those of the telemetry it is built over; with the
+             argument omitted the engine's hot path pays a single branch
+             per event site.
       @param domains shard node stepping across this many OCaml domains
              (default 1 = serial).  All accounting is byte-identical for
              every value — see {e Concurrency and determinism} above.

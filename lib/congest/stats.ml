@@ -31,8 +31,6 @@ let create ~bandwidth =
 
 let copy t = { t with rounds = t.rounds }
 
-let charge t k = t.charged_rounds <- t.charged_rounds + k
-
 let frames ~bandwidth bits =
   if bits <= bandwidth then 1 else (bits + bandwidth - 1) / bandwidth
 

@@ -4,7 +4,11 @@
     [charged_rounds] is the bandwidth-honest cost: a round in which some
     edge carried [k > 1] frames of [bandwidth] bits is charged [k] rounds
     (modelling the pipelining a real CONGEST algorithm would need), and
-    substituted subroutines may add explicit charges. *)
+    substituted subroutines may add explicit charges ({!Account.charge}).
+
+    Only {!Account} adds to a record's counts ([max_edge_bits] and
+    [oversized] aside, which the executors' per-edge charge pass owns);
+    {!add_into} sums the records of finished runs. *)
 
 type t = {
   mutable rounds : int;
@@ -31,9 +35,6 @@ val create : bandwidth:int -> t
 
 (** Independent snapshot of the counters. *)
 val copy : t -> t
-
-(** [charge t k] adds [k] rounds of substituted-subroutine cost. *)
-val charge : t -> int -> unit
 
 (** [frames ~bandwidth bits] is the number of [bandwidth]-bit frames needed
     to carry [bits] on one edge in one round (at least 1). *)

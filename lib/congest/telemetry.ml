@@ -85,6 +85,17 @@ module Ivec = struct
     v.a.(v.len) <- x;
     v.len <- v.len + 1
 
+  (* [k] copies of [x] in one bulk write. *)
+  let push_n v x k =
+    let cap = Array.length v.a in
+    if v.len + k > cap then begin
+      let na = Array.make (max (v.len + k) (max 16 (2 * cap))) 0 in
+      Array.blit v.a 0 na 0 v.len;
+      v.a <- na
+    end;
+    Array.fill v.a v.len k x;
+    v.len <- v.len + k
+
   let to_json v =
     let rec build i acc =
       if i < 0 then acc else build (i - 1) (Json.Int v.a.(i) :: acc)
@@ -141,8 +152,12 @@ let fresh_phase label =
 
 let create ?(series = true) () = { series; cur = fresh_phase "run"; closed = [] }
 
+(* A phase is kept when it recorded a round or a charge; one with
+   neither is dropped. *)
+let kept (p : phase_rec) = p.rounds > 0 || p.frames > 0
+
 let phase t label =
-  if t.cur.rounds > 0 then t.closed <- t.cur :: t.closed;
+  if kept t.cur then t.closed <- t.cur :: t.closed;
   t.cur <- fresh_phase label
 
 let copy_ivec (v : Ivec.t) = { Ivec.a = Array.copy v.Ivec.a; len = v.Ivec.len }
@@ -186,16 +201,29 @@ let tick t ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed ~bits
   end
 
 let fast_forward t ~rounds =
+  if rounds > 0 then begin
+    let p = t.cur in
+    (* A fast-forwarded round is accounted exactly like the quiescent
+       round the engine proved it to be: zero bits, one frame, zero
+       messages, zero nodes stepped, one domain.  The per-phase aggregates
+       and series therefore stay byte-identical whether or not
+       fast-forwarding fired; the whole span costs O(1) on the aggregates
+       and one bulk write per series. *)
+    p.fast_forwarded <- p.fast_forwarded + rounds;
+    p.rounds <- p.rounds + rounds;
+    p.frames <- p.frames + rounds;
+    if t.series then begin
+      Ivec.push_n p.bits_series 0 rounds;
+      Ivec.push_n p.frames_series 1 rounds;
+      Ivec.push_n p.msgs_series 0 rounds;
+      Ivec.push_n p.stepped_series 0 rounds
+    end
+  end
+
+let amend t ~frames ~crashed =
   let p = t.cur in
-  p.fast_forwarded <- p.fast_forwarded + rounds;
-  (* A fast-forwarded round is accounted exactly like the quiescent round
-     the engine proved it to be: zero bits, one frame, zero messages, zero
-     nodes stepped.  The per-phase aggregates and series therefore stay
-     byte-identical whether or not fast-forwarding fired. *)
-  for _ = 1 to rounds do
-    tick t ~stepped:0 ~domains:1 ~dropped:0 ~duplicated:0 ~delayed:0
-      ~crashed:0 ~bits:0 ~frames:1 ~messages:0
-  done
+  p.frames <- p.frames + frames;
+  p.crashed <- p.crashed + crashed
 
 type phase_view = {
   label : string;
@@ -214,27 +242,27 @@ type phase_view = {
 }
 
 let all_phases t =
-  List.rev (if t.cur.rounds > 0 then t.cur :: t.closed else t.closed)
+  List.rev (if kept t.cur then t.cur :: t.closed else t.closed)
 
-let phases t =
-  List.map
-    (fun (p : phase_rec) ->
-      {
-        label = p.label;
-        rounds = p.rounds;
-        frames = p.frames;
-        bits = p.bits;
-        messages = p.messages;
-        stepped = p.stepped;
-        parallel_rounds = p.parallel_rounds;
-        fast_forwarded = p.fast_forwarded;
-        max_domains = p.max_domains;
-        dropped = p.dropped;
-        duplicated = p.duplicated;
-        delayed = p.delayed;
-        crashed = p.crashed;
-      })
-    (all_phases t)
+let view (p : phase_rec) =
+  {
+    label = p.label;
+    rounds = p.rounds;
+    frames = p.frames;
+    bits = p.bits;
+    messages = p.messages;
+    stepped = p.stepped;
+    parallel_rounds = p.parallel_rounds;
+    fast_forwarded = p.fast_forwarded;
+    max_domains = p.max_domains;
+    dropped = p.dropped;
+    duplicated = p.duplicated;
+    delayed = p.delayed;
+    crashed = p.crashed;
+  }
+
+let phases t = List.map view (all_phases t)
+let open_phase t = if kept t.cur then Some (view t.cur) else None
 
 let stats_json (s : Stats.t) =
   Json.Obj

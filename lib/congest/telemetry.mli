@@ -9,6 +9,13 @@
     label its own work; the result is a per-phase round/bit/frame series
     that serializes to JSON alongside the final {!Stats.t}.
 
+    Only {!Account} writes simulated counts here, in the same calls that
+    write them into the run's {!Stats.t}.  A {!Trace.t} is built over one
+    telemetry and reads its exact aggregates from it ({!Trace.totals},
+    {!Trace.sim_phases}); while a trace projects a telemetry, rotate its
+    phases through {!Trace.phase}, which closes the trace's host-side
+    profile of the phase first.
+
     Recording is allocation-light: each series is a growable [int] array,
     amortized O(1) per round, and a [t] is single-run / single-domain
     state (attach a fresh one per run when fanning runs across domains). *)
@@ -43,8 +50,8 @@ type t
 val create : ?series:bool -> unit -> t
 
 (** [phase t label] closes the current phase and opens a new one.  An
-    empty current phase (no rounds recorded) is dropped rather than
-    serialized. *)
+    empty current phase (no rounds and no charge recorded) is dropped
+    rather than serialized. *)
 val phase : t -> string -> unit
 
 (** Deep copy of everything recorded so far — safe to marshal or keep
@@ -87,8 +94,16 @@ val tick :
     accounted exactly like the empty round it replaces (0 bits, 1 frame,
     0 messages, 0 stepped), so aggregates and series are byte-identical
     whether or not fast-forwarding fired; the count is additionally
-    tracked in the phase's [fast_forwarded] field. *)
+    tracked in the phase's [fast_forwarded] field.  O(1) on the
+    aggregates, plus one bulk write per series when [series] is on. *)
 val fast_forward : t -> rounds:int -> unit
+
+(** [amend t ~frames ~crashed] adds counts that belong to the open phase
+    but to no stepped round: the charged rounds of a substituted
+    subroutine ({!Account.charge}) and crash events that took effect
+    inside a run's final fast-forwarded span.  The series are left
+    alone.  Called by {!Account}. *)
+val amend : t -> frames:int -> crashed:int -> unit
 
 type phase_view = {
   label : string;
@@ -108,6 +123,10 @@ type phase_view = {
 
 (** Phases in chronological order, empty phases dropped. *)
 val phases : t -> phase_view list
+
+(** The open phase, when it has recorded anything (it is then the last
+    of {!phases}). *)
+val open_phase : t -> phase_view option
 
 (** JSON view of a {!Stats.t}. *)
 val stats_json : Stats.t -> Json.t

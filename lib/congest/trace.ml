@@ -84,7 +84,20 @@ let m_dropped =
     ~help:"Trace events lost to ring overwrite or per-category sampling"
     "trace_dropped_events"
 
+(* Host-side profile of one closed phase: what no other recorder has.
+   Its label, [par_rounds], [stepped] and [max_domains] are read from the
+   telemetry phase it belongs to. *)
+type host_delta = {
+  h_wall_s : float;
+  h_minor_words : float;
+  h_major_words : float;
+  h_minor_collections : int;
+  h_major_collections : int;
+  h_max_stepped : int;
+}
+
 type t = {
+  tel : Telemetry.t;  (* the simulated counts this trace projects *)
   mutable cfg : config;  (* mutable only for [restore_into] *)
   mutable ev : int array;  (* ring, cfg.capacity * slot ints *)
   mutable written : int;  (* events ever pushed (ring index = mod cap) *)
@@ -94,35 +107,15 @@ type t = {
   mutable label_count : int;
   mutable base : int;  (* absolute round at which the current run starts *)
   mutable meta : (int * int * int) option;
-  (* Exact aggregates (never sampled, never evicted): *)
-  mutable t_rounds : int;
-  mutable t_frames : int;
-  mutable t_bits : int;
-  mutable t_messages : int;
-  mutable t_ff : int;
-  mutable t_dropped : int;
-  mutable t_duplicated : int;
-  mutable t_delayed : int;
-  mutable t_crashed : int;
-  mutable t_sampled_out : int;
+  mutable sampled_out : int;
   mutable msg_seen : int;
   mutable span_seen : int;
-  (* Current phase, sim side: *)
-  mutable p_label : int;
-  mutable p_rounds : int;
-  mutable p_bits : int;
-  mutable p_frames : int;
-  mutable p_messages : int;
-  mutable p_ff : int;
-  (* Current phase, host side: *)
+  (* Open phase, host side: *)
   mutable p_wall0 : float;
   mutable p_gc0 : Gc.stat;
-  mutable p_par_rounds : int;
-  mutable p_stepped : int;
   mutable p_max_stepped : int;
-  mutable p_max_domains : int;
-  mutable sim_closed : sim_phase list;  (* reverse chronological *)
-  mutable host_closed : host_phase list;
+  mutable host_closed : host_delta list;
+      (* reverse chronological, one per closed telemetry phase *)
   mutable finished : bool;
 }
 
@@ -141,7 +134,7 @@ let intern t s =
       Hashtbl.add t.labels s id;
       id
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) tel =
   let cfg =
     {
       capacity = max 1 config.capacity;
@@ -152,6 +145,7 @@ let create ?(config = default_config) () =
   in
   let t =
     {
+      tel;
       cfg;
       ev = Array.make (cfg.capacity * slot) 0;
       written = 0;
@@ -160,45 +154,38 @@ let create ?(config = default_config) () =
       label_count = 0;
       base = 0;
       meta = None;
-      t_rounds = 0;
-      t_frames = 0;
-      t_bits = 0;
-      t_messages = 0;
-      t_ff = 0;
-      t_dropped = 0;
-      t_duplicated = 0;
-      t_delayed = 0;
-      t_crashed = 0;
-      t_sampled_out = 0;
+      sampled_out = 0;
       msg_seen = 0;
       span_seen = 0;
-      p_label = 0;
-      p_rounds = 0;
-      p_bits = 0;
-      p_frames = 0;
-      p_messages = 0;
-      p_ff = 0;
       p_wall0 = Unix.gettimeofday ();
       p_gc0 = Gc.quick_stat ();
-      p_par_rounds = 0;
-      p_stepped = 0;
       p_max_stepped = 0;
-      p_max_domains = 1;
-      sim_closed = [];
       host_closed = [];
       finished = false;
     }
   in
-  t.p_label <- intern t "run";
+  ignore (intern t "run" : int);
   t
 
 let config t = t.cfg
+let telemetry t = t.tel
 
-(* Deep snapshot for checkpointing: every recorded field, safe to Marshal
-   (ints, strings, lists and one [Gc.stat] record — no closures). *)
+let resolve ~telemetry trace =
+  match (telemetry, trace) with
+  | _, None -> telemetry
+  | Some tel, Some t when tel != t.tel ->
+      invalid_arg
+        "Trace.resolve: a trace projects its own telemetry; pass that one \
+         (Trace.telemetry) or none"
+  | _, Some t -> Some t.tel
+
+(* Deep snapshot for checkpointing: every recorded field and the
+   projected telemetry, safe to Marshal (ints, strings, lists and one
+   [Gc.stat] record — no closures). *)
 let copy t =
   {
     t with
+    tel = Telemetry.copy t.tel;
     ev = Array.copy t.ev;
     labels = Hashtbl.copy t.labels;
     label_names = Array.copy t.label_names;
@@ -214,29 +201,10 @@ let restore_into dst ~from =
   dst.label_count <- from.label_count;
   dst.base <- from.base;
   dst.meta <- from.meta;
-  dst.t_rounds <- from.t_rounds;
-  dst.t_frames <- from.t_frames;
-  dst.t_bits <- from.t_bits;
-  dst.t_messages <- from.t_messages;
-  dst.t_ff <- from.t_ff;
-  dst.t_dropped <- from.t_dropped;
-  dst.t_duplicated <- from.t_duplicated;
-  dst.t_delayed <- from.t_delayed;
-  dst.t_crashed <- from.t_crashed;
-  dst.t_sampled_out <- from.t_sampled_out;
+  dst.sampled_out <- from.sampled_out;
   dst.msg_seen <- from.msg_seen;
   dst.span_seen <- from.span_seen;
-  dst.p_label <- from.p_label;
-  dst.p_rounds <- from.p_rounds;
-  dst.p_bits <- from.p_bits;
-  dst.p_frames <- from.p_frames;
-  dst.p_messages <- from.p_messages;
-  dst.p_ff <- from.p_ff;
-  dst.p_par_rounds <- from.p_par_rounds;
-  dst.p_stepped <- from.p_stepped;
   dst.p_max_stepped <- from.p_max_stepped;
-  dst.p_max_domains <- from.p_max_domains;
-  dst.sim_closed <- from.sim_closed;
   dst.host_closed <- from.host_closed;
   dst.finished <- from.finished;
   (* Host-side deltas restart at the restore point: wall clock and GC
@@ -259,7 +227,7 @@ let push t kind time a b c d e =
   if t.written > t.cfg.capacity then Obs.Metrics.inc m_dropped
 
 let sampled_out t k =
-  t.t_sampled_out <- t.t_sampled_out + k;
+  t.sampled_out <- t.sampled_out + k;
   Obs.Metrics.inc ~by:k m_dropped
 
 let set_meta t ~n ~m ~bandwidth =
@@ -268,15 +236,6 @@ let set_meta t ~n ~m ~bandwidth =
 let meta t = t.meta
 
 let round_tick t ~round ~bits ~frames ~messages ~stepped =
-  t.t_rounds <- t.t_rounds + 1;
-  t.t_frames <- t.t_frames + frames;
-  t.t_bits <- t.t_bits + bits;
-  t.t_messages <- t.t_messages + messages;
-  t.p_rounds <- t.p_rounds + 1;
-  t.p_bits <- t.p_bits + bits;
-  t.p_frames <- t.p_frames + frames;
-  t.p_messages <- t.p_messages + messages;
-  t.p_stepped <- t.p_stepped + stepped;
   push t 0 (t.base + round) bits frames messages stepped 0
 
 let message t ~round ~sent ~sender ~dest ~edge ~bits =
@@ -303,11 +262,6 @@ let fault_of_code = function
   | _ -> Down_drop
 
 let fault t ~round ~kind ~sender ~dest ~edge ~info =
-  (match kind with
-  | Drop | Truncate | Down_drop -> t.t_dropped <- t.t_dropped + 1
-  | Duplicate -> t.t_duplicated <- t.t_duplicated + 1
-  | Delay -> t.t_delayed <- t.t_delayed + 1
-  | Crash -> t.t_crashed <- t.t_crashed + 1);
   push t 2 (t.base + round) (fault_code kind) sender dest edge info
 
 let want_fiber t node = node mod t.cfg.sample_fibers = 0
@@ -333,19 +287,10 @@ let fiber_park t ~round ~node ~wake =
   else sampled_out t 1
 
 let shard t ~round ~domains ~max_stepped ~stepped =
-  t.p_par_rounds <- t.p_par_rounds + 1;
   t.p_max_stepped <- t.p_max_stepped + max_stepped;
-  if domains > t.p_max_domains then t.p_max_domains <- domains;
   push t 10 (t.base + round) domains max_stepped stepped 0 0
 
-let fast_forward t ~round ~rounds =
-  t.t_rounds <- t.t_rounds + rounds;
-  t.t_frames <- t.t_frames + rounds;
-  t.t_ff <- t.t_ff + rounds;
-  t.p_rounds <- t.p_rounds + rounds;
-  t.p_frames <- t.p_frames + rounds;
-  t.p_ff <- t.p_ff + rounds;
-  push t 9 (t.base + round) rounds 0 0 0 0
+let fast_forward t ~round ~rounds = push t 9 (t.base + round) rounds 0 0 0 0
 
 let run_end t ~rounds =
   (* Recorded before the base moves so the event's timestamp is the
@@ -354,59 +299,38 @@ let run_end t ~rounds =
   push t 11 (t.base + rounds) rounds 0 0 0 0;
   t.base <- t.base + rounds
 
-(* Closing a phase captures the host-side deltas.  A phase with no
-   simulated rounds is dropped — both views, so they stay aligned —
-   mirroring [Telemetry.phase]. *)
+(* The open phase's host profile up to [wall]/[gc]: one snapshot each, so
+   its words and collections come from the same instant. *)
+let host_delta t ~wall ~(gc : Gc.stat) =
+  {
+    h_wall_s = wall -. t.p_wall0;
+    h_minor_words = gc.Gc.minor_words -. t.p_gc0.Gc.minor_words;
+    h_major_words = gc.Gc.major_words -. t.p_gc0.Gc.major_words;
+    h_minor_collections = gc.Gc.minor_collections - t.p_gc0.Gc.minor_collections;
+    h_major_collections = gc.Gc.major_collections - t.p_gc0.Gc.major_collections;
+    h_max_stepped = t.p_max_stepped;
+  }
+
+(* Closing a phase captures the host-side deltas of the telemetry's open
+   phase, before that phase rotates.  A phase the telemetry drops as
+   empty gets no host profile either, so the two views stay aligned. *)
 let close_phase t =
   let wall = Unix.gettimeofday () in
   let gc = Gc.quick_stat () in
-  if t.p_rounds > 0 then begin
-    let label = t.label_names.(t.p_label) in
-    push t 6 t.base t.p_label 0 0 0 0;
-    t.sim_closed <-
-      {
-        label;
-        rounds = t.p_rounds;
-        bits = t.p_bits;
-        frames = t.p_frames;
-        messages = t.p_messages;
-        fast_forwarded = t.p_ff;
-      }
-      :: t.sim_closed;
-    t.host_closed <-
-      {
-        label;
-        wall_s = wall -. t.p_wall0;
-        minor_words = gc.Gc.minor_words -. t.p_gc0.Gc.minor_words;
-        major_words = gc.Gc.major_words -. t.p_gc0.Gc.major_words;
-        minor_collections =
-          gc.Gc.minor_collections - t.p_gc0.Gc.minor_collections;
-        major_collections =
-          gc.Gc.major_collections - t.p_gc0.Gc.major_collections;
-        par_rounds = t.p_par_rounds;
-        stepped = t.p_stepped;
-        max_stepped = t.p_max_stepped;
-        max_domains = t.p_max_domains;
-      }
-      :: t.host_closed
-  end;
-  t.p_rounds <- 0;
-  t.p_bits <- 0;
-  t.p_frames <- 0;
-  t.p_messages <- 0;
-  t.p_ff <- 0;
+  (match Telemetry.open_phase t.tel with
+  | Some p ->
+      push t 6 t.base (intern t p.Telemetry.label) 0 0 0 0;
+      t.host_closed <- host_delta t ~wall ~gc :: t.host_closed
+  | None -> ());
   t.p_wall0 <- wall;
   t.p_gc0 <- gc;
-  t.p_par_rounds <- 0;
-  t.p_stepped <- 0;
-  t.p_max_stepped <- 0;
-  t.p_max_domains <- 1
+  t.p_max_stepped <- 0
 
 let phase t label =
-  close_phase t;
-  t.p_label <- intern t label;
+  if not t.finished then close_phase t;
+  Telemetry.phase t.tel label;
   t.finished <- false;
-  push t 5 t.base t.p_label 0 0 0 0
+  push t 5 t.base (intern t label) 0 0 0 0
 
 let span t label f =
   let k = t.span_seen in
@@ -428,57 +352,79 @@ let finish t =
   end
 
 let totals t =
+  let phases = Telemetry.phases t.tel in
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 phases in
   {
-    rounds = t.t_rounds;
-    frames = t.t_frames;
-    bits = t.t_bits;
-    messages = t.t_messages;
-    fast_forwarded = t.t_ff;
-    dropped = t.t_dropped;
-    duplicated = t.t_duplicated;
-    delayed = t.t_delayed;
-    crashed = t.t_crashed;
+    rounds = sum (fun p -> p.Telemetry.rounds);
+    frames = sum (fun p -> p.Telemetry.frames);
+    bits = sum (fun p -> p.Telemetry.bits);
+    messages = sum (fun p -> p.Telemetry.messages);
+    fast_forwarded = sum (fun p -> p.Telemetry.fast_forwarded);
+    dropped = sum (fun p -> p.Telemetry.dropped);
+    duplicated = sum (fun p -> p.Telemetry.duplicated);
+    delayed = sum (fun p -> p.Telemetry.delayed);
+    crashed = sum (fun p -> p.Telemetry.crashed);
     recorded = t.written;
     overwritten = max 0 (t.written - t.cfg.capacity);
-    sampled_out = t.t_sampled_out;
+    sampled_out = t.sampled_out;
   }
 
-let with_open_phase t view closed =
-  if t.p_rounds > 0 then List.rev (view :: closed) else List.rev closed
-
 let sim_phases t =
-  with_open_phase t
-    {
-      label = t.label_names.(t.p_label);
-      rounds = t.p_rounds;
-      bits = t.p_bits;
-      frames = t.p_frames;
-      messages = t.p_messages;
-      fast_forwarded = t.p_ff;
-    }
-    t.sim_closed
+  List.map
+    (fun (p : Telemetry.phase_view) ->
+      {
+        label = p.label;
+        rounds = p.rounds;
+        bits = p.bits;
+        frames = p.frames;
+        messages = p.messages;
+        fast_forwarded = p.fast_forwarded;
+      })
+    (Telemetry.phases t.tel)
+
+let no_delta =
+  {
+    h_wall_s = 0.0;
+    h_minor_words = 0.0;
+    h_major_words = 0.0;
+    h_minor_collections = 0;
+    h_major_collections = 0;
+    h_max_stepped = 0;
+  }
 
 let host_phases t =
-  with_open_phase t
-    {
-      label = t.label_names.(t.p_label);
-      wall_s = Unix.gettimeofday () -. t.p_wall0;
-      minor_words =
-        (Gc.quick_stat ()).Gc.minor_words -. t.p_gc0.Gc.minor_words;
-      major_words =
-        (Gc.quick_stat ()).Gc.major_words -. t.p_gc0.Gc.major_words;
-      minor_collections =
-        (Gc.quick_stat ()).Gc.minor_collections
-        - t.p_gc0.Gc.minor_collections;
-      major_collections =
-        (Gc.quick_stat ()).Gc.major_collections
-        - t.p_gc0.Gc.major_collections;
-      par_rounds = t.p_par_rounds;
-      stepped = t.p_stepped;
-      max_stepped = t.p_max_stepped;
-      max_domains = t.p_max_domains;
-    }
-    t.host_closed
+  let sims = Telemetry.phases t.tel in
+  let deltas =
+    match Telemetry.open_phase t.tel with
+    | Some _ when not t.finished ->
+        List.rev
+          (host_delta t ~wall:(Unix.gettimeofday ()) ~gc:(Gc.quick_stat ())
+          :: t.host_closed)
+    | _ -> List.rev t.host_closed
+  in
+  (* Phases the telemetry recorded before this trace was attached (a
+     resume from a checkpoint taken untraced) have no host profile. *)
+  let rec drop k l = if k <= 0 then l else drop (k - 1) (List.tl l) in
+  let missing = List.length sims - List.length deltas in
+  let deltas =
+    if missing >= 0 then List.init missing (fun _ -> no_delta) @ deltas
+    else drop (-missing) deltas
+  in
+  List.map2
+    (fun (p : Telemetry.phase_view) h ->
+      {
+        label = p.label;
+        wall_s = h.h_wall_s;
+        minor_words = h.h_minor_words;
+        major_words = h.h_major_words;
+        minor_collections = h.h_minor_collections;
+        major_collections = h.h_major_collections;
+        par_rounds = p.parallel_rounds;
+        stepped = p.stepped;
+        max_stepped = h.h_max_stepped;
+        max_domains = p.max_domains;
+      })
+    sims deltas
 
 let decode t i =
   let i = i mod t.cfg.capacity * slot in

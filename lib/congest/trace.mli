@@ -34,10 +34,20 @@
     Recording is allocation-free in steady state: events are fixed-width
     slots in a preallocated ring (oldest overwritten when full, with the
     overwrite count kept honestly in {!totals}), and per-category
-    sampling keeps full-size runs cheap.  Aggregates ({!totals},
-    {!sim_phases}, {!host_phases}) are exact regardless of ring overflow
-    or sampling.  A [t] is single-run / single-domain state, like
-    {!Telemetry.t}. *)
+    sampling keeps full-size runs cheap.  A [t] is single-run /
+    single-domain state, like {!Telemetry.t}.
+
+    {1 Exact aggregates}
+
+    A trace counts nothing itself.  It is built over the {!Telemetry.t}
+    that {!Account} writes every simulated count into, and projects it:
+    {!totals}, {!sim_phases} and the [par_rounds]/[stepped]/[max_domains]
+    of {!host_phases} are read from that telemetry, so they are exact
+    regardless of ring overflow or sampling and agree with the run's
+    {!Stats.t} by construction.  The trace keeps only what no other
+    recorder has: the ring, the label table, the sampling counts, the
+    per-phase [max_stepped] and the wall-clock/GC deltas of each
+    phase. *)
 
 type t
 
@@ -53,22 +63,37 @@ type config = {
 (** 65536 events, every message, every fiber, every span. *)
 val default_config : config
 
-val create : ?config:config -> unit -> t
+(** [create tel] starts a trace that projects [tel]: every run that
+    records into the trace ticks [tel] (see {!resolve}).  A traced run
+    that keeps no per-round series passes
+    [Telemetry.create ~series:false ()]. *)
+val create : ?config:config -> Telemetry.t -> t
 
 val config : t -> config
 
-(** Deep snapshot of everything recorded so far — ring, labels, exact
-    totals, open-phase accumulators.  Safe to [Marshal]; used by
-    [Report.Checkpoint] so a resumed [--trace] run reproduces the full
-    run's aggregates. *)
+(** The telemetry this trace projects. *)
+val telemetry : t -> Telemetry.t
+
+(** [resolve ~telemetry trace] is the telemetry a run recording into
+    [telemetry] and [trace] ticks: [trace]'s own when traced, else
+    [telemetry].  Raises [Invalid_argument] when both are given and
+    [telemetry] is not [trace]'s. *)
+val resolve : telemetry:Telemetry.t option -> t option -> Telemetry.t option
+
+(** Deep snapshot of everything recorded so far — ring, labels, host
+    profiles and a copy of the projected telemetry.  Safe to [Marshal];
+    used by [Report.Checkpoint], whose snapshot shares that telemetry
+    copy with its own telemetry slot, so it is carried once. *)
 val copy : t -> t
 
-(** [restore_into dst ~from] overwrites [dst] with [from]'s recorded
-    state (ring, labels, totals, phases, base round).  Host-side deltas
-    (wall clock, GC) restart at the restore point — they cannot span a
-    process boundary — so only simulated aggregates are byte-identical
-    across a kill/resume, which is exactly what [planartrace diff]
-    compares. *)
+(** [restore_into dst ~from] overwrites [dst]'s own state with [from]'s
+    (ring, labels, host profiles, base round).  It leaves [dst]'s
+    telemetry alone: restoring that telemetry
+    ({!Telemetry.restore_into}) restores the trace's simulated view.
+    Host-side deltas (wall clock, GC) restart at the restore point —
+    they cannot span a process boundary — so only simulated aggregates
+    are byte-identical across a kill/resume, which is exactly what
+    [planartrace diff] compares. *)
 val restore_into : t -> from:t -> unit
 
 (** Kind of fault-layer event (see {!Faults}). *)
@@ -125,7 +150,8 @@ type event =
           [rounds] simulated rounds; the next event's run starts here
           (critpath stitches happens-before chains across it) *)
 
-(** Exact whole-trace counters, immune to ring overflow and sampling. *)
+(** Exact whole-trace counters, immune to ring overflow and sampling: the
+    simulated members sum the projected telemetry's phases. *)
 type totals = {
   rounds : int;  (** simulated rounds (fast-forwarded spans included) *)
   frames : int;  (** charged frames (= charged rounds) *)
@@ -142,7 +168,7 @@ type totals = {
 }
 
 (** Exact per-phase simulated accounting (the [planartrace diff]
-    anchor); empty phases are dropped, mirroring {!Telemetry.phase}. *)
+    anchor): the projected telemetry's phases, empty ones dropped. *)
 type sim_phase = {
   label : string;
   rounds : int;
@@ -179,6 +205,9 @@ val set_meta : t -> n:int -> m:int -> bandwidth:int -> unit
 (** [(n, m, bandwidth)] when a run has been recorded. *)
 val meta : t -> (int * int * int) option
 
+(** [round_tick t ~round ~bits ~frames ~messages ~stepped] records the
+    round's {!Round} event; its counts are the ones {!Account} wrote into
+    the telemetry in the same round close. *)
 val round_tick :
   t -> round:int -> bits:int -> frames:int -> messages:int -> stepped:int ->
   unit
@@ -217,8 +246,9 @@ val run_end : t -> rounds:int -> unit
 (** {1 Recording — protocol-side labels} *)
 
 (** [phase t label] closes the current phase (initially an implicit
-    ["run"]) and opens a new one, capturing host wall-clock/GC deltas
-    for the closed phase. *)
+    ["run"]) and opens a new one: it captures the host wall-clock/GC
+    deltas of the telemetry's open phase, then rotates that telemetry's
+    phase ({!Telemetry.phase}), so the two stay aligned. *)
 val phase : t -> string -> unit
 
 (** [span t label f] wraps [f ()] in a span open/close event pair
@@ -226,8 +256,8 @@ val phase : t -> string -> unit
     once.  [f]'s result (or exception) passes through. *)
 val span : t -> string -> (unit -> 'a) -> 'a
 
-(** [finish t] closes the current phase; call once after the last run.
-    Idempotent. *)
+(** [finish t] closes the current phase's host profile; call once after
+    the last run.  Idempotent.  The telemetry's open phase stays open. *)
 val finish : t -> unit
 
 (** {1 Reading} *)

@@ -135,8 +135,11 @@ let cmp_pool st =
       p
 
 let phase st label =
-  Option.iter (fun tel -> Congest.Telemetry.phase tel label) st.telemetry;
-  Option.iter (fun tr -> Congest.Trace.phase tr label) st.trace;
+  (* A trace rotates the phase of the telemetry it projects. *)
+  (match (st.trace, st.telemetry) with
+  | Some tr, _ -> Congest.Trace.phase tr label
+  | None, Some tel -> Congest.Telemetry.phase tel label
+  | None, None -> ());
   Obs.Log.set_context ~phase:label ()
 
 let node st v = st.nodes.(v)

@@ -80,6 +80,8 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
     ?(fast_forward = true) ?faults ?(mode = Congest.Compiled.Fiber)
     ?checkpoint ?heartbeat ~property ~stage2 g ~eps =
   let faults_active = Congest.Faults.active faults in
+  (* A traced run ticks the telemetry its trace projects. *)
+  let telemetry = Congest.Trace.resolve ~telemetry trace in
   (match (checkpoint, partition) with
   | Some ck, _ when ck.every < 1 ->
       invalid_arg
@@ -121,13 +123,14 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
     | Some s ->
         (* Splice the pre-interruption per-round series into this run's
            recorder, so the final stats JSON is byte-identical to an
-           uninterrupted run's. *)
+           uninterrupted run's.  A trace projects this telemetry, so this
+           also restores its rounds, phases and aggregate totals. *)
         (match (s.ck_telemetry, telemetry) with
         | Some src, Some dst -> Congest.Telemetry.restore_into dst ~from:src
         | _ -> ());
-        (* Same splice for the event trace: the resumed run's .ctrace then
-           carries the pre-interruption rounds, phases and aggregate
-           totals as if never stopped (host-clock deltas restart — see
+        (* Same splice for the trace's own state (ring, labels, host
+           profiles): the resumed run's .ctrace then reads as if never
+           stopped (host-clock deltas restart — see
            {!Congest.Trace.restore_into}). *)
         (match (s.ck_trace, trace) with
         | Some src, Some dst -> Congest.Trace.restore_into dst ~from:src
@@ -190,6 +193,14 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
           hb_phases_done := next_phase - 1;
           (match checkpoint with
           | Some ck when !completed mod ck.every = 0 ->
+              (* The trace's copy holds a copy of its telemetry; the
+                 snapshot shares it, so the telemetry is carried once. *)
+              let ck_trace = Option.map Congest.Trace.copy trace in
+              let ck_telemetry =
+                match ck_trace with
+                | Some tr -> Some (Congest.Trace.telemetry tr)
+                | None -> Option.map Congest.Telemetry.copy telemetry
+              in
               ck.save
                 {
                   ck_phase = next_phase;
@@ -198,8 +209,8 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
                   ck_stats = Congest.Stats.copy st.Partition.State.stats;
                   ck_rejections = st.Partition.State.rejections;
                   ck_nominal_rounds = st.Partition.State.nominal_rounds;
-                  ck_telemetry = Option.map Congest.Telemetry.copy telemetry;
-                  ck_trace = Option.map Congest.Trace.copy trace;
+                  ck_telemetry;
+                  ck_trace;
                 }
           | _ -> ());
           hb_publish ()

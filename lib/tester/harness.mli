@@ -60,10 +60,12 @@ type snapshot = {
   ck_nominal_rounds : int;
   ck_telemetry : Congest.Telemetry.t option;
       (** per-round series recorded up to the snapshot, when the
-          checkpointed run had a telemetry recorder attached *)
+          checkpointed run had a telemetry recorder attached (a traced
+          run always has: its trace's) *)
   ck_trace : Congest.Trace.t option;
       (** event-trace state recorded up to the snapshot, when the
-          checkpointed run had a trace recorder attached *)
+          checkpointed run had a trace recorder attached; its telemetry
+          is [ck_telemetry], physically *)
 }
 
 (** Checkpoint hooks: [save] is called after every [every]-th completed
@@ -129,7 +131,8 @@ val effective_eps : Graphlib.Graph.t -> eps:float -> float
     [partition] (default [Stage_one]),
     [measure_diameters], [telemetry], [trace], [domains] (default 1),
     [fast_forward] (default [true]), [faults], [mode] (default [Fiber]),
-    [checkpoint].
+    [checkpoint].  A traced run ticks the telemetry its trace projects
+    ({!Congest.Trace.resolve}): pass that one as [telemetry], or none.
 
     [heartbeat]: attach an {!Obs.Heartbeat.t} to the run.  The harness
     connects its sample source to the partition state's accumulated

@@ -172,7 +172,8 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           let log_nj = Congest.Bits.id_bits (Graph.n sub) in
           max_embed_charge := max !max_embed_charge (d_j + min log_nj d_j))
         induced_parts;
-      Congest.Stats.charge st.S.stats !max_embed_charge;
+      Congest.Account.charge ~stats:st.S.stats ~telemetry:st.S.telemetry
+        !max_embed_charge;
       st.S.nominal_rounds <- st.S.nominal_rounds + !max_embed_charge
   | Collect ->
       (* In-model: each root convergecasts its part's edge list, embeds

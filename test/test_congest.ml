@@ -489,6 +489,59 @@ let test_telemetry_empty_phases_with_ff () =
   check ci "one frame per quiescent round" 5 ff.Congest.Telemetry.frames;
   check ci "a quiescent round carries no bits" 0 ff.Congest.Telemetry.bits
 
+(* [fast_forward ~rounds:k] is accounted exactly like [k] ticks of the
+   empty round it replaces, with series and without (a trace's
+   telemetry usually keeps none), in a phase that also has stepped
+   rounds on both sides of the span. *)
+let test_telemetry_fast_forward_is_empty_ticks () =
+  let module Tel = Congest.Telemetry in
+  let record series ~skip =
+    let tel = Tel.create ~series () in
+    let busy () =
+      Tel.tick tel ~stepped:3 ~domains:2 ~dropped:1 ~duplicated:0 ~delayed:0
+        ~crashed:0 ~bits:40 ~frames:2 ~messages:4
+    in
+    busy ();
+    skip tel 37;
+    busy ();
+    Tel.phase tel "next";
+    skip tel 20;
+    tel
+  in
+  let ticks tel k =
+    for _ = 1 to k do
+      Tel.tick tel ~stepped:0 ~domains:1 ~dropped:0 ~duplicated:0 ~delayed:0
+        ~crashed:0 ~bits:0 ~frames:1 ~messages:0
+    done
+  in
+  let without_ff (p : Tel.phase_view) = { p with Tel.fast_forwarded = 0 } in
+  List.iter
+    (fun series ->
+      let ff = record series ~skip:(fun tel k -> Tel.fast_forward tel ~rounds:k)
+      and stepped = record series ~skip:ticks in
+      check cb "aggregates equal k empty ticks" true
+        (List.map without_ff (Tel.phases ff)
+        = List.map without_ff (Tel.phases stepped));
+      check (Alcotest.list ci) "skipped rounds tracked" [ 37; 20 ]
+        (List.map (fun (p : Tel.phase_view) -> p.Tel.fast_forwarded)
+           (Tel.phases ff));
+      (* The series (when kept) are the stepped execution's, entry for
+         entry. *)
+      let rec strip = function
+        | Tel.Json.Obj fs ->
+            Tel.Json.Obj
+              (List.filter_map
+                 (fun (k, v) ->
+                   if k = "fast_forwarded" then None else Some (k, strip v))
+                 fs)
+        | Tel.Json.List l -> Tel.Json.List (List.map strip l)
+        | j -> j
+      in
+      let strip j = Tel.Json.to_string (strip j) in
+      check Alcotest.string "JSON identical but for fast_forwarded"
+        (strip (Tel.to_json stepped)) (strip (Tel.to_json ff)))
+    [ true; false ]
+
 (* Per-phase series lengths from the JSON view (phase_view exposes only
    aggregates). *)
 let series_lengths tel =
@@ -595,11 +648,23 @@ let test_stats_charge_and_merge () =
   s1.Congest.Stats.rounds <- 3;
   s2.Congest.Stats.rounds <- 4;
   s2.Congest.Stats.max_edge_bits <- 100;
-  Congest.Stats.charge s1 10;
+  (* A substituted subroutine's charge lands in the stats and in the
+     telemetry's open phase, which it keeps alive on its own. *)
+  let tel = Congest.Telemetry.create () in
+  Congest.Telemetry.phase tel "oracle";
+  Congest.Account.charge ~stats:s1 ~telemetry:(Some tel) 10;
   Congest.Stats.add_into s1 s2;
   check ci "rounds merged" 7 s1.Congest.Stats.rounds;
   check ci "charges kept" 10 s1.Congest.Stats.charged_rounds;
-  check ci "max merged" 100 s1.Congest.Stats.max_edge_bits
+  check ci "max merged" 100 s1.Congest.Stats.max_edge_bits;
+  Congest.Telemetry.phase tel "after";
+  match Congest.Telemetry.phases tel with
+  | [ p ] ->
+      check Alcotest.string "charged phase kept" "oracle"
+        p.Congest.Telemetry.label;
+      check ci "charge in frames" 10 p.Congest.Telemetry.frames;
+      check ci "no simulated round" 0 p.Congest.Telemetry.rounds
+  | ps -> Alcotest.failf "expected one phase, got %d" (List.length ps)
 
 let test_echo_qcheck =
   QCheck.Test.make ~name:"flood-echo counts all nodes on random trees"
@@ -976,6 +1041,64 @@ let test_faults_crash_recover () =
   check ci "the in-window message was dropped" 1
     res.E.stats.Congest.Stats.dropped
 
+(* A crash start inside the run's final fast-forwarded span, which
+   [max_rounds] cuts: node 1 of a path goes down for good at round 150
+   while parked on [wait 500], the others wait 1000, and the run stops at
+   round 200.  Fast-forward jumps straight to the cut, so the crash is
+   counted after the drive; every projection must still see it, exactly
+   as in the round-by-round execution. *)
+let test_faults_crash_in_final_skip () =
+  let module Tel = Congest.Telemetry in
+  let module Mx = Obs.Metrics in
+  let counter name =
+    match List.find_opt (fun f -> f.Mx.name = name) (Mx.snapshot ()) with
+    | Some { Mx.series = [ { Mx.value = Mx.Counter_v v; _ } ]; _ } -> v
+    | _ -> Alcotest.failf "metric %s missing" name
+  in
+  let g = Generators.path 3 in
+  let faults =
+    Congest.Faults.make
+      ~crashes:
+        [ { Congest.Faults.node = 1; from_round = 150; until_round = max_int } ]
+      ()
+  in
+  let leg fast_forward =
+    let what = if fast_forward then "ff on: " else "ff off: " in
+    Fun.protect
+      ~finally:(fun () -> Mx.set_enabled false)
+      (fun () ->
+        Mx.set_enabled true;
+        Mx.reset ();
+        let tel = Tel.create () in
+        let tr = Congest.Trace.create tel in
+        let res =
+          E.run ~faults ~fast_forward ~max_rounds:200 ~trace:tr g (fun ctx ->
+              ignore (E.wait ctx (if E.my_id ctx = 1 then 500 else 1000)))
+        in
+        Congest.Trace.finish tr;
+        let s = res.E.stats in
+        check cb (what ^ "cut by max_rounds") false res.E.completed;
+        check ci (what ^ "rounds") 200 s.Congest.Stats.rounds;
+        check ci (what ^ "Stats.crashed_nodes") 1 s.Congest.Stats.crashed_nodes;
+        check ci (what ^ "telemetry crashed") 1
+          (List.fold_left
+             (fun acc (p : Tel.phase_view) -> acc + p.Tel.crashed)
+             0 (Tel.phases tel));
+        check ci (what ^ "trace crashed") 1
+          (Congest.Trace.totals tr).Congest.Trace.crashed;
+        check ci (what ^ "congest_crashed_nodes") 1
+          (counter "congest_crashed_nodes");
+        Tel.phases tel)
+  in
+  let on = leg true and off = leg false in
+  (* [fast_forwarded] exists to differ, and with fast-forward off every
+     parked node is stepped each round; everything else is simulated. *)
+  let sim (p : Tel.phase_view) =
+    { p with Tel.fast_forwarded = 0; stepped = 0 }
+  in
+  check cb "telemetry phases identical with fast-forward on and off" true
+    (List.map sim on = List.map sim off)
+
 let test_faults_deterministic_and_invariant () =
   (* A mixed policy: the full result (outputs + every stat) is a pure
      function of the policy, independent of domains and fast-forward. *)
@@ -1203,7 +1326,10 @@ type outcome = {
 }
 
 let outcome ~capacity run =
-  let tr = T.create ~config:{ T.default_config with T.capacity } () in
+  let tr =
+    T.create ~config:{ T.default_config with T.capacity }
+      (Congest.Telemetry.create ())
+  in
   let o_stats, o_completed, o_exn =
     match run tr with
     | stats, completed -> (Some stats, completed, None)
@@ -1656,6 +1782,8 @@ let () =
             test_faults_delay_arrival;
           Alcotest.test_case "crash-stop" `Quick test_faults_crash_stop;
           Alcotest.test_case "crash-recover" `Quick test_faults_crash_recover;
+          Alcotest.test_case "crash inside the final skip, every projection"
+            `Quick test_faults_crash_in_final_skip;
           Alcotest.test_case "deterministic + domain/ff invariant" `Quick
             test_faults_deterministic_and_invariant;
         ] );
@@ -1677,6 +1805,8 @@ let () =
             `Quick test_telemetry_empty_phases_with_ff;
           Alcotest.test_case "series length across domains and fast-forward"
             `Quick test_telemetry_series_length_domains_ff;
+          Alcotest.test_case "fast-forward = empty ticks, series on and off"
+            `Quick test_telemetry_fast_forward_is_empty_ticks;
         ] );
       ( "stats",
         [ Alcotest.test_case "charge and merge" `Quick test_stats_charge_and_merge ]

@@ -210,7 +210,7 @@ let splice_host keys =
 
 let test_stats_schema_v3 () =
   let g = Generators.grid 5 5 in
-  let tr = Congest.Trace.create () in
+  let tr = Congest.Trace.create (Congest.Telemetry.create ~series:false ()) in
   let r = PT.run ~seed:1 ~trace:tr g ~eps:0.3 in
   Congest.Trace.finish tr;
   let j =
@@ -321,7 +321,7 @@ let test_harness_stats_v2_v3_tagging () =
   check Alcotest.string "v2 tag" "planartest.stats/v2"
     (match field j2 "schema" with J.String s -> s | _ -> "?");
   let g = Generators.grid 5 5 in
-  let tr = Congest.Trace.create () in
+  let tr = Congest.Trace.create (Congest.Telemetry.create ~series:false ()) in
   let _, t = Tester.Bipartite_tester.run ~seed:1 ~trace:tr g ~eps:0.3 in
   Congest.Trace.finish tr;
   let j3 =

@@ -277,7 +277,8 @@ let test_projections_agree () =
       (fun () ->
         M.set_enabled true;
         M.reset ();
-        let telemetry = Tel.create () and trace = Tr.create () in
+        let telemetry = Tel.create () in
+        let trace = Tr.create telemetry in
         let heartbeat =
           Obs.Heartbeat.create ~run_id:name ~fingerprint:"projections"
             ~property:"planarity" ()
@@ -313,14 +314,13 @@ let test_projections_agree () =
         Alcotest.check cb (name ^ ": the mode's executor ran") true
           (counter ~labels:[ ("mode", mode_label) ] "congest_mode_rounds" > 0);
         ci "heartbeat rounds" s.St.rounds hb.Obs.Heartbeat.rounds;
-        (* charged rounds: the engine-side projections agree; the state's
-           Stats also holds Stage II's oracle embedding charge, which no
-           engine run simulates *)
-        let charged = counter "congest_charged_rounds" in
-        ci "telemetry frames" charged (sum (fun p -> p.Tel.frames));
-        ci "trace frames" charged tt.Tr.frames;
-        Alcotest.check cb (name ^ ": Stats charged covers the engine's") true
-          (s.St.charged_rounds >= charged);
+        (* charged rounds, Stage II's oracle embedding charge included *)
+        ci "telemetry frames" s.St.charged_rounds (sum (fun p -> p.Tel.frames));
+        ci "trace frames" s.St.charged_rounds tt.Tr.frames;
+        ci "trace phase frames" s.St.charged_rounds
+          (tsum (fun (p : Tr.sim_phase) -> p.Tr.frames));
+        ci "congest_charged_rounds" s.St.charged_rounds
+          (counter "congest_charged_rounds");
         ci "heartbeat charged rounds" s.St.charged_rounds
           hb.Obs.Heartbeat.charged_rounds;
         (* messages *)

@@ -21,6 +21,17 @@ end
 
 module E = Congest.Engine.Make (M)
 
+(* A trace over a fresh telemetry with series, as planartest builds one
+   for --trace --stats-json. *)
+let new_trace ?config () = T.create ?config (Congest.Telemetry.create ())
+
+(* One round close as Congest.Account makes it: the counts go into the
+   trace's telemetry, the Round event into its ring. *)
+let tick tr ~round ~bits ~frames ~messages ~stepped =
+  Congest.Telemetry.tick (T.telemetry tr) ~stepped ~domains:1 ~dropped:0
+    ~duplicated:0 ~delayed:0 ~crashed:0 ~bits ~frames ~messages;
+  T.round_tick tr ~round ~bits ~frames ~messages ~stepped
+
 let events t =
   let acc = ref [] in
   T.iter_events t (fun e -> acc := e :: !acc);
@@ -32,12 +43,12 @@ let events t =
 
 let test_ring_overflow () =
   let tr =
-    T.create
+    new_trace
       ~config:{ T.default_config with T.capacity = 8 }
       ()
   in
   for r = 0 to 19 do
-    T.round_tick tr ~round:r ~bits:r ~frames:1 ~messages:0 ~stepped:0
+    tick tr ~round:r ~bits:r ~frames:1 ~messages:0 ~stepped:0
   done;
   let tot = T.totals tr in
   check ci "every push counted" 20 tot.T.recorded;
@@ -57,7 +68,7 @@ let test_ring_overflow () =
 
 let test_sampling () =
   let tr =
-    T.create
+    new_trace
       ~config:
         {
           T.capacity = 256;
@@ -96,10 +107,10 @@ let test_sampling () =
           (events tr)))
 
 let test_phases_and_spans () =
-  let tr = T.create () in
+  let tr = new_trace () in
   (* The implicit "run" phase records nothing, so it is dropped. *)
   T.phase tr "a";
-  T.round_tick tr ~round:0 ~bits:4 ~frames:1 ~messages:1 ~stepped:2;
+  tick tr ~round:0 ~bits:4 ~frames:1 ~messages:1 ~stepped:2;
   T.span tr "inner" (fun () -> ());
   T.phase tr "b";
   (* "b" stays empty: dropped from both views, keeping them aligned. *)
@@ -154,7 +165,7 @@ let star_run ?faults ?(domains = 1) ?(fast_forward = true) ~trace () =
         | _ -> -1)
 
 let test_engine_records () =
-  let tr = T.create () in
+  let tr = new_trace () in
   let res = star_run ~trace:tr () in
   T.finish tr;
   let tot = T.totals tr in
@@ -188,7 +199,7 @@ let test_engine_records () =
     | _ -> ())
 
 let test_engine_records_faults () =
-  let tr = T.create () in
+  let tr = new_trace () in
   let faults = Congest.Faults.make ~seed:5 ~drop:0.3 () in
   ignore (star_run ~faults ~trace:tr ());
   T.finish tr;
@@ -218,7 +229,7 @@ let sim_totals (t : T.totals) =
 
 let test_domain_count_invariance () =
   let run domains =
-    let tr = T.create () in
+    let tr = new_trace () in
     let faults = Congest.Faults.make ~seed:2 ~drop:0.15 () in
     ignore (star_run ~faults ~domains ~trace:tr ());
     T.finish tr;
@@ -236,7 +247,7 @@ let test_domain_count_invariance () =
 
 let test_fast_forward_invariance () =
   let run fast_forward =
-    let tr = T.create () in
+    let tr = new_trace () in
     ignore (star_run ~fast_forward ~trace:tr ());
     T.finish tr;
     tr
@@ -270,7 +281,7 @@ let test_compiled_events_identical () =
   in
   let view mode fast_forward g =
     let tr =
-      T.create ~config:{ T.default_config with T.capacity = 1 lsl 21 } ()
+      new_trace ~config:{ T.default_config with T.capacity = 1 lsl 21 } ()
     in
     ignore
       (Tester.Planarity_tester.run ~mode ~fast_forward ~trace:tr ~seed:1 g
@@ -307,7 +318,7 @@ let test_compiled_events_identical () =
 let test_tester_trace_determinism () =
   let g = Generators.apollonian (Random.State.make [| 3 |]) 40 in
   let run domains =
-    let tr = T.create () in
+    let tr = new_trace () in
     ignore
       (Tester.Planarity_tester.run ~domains ~trace:tr ~seed:1 g ~eps:0.3);
     T.finish tr;
@@ -342,11 +353,11 @@ exception Simulated_kill
 let test_checkpoint_resume_trace_identical () =
   let g = Generators.grid 20 20 in
   let eps = 0.05 and seed = 2 in
-  let tr_ref = T.create () in
+  let tr_ref = new_trace () in
   ignore (Tester.Planarity_tester.run ~trace:tr_ref g ~eps ~seed);
   T.finish tr_ref;
   let store = ref None in
-  let tr1 = T.create () in
+  let tr1 = new_trace () in
   let kill_ck =
     {
       Tester.Planarity_tester.every = 1;
@@ -370,7 +381,7 @@ let test_checkpoint_resume_trace_identical () =
       check cb "snapshot carries the trace state" true
         (s.Tester.Planarity_tester.ck_trace <> None)
   | None -> Alcotest.fail "no snapshot captured");
-  let tr2 = T.create () in
+  let tr2 = new_trace () in
   let resume_ck =
     {
       Tester.Planarity_tester.every = 1;
@@ -397,7 +408,7 @@ let test_checkpoint_resume_trace_identical () =
 (* The snapshot plumbing underneath: copy is a deep, independent image
    and restore_into overwrites the destination with it. *)
 let test_copy_restore_into () =
-  let tr = T.create () in
+  let tr = new_trace () in
   ignore (star_run ~trace:tr ());
   T.finish tr;
   let snap = T.copy tr in
@@ -408,7 +419,8 @@ let test_copy_restore_into () =
   check cb "copy unaffected by later recording" true
     (sim_totals (T.totals snap) <> sim_totals (T.totals tr));
   (* ...and restore_into brings a fresh recorder to the copied state. *)
-  let dst = T.create () in
+  let dst = new_trace () in
+  Congest.Telemetry.restore_into (T.telemetry dst) ~from:(T.telemetry snap);
   T.restore_into dst ~from:snap;
   check cb "restore_into reproduces totals" true
     (T.totals dst = T.totals snap);
@@ -455,7 +467,7 @@ let check_chain (r : CP.report) =
 (* Every engine-recorded resume carries its causal wake slot, and every
    deliver wake names a frame the ring actually recorded. *)
 let test_resume_causal_slots () =
-  let tr = T.create () in
+  let tr = new_trace () in
   ignore (star_run ~trace:tr ());
   T.finish tr;
   let frames = Hashtbl.create 64 in
@@ -485,7 +497,7 @@ let test_resume_causal_slots () =
 let test_critpath_tester_exact () =
   let g = Generators.apollonian (Random.State.make [| 3 |]) 40 in
   let tr =
-    T.create ~config:{ T.default_config with T.capacity = 1 lsl 20 } ()
+    new_trace ~config:{ T.default_config with T.capacity = 1 lsl 20 } ()
   in
   ignore (Tester.Planarity_tester.run ~trace:tr ~seed:1 g ~eps:0.3);
   T.finish tr;
@@ -532,7 +544,7 @@ let relay_run ?faults ~trace k =
         | _ -> -1)
 
 let test_critpath_relay_clean () =
-  let tr = T.create () in
+  let tr = new_trace () in
   ignore (relay_run ~trace:tr 12);
   T.finish tr;
   let r = analyze tr in
@@ -554,11 +566,11 @@ let test_critpath_relay_clean () =
    injected delays recovers the clean run's length. *)
 let test_critpath_relay_inflation () =
   let k = 12 in
-  let clean = T.create () in
+  let clean = new_trace () in
   ignore (relay_run ~trace:clean k);
   T.finish clean;
   let rc = analyze clean in
-  let delayed = T.create () in
+  let delayed = new_trace () in
   let faults = Congest.Faults.make ~seed:1 ~delay:1.0 ~max_delay:1 () in
   ignore (relay_run ~faults ~trace:delayed k);
   T.finish delayed;
@@ -582,7 +594,7 @@ let test_critpath_relay_inflation () =
    per-round spins collapse into the deadline waits they implement. *)
 let test_critpath_fast_forward_invariance () =
   let run fast_forward =
-    let tr = T.create () in
+    let tr = new_trace () in
     ignore (star_run ~fast_forward ~trace:tr ());
     T.finish tr;
     tr
@@ -621,7 +633,7 @@ let test_dropped_events_metric () =
         | _ -> Alcotest.fail "trace_dropped_events family missing"
       in
       let tr =
-        T.create ~config:{ T.default_config with T.capacity = 8 } ()
+        new_trace ~config:{ T.default_config with T.capacity = 8 } ()
       in
       for r = 0 to 19 do
         T.round_tick tr ~round:r ~bits:0 ~frames:0 ~messages:0 ~stepped:0
@@ -630,7 +642,7 @@ let test_dropped_events_metric () =
       check cb "view flagged lossy" true
         (CR.lossy_view (Report.Ctrace.of_trace tr));
       let tr2 =
-        T.create
+        new_trace
           ~config:
             {
               T.capacity = 64;
@@ -662,7 +674,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let traced_run () =
-  let tr = T.create () in
+  let tr = new_trace () in
   let faults = Congest.Faults.make ~seed:9 ~drop:0.1 ~duplicate:0.1 () in
   ignore (star_run ~faults ~domains:2 ~trace:tr ());
   T.finish tr;
@@ -826,7 +838,7 @@ let test_perfetto_flow_events () =
 (* Fast-forwarded quiescent spans export as X slices whose durations sum
    to the run's fast-forward total. *)
 let test_perfetto_ff_spans () =
-  let tr = T.create () in
+  let tr = new_trace () in
   ignore (star_run ~trace:tr ());
   T.finish tr;
   let v = Report.Ctrace.of_trace tr in
@@ -851,7 +863,7 @@ let test_perfetto_ff_spans () =
 (* The critical-path overlay: one pid-4 slice per hop, chained
    head-to-tail by flow arrows whose ids live above the message ids. *)
 let test_perfetto_critpath_overlay () =
-  let tr = T.create () in
+  let tr = new_trace () in
   ignore (star_run ~trace:tr ());
   T.finish tr;
   let v = Report.Ctrace.of_trace tr in
