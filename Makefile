@@ -58,7 +58,8 @@ trace: build
 	  ./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
 	    $(TRACE_DIR)/$$t.ctrace; \
 	done
-	set -e; for t in "d1 --domains 1" "d4 --domains 4" "noff --no-fast-forward"; do \
+	set -e; for t in "d1 --domains 1" "d4 --domains 4" \
+	  "noff --no-fast-forward"; do \
 	  set -- $$t; tag=$$1; shift; \
 	  ./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
 	    --eps 0.3 --faults drop=0.01,seed=7 "$$@" \

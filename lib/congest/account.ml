@@ -120,21 +120,17 @@ let close_round a ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed
   | None -> ()
 
 let crashed a k =
-  if k > 0 then begin
-    a.stats.Stats.crashed_nodes <- a.stats.Stats.crashed_nodes + k;
-    match a.telemetry with
-    | Some tel -> Telemetry.amend tel ~frames:0 ~crashed:k
-    | None -> ()
-  end
+  a.stats.Stats.crashed_nodes <- a.stats.Stats.crashed_nodes + k;
+  match a.telemetry with
+  | Some tel -> Telemetry.amend tel ~frames:0 ~crashed:k
+  | None -> ()
 
 let charge ~stats ~telemetry k =
-  if k > 0 then begin
-    stats.Stats.charged_rounds <- stats.Stats.charged_rounds + k;
-    (match telemetry with
-    | Some tel -> Telemetry.amend tel ~frames:k ~crashed:0
-    | None -> ());
-    if Obs.Metrics.enabled () then Obs.Metrics.inc ~by:k m_charged_rounds
-  end
+  stats.Stats.charged_rounds <- stats.Stats.charged_rounds + k;
+  (match telemetry with
+  | Some tel -> Telemetry.amend tel ~frames:k ~crashed:0
+  | None -> ());
+  Obs.Metrics.inc ~by:k m_charged_rounds
 
 (* Quiescent-span skip: the rounds strictly before [target] are provably
    empty — nothing delivered, one frame charged, nobody resumed — so they

@@ -1090,35 +1090,39 @@ module Make (Msg : MESSAGE) = struct
             ~wake:p.wake.(v)
       done
     in
+    (* Crash events taking effect by the current round (or during a span
+       the engine fast-forwarded over — node state cannot have changed
+       since, so the count is identical whether or not the span was
+       skipped): traced, and returned as a count for {!Account}. *)
+    let crashes_due () =
+      let k = ref 0 in
+      while
+        !crash_start_i < Array.length crash_starts
+        && fst crash_starts.(!crash_start_i) <= eng.current_round
+      do
+        let r, v = crash_starts.(!crash_start_i) in
+        if conts.(v) != none_k then begin
+          incr k;
+          match trace with
+          | Some tr ->
+              Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v ~dest:v
+                ~edge:(-1)
+                ~info:(if crash_until.(v) = max_int then -1
+                       else crash_until.(v) - r)
+          | None -> ()
+        end;
+        incr crash_start_i
+      done;
+      !k
+    in
     let one_round () =
       (* The clock follows [Stats.rounds], which also moves by skips. *)
       eng.current_round <- Account.open_round acct;
       let round_bits = ref 0 and round_msgs = ref 0 in
       let round_dropped = ref 0
       and round_duplicated = ref 0
-      and round_delayed = ref 0
-      and round_crashed = ref 0 in
-      (* Crash events taking effect now (or during a span the engine
-         fast-forwarded over — node state cannot have changed since, so
-         the count is identical whether or not the span was skipped). *)
-      if has_crash then
-        while
-          !crash_start_i < Array.length crash_starts
-          && fst crash_starts.(!crash_start_i) <= eng.current_round
-        do
-          let r, v = crash_starts.(!crash_start_i) in
-          if conts.(v) != none_k then begin
-            incr round_crashed;
-            match trace with
-            | Some tr ->
-                Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v ~dest:v
-                  ~edge:(-1)
-                  ~info:(if crash_until.(v) = max_int then -1
-                         else crash_until.(v) - r)
-            | None -> ()
-          end;
-          incr crash_start_i
-        done;
+      and round_delayed = ref 0 in
+      let round_crashed = if has_crash then crashes_due () else 0 in
       (* Deliver: drain arena senders (ascending blocks, each ascending)
          into the inbox slab, summing bits per directed edge.  Each
          sender's entry span is drained in reverse send order, which
@@ -1365,7 +1369,7 @@ module Make (Msg : MESSAGE) = struct
       (match trace with Some tr -> trace_postscan tr fib_cnt | None -> ());
       Account.close_round acct ~stepped ~domains:nd_used
         ~dropped:!round_dropped ~duplicated:!round_duplicated
-        ~delayed:!round_delayed ~crashed:!round_crashed ~bits:!round_bits
+        ~delayed:!round_delayed ~crashed:round_crashed ~bits:!round_bits
         ~frames:!max_frames ~messages:!round_msgs;
       (match trace with
       | Some tr ->
@@ -1465,27 +1469,7 @@ module Make (Msg : MESSAGE) = struct
              were never seen by [one_round]; count them now (before
              [finalize] kills the fibers the liveness check reads) so the
              tally matches a round-by-round execution. *)
-          if has_crash then begin
-            let late = ref 0 in
-            while
-              !crash_start_i < Array.length crash_starts
-              && fst crash_starts.(!crash_start_i) <= eng.current_round
-            do
-              let r, v = crash_starts.(!crash_start_i) in
-              if conts.(v) != none_k then begin
-                incr late;
-                match trace with
-                | Some tr ->
-                    Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v
-                      ~dest:v ~edge:(-1)
-                      ~info:(if crash_until.(v) = max_int then -1
-                             else crash_until.(v) - r)
-                | None -> ()
-              end;
-              incr crash_start_i
-            done;
-            Account.crashed acct !late
-          end;
+          if has_crash then Account.crashed acct (crashes_due ());
           completed && !culled = 0 && eng.fail_log = [])
     in
     (* Post-condition: a completed run has an output at every node.  A

@@ -201,23 +201,21 @@ let tick t ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed ~bits
   end
 
 let fast_forward t ~rounds =
-  if rounds > 0 then begin
-    let p = t.cur in
-    (* A fast-forwarded round is accounted exactly like the quiescent
-       round the engine proved it to be: zero bits, one frame, zero
-       messages, zero nodes stepped, one domain.  The per-phase aggregates
-       and series therefore stay byte-identical whether or not
-       fast-forwarding fired; the whole span costs O(1) on the aggregates
-       and one bulk write per series. *)
-    p.fast_forwarded <- p.fast_forwarded + rounds;
-    p.rounds <- p.rounds + rounds;
-    p.frames <- p.frames + rounds;
-    if t.series then begin
-      Ivec.push_n p.bits_series 0 rounds;
-      Ivec.push_n p.frames_series 1 rounds;
-      Ivec.push_n p.msgs_series 0 rounds;
-      Ivec.push_n p.stepped_series 0 rounds
-    end
+  let p = t.cur in
+  (* A fast-forwarded round is accounted exactly like the quiescent round
+     the engine proved it to be: zero bits, one frame, zero messages, zero
+     nodes stepped, one domain.  The per-phase aggregates and series
+     therefore stay byte-identical whether or not fast-forwarding fired;
+     the whole span costs O(1) on the aggregates and one bulk write per
+     series. *)
+  p.fast_forwarded <- p.fast_forwarded + rounds;
+  p.rounds <- p.rounds + rounds;
+  p.frames <- p.frames + rounds;
+  if t.series then begin
+    Ivec.push_n p.bits_series 0 rounds;
+    Ivec.push_n p.frames_series 1 rounds;
+    Ivec.push_n p.msgs_series 0 rounds;
+    Ivec.push_n p.stepped_series 0 rounds
   end
 
 let amend t ~frames ~crashed =

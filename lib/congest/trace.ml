@@ -306,28 +306,31 @@ let host_delta t ~wall ~(gc : Gc.stat) =
     h_wall_s = wall -. t.p_wall0;
     h_minor_words = gc.Gc.minor_words -. t.p_gc0.Gc.minor_words;
     h_major_words = gc.Gc.major_words -. t.p_gc0.Gc.major_words;
-    h_minor_collections = gc.Gc.minor_collections - t.p_gc0.Gc.minor_collections;
-    h_major_collections = gc.Gc.major_collections - t.p_gc0.Gc.major_collections;
+    h_minor_collections =
+      gc.Gc.minor_collections - t.p_gc0.Gc.minor_collections;
+    h_major_collections =
+      gc.Gc.major_collections - t.p_gc0.Gc.major_collections;
     h_max_stepped = t.p_max_stepped;
   }
 
 (* Closing a phase captures the host-side deltas of the telemetry's open
    phase, before that phase rotates.  A phase the telemetry drops as
-   empty gets no host profile either, so the two views stay aligned. *)
+   empty gets no host profile either, so the two views stay aligned; one
+   that [finish] already closed gets no second one. *)
 let close_phase t =
   let wall = Unix.gettimeofday () in
   let gc = Gc.quick_stat () in
   (match Telemetry.open_phase t.tel with
-  | Some p ->
+  | Some p when not t.finished ->
       push t 6 t.base (intern t p.Telemetry.label) 0 0 0 0;
       t.host_closed <- host_delta t ~wall ~gc :: t.host_closed
-  | None -> ());
+  | _ -> ());
   t.p_wall0 <- wall;
   t.p_gc0 <- gc;
   t.p_max_stepped <- 0
 
 let phase t label =
-  if not t.finished then close_phase t;
+  close_phase t;
   Telemetry.phase t.tel label;
   t.finished <- false;
   push t 5 t.base (intern t label) 0 0 0 0
@@ -404,12 +407,8 @@ let host_phases t =
   in
   (* Phases the telemetry recorded before this trace was attached (a
      resume from a checkpoint taken untraced) have no host profile. *)
-  let rec drop k l = if k <= 0 then l else drop (k - 1) (List.tl l) in
   let missing = List.length sims - List.length deltas in
-  let deltas =
-    if missing >= 0 then List.init missing (fun _ -> no_delta) @ deltas
-    else drop (-missing) deltas
-  in
+  let deltas = List.init missing (fun _ -> no_delta) @ deltas in
   List.map2
     (fun (p : Telemetry.phase_view) h ->
       {

@@ -267,7 +267,9 @@ val totals : t -> totals
 (** Chronological; exact even when the ring overflowed. *)
 val sim_phases : t -> sim_phase list
 
-(** Chronological, aligned 1:1 with {!sim_phases}. *)
+(** Chronological, aligned 1:1 with {!sim_phases}.  A phase the
+    telemetry closed before this trace saw it (a resume from a checkpoint
+    taken untraced) has a zero host profile. *)
 val host_phases : t -> host_phase list
 
 (** Surviving ring events, oldest first. *)

@@ -377,9 +377,18 @@ let test_checkpoint_resume_trace_identical () =
      Alcotest.fail "simulated kill did not propagate"
    with Simulated_kill -> ());
   (match !store with
-  | Some s ->
+  | Some s -> (
       check cb "snapshot carries the trace state" true
-        (s.Tester.Planarity_tester.ck_trace <> None)
+        (s.Tester.Planarity_tester.ck_trace <> None);
+      (* ...and the telemetry once: the trace copy's telemetry is the
+         snapshot's telemetry slot, also after the marshal round-trip. *)
+      match
+        ( s.Tester.Planarity_tester.ck_trace,
+          s.Tester.Planarity_tester.ck_telemetry )
+      with
+      | Some tr, Some tel ->
+          check cb "telemetry carried once" true (T.telemetry tr == tel)
+      | _ -> Alcotest.fail "snapshot lacks the telemetry")
   | None -> Alcotest.fail "no snapshot captured");
   let tr2 = new_trace () in
   let resume_ck =
@@ -404,6 +413,60 @@ let test_checkpoint_resume_trace_identical () =
   check cb "critpath identical after kill+resume" true
     (CR.analyze (Report.Ctrace.of_trace tr_ref)
     = CR.analyze (Report.Ctrace.of_trace tr2))
+
+(* A checkpoint taken without a trace, resumed with one: the trace
+   projects the restored telemetry, so its simulated view covers the
+   whole run; the phases closed before the resume have an empty host
+   profile, and host and sim phases stay aligned one to one. *)
+let test_untraced_checkpoint_traced_resume () =
+  let g = Generators.grid 20 20 in
+  let eps = 0.05 and seed = 2 in
+  let tr_ref = new_trace () in
+  ignore (Tester.Planarity_tester.run ~trace:tr_ref g ~eps ~seed);
+  T.finish tr_ref;
+  let store = ref None and saves = ref 0 in
+  let kill_ck =
+    {
+      Tester.Planarity_tester.every = 1;
+      load = (fun () -> None);
+      save =
+        (fun s ->
+          incr saves;
+          if !saves = 3 then begin
+            store := Some s;
+            raise Simulated_kill
+          end);
+    }
+  in
+  (try
+     ignore
+       (Tester.Planarity_tester.run ~telemetry:(Congest.Telemetry.create ())
+          ~checkpoint:kill_ck g ~eps ~seed);
+     Alcotest.fail "simulated kill did not propagate"
+   with Simulated_kill -> ());
+  let tr = new_trace () in
+  ignore
+    (Tester.Planarity_tester.run ~trace:tr
+       ~checkpoint:
+         { Tester.Planarity_tester.every = 1; load = (fun () -> !store);
+           save = (fun _ -> ()) }
+       g ~eps ~seed);
+  T.finish tr;
+  check cb "sim totals cover the whole run" true
+    (sim_totals (T.totals tr_ref) = sim_totals (T.totals tr));
+  check cb "sim phases cover the whole run" true
+    (T.sim_phases tr_ref = T.sim_phases tr);
+  let host = T.host_phases tr in
+  check (Alcotest.list Alcotest.string) "host phases aligned"
+    (List.map (fun (p : T.sim_phase) -> p.T.label) (T.sim_phases tr))
+    (List.map (fun (p : T.host_phase) -> p.T.label) host);
+  (* Phases 1 and 2 closed before the snapshot; phase 3 was still open
+     and is closed by the resumed, traced run. *)
+  check (Alcotest.list cb) "pre-resume phases have no host profile"
+    [ true; true; false ]
+    (List.map
+       (fun (p : T.host_phase) -> p.T.wall_s = 0.0 && p.T.minor_words = 0.0)
+       (List.filteri (fun i _ -> i < 3) host))
 
 (* The snapshot plumbing underneath: copy is a deep, independent image
    and restore_into overwrites the destination with it. *)
@@ -930,6 +993,8 @@ let () =
         [
           Alcotest.test_case "kill + resume keeps .ctrace aggregates" `Quick
             test_checkpoint_resume_trace_identical;
+          Alcotest.test_case "untraced checkpoint, traced resume" `Quick
+            test_untraced_checkpoint_traced_resume;
           Alcotest.test_case "copy / restore_into round-trip" `Quick
             test_copy_restore_into;
         ] );
