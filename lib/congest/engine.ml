@@ -1178,7 +1178,6 @@ module Make (Msg : MESSAGE) = struct
             round_bits := !round_bits + b;
             p.edge_bits.(de) <- p.edge_bits.(de) + b
           in
-          let drop_one () = incr round_dropped in
           let trace_fault kind ~sender ~dest ~de ~info =
             match trace with
             | Some tr ->
@@ -1190,7 +1189,7 @@ module Make (Msg : MESSAGE) = struct
             (* A message reaching a node that is down is lost — the
                CONGEST-faithful model is silence, never an error. *)
             if is_crashed dest then begin
-              drop_one ();
+              incr round_dropped;
               trace_fault Trace.Down_drop ~sender ~dest ~de ~info:0
             end
             else begin
@@ -1265,7 +1264,7 @@ module Make (Msg : MESSAGE) = struct
                 if is_crashed v then begin
                   (* The sender went down with this frame still queued:
                      nothing ever reaches the wire. *)
-                  drop_one ();
+                  incr round_dropped;
                   trace_fault Trace.Down_drop ~sender:v ~dest ~de ~info:0
                 end
                 else
@@ -1278,14 +1277,14 @@ module Make (Msg : MESSAGE) = struct
                       deliver ~sent ~de ~bits:b v dest msg
                   | Faults.Drop ->
                       charge_wire de b;
-                      drop_one ();
+                      incr round_dropped;
                       trace_fault Trace.Drop ~sender:v ~dest ~de ~info:0
                   | Faults.Truncate ->
                       (* A truncated frame occupies at most one full
                          bandwidth slot on the wire and is undecodable at
                          the receiver: silence, never corruption. *)
                       charge_wire de (if b < bw then b else bw);
-                      drop_one ();
+                      incr round_dropped;
                       trace_fault Trace.Truncate ~sender:v ~dest ~de ~info:b
                   | Faults.Duplicate ->
                       charge_wire de b;
