@@ -32,8 +32,8 @@
     shard, fault), its delivery, and its per-edge charge pass, which
     alone writes [max_edge_bits] and [oversized].  It sums each round's
     messages, bits, frames and fault events into locals and hands them
-    to {!close_round}: a node program reading its engine's stats
-    mid-round sees the round opened but not yet its deliveries.  The
+    to {!close_round}, so mid-round the stats show the round opened but
+    not yet its deliveries (node programs have no stats accessor).  The
     simulated clock is [(stats a).rounds]; an executor's own round
     counter follows it. *)
 

@@ -407,7 +407,6 @@ module Make (Msg : MESSAGE) = struct
   let neighbors c = Graph.neighbors c.eng.graph c.id
   let incident c = Graph.incident c.eng.graph c.id
   let round c = c.eng.current_round
-  let stats c = c.eng.estats
 
   let rng c =
     match c.crng with

@@ -181,8 +181,6 @@ module Make (Msg : MESSAGE) : sig
       running. *)
   val reject : ctx -> string -> unit
 
-  val stats : ctx -> Stats.t
-
   type 'o result = {
     outputs : 'o option array;
         (** per node; [None] if the node did not finish before [max_rounds] *)

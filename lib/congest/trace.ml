@@ -134,6 +134,16 @@ let intern t s =
       Hashtbl.add t.labels s id;
       id
 
+let no_delta =
+  {
+    h_wall_s = 0.0;
+    h_minor_words = 0.0;
+    h_major_words = 0.0;
+    h_minor_collections = 0;
+    h_major_collections = 0;
+    h_max_stepped = 0;
+  }
+
 let create ?(config = default_config) tel =
   let cfg =
     {
@@ -142,6 +152,13 @@ let create ?(config = default_config) tel =
       sample_fibers = max 1 config.sample_fibers;
       sample_spans = max 1 config.sample_spans;
     }
+  in
+  (* Phases [tel] closed before this trace saw it (a resume from a
+     checkpoint taken untraced) get a zero host profile, so the host
+     profiles stay one per closed telemetry phase. *)
+  let closed =
+    List.length (Telemetry.phases tel)
+    - Option.fold ~none:0 ~some:(fun _ -> 1) (Telemetry.open_phase tel)
   in
   let t =
     {
@@ -160,7 +177,7 @@ let create ?(config = default_config) tel =
       p_wall0 = Unix.gettimeofday ();
       p_gc0 = Gc.quick_stat ();
       p_max_stepped = 0;
-      host_closed = [];
+      host_closed = List.init closed (fun _ -> no_delta);
       finished = false;
     }
   in
@@ -385,16 +402,6 @@ let sim_phases t =
       })
     (Telemetry.phases t.tel)
 
-let no_delta =
-  {
-    h_wall_s = 0.0;
-    h_minor_words = 0.0;
-    h_major_words = 0.0;
-    h_minor_collections = 0;
-    h_major_collections = 0;
-    h_max_stepped = 0;
-  }
-
 let host_phases t =
   let sims = Telemetry.phases t.tel in
   let deltas =
@@ -405,10 +412,9 @@ let host_phases t =
           :: t.host_closed)
     | _ -> List.rev t.host_closed
   in
-  (* Phases the telemetry recorded before this trace was attached (a
-     resume from a checkpoint taken untraced) have no host profile. *)
-  let missing = List.length sims - List.length deltas in
-  let deltas = List.init missing (fun _ -> no_delta) @ deltas in
+  (* One host profile per telemetry phase: every rotation goes through
+     {!phase}, and [create] covers the phases closed before it. *)
+  assert (List.length sims = List.length deltas);
   List.map2
     (fun (p : Telemetry.phase_view) h ->
       {

@@ -66,7 +66,9 @@ val default_config : config
 (** [create tel] starts a trace that projects [tel]: every run that
     records into the trace ticks [tel] (see {!resolve}).  A traced run
     that keeps no per-round series passes
-    [Telemetry.create ~series:false ()]. *)
+    [Telemetry.create ~series:false ()].  Phases [tel] has already
+    closed get a zero host profile (wall clock and GC in
+    {!host_phases}). *)
 val create : ?config:config -> Telemetry.t -> t
 
 val config : t -> config
@@ -269,7 +271,8 @@ val sim_phases : t -> sim_phase list
 
 (** Chronological, aligned 1:1 with {!sim_phases}.  A phase the
     telemetry closed before this trace saw it (a resume from a checkpoint
-    taken untraced) has a zero host profile. *)
+    taken untraced) has a zero host profile.  Fails an assertion if the
+    telemetry's phase was rotated other than through {!phase}. *)
 val host_phases : t -> host_phase list
 
 (** Surviving ring events, oldest first. *)

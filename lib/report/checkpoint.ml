@@ -4,9 +4,11 @@
    Layout, all bytes big-endian-free (no integers outside the marshalled
    payload):
 
-     bytes 0..7    magic "PLNRCK02" (version in the last two digits;
+     bytes 0..7    magic "PLNRCK03" (version in the last two digits;
                    02 added the optional event-trace state to the
-                   snapshot, so 01 files no longer load)
+                   snapshot, so 01 files no longer load; 03 made the
+                   trace a projection of its telemetry, so [ck_trace]
+                   shares [ck_telemetry] and 02 files no longer load)
      bytes 8..23   MD5 digest of the body
      bytes 24..    body = Marshal.to_string (fingerprint, snapshot)
 
@@ -22,7 +24,7 @@
 
 module PT = Tester.Planarity_tester
 
-let magic = "PLNRCK02"
+let magic = "PLNRCK03"
 
 let fingerprint ?(property = "planarity") g ~eps ~seed ~alpha ~faults =
   (* The property name guards against resuming one tester's Stage I into

@@ -1,6 +1,6 @@
 (** Versioned on-disk storage for tester checkpoints.
 
-    File layout: the 8-byte magic ["PLNRCK01"], a 16-byte MD5 digest of
+    File layout: the 8-byte magic ["PLNRCK03"], a 16-byte MD5 digest of
     the body, then the body — [Marshal] bytes of the pair (parameter
     fingerprint, {!Tester.Planarity_tester.snapshot}).  Saves are atomic
     (temp file + rename), so an interrupted save leaves the previous

@@ -134,6 +134,14 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
            {!Congest.Trace.restore_into}). *)
         (match (s.ck_trace, trace) with
         | Some src, Some dst -> Congest.Trace.restore_into dst ~from:src
+        | None, Some dst ->
+            (* An untraced checkpoint: restart the trace over the restored
+               telemetry, so the phases closed before the checkpoint get a
+               zero host profile (see {!Congest.Trace.create}). *)
+            Congest.Trace.restore_into dst
+              ~from:
+                (Congest.Trace.create ~config:(Congest.Trace.config dst)
+                   (Congest.Trace.telemetry dst))
         | _ -> ());
         hb_phases_done := s.ck_phase - 1;
         ( Partition.State.restore g ~nodes:s.ck_nodes ~stats:s.ck_stats

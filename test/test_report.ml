@@ -709,6 +709,15 @@ let test_checkpoint_file_refusals () =
       close_out oc;
       check cb "checksum failure refused" true
         (fails (fun () -> Report.Checkpoint.load path ~fingerprint:fp));
+      (* An intact file of the previous layout: its snapshot type differs,
+         so the version in the magic must refuse it before unmarshalling. *)
+      let old = Bytes.of_string raw in
+      Bytes.blit_string "PLNRCK02" 0 old 0 8;
+      let oc = open_out_bin path in
+      output_bytes oc old;
+      close_out oc;
+      check cb "previous format version refused" true
+        (fails (fun () -> Report.Checkpoint.load path ~fingerprint:fp));
       (* Not a checkpoint at all. *)
       let oc = open_out_bin path in
       output_string oc "not a checkpoint";

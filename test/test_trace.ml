@@ -406,7 +406,7 @@ let test_checkpoint_resume_trace_identical () =
   check cb "sim phases identical after kill+resume" true
     (T.sim_phases tr_ref = T.sim_phases tr2);
   check cb "config identical" true (T.config tr_ref = T.config tr2);
-  (* The causal wake slots ride through the PLNRCK02 snapshot unchanged,
+  (* The causal wake slots ride through the checkpoint snapshot unchanged,
      so the critical path of the resumed run is the reference run's. *)
   check cb "sim event stream identical after kill+resume" true
     (fst (sim_events tr_ref) = fst (sim_events tr2));
@@ -467,6 +467,42 @@ let test_untraced_checkpoint_traced_resume () =
     (List.map
        (fun (p : T.host_phase) -> p.T.wall_s = 0.0 && p.T.minor_words = 0.0)
        (List.filteri (fun i _ -> i < 3) host))
+
+(* Host profiles are one per telemetry phase.  A trace built over a
+   telemetry with closed phases gives those a zero profile; a rotation
+   that bypasses [Trace.phase] breaks the pairing and is refused rather
+   than shifting later profiles onto the wrong labels. *)
+let test_host_phases_alignment () =
+  let tel = Congest.Telemetry.create ~series:false () in
+  let tick_tel () =
+    Congest.Telemetry.tick tel ~stepped:1 ~domains:1 ~dropped:0
+      ~duplicated:0 ~delayed:0 ~crashed:0 ~bits:8 ~frames:1 ~messages:1
+  in
+  Congest.Telemetry.phase tel "a";
+  tick_tel ();
+  Congest.Telemetry.phase tel "b";
+  tick_tel ();
+  let tr = T.create tel in
+  T.phase tr "c";
+  tick tr ~round:2 ~bits:8 ~frames:1 ~messages:1 ~stepped:1;
+  T.finish tr;
+  check
+    (Alcotest.list Alcotest.string)
+    "one host profile per phase" [ "a"; "b"; "c" ]
+    (List.map (fun (p : T.host_phase) -> p.T.label) (T.host_phases tr));
+  let a = List.hd (T.host_phases tr) in
+  check cb "phase closed before the trace: zero profile" true
+    (a.T.wall_s = 0.0 && a.T.minor_words = 0.0 && a.T.major_words = 0.0
+    && a.T.minor_collections = 0);
+  let tr = new_trace () in
+  T.phase tr "a";
+  tick tr ~round:0 ~bits:8 ~frames:1 ~messages:1 ~stepped:1;
+  Congest.Telemetry.phase (T.telemetry tr) "rogue";
+  tick tr ~round:1 ~bits:8 ~frames:1 ~messages:1 ~stepped:1;
+  check cb "rotation behind the trace's back refused" true
+    (match T.host_phases tr with
+    | _ -> false
+    | exception Assert_failure _ -> true)
 
 (* The snapshot plumbing underneath: copy is a deep, independent image
    and restore_into overwrites the destination with it. *)
@@ -974,6 +1010,8 @@ let () =
             test_ring_overflow;
           Alcotest.test_case "per-category sampling" `Quick test_sampling;
           Alcotest.test_case "phases and spans" `Quick test_phases_and_spans;
+          Alcotest.test_case "host phases one per telemetry phase" `Quick
+            test_host_phases_alignment;
         ] );
       ( "engine",
         [
