@@ -2,11 +2,16 @@
    lists; the [tag] identifies the sub-step so that lockstep violations
    surface as assertion failures instead of silent cross-talk. *)
 
+type held = ..
+
+type priced = { value : held; cost : int }
+
 type t =
   | Root of int  (* neighbor-part-root refresh *)
   | Down of int * int list  (* tag, payload: broadcast along part trees *)
   | Up of int * int list  (* tag, payload: convergecast along part trees *)
   | Bdry of int * int list  (* tag, payload: across cut edges *)
+  | Held of int * priced  (* tag, host value priced as its int encoding *)
 
 let formula_cost v = 2 + Congest.Bits.int_bits ~universe:(abs v + 2)
 
@@ -31,3 +36,4 @@ let list_cost l = list_cost_from 0 l
 let bits = function
   | Root r -> 4 + int_cost r
   | Down (t, l) | Up (t, l) | Bdry (t, l) -> 4 + int_cost t + list_cost l
+  | Held (t, p) -> 4 + int_cost t + p.cost

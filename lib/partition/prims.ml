@@ -86,6 +86,38 @@ let run_compiled (st : State.t) ~start ~resume =
     List.map (fun (_, v, reason) -> (v, reason)) res.Cmp.rejections
     @ st.State.rejections
 
+(* How a tree primitive's payload rides a message: a flat int list in
+   [Down]/[Up], or a priced host value in [Held].  [unwrap] only
+   projects; the kernels check the tag first. *)
+type 'p carrier = { wrap : int -> 'p -> Msg.t; unwrap : Msg.t -> 'p }
+
+let down =
+  {
+    wrap = (fun t l -> Msg.Down (t, l));
+    unwrap = (function Msg.Down (_, l) -> l | _ -> assert false);
+  }
+
+let up =
+  {
+    wrap = (fun t l -> Msg.Up (t, l));
+    unwrap = (function Msg.Up (_, l) -> l | _ -> assert false);
+  }
+
+let held =
+  {
+    wrap = (fun t p -> Msg.Held (t, p));
+    unwrap = (function Msg.Held (_, p) -> p | _ -> assert false);
+  }
+
+let tag_of = function
+  | Msg.Down (t, _) | Msg.Up (t, _) | Msg.Bdry (t, _) | Msg.Held (t, _) -> t
+  | Msg.Root _ -> -1
+
+let check_tag prim ~tag msg =
+  let t = tag_of msg in
+  if t <> tag then
+    failwith (Printf.sprintf "%s: lockstep violation (tag %d vs %d)" prim t tag)
+
 (* [N.run] executes a kernel over the state's graph and charges the run
    to [st]. *)
 module Kernels (N : sig
@@ -133,20 +165,21 @@ struct
      is re-entered on arrivals only (and the executor may fast-forward
      network-wide quiet spans) without altering the round schedule —
      every node still finishes exactly at round [budget]. *)
-  let bcast (st : State.t) ~budget ~tag ~at_root ~on_receive =
+  let bcast c (st : State.t) ~budget ~tag ~at_root ~on_receive =
     (* A relay forwards the very message value it received: every hop
-       of one part's broadcast carries one physical [Down], which the
+       of one part's broadcast carries one physical message, which the
        compiled delivery pass prices once per round. *)
     let relay ctx nd msg =
       List.iter (fun c -> N.send ctx ~dest:c msg) nd.State.children
     in
+    let receive nd msg = on_receive nd (c.unwrap msg) in
     let start ctx v =
       let nd = State.node st v in
       (if State.is_root st v then
          match at_root nd with
          | Some payload ->
              on_receive nd payload;
-             relay ctx nd (Msg.Down (tag, payload))
+             relay ctx nd (c.wrap tag payload)
          | None -> ());
       if budget > 0 then Park budget else Halt
     and resume ctx v inbox =
@@ -154,36 +187,32 @@ struct
       if not (N.inbox_is_empty inbox) then
         N.iter_inbox ctx
           (fun from msg ->
-            match msg with
-            | Msg.Down (t, payload) ->
-                if t <> tag then
-                  failwith
-                    (Printf.sprintf "bcast: lockstep violation (tag %d vs %d)"
-                       t tag);
-                assert (from = nd.State.parent);
-                on_receive nd payload;
-                relay ctx nd msg
-            | _ -> assert false)
+            check_tag "bcast" ~tag msg;
+            assert (from = nd.State.parent);
+            receive nd msg;
+            relay ctx nd msg)
           inbox;
       let left = budget - N.round ctx in
       if left > 0 then Park left else Halt
     in
     N.run st ~start ~resume
 
-  let converge (st : State.t) ~budget ~tag ~init ~combine ~encode ~decode
+  let converge c (st : State.t) ~budget ~tag ~init ~combine ~encode ~decode
       ~at_root =
     let n = Graph.n st.State.graph in
     let pending = Array.make n 0 in
     let accs = Array.make n None in
     let sent = Bytes.make n '\000' in
+    let decode msg = decode (c.unwrap msg) in
     (* Fires at a leaf on start-up and otherwise only on a round an [Up]
-       arrives. *)
+       arrives.  The accumulator is dropped once handed on. *)
     let maybe_send ctx v nd =
       if pending.(v) = 0 && Bytes.get sent v = '\000' then begin
         Bytes.set sent v '\001';
         let acc = Option.get accs.(v) in
+        accs.(v) <- None;
         if nd.State.parent >= 0 then
-          N.send ctx ~dest:nd.State.parent (Msg.Up (tag, encode acc))
+          N.send ctx ~dest:nd.State.parent (c.wrap tag (encode acc))
         else at_root nd acc
       end
     in
@@ -205,17 +234,11 @@ struct
       if not (N.inbox_is_empty inbox) then begin
         N.iter_inbox ctx
           (fun from msg ->
-            match msg with
-            | Msg.Up (t, payload) ->
-                if t <> tag then
-                  failwith
-                    (Printf.sprintf "converge: lockstep violation (tag %d vs %d)"
-                       t tag);
-                if not (List.mem from nd.State.children) then
-                  failwith "converge: message from non-child";
-                accs.(v) <- Some (combine (Option.get accs.(v)) (decode payload));
-                pending.(v) <- pending.(v) - 1
-            | _ -> assert false)
+            check_tag "converge" ~tag msg;
+            if not (List.mem from nd.State.children) then
+              failwith "converge: message from non-child";
+            accs.(v) <- Some (combine (Option.get accs.(v)) (decode msg));
+            pending.(v) <- pending.(v) - 1)
           inbox;
         maybe_send ctx v nd
       end;
@@ -289,16 +312,28 @@ let refresh_roots st =
   traced st "refresh_roots" @@ fun () ->
   if compiled_active st then Kc.refresh_roots st else Ke.refresh_roots st
 
-let bcast st ~budget ~tag ~at_root ~on_receive =
+let bcast_via c st ~budget ~tag ~at_root ~on_receive =
   traced st "bcast" @@ fun () ->
-  if compiled_active st then Kc.bcast st ~budget ~tag ~at_root ~on_receive
-  else Ke.bcast st ~budget ~tag ~at_root ~on_receive
+  if compiled_active st then Kc.bcast c st ~budget ~tag ~at_root ~on_receive
+  else Ke.bcast c st ~budget ~tag ~at_root ~on_receive
 
-let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
+let bcast st ~budget ~tag ~at_root ~on_receive =
+  bcast_via down st ~budget ~tag ~at_root ~on_receive
+
+let bcast_held st ~budget ~tag ~at_root ~on_receive =
+  bcast_via held st ~budget ~tag ~at_root ~on_receive
+
+let converge_via c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
   traced st "converge" @@ fun () ->
   if compiled_active st then
-    Kc.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
-  else Ke.converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+    Kc.converge c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+  else Ke.converge c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+
+let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
+  converge_via up st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+
+let converge_held st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
+  converge_via held st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
 
 let every_nbr _ _ = true
 

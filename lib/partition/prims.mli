@@ -60,6 +60,29 @@ val converge :
   at_root:(State.node -> 'a -> unit) ->
   unit
 
+(** {!bcast} and {!converge} with a {!Msg.priced} host value on the wire
+    ([Msg.Held]) in place of an int list: every hop costs O(1) host work
+    to send and to price, and receivers read the very value the sender
+    built, so it must never be mutated once sent. *)
+val bcast_held :
+  State.t ->
+  budget:int ->
+  tag:int ->
+  at_root:(State.node -> Msg.priced option) ->
+  on_receive:(State.node -> Msg.priced -> unit) ->
+  unit
+
+val converge_held :
+  State.t ->
+  budget:int ->
+  tag:int ->
+  init:(State.node -> 'a) ->
+  combine:('a -> 'a -> 'a) ->
+  encode:('a -> Msg.priced) ->
+  decode:(Msg.priced -> 'a) ->
+  at_root:(State.node -> 'a -> unit) ->
+  unit
+
 (** One round of cross-part messaging.  [payload nd] is computed at most
     once per node — only for a node with an incident edge leading
     outside its part — and [None] keeps the node silent.  One

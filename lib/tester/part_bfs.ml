@@ -3,10 +3,18 @@ module S = Partition.State
 module P = Partition.Prims
 module M = Partition.Msg
 
+type part = {
+  root : int;
+  sub : Graph.t;
+  back : int array;
+  ecc : int;
+}
+
 type t = {
   dist : int array;
   nbr_level : (int * int) list array;
   depth_bound : int;
+  parts : part list;
 }
 
 let iter_intra st (nd : S.node) f =
@@ -19,15 +27,16 @@ let build st =
   let g = st.S.graph in
   let n = Graph.n g in
   P.refresh_roots st;
-  let depth_bound =
-    List.fold_left
-      (fun acc (root, members) ->
+  let parts =
+    List.map
+      (fun (root, members) ->
         let sub, back = Graph.induced g members in
         let local_root = ref (-1) in
         Array.iteri (fun i v -> if v = root then local_root := i) back;
-        max acc (Traversal.eccentricity sub !local_root))
-      1 (S.parts st)
+        { root; sub; back; ecc = Traversal.eccentricity sub !local_root })
+      (S.parts st)
   in
+  let depth_bound = List.fold_left (fun acc p -> max acc p.ecc) 1 parts in
   let budget = depth_bound + 2 in
   Array.iter
     (fun nd ->
@@ -65,7 +74,7 @@ let build st =
               nbr_level.(nd.S.id) <- (from, d) :: nbr_level.(nd.S.id)
           | _ -> assert false)
         inbox);
-  { dist; nbr_level; depth_bound }
+  { dist; nbr_level; depth_bound; parts }
 
 let is_tree_edge st v w =
   let nd = S.node st v in

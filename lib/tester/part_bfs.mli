@@ -8,11 +8,22 @@
     gives every node its intra-part neighbors' levels (used for edge
     assignment and odd-cycle detection). *)
 
+(** One part as the orchestrator sees it, induced once per run. *)
+type part = {
+  root : int;
+  sub : Graphlib.Graph.t;  (** the subgraph the part's members induce *)
+  back : int array;
+      (** local id of [sub] -> global id: the members in
+          {!Partition.State.parts} order *)
+  ecc : int;  (** eccentricity of [root] in [sub] *)
+}
+
 type t = {
   dist : int array;  (** BFS level within the part *)
   nbr_level : (int * int) list array;
       (** per node: (intra-part neighbor, its level) *)
   depth_bound : int;  (** max root eccentricity over parts (the budget) *)
+  parts : part list;  (** in {!Partition.State.parts} order *)
 }
 
 val build : Partition.State.t -> t

@@ -26,97 +26,123 @@ type result = {
 let sample_target ~n ~eps =
   int_of_float (ceil (4.0 *. log (float_of_int (n + 2)) /. eps))
 
-let encode_pairs pairs =
-  List.concat_map
-    (fun (a, b) -> (List.length a :: a) @ (List.length b :: b))
-    pairs
+(* The first [cap] items of a convergecast stream, kept reversed so that
+   appending a child's items costs O(items added) and no item is copied.
+   [cost] is the wire price of the kept items; values are immutable, so
+   a sent accumulator is never touched again. *)
+module Prefix = struct
+  type 'a t = { rev_items : 'a list; count : int; truncated : bool; cost : int }
 
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
+  let of_list ~price items =
+    {
+      rev_items = List.rev items;
+      count = List.length items;
+      truncated = false;
+      cost = List.fold_left (fun acc x -> acc + price x) 0 items;
+    }
 
-let decode_pairs l =
-  let rec split k l =
-    if k = 0 then ([], l)
+  let to_list a = List.rev a.rev_items
+
+  (* Drops the first [k] items of [l], taking their prices off [cost]. *)
+  let rec drop ~price k cost l =
+    if k = 0 then (l, cost)
     else
       match l with
-      | x :: rest ->
-          let a, b = split (k - 1) rest in
-          (x :: a, b)
-      | [] -> failwith "Stage2.decode_pairs: short payload"
-  in
-  let rec go = function
-    | [] -> []
-    | la :: rest ->
-        let a, rest = split la rest in
-        (match rest with
-        | lb :: rest ->
-            let b, rest = split lb rest in
-            (a, b) :: go rest
-        | [] -> failwith "Stage2.decode_pairs: missing second label")
-  in
-  go l
+      | x :: rest -> drop ~price (k - 1) (cost - price x) rest
+      | [] -> assert false
 
-(* The Collect-mode rotation table [v; deg; row...]* as rows by node. *)
-let decode_rotations pl =
-  let rows = Hashtbl.create 64 in
-  let rec scan = function
-    | [] -> ()
-    | v :: deg :: rest ->
-        let row = Array.make deg 0 in
-        let rec fill i l =
-          if i = deg then l
-          else
-            match l with
-            | x :: tl ->
-                row.(i) <- x;
-                fill (i + 1) tl
-            | [] -> failwith "Stage2.decode_rotations: short payload"
-        in
-        let rest = fill 0 rest in
-        Hashtbl.replace rows v row;
-        scan rest
-    | [ _ ] -> failwith "Stage2.decode_rotations: missing degree"
-  in
-  scan pl;
-  rows
+  (* On overflow the last [excess] items of [a @ b] go: they are the
+     first ones of the reversed [b.rev_items @ a.rev_items]. *)
+  let append ~cap ~price a b =
+    let total = a.count + b.count in
+    if total <= cap then
+      {
+        rev_items = b.rev_items @ a.rev_items;
+        count = total;
+        truncated = a.truncated || b.truncated;
+        cost = a.cost + b.cost;
+      }
+    else
+      let excess = total - cap in
+      let rev_items, cost =
+        if excess <= b.count then
+          let rest, cost = drop ~price excess b.cost b.rev_items in
+          (rest @ a.rev_items, a.cost + cost)
+        else drop ~price (excess - b.count) a.cost a.rev_items
+      in
+      { rev_items; count = cap; truncated = true; cost }
+end
 
-(* Host-side sharing of a root broadcast's decode, one slot per part.
-   Relays forward the root's payload list itself, so every node of a part
-   normally receives the very value its root sent.  The root's own
-   [on_receive] (round 0) stores [(payload, decoded)] in its part's slot;
-   a receiver reuses [decoded] only when its payload is physically that
-   value and decodes anything else itself.  The slot is written in round
-   0, before any relay exists, and read only in later rounds, after a
-   round barrier, so sharded fiber steps never race on it.  The simulated
-   wire and its accounting are untouched. *)
-let shared_decode st decode =
-  let slot = Array.make (Graph.n st.S.graph) None in
-  fun (nd : S.node) pl ->
-    match slot.(nd.S.part_root) with
-    | Some (sent, decoded) when sent == pl -> decoded
-    | _ ->
-        let decoded = decode pl in
-        if nd.S.part_root = nd.S.id then slot.(nd.S.id) <- Some (pl, decoded);
-        decoded
+(* A non-tree edge's sorted corner-key pair with the wire price of its
+   encoding [|a|; a...; |b|; b...], computed once where the pair is made. *)
+type keyed = { pair : Violation.label * Violation.label; price : int }
+
+let keyed (a, b) =
+  let label_cost l = M.int_cost (List.length l) + M.list_cost l in
+  { pair = (a, b); price = label_cost a + label_cost b }
+
+let price k = k.price
+let edge_price (u, v) = M.int_cost u + M.int_cost v
+
+(* Stage II's host values on the wire (see [Msg.Held]). *)
+type M.held +=
+  | Edges of (int * int) Prefix.t  (* tag 90: [u; v]* *)
+  | Rotations of (int, int array) Hashtbl.t  (* tag 91: [v; deg; row...]* *)
+  | Sample of keyed Prefix.t  (* tag 88: truncated flag, then the pairs *)
+  | Sorted_sample of Violation.crossing  (* tag 89: the pairs *)
+
+(* Each [cost] is the [Msg.list_cost] of the int list the value stands
+   for, summed from prices computed where the items were made. *)
+let edges_msg e = { M.value = Edges e; cost = e.Prefix.cost }
+
+let rotations_msg rows =
+  let table = Hashtbl.create 16 in
+  let cost =
+    List.fold_left
+      (fun cost (v, row) ->
+        Hashtbl.replace table v row;
+        Array.fold_left
+          (fun c w -> c + M.int_cost w)
+          (cost + M.int_cost v + M.int_cost (Array.length row))
+          row)
+      0 rows
+  in
+  { M.value = Rotations table; cost }
+
+let sample_msg s =
+  let flag = M.int_cost (Bool.to_int s.Prefix.truncated) in
+  { M.value = Sample s; cost = flag + s.Prefix.cost }
+
+let sorted_sample_msg s =
+  let pairs = List.map (fun k -> k.pair) (Prefix.to_list s) in
+  let sorted = Violation.crossing_index pairs in
+  { M.value = Sorted_sample sorted; cost = s.Prefix.cost }
+
+(* Rotation walk for a node of the Stage II state: the rotation is stored
+   as neighbor ids, the tree is in the node's parent/children fields. *)
+let scan (nd : S.node) rotation f =
+  Violation.scan_neighbor_rotation ~rotation:rotation.(nd.S.id)
+    ~parent:nd.S.parent ~children:nd.S.children f
+
+(* An embedding of a part's subgraph [sub] as every vertex's rotation in
+   global neighbor ids, and whether it is planar. *)
+let global_rows sub back =
+  let rot, planar = Planarity.Lr.embed_or_adjacency sub in
+  let row lv =
+    Array.map
+      (fun d -> back.(Planarity.Rotation.dst sub d))
+      (Planarity.Rotation.rotation rot lv)
+  in
+  (List.init (Graph.n sub) (fun lv -> (back.(lv), row lv)), planar)
 
 let run ?(embedding = Oracle) st ~eps ~seed =
   let g = st.S.graph in
   let n = Graph.n g in
   let stage2_rejections_before = List.length st.S.rejections in
-  (* Orchestrator-side per-part data for the embedding substitution. *)
-  let induced_parts =
-    List.map
-      (fun (root, members) ->
-        let sub, back = Graph.induced g members in
-        let local_root = ref (-1) in
-        Array.iteri (fun i v -> if v = root then local_root := i) back;
-        (root, members, sub, back, !local_root))
-      (S.parts st)
-  in
-  (* Steps 1–2: per-part BFS trees and level exchange. *)
+  (* Steps 1–2: per-part BFS trees and level exchange.  [parts] is also
+     the orchestrator-side per-part data for the embedding substitution. *)
   let bfs = Part_bfs.build st in
+  let parts = bfs.Part_bfs.parts in
   let budget = bfs.Part_bfs.depth_bound + 2 in
   let iter_intra = Part_bfs.iter_intra in
   let assigned_to (nd : S.node) w = Part_bfs.assigned_to bfs st nd.S.id w in
@@ -138,7 +164,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
     ~at_root:(fun nd t -> counts.(nd.S.id) <- Some t);
   let euler_rejected = Hashtbl.create 4 in
   List.iter
-    (fun (root, _, _, _, _) ->
+    (fun { Part_bfs.root; _ } ->
       let nj, mj, _ = Part_bfs.at_root counts root in
       if nj >= 3 && mj > (3 * nj) - 6 then begin
         Hashtbl.replace euler_rejected root ();
@@ -148,7 +174,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
               mj ((3 * nj) - 6) )
           :: st.S.rejections
       end)
-    induced_parts;
+    parts;
   (* Step 4 (substituted Ghaffari–Haeupler): obtain a combinatorial
      embedding of each part. *)
   let rotation = Array.make n [||] in
@@ -159,19 +185,13 @@ let run ?(embedding = Oracle) st ~eps ~seed =
          O(D + min (log n_j, D)). *)
       let max_embed_charge = ref 0 in
       List.iter
-        (fun (root, _, sub, back, local_root) ->
-          let rot, planar = Planarity.Lr.embed_or_adjacency sub in
+        (fun { Part_bfs.root; sub; back; ecc = d_j; _ } ->
+          let rows, planar = global_rows sub back in
           Hashtbl.replace embedding_ok root planar;
-          for lv = 0 to Graph.n sub - 1 do
-            rotation.(back.(lv)) <-
-              Array.map
-                (fun d -> back.(Planarity.Rotation.dst sub d))
-                (Planarity.Rotation.rotation rot lv)
-          done;
-          let d_j = Traversal.eccentricity sub local_root in
+          List.iter (fun (v, row) -> rotation.(v) <- row) rows;
           let log_nj = Congest.Bits.id_bits (Graph.n sub) in
           max_embed_charge := max !max_embed_charge (d_j + min log_nj d_j))
-        induced_parts;
+        parts;
       Congest.Account.charge ~stats:st.S.stats ~telemetry:st.S.telemetry
         !max_embed_charge;
       st.S.nominal_rounds <- st.S.nominal_rounds + !max_embed_charge
@@ -181,29 +201,21 @@ let run ?(embedding = Oracle) st ~eps ~seed =
          payloads are large; the engine's bandwidth accounting charges the
          pipelining rounds. *)
       let edges_at_root = Array.make n None in
-      P.converge st ~budget ~tag:90
+      P.converge_held st ~budget ~tag:90
         ~init:(fun nd ->
           let acc = ref [] in
           iter_intra st nd (fun _ w ->
               if assigned_to nd w then acc := (nd.S.id, w) :: !acc);
-          !acc)
-        ~combine:( @ )
-        ~encode:(fun pairs ->
-          List.concat_map (fun (u, v) -> [ u; v ]) pairs)
-        ~decode:(fun l ->
-          let rec go = function
-            | [] -> []
-            | u :: v :: rest -> (u, v) :: go rest
-            | [ _ ] -> assert false
-          in
-          go l)
-        ~at_root:(fun nd pairs -> edges_at_root.(nd.S.id) <- Some pairs);
+          Prefix.of_list ~price:edge_price !acc)
+        ~combine:(Prefix.append ~cap:max_int ~price:edge_price)
+        ~encode:edges_msg
+        ~decode:(function { M.value = Edges e; _ } -> e | _ -> assert false)
+        ~at_root:(fun nd e -> edges_at_root.(nd.S.id) <- Some e);
       (* Local computation at each root. *)
       let rotations_at_root = Hashtbl.create 16 in
       List.iter
-        (fun (root, members, _, _, _) ->
-          let pairs = Part_bfs.at_root edges_at_root root in
-          let back = Array.of_list members in
+        (fun { Part_bfs.root; back; _ } ->
+          let pairs = Prefix.to_list (Part_bfs.at_root edges_at_root root) in
           let fwd = Hashtbl.create 16 in
           Array.iteri (fun i v -> Hashtbl.add fwd v i) back;
           let sub =
@@ -212,35 +224,25 @@ let run ?(embedding = Oracle) st ~eps ~seed =
                  (fun (u, v) -> (Hashtbl.find fwd u, Hashtbl.find fwd v))
                  pairs)
           in
-          let rot, planar = Planarity.Lr.embed_or_adjacency sub in
+          let rows, planar = global_rows sub back in
           Hashtbl.replace embedding_ok root planar;
-          let payload =
-            List.concat_map
-              (fun lv ->
-                let r =
-                  Array.to_list
-                    (Array.map
-                       (fun d -> back.(Planarity.Rotation.dst sub d))
-                       (Planarity.Rotation.rotation rot lv))
-                in
-                (back.(lv) :: List.length r :: r))
-              (List.init (Graph.n sub) Fun.id)
-          in
-          Hashtbl.replace rotations_at_root root payload)
-        induced_parts;
+          Hashtbl.replace rotations_at_root root (rotations_msg rows))
+        parts;
       (* Broadcast the full rotation table; each node keeps its row. *)
-      let rows_of = shared_decode st decode_rotations in
-      P.bcast st ~budget ~tag:91
+      P.bcast_held st ~budget ~tag:91
         ~at_root:(fun nd -> Some (Hashtbl.find rotations_at_root nd.S.id))
-        ~on_receive:(fun nd pl ->
-          match Hashtbl.find_opt (rows_of nd pl) nd.S.id with
-          | Some row -> rotation.(nd.S.id) <- row
-          | None -> ()));
+        ~on_receive:(fun nd p ->
+          match p.M.value with
+          | Rotations rows -> (
+              match Hashtbl.find_opt rows nd.S.id with
+              | Some row -> rotation.(nd.S.id) <- row
+              | None -> ())
+          | _ -> assert false));
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
   P.run_program st (fun ctx nd ->
       let send_child_labels mylab =
-        Tester_util.scan nd rotation (fun w rank t ->
+        scan nd rotation (fun w rank t ->
             if t = 0 then P.send ctx ~dest:w (M.Down (85, mylab @ [ rank ])))
       in
       (if S.is_root st nd.S.id then begin
@@ -261,7 +263,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let my_keys = Array.make n [] in
   Array.iter
     (fun nd ->
-      Tester_util.scan nd rotation (fun w rank t ->
+      scan nd rotation (fun w rank t ->
           if t > 0 then
             my_keys.(nd.S.id) <-
               (w, label.(nd.S.id) @ [ rank; inf; t ]) :: my_keys.(nd.S.id)))
@@ -279,9 +281,10 @@ let run ?(embedding = Oracle) st ~eps ~seed =
               if assigned_to nd from then begin
                 let key_mine = List.assoc from my_keys.(nd.S.id) in
                 let pair =
-                  if Violation.compare_label key_mine key_other <= 0 then
-                    (key_mine, key_other)
-                  else (key_other, key_mine)
+                  keyed
+                    (if Violation.compare_label key_mine key_other <= 0 then
+                       (key_mine, key_other)
+                     else (key_other, key_mine))
                 in
                 assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
               end
@@ -299,42 +302,37 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let starget = sample_target ~n ~eps in
   let cap = (4 * starget) + 8 in
   let samples = Array.make n None in
-  P.converge st ~budget ~tag:88
+  P.converge_held st ~budget ~tag:88
     ~init:(fun nd ->
       let ntj = nt_count.(nd.S.id) in
-      if ntj = 0 then ([], false)
+      if ntj = 0 then Prefix.of_list ~price []
       else begin
         let p = min 1.0 (float_of_int starget /. float_of_int ntj) in
         let rng = Random.State.make [| seed; nd.S.id; 0x7a11 |] in
-        let chosen =
-          List.filter (fun _ -> Random.State.float rng 1.0 < p)
-            assigned_pairs.(nd.S.id)
-        in
-        (chosen, false)
+        Prefix.of_list ~price
+          (List.filter
+             (fun _ -> Random.State.float rng 1.0 < p)
+             assigned_pairs.(nd.S.id))
       end)
-    ~combine:(fun (a, ta) (b, tb) ->
-      let all = a @ b in
-      if List.length all > cap then (take cap all, true)
-      else (all, ta || tb))
-    ~encode:(fun (pairs, t) -> (if t then 1 else 0) :: encode_pairs pairs)
-    ~decode:(function
-      | t :: rest -> (decode_pairs rest, t = 1)
-      | [] -> assert false)
+    ~combine:(Prefix.append ~cap ~price)
+    ~encode:sample_msg
+    ~decode:(function { M.value = Sample s; _ } -> s | _ -> assert false)
     ~at_root:(fun nd s -> samples.(nd.S.id) <- Some s);
-  (* Step 9: broadcast the sample; every node checks its assigned edges. *)
-  let sample_at = Array.make n [] in
-  let sample_of = shared_decode st decode_pairs in
-  P.bcast st ~budget ~tag:89
+  (* Step 9: broadcast the sample, sorted once per part at its root;
+     every node checks its assigned edges with crossing queries. *)
+  let sample_at = Array.make n (Violation.crossing_index []) in
+  P.bcast_held st ~budget ~tag:89
     ~at_root:(fun nd ->
-      let pairs, _ = Part_bfs.at_root samples nd.S.id in
-      Some (encode_pairs pairs))
-    ~on_receive:(fun nd pl -> sample_at.(nd.S.id) <- sample_of nd pl);
+      Some (sorted_sample_msg (Part_bfs.at_root samples nd.S.id)))
+    ~on_receive:(fun nd p ->
+      match p.M.value with
+      | Sorted_sample sorted -> sample_at.(nd.S.id) <- sorted
+      | _ -> assert false);
   Array.iter
     (fun nd ->
       let found =
         List.exists
-          (fun mine ->
-            List.exists (Violation.intersects mine) sample_at.(nd.S.id))
+          (fun mine -> Violation.crosses sample_at.(nd.S.id) mine.pair)
           assigned_pairs.(nd.S.id)
       in
       if found then
@@ -349,9 +347,11 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   st.S.nominal_rounds <- st.S.nominal_rounds + (12 * budget) + 6;
   let parts_info =
     List.map
-      (fun (root, _, _, _, _) ->
+      (fun { Part_bfs.root; _ } ->
         let nj, mj, ntj = Part_bfs.at_root counts root in
-        let pairs, trunc = Option.value samples.(root) ~default:([], false) in
+        let s =
+          Option.value samples.(root) ~default:(Prefix.of_list ~price [])
+        in
         {
           root;
           n_nodes = nj;
@@ -359,10 +359,10 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           non_tree = ntj;
           euler_rejected = Hashtbl.mem euler_rejected root;
           embedding_planar = Hashtbl.find embedding_ok root;
-          sampled = List.length pairs;
-          truncated = trunc;
+          sampled = s.Prefix.count;
+          truncated = s.Prefix.truncated;
         })
-      induced_parts
+      parts
   in
   {
     accepted = List.length st.S.rejections = stage2_rejections_before;

@@ -61,3 +61,53 @@ val run :
 
 (** The per-part sample size [ceil (4 ln (n + 2) / eps)]. *)
 val sample_target : n:int -> eps:float -> int
+
+(** {2 The sample path's host values}
+
+    Exposed for tests.  Stage II sends its sample (tags 88 and 89), the
+    Collect-mode edge list (90) and rotation table (91) as
+    {!Partition.Msg.priced} host values; each is priced exactly as the
+    flat int list it stands for. *)
+
+(** The first [cap] items of a convergecast stream with their wire price.
+    Immutable: appending shares the items of both operands. *)
+module Prefix : sig
+  type 'a t = private {
+    rev_items : 'a list;  (** the kept items, last first *)
+    count : int;
+    truncated : bool;
+    cost : int;  (** sum of the kept items' prices *)
+  }
+
+  val of_list : price:('a -> int) -> 'a list -> 'a t
+  val to_list : 'a t -> 'a list
+
+  (** [append ~cap ~price a b] keeps [take cap (to_list a @ to_list b)];
+      [truncated] is set when that drops anything, else it is
+      [a.truncated || b.truncated].  O(items of [b] + items dropped). *)
+  val append : cap:int -> price:('a -> int) -> 'a t -> 'a t -> 'a t
+end
+
+(** A sorted corner-key pair with the price of its encoding
+    [[|a|; a...; |b|; b...]]. *)
+type keyed = private {
+  pair : Violation.label * Violation.label;
+  price : int;
+}
+
+val keyed : Violation.label * Violation.label -> keyed
+
+(** Tag 88: the truncated flag (0 or 1), then the pairs. *)
+val sample_msg : keyed Prefix.t -> Partition.Msg.priced
+
+(** Tag 89: the pairs, sorted for {!Violation.crosses}. *)
+val sorted_sample_msg : keyed Prefix.t -> Partition.Msg.priced
+
+(** The price of one edge [(u, v)] of the tag-90 list. *)
+val edge_price : int * int -> int
+
+(** Tag 90: [[u; v]*]. *)
+val edges_msg : (int * int) Prefix.t -> Partition.Msg.priced
+
+(** Tag 91: [[v; deg; row...]*] over [(v, row)] in order. *)
+val rotations_msg : (int * int array) list -> Partition.Msg.priced

@@ -167,67 +167,93 @@ let intersects p q =
   && compare_label lc lb < 0
   && compare_label lb ld < 0
 
-let violating_edges g tree rot =
-  let keyed = Array.of_list (edge_keys g tree rot) in
-  let k = Array.length keyed in
-  let bad = Array.make k false in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      if
-        (not (bad.(i) && bad.(j)))
-        && intersects (snd keyed.(i)) (snd keyed.(j))
-      then begin
-        bad.(i) <- true;
-        bad.(j) <- true
-      end
-    done
-  done;
-  let acc = ref [] in
-  for i = k - 1 downto 0 do
-    if bad.(i) then acc := fst keyed.(i) :: !acc
-  done;
-  !acc
+(* Crossing index over a set of label pairs (Definition 7 against a
+   fixed sample).  After [sort_pair], a query [(c, d)] intersects a pair
+   [(a, b)] iff [c < a < d < b] or [a < c < b < d]: among the pairs whose
+   lower label lies strictly inside [(c, d)] some upper label is above
+   [d], or among those whose upper label does some lower label is below
+   [c].  Each is two binary searches and a sparse-table range max (min),
+   so a query costs O(log k) label comparisons instead of k calls to
+   [intersects]. *)
+let above x y = compare_label x y > 0
+let below x y = compare_label x y < 0
 
-let count_violating g =
+(* Pairs sorted by [key]; [best.(j).(i)] is the [better]-most [other]
+   endpoint over the pairs [i .. i + 2^j - 1]. *)
+type side = { keys : label array; best : label array array }
+
+let side key other better pairs =
+  let a = Array.of_list pairs in
+  Array.sort (fun p q -> compare_label (key p) (key q)) a;
+  let rec levels prev width acc =
+    let len = Array.length prev - width in
+    if len <= 0 then Array.of_list (List.rev acc)
+    else
+      let next =
+        Array.init len (fun i ->
+            let x = prev.(i) and y = prev.(i + width) in
+            if better x y then x else y)
+      in
+      levels next (2 * width) (next :: acc)
+  in
+  let others = Array.map other a in
+  { keys = Array.map key a; best = levels others 1 [ others ] }
+
+type crossing = { by_lo : side; by_hi : side }
+
+let crossing_index pairs =
+  let pairs = List.map sort_pair pairs in
+  { by_lo = side fst snd above pairs; by_hi = side snd fst below pairs }
+
+(* Is some pair whose key lies strictly inside [(c, d)] [better] than
+   [past] at its other endpoint? *)
+let beyond s better ~c ~d ~past =
+  let rec search ok lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if ok s.keys.(mid) then search ok (mid + 1) hi else search ok lo mid
+  in
+  let n = Array.length s.keys in
+  let l = search (fun k -> not (above k c)) 0 n in
+  let r = search (fun k -> below k d) l n in
+  let rec level j = if 2 lsl j > r - l then j else level (j + 1) in
+  l < r
+  &&
+  let j = level 0 in
+  better s.best.(j).(l) past || better s.best.(j).(r - (1 lsl j)) past
+
+let crosses ix q =
+  let c, d = sort_pair q in
+  beyond ix.by_lo above ~c ~d ~past:d || beyond ix.by_hi below ~c ~d ~past:c
+
+(* The ids of the pairs that intersect some other pair. *)
+let crossing_ids keyed =
+  let ix = crossing_index (List.map snd keyed) in
+  List.filter_map (fun (id, p) -> if crosses ix p then Some id else None) keyed
+
+let violating_edges g tree rot = crossing_ids (edge_keys g tree rot)
+
+let count_with violating g =
   if Graph.n g = 0 then 0
   else begin
     let tree = Traversal.bfs g 0 in
     let rot, _ = Planarity.Lr.embed_or_adjacency g in
-    List.length (violating_edges g tree rot)
+    List.length (violating g tree rot)
   end
+
+let count_violating g = count_with violating_edges g
 
 (* The paper's original vertex-level rule, kept for the ablation that
    motivates the corner refinement: compare endpoint labels only. *)
 let violating_edges_vertex_labels g tree rot =
   let lab = labels g tree rot in
-  let nts = Array.of_list (non_tree_edges g tree) in
-  let pairs =
-    Array.map
-      (fun e ->
-        let u, v = Graph.edge g e in
-        sort_pair (lab.(u), lab.(v)))
-      nts
-  in
-  let k = Array.length nts in
-  let bad = Array.make k false in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      if (not (bad.(i) && bad.(j))) && intersects pairs.(i) pairs.(j) then begin
-        bad.(i) <- true;
-        bad.(j) <- true
-      end
-    done
-  done;
-  let acc = ref [] in
-  for i = k - 1 downto 0 do
-    if bad.(i) then acc := nts.(i) :: !acc
-  done;
-  !acc
+  crossing_ids
+    (List.map
+       (fun e ->
+         let u, v = Graph.edge g e in
+         (e, sort_pair (lab.(u), lab.(v))))
+       (non_tree_edges g tree))
 
 let count_violating_vertex_labels g =
-  if Graph.n g = 0 then 0
-  else begin
-    let tree = Traversal.bfs g 0 in
-    let rot, _ = Planarity.Lr.embed_or_adjacency g in
-    List.length (violating_edges_vertex_labels g tree rot)
-  end
+  count_with violating_edges_vertex_labels g

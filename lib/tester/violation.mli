@@ -68,13 +68,22 @@ val edge_keys :
     [la < lc < lb < ld]. *)
 val intersects : label * label -> label * label -> bool
 
+(** A set of label pairs sorted once for {!crosses}. *)
+type crossing
+
+val crossing_index : (label * label) list -> crossing
+
+(** [crosses ix q] is [List.exists (intersects q) pairs] for the [pairs]
+    [ix] was built from, in O(log k) label comparisons. *)
+val crosses : crossing -> label * label -> bool
+
 (** Non-tree edge ids of the BFS tree. *)
 val non_tree_edges :
   Graphlib.Graph.t -> Graphlib.Traversal.bfs_tree -> int list
 
 (** [violating_edges g tree rot] is the set of non-tree edges intersecting
-    at least one other non-tree edge.  Quadratic; for tests and small
-    parts. *)
+    at least one other non-tree edge, found with one {!crossing_index}
+    over all of them. *)
 val violating_edges :
   Graphlib.Graph.t -> Graphlib.Traversal.bfs_tree -> Planarity.Rotation.t ->
   int list

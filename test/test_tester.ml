@@ -659,11 +659,12 @@ let test_checkpoint_rejects_exp_shifts () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Stage II shared broadcast decode                                    *)
+(* Stage II shared broadcast values                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Stage II decodes each part broadcast once per part and lets the part's
-   nodes share it.  That must be invisible: with the ids relabeled at
+(* Stage II's part broadcasts carry one host value per part (the sample
+   sorted once at the root, the rotation table), read by every node of
+   the part.  That must be invisible: with the ids relabeled at
    random, the parts interleave in id order, and for either embedding
    mode the Stage II result and the stats JSON must not depend on the
    engine settings — fiber at 1, 4 and 17 domains (more domains than
@@ -731,6 +732,206 @@ let test_shared_decode_invisible () =
               (1, Congest.Compiled.Compiled);
             ])
         [ ("oracle", Tester.Stage2.Oracle); ("collect", Tester.Stage2.Collect) ])
+    (Lazy.force shared_decode_inputs)
+
+(* ------------------------------------------------------------------ *)
+(* Stage II sample path: priced host values                            *)
+(* ------------------------------------------------------------------ *)
+
+module Prefix = Tester.Stage2.Prefix
+
+let rec take k = function
+  | [] -> []
+  | _ when k = 0 -> []
+  | x :: rest -> x :: take (k - 1) rest
+
+(* The reference [Prefix.append] must match: the sample convergecast's
+   combine on plain lists. *)
+let list_combine ~cap (a, ta) (b, tb) =
+  let all = a @ b in
+  if List.length all > cap then (take cap all, true) else (all, ta || tb)
+
+(* Random convergecast shapes: the chunks are leaf streams, and [splits]
+   decides how subtrees combine, left to right as a node combines its
+   own stream with each child's result in turn. *)
+let rec combine_tree ~leaf ~combine splits = function
+  | [] -> invalid_arg "combine_tree"
+  | [ x ] -> leaf x
+  | chunks ->
+      let k = List.length chunks in
+      let cut = 1 + (List.hd splits mod (k - 1)) and rest = List.tl splits in
+      let left = List.filteri (fun i _ -> i < cut) chunks
+      and right = List.filteri (fun i _ -> i >= cut) chunks in
+      combine
+        (combine_tree ~leaf ~combine (rest @ [ 1 ]) left)
+        (combine_tree ~leaf ~combine (rest @ [ 2 ]) right)
+
+let test_prefix_qcheck =
+  QCheck.Test.make ~name:"Prefix.append = take cap (a @ b)" ~count:500
+    QCheck.(
+      triple (int_range 0 12)
+        (list_of_size Gen.(1 -- 8) (list_of_size Gen.(0 -- 8) small_int))
+        (list_of_size Gen.(1 -- 8) small_nat))
+    (fun (cap, chunks, splits) ->
+      let price x = 1 + (x mod 5) in
+      let got =
+        combine_tree splits chunks
+          ~leaf:(Prefix.of_list ~price)
+          ~combine:(Prefix.append ~cap ~price)
+      and want_items, want_trunc =
+        combine_tree splits chunks
+          ~leaf:(fun c -> (c, false))
+          ~combine:(list_combine ~cap)
+      in
+      Prefix.to_list got = want_items
+      && got.Prefix.truncated = want_trunc
+      && got.Prefix.count = List.length want_items
+      && got.Prefix.cost = List.fold_left (fun c x -> c + price x) 0 want_items)
+
+(* The int-list encodings the held values stand for. *)
+let encode_pairs pairs =
+  List.concat_map
+    (fun (a, b) -> (List.length a :: a) @ (List.length b :: b))
+    pairs
+
+(* Magnitudes on both sides of the price table's edge, far past it, and
+   negative.  Corner keys reach past the edge: their infinity symbol is
+   2n + 1, 4097 at n = 2048. *)
+let wire_int =
+  let r = Partition.Msg.table_radius in
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 0 20;
+        int_range (r - 6) (r + 100);
+        int_range 100_000 2_000_000;
+        int_range (-r - 900) (-1);
+      ])
+
+let test_held_price_qcheck =
+  let label = QCheck.Gen.(list_size (0 -- 6) wire_int) in
+  QCheck.Test.make ~name:"held values priced as their int-list encoding"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad (int_range 0 6)
+            (list_size (0 -- 8) (pair label label))
+            (list_size (0 -- 8) (pair wire_int wire_int))
+            (list_size (0 -- 5)
+               (pair wire_int
+                  (map Array.of_list (list_size (0 -- 5) wire_int))))))
+    (fun (cap, pairs, edges, rows) ->
+      let module M = Partition.Msg in
+      let price (k : Tester.Stage2.keyed) = k.Tester.Stage2.price in
+      let keyed = List.map Tester.Stage2.keyed pairs in
+      let half = List.length keyed / 2 in
+      let s =
+        Prefix.append ~cap ~price
+          (Prefix.of_list ~price (List.filteri (fun i _ -> i < half) keyed))
+          (Prefix.of_list ~price (List.filteri (fun i _ -> i >= half) keyed))
+      in
+      let kept =
+        List.map (fun k -> k.Tester.Stage2.pair) (Prefix.to_list s)
+      in
+      let flag = if s.Prefix.truncated then 1 else 0 in
+      let e = Prefix.of_list ~price:Tester.Stage2.edge_price edges in
+      M.bits (M.Held (88, Tester.Stage2.sample_msg s))
+      = M.bits (M.Up (88, flag :: encode_pairs kept))
+      && M.bits (M.Held (89, Tester.Stage2.sorted_sample_msg s))
+         = M.bits (M.Down (89, encode_pairs kept))
+      && M.bits (M.Held (90, Tester.Stage2.edges_msg e))
+         = M.bits (M.Up (90, List.concat_map (fun (u, v) -> [ u; v ]) edges))
+      && M.bits (M.Held (91, Tester.Stage2.rotations_msg rows))
+         = M.bits
+             (M.Down
+                ( 91,
+                  List.concat_map
+                    (fun (v, row) ->
+                      v :: Array.length row :: Array.to_list row)
+                    rows )))
+
+(* Labels from a tiny alphabet so that prefixes, ties and shared
+   endpoints are common; pairs come in either order. *)
+let test_crossing_qcheck =
+  let label = QCheck.Gen.(list_size (0 -- 3) (int_range 0 2)) in
+  QCheck.Test.make ~name:"crosses = exists intersects (all pairs)" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (list_size (0 -- 12) (pair label label))
+            (list_size (1 -- 12) (pair label label))))
+    (fun (sample, queries) ->
+      let ix = Tester.Violation.crossing_index sample in
+      List.for_all
+        (fun q ->
+          Tester.Violation.crosses ix q
+          = List.exists (Tester.Violation.intersects q) sample)
+        queries)
+
+(* Stage II's simulated cost, pinned as recorded before the sample path
+   carried priced host values: a pricing drift fails here, not only in
+   the benchmark's pins.  Both executors must give the pinned row. *)
+let golden_row ~embedding ~mode g ~eps =
+  let telemetry = Congest.Telemetry.create () in
+  let r =
+    Tester.Planarity_tester.run ~seed:5 ~embedding ~mode ~telemetry g ~eps
+  in
+  let charged =
+    List.fold_left
+      (fun acc (p : Congest.Telemetry.phase_view) -> acc + p.frames)
+      0
+      (Congest.Telemetry.phases telemetry)
+  in
+  let verdict, rejections =
+    match r.Tester.Planarity_tester.verdict with
+    | Tester.Planarity_tester.Accept -> ("accept", [])
+    | Tester.Planarity_tester.Reject l -> ("reject", l)
+    | Tester.Planarity_tester.Degraded m -> ("degraded " ^ m, [])
+  in
+  Printf.sprintf "%s rounds=%d messages=%d bits=%d charged=%d rejections=%d/%s"
+    verdict r.Tester.Planarity_tester.rounds r.Tester.Planarity_tester.messages
+    r.Tester.Planarity_tester.total_bits charged (List.length rejections)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.map
+                (fun (v, why) -> Printf.sprintf "%d %s" v why)
+                rejections))))
+
+let golden_rows =
+  [
+    ( "grid/oracle",
+      "accept rounds=7287 messages=45879 bits=1886234 charged=8752 \
+       rejections=0/d41d8cd98f00b204e9800998ecf8427e" );
+    ( "grid/collect",
+      "accept rounds=7323 messages=46075 bits=2264261 charged=9340 \
+       rejections=0/d41d8cd98f00b204e9800998ecf8427e" );
+    ( "planar+crossings/oracle",
+      "reject rounds=382 messages=20312 bits=723383 charged=479 \
+       rejections=71/dad5fb423435b5aaf7e84911b4059a36" );
+    ( "planar+crossings/collect",
+      "reject rounds=392 messages=20490 bits=1132523 charged=612 \
+       rejections=71/dad5fb423435b5aaf7e84911b4059a36" );
+  ]
+
+let test_stage2_golden () =
+  List.iter
+    (fun (name, g, eps, _) ->
+      List.iter
+        (fun (ename, embedding) ->
+          List.iter
+            (fun mode ->
+              let key = name ^ "/" ^ ename in
+              check Alcotest.string
+                (key ^ " " ^ Congest.Compiled.mode_to_string mode)
+                (List.assoc key golden_rows)
+                (golden_row ~embedding ~mode g ~eps))
+            [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
+        [
+          ("oracle", Tester.Stage2.Oracle); ("collect", Tester.Stage2.Collect);
+        ])
     (Lazy.force shared_decode_inputs)
 
 let () =
@@ -828,6 +1029,13 @@ let () =
           Alcotest.test_case "stretch" `Quick test_en_stretch;
           Alcotest.test_case "rounds" `Quick test_en_rounds;
           q test_en_qcheck;
+        ] );
+      ( "stage2-sample-path",
+        [
+          q test_prefix_qcheck;
+          q test_held_price_qcheck;
+          q test_crossing_qcheck;
+          Alcotest.test_case "golden Stage II costs" `Quick test_stage2_golden;
         ] );
       (* Last: its 17-domain runs leave idle workers alive for the rest
          of the process. *)
