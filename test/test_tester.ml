@@ -740,20 +740,16 @@ let test_shared_decode_invisible () =
 
 module Prefix = Tester.Stage2.Prefix
 
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
-
 (* The reference [Prefix.append] must match: the sample convergecast's
    combine on plain lists. *)
 let list_combine ~cap (a, ta) (b, tb) =
   let all = a @ b in
-  if List.length all > cap then (take cap all, true) else (all, ta || tb)
+  if List.length all > cap then (List.filteri (fun i _ -> i < cap) all, true)
+  else (all, ta || tb)
 
-(* Random convergecast shapes: the chunks are leaf streams, and [splits]
-   decides how subtrees combine, left to right as a node combines its
-   own stream with each child's result in turn. *)
+(* A random binary combination tree over the chunks, in order, with
+   [splits] choosing where each subtree splits.  A convergecast is one
+   such tree: a node folds each child's result into its own stream. *)
 let rec combine_tree ~leaf ~combine splits = function
   | [] -> invalid_arg "combine_tree"
   | [ x ] -> leaf x
