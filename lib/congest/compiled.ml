@@ -26,7 +26,9 @@ module type NET = sig
   type inbox
 
   val inbox_is_empty : inbox -> bool
-  val iter_inbox : ctx -> (int -> msg -> unit) -> inbox -> unit
+  val inbox_sender : ctx -> inbox -> int
+  val inbox_msg : ctx -> inbox -> msg
+  val inbox_next : ctx -> inbox -> inbox
 end
 
 module type MESSAGE = sig
@@ -331,18 +333,14 @@ module Make (Msg : MESSAGE) = struct
     c.eng.reject_log <- (c.eng.current_round, c.cur, reason) :: c.eng.reject_log
 
   (* The inbox handed to [resume] is the head of the node's slab chain
-     ([-1] when empty); it is valid until the hook returns. *)
+     ([-1] when empty); a cursor is a slab index, valid until the hook
+     returns. *)
   type inbox = int
 
   let inbox_is_empty s = s < 0
-
-  let iter_inbox c f s =
-    let p = c.eng.p in
-    let s = ref s in
-    while !s >= 0 do
-      f p.ib_sender.(!s) p.ib_msgs.(!s);
-      s := p.ib_next.(!s)
-    done
+  let inbox_sender c s = c.eng.p.ib_sender.(s)
+  let inbox_msg c s = c.eng.p.ib_msgs.(s)
+  let inbox_next c s = c.eng.p.ib_next.(s)
 
   (* Node [c.cur] runs once per round, so its sends stay contiguous from
      the offset recorded on first use — same invariant as the fiber

@@ -21,7 +21,8 @@
     due nodes, in ascending id order.  Nodes that are merely parked are
     never visited, and fast-forward reads its target from the nearest
     non-empty bucket.  A resumed node reads its inbox in place from the
-    delivery slab ({!NET.inbox}), so delivery allocates nothing beyond
+    delivery slab through a cursor ({!NET.inbox}), so delivery and
+    reading allocate nothing beyond
     the messages themselves, and [Msg.bits] is taken once for a run of
     physically equal messages (a broadcast, a relayed payload).  All of
     this state lives in the reusable {!Make.pool}.
@@ -100,17 +101,33 @@ module type NET = sig
   val broadcast : ctx -> msg -> unit
   val round : ctx -> int
 
-  (** A round's inbox as handed to [resume]: every (sender, message)
-      delivered this round, in the fiber engine's delivery order
-      (ascending sender, reverse send order within a sender).  Only
-      valid until the hook returns. *)
+  (** A cursor over a round's inbox as handed to [resume]: every
+      (sender, message) delivered this round, in the fiber engine's
+      delivery order (ascending sender, reverse send order within a
+      sender).  Only valid until the hook returns.  Walk it in a loop:
+
+      {[
+        let cur = ref inbox in
+        while not (N.inbox_is_empty !cur) do
+          f (N.inbox_sender ctx !cur) (N.inbox_msg ctx !cur);
+          cur := N.inbox_next ctx !cur
+        done
+      ]}
+
+      Reading an inbox this way allocates nothing: the cursor is an
+      immediate (a slab index) or the list [wait] returned. *)
   type inbox
 
+  (** [true] past the last delivery. *)
   val inbox_is_empty : inbox -> bool
 
-  (** [iter_inbox ctx f inbox] calls [f sender msg] on each delivery in
-      order. *)
-  val iter_inbox : ctx -> (int -> msg -> unit) -> inbox -> unit
+  (** The sender and message under a non-empty cursor. *)
+  val inbox_sender : ctx -> inbox -> int
+
+  val inbox_msg : ctx -> inbox -> msg
+
+  (** The cursor one delivery further. *)
+  val inbox_next : ctx -> inbox -> inbox
 end
 
 module type MESSAGE = sig
@@ -159,7 +176,9 @@ module Make (Msg : MESSAGE) : sig
   type inbox
 
   val inbox_is_empty : inbox -> bool
-  val iter_inbox : ctx -> (int -> Msg.t -> unit) -> inbox -> unit
+  val inbox_sender : ctx -> inbox -> int
+  val inbox_msg : ctx -> inbox -> Msg.t
+  val inbox_next : ctx -> inbox -> inbox
 
   type result = {
     rejections : (int * int * string) list;

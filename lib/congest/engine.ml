@@ -476,13 +476,19 @@ module Make (Msg : MESSAGE) = struct
 
   let inbox_is_empty = function [] -> true | _ :: _ -> false
 
-  (* A direct walk of [wait]'s list: wrapping it per resume would be
+  (* The cursor is [wait]'s list itself: wrapping it per resume would be
      allocation the compiled path does not have. *)
-  let rec iter_inbox c f = function
-    | [] -> ()
-    | (s, m) :: rest ->
-        f s m;
-        iter_inbox c f rest
+  let inbox_sender _ = function
+    | (s, _) :: _ -> s
+    | [] -> invalid_arg "Engine.inbox_sender: empty inbox"
+
+  let inbox_msg _ = function
+    | (_, m) :: _ -> m
+    | [] -> invalid_arg "Engine.inbox_msg: empty inbox"
+
+  let inbox_next _ = function
+    | _ :: rest -> rest
+    | [] -> invalid_arg "Engine.inbox_next: empty inbox"
 
   (* A kernel's [Park k] is exactly [wait]'s contract; the clamp keeps
      [k <= 0] meaning one round, as in [Compiled], instead of [wait]'s

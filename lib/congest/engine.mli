@@ -151,12 +151,15 @@ module Make (Msg : MESSAGE) : sig
       budget-length [sync] loop when they only react to arrivals. *)
   val wait : ctx -> int -> (int * Msg.t) list
 
-  (** A kernel's inbox on this engine is {!wait}'s list, so
-      {!Compiled.NET} is satisfied with no conversion. *)
+  (** A kernel's inbox cursor on this engine is {!wait}'s list, so
+      {!Compiled.NET} is satisfied with no conversion: the cursor's next
+      position is the list's tail. *)
   type inbox = (int * Msg.t) list
 
   val inbox_is_empty : inbox -> bool
-  val iter_inbox : ctx -> (int -> Msg.t -> unit) -> inbox -> unit
+  val inbox_sender : ctx -> inbox -> int
+  val inbox_msg : ctx -> inbox -> Msg.t
+  val inbox_next : ctx -> inbox -> inbox
 
   (** [kernel ~start ~resume] is the node program that runs a
       {!Compiled.step} kernel on this engine: [start ctx id] once, then

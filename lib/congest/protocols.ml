@@ -51,17 +51,18 @@ struct
       end;
       first
     and resume ctx v inbox =
-      N.iter_inbox ctx
-        (fun from msg ->
-          match msg with
-          | M.Level d ->
-              if level.(v) < 0 then begin
-                level.(v) <- d + 1;
-                parent.(v) <- from;
-                N.broadcast ctx (M.Level (d + 1))
-              end
-          | _ -> assert false)
-        inbox;
+      let cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        (match N.inbox_msg ctx !cur with
+        | M.Level d ->
+            if level.(v) < 0 then begin
+              level.(v) <- d + 1;
+              parent.(v) <- N.inbox_sender ctx !cur;
+              N.broadcast ctx (M.Level (d + 1))
+            end
+        | _ -> assert false);
+        cur := N.inbox_next ctx !cur
+      done;
       next v
     in
     let stats = N.run g ~start ~resume in
@@ -76,16 +77,17 @@ struct
       first
     and resume ctx v inbox =
       let improved = ref false in
-      N.iter_inbox ctx
-        (fun _ msg ->
-          match msg with
-          | M.Leader c ->
-              if c < leader.(v) then begin
-                leader.(v) <- c;
-                improved := true
-              end
-          | _ -> assert false)
-        inbox;
+      let cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        (match N.inbox_msg ctx !cur with
+        | M.Leader c ->
+            if c < leader.(v) then begin
+              leader.(v) <- c;
+              improved := true
+            end
+        | _ -> assert false);
+        cur := N.inbox_next ctx !cur
+      done;
       if !improved then N.broadcast ctx (M.Leader leader.(v));
       next v
     in
@@ -108,30 +110,36 @@ struct
     let sent = Bytes.make n '\000' in
     let total = ref 0 in
     (* [Level] broadcast first, then one [Child] per neighbor in port
-       order. *)
+       order; both [Child] values are static constants. *)
     let adopt ctx v from d =
       parent.(v) <- from;
       N.broadcast ctx (M.Level (d + 1));
-      Graph.iter_incident g v (fun w e ->
-          N.send_port ctx ~dest:w ~eid:e (M.Child (w = from)))
+      for port = 0 to Graph.degree g v - 1 do
+        let w = Graph.nbr g v port in
+        N.send_port ctx ~dest:w
+          ~eid:(Graph.incident_eid g v port)
+          (if w = from then M.Child true else M.Child false)
+      done
     in
     let start ctx v =
       if v = root then adopt ctx v (-1) (-1);
       first
     and resume ctx v inbox =
-      N.iter_inbox ctx
-        (fun from msg ->
-          match msg with
-          | M.Level d -> if parent.(v) = -2 then adopt ctx v from d
-          | M.Child true ->
-              unknown.(v) <- unknown.(v) - 1;
-              children_pending.(v) <- children_pending.(v) + 1
-          | M.Child false -> unknown.(v) <- unknown.(v) - 1
-          | M.Count c ->
-              sum.(v) <- sum.(v) + c;
-              children_pending.(v) <- children_pending.(v) - 1
-          | _ -> assert false)
-        inbox;
+      let cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        (match N.inbox_msg ctx !cur with
+        | M.Level d ->
+            if parent.(v) = -2 then adopt ctx v (N.inbox_sender ctx !cur) d
+        | M.Child true ->
+            unknown.(v) <- unknown.(v) - 1;
+            children_pending.(v) <- children_pending.(v) + 1
+        | M.Child false -> unknown.(v) <- unknown.(v) - 1
+        | M.Count c ->
+            sum.(v) <- sum.(v) + c;
+            children_pending.(v) <- children_pending.(v) - 1
+        | _ -> assert false);
+        cur := N.inbox_next ctx !cur
+      done;
       if
         unknown.(v) = 0
         && children_pending.(v) = 0

@@ -79,20 +79,21 @@ end
    encode, or at the root) a node's own value. *)
 type acc = Own of int | Child of int list
 
-let root_logic ~can_deactivate (nd : State.node) a l =
+(* The root reads its table out (as [Table.agg]) only in the two
+   branches that use it. *)
+let root_logic ~can_deactivate (nd : State.node) table v l =
   if nd.State.active then begin
-    match a with
-    | Many -> ()
-    | Counts lst ->
-        if can_deactivate then begin
+    if can_deactivate then
+      match Table.agg table v with
+      | Many -> ()
+      | Counts lst ->
           nd.State.active <- false;
           nd.State.deact_round <- l;
           nd.State.snapshot <- lst
-        end
   end
   else if nd.State.deact_round = l - 1 then begin
     let still_active =
-      match a with
+      match Table.agg table v with
       | Many ->
           (* Impossible: active neighbors of an inactive part only shrink,
              and were at most 3 alpha at deactivation. *)
@@ -123,6 +124,9 @@ let run st ~alpha ~super_rounds ~budget =
       roots
   in
   let table = Table.create ~nodes:(Array.length st.State.nodes) ~alpha in
+  (* Every node's [Own] value, built once per decomposition rather than
+     once per node per convergecast. *)
+  let own = Array.init (Array.length st.State.nodes) (fun v -> Own v) in
   let l = ref 1 in
   let stop = ref false in
   while (not !stop) && !l <= super_rounds + 1 do
@@ -138,7 +142,7 @@ let run st ~alpha ~super_rounds ~budget =
     (* Aggregate per-part notice counts to the root. *)
     let sr = !l in
     Prims.converge st ~budget ~tag:((sr * 10) + 2)
-      ~init:(fun nd -> Own nd.State.id)
+      ~init:(fun nd -> own.(nd.State.id))
       ~combine:(fun a b ->
         match (a, b) with
         | Own v, Child pl ->
@@ -152,8 +156,7 @@ let run st ~alpha ~super_rounds ~budget =
       ~at_root:(fun nd a ->
         match a with
         | Own v ->
-            root_logic ~can_deactivate:(sr <= super_rounds) nd
-              (Table.agg table v) sr
+            root_logic ~can_deactivate:(sr <= super_rounds) nd table v sr
         | Child _ -> invalid_arg "Forest_decomp: at_root");
     (* Roots announce whether the part remains active. *)
     Prims.bcast st ~budget ~tag:((sr * 10) + 3)

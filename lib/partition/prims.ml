@@ -132,33 +132,52 @@ end) =
 struct
   open Congest.Compiled
 
+  (* Every kernel reads its inbox through the [N.inbox_*] cursor in a
+     [while] loop and builds its [Park] values once per call, so a
+     node that is started or resumed with nothing to do allocates
+     nothing; what a kernel allocates is its messages. *)
   let refresh_roots (st : State.t) =
     let g = st.State.graph in
+    (* One [Root] value per sender goes out on every port. *)
     let start ctx v =
-      let nd = State.node st v in
-      Graph.iter_incident g v (fun nbr e ->
-          N.send_port ctx ~dest:nbr ~eid:e (Msg.Root nd.State.part_root));
+      let deg = Graph.degree g v in
+      if deg > 0 then begin
+        let msg = Msg.Root (State.node st v).State.part_root in
+        for port = 0 to deg - 1 do
+          N.send_port ctx ~dest:(Graph.nbr g v port)
+            ~eid:(Graph.incident_eid g v port)
+            msg
+        done
+      end;
       Park 1
     and resume ctx v inbox =
       let nd = State.node st v in
       (* Inbox senders arrive in ascending order, matching port order, so
          one pointer walks both in a single merged pass. *)
-      if not (N.inbox_is_empty inbox) then begin
-        let port = ref 0 in
-        N.iter_inbox ctx
-          (fun from msg ->
-            match msg with
-            | Msg.Root r ->
-                while Graph.nbr g v !port <> from do
-                  incr port
-                done;
-                nd.State.nbr_root.(!port) <- r
-            | _ -> assert false)
-          inbox
-      end;
+      let port = ref 0 and cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        (match N.inbox_msg ctx !cur with
+        | Msg.Root r ->
+            let from = N.inbox_sender ctx !cur in
+            while Graph.nbr g v !port <> from do
+              incr port
+            done;
+            nd.State.nbr_root.(!port) <- r
+        | _ -> assert false);
+        cur := N.inbox_next ctx !cur
+      done;
       Halt
     in
     N.run st ~start ~resume
+
+  (* A relay forwards the very message value it received: every hop of
+     one part's broadcast carries one physical message, which the
+     compiled delivery pass prices once per round. *)
+  let rec relay ctx msg = function
+    | [] -> ()
+    | c :: rest ->
+        N.send ctx ~dest:c msg;
+        relay ctx msg rest
 
   (* [bcast] and [converge] park for the whole budget: the only rounds
      that change anything are the ones a message arrives in, so a node
@@ -166,81 +185,92 @@ struct
      network-wide quiet spans) without altering the round schedule —
      every node still finishes exactly at round [budget]. *)
   let bcast c (st : State.t) ~budget ~tag ~at_root ~on_receive =
-    (* A relay forwards the very message value it received: every hop
-       of one part's broadcast carries one physical message, which the
-       compiled delivery pass prices once per round. *)
-    let relay ctx nd msg =
-      List.iter (fun c -> N.send ctx ~dest:c msg) nd.State.children
-    in
-    let receive nd msg = on_receive nd (c.unwrap msg) in
+    let park = if budget > 0 then Park budget else Halt in
     let start ctx v =
-      let nd = State.node st v in
       (if State.is_root st v then
+         let nd = State.node st v in
          match at_root nd with
          | Some payload ->
              on_receive nd payload;
-             relay ctx nd (c.wrap tag payload)
+             relay ctx (c.wrap tag payload) nd.State.children
          | None -> ());
-      if budget > 0 then Park budget else Halt
+      park
     and resume ctx v inbox =
       let nd = State.node st v in
-      if not (N.inbox_is_empty inbox) then
-        N.iter_inbox ctx
-          (fun from msg ->
-            check_tag "bcast" ~tag msg;
-            assert (from = nd.State.parent);
-            receive nd msg;
-            relay ctx nd msg)
-          inbox;
+      let cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        let msg = N.inbox_msg ctx !cur in
+        check_tag "bcast" ~tag msg;
+        assert (N.inbox_sender ctx !cur = nd.State.parent);
+        on_receive nd (c.unwrap msg);
+        relay ctx msg nd.State.children;
+        cur := N.inbox_next ctx !cur
+      done;
       let left = budget - N.round ctx in
       if left > 0 then Park left else Halt
     in
     N.run st ~start ~resume
 
+  (* Leaf first: a leaf sends its value (a root hands it to [at_root])
+     straight from [start], so only an inner node keeps an accumulator,
+     in [accs], which exists only when some node has a child.
+     [st.converge_left] counts each node's missing children, [-1] once
+     the node has sent; a sender is a child iff its parent is the
+     receiver, an O(1) check. *)
   let converge c (st : State.t) ~budget ~tag ~init ~combine ~encode ~decode
       ~at_root =
-    let n = Graph.n st.State.graph in
-    let pending = Array.make n 0 in
-    let accs = Array.make n None in
-    let sent = Bytes.make n '\000' in
-    let decode msg = decode (c.unwrap msg) in
-    (* Fires at a leaf on start-up and otherwise only on a round an [Up]
-       arrives.  The accumulator is dropped once handed on. *)
-    let maybe_send ctx v nd =
-      if pending.(v) = 0 && Bytes.get sent v = '\000' then begin
-        Bytes.set sent v '\001';
-        let acc = Option.get accs.(v) in
-        accs.(v) <- None;
-        if nd.State.parent >= 0 then
-          N.send ctx ~dest:nd.State.parent (c.wrap tag (encode acc))
-        else at_root nd acc
-      end
+    let left = st.State.converge_left in
+    let accs =
+      if Array.exists (fun nd -> nd.State.children <> []) st.State.nodes then
+        Array.make (Array.length st.State.nodes) None
+      else [||]
     in
-    let park v left =
-      if left > 0 then Park left
-      else if Bytes.get sent v = '\000' then
+    let finish ctx v (nd : State.node) acc =
+      left.(v) <- -1;
+      if nd.State.parent >= 0 then
+        N.send ctx ~dest:nd.State.parent (c.wrap tag (encode acc))
+      else at_root nd acc
+    in
+    let park v rounds =
+      if rounds > 0 then Park rounds
+      else if left.(v) >= 0 then
         failwith "converge: budget too small for tree depth"
       else Halt
     in
+    let park_budget = Park budget in
     let start ctx v =
       let nd = State.node st v in
-      pending.(v) <- List.length nd.State.children;
-      accs.(v) <- Some (init nd);
-      maybe_send ctx v nd;
-      park v budget
+      (match nd.State.children with
+      | [] -> finish ctx v nd (init nd)
+      | children ->
+          left.(v) <- List.length children;
+          accs.(v) <- Some (init nd));
+      if budget > 0 then park_budget else park v 0
     and resume ctx v inbox =
-      let nd = State.node st v in
       (* A deadline wake-up with no traffic changes nothing. *)
       if not (N.inbox_is_empty inbox) then begin
-        N.iter_inbox ctx
-          (fun from msg ->
-            check_tag "converge" ~tag msg;
-            if not (List.mem from nd.State.children) then
-              failwith "converge: message from non-child";
-            accs.(v) <- Some (combine (Option.get accs.(v)) (decode msg));
-            pending.(v) <- pending.(v) - 1)
-          inbox;
-        maybe_send ctx v nd
+        let nd = State.node st v in
+        match if left.(v) > 0 then accs.(v) else None with
+        | None ->
+            (* A leaf, or a node that has sent: no child is left. *)
+            check_tag "converge" ~tag (N.inbox_msg ctx inbox);
+            failwith "converge: message from non-child"
+        | Some a ->
+            let acc = ref a and cur = ref inbox in
+            while not (N.inbox_is_empty !cur) do
+              let msg = N.inbox_msg ctx !cur in
+              check_tag "converge" ~tag msg;
+              if (State.node st (N.inbox_sender ctx !cur)).State.parent <> v
+              then failwith "converge: message from non-child";
+              acc := combine !acc (decode (c.unwrap msg));
+              left.(v) <- left.(v) - 1;
+              cur := N.inbox_next ctx !cur
+            done;
+            if left.(v) = 0 then begin
+              accs.(v) <- None;
+              finish ctx v nd !acc
+            end
+            else accs.(v) <- Some !acc
       end;
       park v (budget - N.round ctx)
     in
@@ -278,18 +308,18 @@ struct
       Park 1
     and resume ctx v inbox =
       let nd = State.node st v in
-      if not (N.inbox_is_empty inbox) then
-        N.iter_inbox ctx
-          (fun from msg ->
-            match msg with
-            | Msg.Bdry (t, pl) ->
-                if t <> tag then
-                  failwith
-                    (Printf.sprintf
-                       "boundary: lockstep violation (tag %d vs %d)" t tag);
-                on_receive nd ~nbr:from pl
-            | _ -> assert false)
-          inbox;
+      let cur = ref inbox in
+      while not (N.inbox_is_empty !cur) do
+        (match N.inbox_msg ctx !cur with
+        | Msg.Bdry (t, pl) ->
+            if t <> tag then
+              failwith
+                (Printf.sprintf "boundary: lockstep violation (tag %d vs %d)"
+                   t tag);
+            on_receive nd ~nbr:(N.inbox_sender ctx !cur) pl
+        | _ -> assert false);
+        cur := N.inbox_next ctx !cur
+      done;
       Halt
     in
     N.run st ~start ~resume

@@ -55,6 +55,7 @@ type t = {
   mutable mode : Congest.Compiled.mode;
   mutable cpool : Cmp.pool option;  (* lazily allocated on first compiled run *)
   mutable on_round : (int -> unit) option;
+  converge_left : int array;
 }
 
 let create g =
@@ -104,6 +105,7 @@ let create g =
     mode = Congest.Compiled.Fiber;
     cpool = None;
     on_round = None;
+    converge_left = Array.make (Graph.n g) (-1);
   }
 
 let restore g ~nodes ~stats ~rejections ~nominal_rounds =
@@ -124,6 +126,7 @@ let restore g ~nodes ~stats ~rejections ~nominal_rounds =
     mode = Congest.Compiled.Fiber;
     cpool = None;
     on_round = None;
+    converge_left = Array.make (Graph.n g) (-1);
   }
 
 let cmp_pool st =

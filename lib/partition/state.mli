@@ -117,6 +117,11 @@ type t = {
           through {!Prims} (fiber and compiled alike): [f 1] per stepped
           round, [f delta] per fast-forwarded span.  Must not touch
           simulated state — drives {!Obs.Heartbeat} ticks. *)
+  converge_left : int array;
+      (** {!Prims.converge}'s per-node scratch, reused by every call: the
+          children whose value has not arrived yet, or [-1] once the
+          node has sent (or, at a root, delivered) its total.  Only node
+          [v]'s own hooks write [converge_left.(v)] during a run. *)
 }
 
 (** Fresh state: singleton parts, every node the root of its own part. *)

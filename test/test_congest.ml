@@ -1550,11 +1550,11 @@ let test_compiled_hook_exception () =
 (* The compiled executor allocates nothing per delivery beyond the
    messages themselves: node 0 sends [count] messages to node 1 on its
    known edge (no neighbor search), and node 1 reads them all from one
-   inbox.  Doubling [count] on a warm pool may
+   inbox through the cursor.  Doubling [count] on a warm pool may
    cost at most the extra messages' words (an [M.Int] is 2 words). *)
 let alloc_count = ref 0
 let alloc_sum = ref 0
-let alloc_add _ (M.Int x) = alloc_sum := !alloc_sum + x
+let alloc_add (M.Int x) = alloc_sum := !alloc_sum + x
 
 let alloc_start ctx v =
   if v = 0 then
@@ -1564,7 +1564,11 @@ let alloc_start ctx v =
   C.Park 1
 
 let alloc_resume ctx _ inbox =
-  C.iter_inbox ctx alloc_add inbox;
+  let cur = ref inbox in
+  while not (C.inbox_is_empty !cur) do
+    alloc_add (C.inbox_msg ctx !cur);
+    cur := C.inbox_next ctx !cur
+  done;
   C.Halt
 
 let test_compiled_alloc_per_message () =

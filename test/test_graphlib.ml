@@ -81,6 +81,51 @@ let test_induced () =
   check ci "sub m" 4 (Graph.m sub);
   check ci "mapping" 3 back.(2)
 
+(* The all-edges [Graph.induced]: scan every edge of [g] in id order
+   and keep those with both endpoints in [vs].  [Graph.induced] walks
+   only the members' incidences and must build the very same subgraph,
+   edge ids included. *)
+let induced_all_edges g vs =
+  let vs = Array.of_list vs in
+  let back = Hashtbl.create 16 in
+  Array.iteri (fun i v -> Hashtbl.replace back v i) vs;
+  let edges = ref [] in
+  Graph.iter_edges
+    (fun _ u v ->
+      match (Hashtbl.find_opt back u, Hashtbl.find_opt back v) with
+      | Some iu, Some iv -> edges := (iu, iv) :: !edges
+      | _ -> ())
+    g;
+  (Graph.make ~n:(Array.length vs) (List.rev !edges), vs)
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+let test_induced_qcheck =
+  QCheck.Test.make ~name:"induced == all-edges reference" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 30 in
+      let g = Generators.gnp rng n (Random.State.float rng 0.5) in
+      let all = Array.init n Fun.id in
+      shuffle rng all;
+      let keep = Random.State.float rng 1.0 in
+      let some = List.filter (fun _ -> Random.State.float rng 1.0 < keep) in
+      let same vs =
+        let sub, back = Graph.induced g vs in
+        let sub', back' = induced_all_edges g vs in
+        Graph.n sub = Graph.n sub'
+        && Graph.endpoints sub = Graph.endpoints sub'
+        && back = back'
+      in
+      same [] && same (Array.to_list all) && same (some (Array.to_list all)))
+
 let test_disjoint_union () =
   let g = Graph.disjoint_union (Generators.cycle 3) (Generators.path 2) in
   check ci "n" 5 (Graph.n g);
@@ -429,6 +474,7 @@ let () =
           Alcotest.test_case "add duplicate rejected" `Quick
             test_add_duplicate_rejected;
           Alcotest.test_case "induced" `Quick test_induced;
+          q test_induced_qcheck;
           Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
           Alcotest.test_case "equality" `Quick test_equal;
         ] );

@@ -112,6 +112,70 @@ let test_boundary () =
     "middle node hears both" [ (0, 0); (2, 20) ]
     (List.sort compare seen.(1))
 
+(* Each lockstep kernel allocates per message sent, never per node
+   stepped.  On warm compiled states of singleton parts (a cycle of n
+   nodes and one of 2n), the n extra nodes may cost a kernel the words
+   of the message values they build ([msg_words] apiece: a [Root], a
+   [Bdry] or a root's [Down]) plus at most one word each.  A closure, a
+   boxed [Park] or an n-sized array per call or per node costs more. *)
+let kernel_payload = Some [ 1 ]
+
+let alloc_kernels =
+  [
+    ("refresh_roots", 2, Partition.Prims.refresh_roots);
+    ( "boundary",
+      3,
+      fun st ->
+        Partition.Prims.boundary st ~tag:1
+          ~payload:(fun _ -> kernel_payload)
+          ~on_receive:(fun _ ~nbr:_ _ -> ()) );
+    ( "bcast",
+      3,
+      fun st ->
+        Partition.Prims.bcast st ~budget:2 ~tag:2
+          ~at_root:(fun _ -> kernel_payload)
+          ~on_receive:(fun _ _ -> ()) );
+    ( "converge",
+      0,
+      fun st ->
+        Partition.Prims.converge st ~budget:2 ~tag:3
+          ~init:(fun nd -> nd.S.id)
+          ~combine:( + )
+          ~encode:(fun v -> [ v ])
+          ~decode:(function [ v ] -> v | _ -> assert false)
+          ~at_root:(fun _ _ -> ()) );
+  ]
+
+(* Words allocated so far, minor and major heap alike (an n-sized array
+   goes straight to the major heap).  [Gc.minor_words] is exact at any
+   point; a promoted word is in both it and [promoted], so it counts
+   once. *)
+let alloc_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words one warm run allocates. *)
+let kernel_words n run =
+  let st = S.create (Generators.cycle n) in
+  st.S.mode <- Congest.Compiled.Compiled;
+  run st;
+  run st;
+  let w0 = alloc_words () in
+  run st;
+  alloc_words () -. w0
+
+let test_kernel_alloc_per_node () =
+  let n = 2_000 in
+  List.iter
+    (fun (name, msg_words, run) ->
+      let extra = kernel_words (2 * n) run -. kernel_words n run in
+      let bound = float_of_int ((msg_words + 1) * n) in
+      check cb
+        (Printf.sprintf "%s: %d extra nodes cost %.0f words (<= %.0f)" name n
+           extra bound)
+        true (extra <= bound))
+    alloc_kernels
+
 (* ------------------------------------------------------------------ *)
 (* Forest decomposition                                                *)
 (* ------------------------------------------------------------------ *)
@@ -474,6 +538,115 @@ let test_stage1_full_schedule () =
     (Partition.Stage1.phases_for ~eps:0.5 ~alpha:3)
     (List.length r.Partition.Stage1.phases)
 
+(* Stage I's simulated cost per phase, pinned as recorded before the
+   lockstep kernels stopped allocating per node: a wire drift in
+   refresh_roots, boundary, converge or bcast fails here, not only in
+   the benchmark's pins.  A row is one phase's rounds, messages, bits,
+   charged rounds and largest per-edge load, then its cut and part
+   count ([rejected] for a phase that ended in rejection); the last row
+   counts and digests the rejections.  Every executor and domain count
+   must give the pinned rows. *)
+let stage1_rows ~mode ~domains g ~eps =
+  let st = S.create g in
+  st.S.mode <- mode;
+  st.S.domains <- domains;
+  let segs = ref [] and prev = ref (Congest.Stats.copy st.S.stats) in
+  (* Close a phase's segment; zeroing [max_edge_bits] makes the next
+     segment's value its own. *)
+  let cut () =
+    let s = st.S.stats and p = !prev in
+    let open Congest.Stats in
+    segs :=
+      Printf.sprintf "rounds=%d messages=%d bits=%d charged=%d max_edge_bits=%d"
+        (s.rounds - p.rounds) (s.messages - p.messages)
+        (s.total_bits - p.total_bits)
+        (s.charged_rounds - p.charged_rounds)
+        s.max_edge_bits
+      :: !segs;
+    prev := copy s;
+    s.max_edge_bits <- 0
+  in
+  let r = Partition.Stage1.run ~state:st ~on_phase:(fun _ _ -> cut ()) g ~eps in
+  cut ();
+  List.mapi
+    (fun i seg ->
+      Printf.sprintf "phase %d: %s %s" (i + 1) seg
+        (match List.nth_opt r.Partition.Stage1.phases i with
+        | Some p ->
+            Printf.sprintf "cut_after=%d parts=%d" p.Partition.Stage1.cut_after
+              p.Partition.Stage1.parts
+        | None -> "rejected"))
+    (List.rev !segs)
+  @ [
+      Printf.sprintf "rejections=%d/%s"
+        (List.length r.Partition.Stage1.rejected)
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map
+                    (fun (v, why) -> Printf.sprintf "%d %s" v why)
+                    r.Partition.Stage1.rejected))));
+    ]
+
+(* A far input plus a hub adjacent to 40 nodes (its notice table
+   overflows): Stage I rejects in phase 2.  An apollonian input
+   accepts after three phases. *)
+let far_hub () =
+  let g =
+    Generators.far_from_planar (Random.State.make [| 3 |]) ~n:200 ~eps:0.5
+  in
+  let n = Graph.n g in
+  Graph.add_edges
+    (Graph.disjoint_union g (Generators.path 1))
+    (List.init 40 (fun i -> (i * 5, n)))
+
+let golden_stage1 =
+  [
+    ( "far+hub",
+      far_hub,
+      0.1,
+      [
+        "phase 1: rounds=182 messages=34476 bits=749643 charged=182 \
+         max_edge_bits=33 cut_after=1048 parts=87";
+        "phase 2: rounds=52 messages=30745 bits=627258 charged=52 \
+         max_edge_bits=117 rejected";
+        "rejections=20/9b79fcf19864e5321ff62511fddfce98";
+      ] );
+    ( "apollonian",
+      (fun () -> Generators.apollonian (Random.State.make [| 9 |]) 300),
+      0.3,
+      [
+        "phase 1: rounds=179 messages=25918 bits=569943 charged=179 \
+         max_edge_bits=36 cut_after=584 parts=117";
+        "phase 2: rounds=176 messages=31290 bits=682519 charged=176 \
+         max_edge_bits=126 cut_after=228 parts=19";
+        "phase 3: rounds=412 messages=29340 bits=630229 charged=412 \
+         max_edge_bits=110 cut_after=102 parts=9";
+        "rejections=0/d41d8cd98f00b204e9800998ecf8427e";
+      ] );
+  ]
+
+let test_stage1_golden () =
+  List.iter
+    (fun (name, graph, eps, rows) ->
+      let g = graph () in
+      List.iter
+        (fun (mode, domains) ->
+          check
+            (Alcotest.list Alcotest.string)
+            (Printf.sprintf "%s %s --domains %d" name
+               (Congest.Compiled.mode_to_string mode)
+               domains)
+            rows
+            (stage1_rows ~mode ~domains g ~eps))
+        [
+          (Congest.Compiled.Fiber, 1);
+          (Congest.Compiled.Fiber, 4);
+          (Congest.Compiled.Fiber, 17);
+          (Congest.Compiled.Compiled, 1);
+        ])
+    golden_stage1
+
 let test_phases_for_monotone () =
   check cb "more phases for smaller eps" true
     (Partition.Stage1.phases_for ~eps:0.05 ~alpha:3
@@ -650,6 +823,8 @@ let () =
           Alcotest.test_case "converge budget check" `Quick
             test_converge_budget_too_small;
           Alcotest.test_case "boundary" `Quick test_boundary;
+          Alcotest.test_case "kernels allocate per message" `Quick
+            test_kernel_alloc_per_node;
         ] );
       ( "forest-decomposition",
         [
@@ -712,4 +887,9 @@ let () =
           Alcotest.test_case "trials_for" `Quick test_trials_for;
           q test_random_partition_qcheck;
         ] );
+      (* Last: its 17-domain runs leave idle workers alive for the rest
+         of the process. *)
+      ( "stage1-golden",
+        [ Alcotest.test_case "golden Stage I costs" `Quick test_stage1_golden ]
+      );
     ]
