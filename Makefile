@@ -235,10 +235,12 @@ scale: build
 #      --mode compiled must produce cmp-identical stats JSON (a grid, a
 #      far-from-planar input, which takes Stage I's reject path, and an
 #      apollonian triangulation, each with fast-forward on and off), and
-#      the same quick bench E1 sweep must produce cmp-identical BENCH
-#      JSON (--no-timings strips the only legitimately host-dependent
-#      fields).  Both modes run the same protocol kernels, so this holds
-#      the fiber adapter to the compiled executor.  Each input also runs
+#      the same quick bench E1, E11 (the randomized partition) and E13
+#      (the exponential-shift partition) sweeps must produce
+#      cmp-identical BENCH JSON (--no-timings strips the only
+#      legitimately host-dependent fields).  Both modes run the same
+#      protocol kernels, so this holds the fiber adapter to the
+#      compiled executor.  Each input also runs
 #      under --domains 4 in both modes, and under an oversubscribed
 #      --domains 17 on fibers (node hooks then run on many worker
 #      domains, which is where a per-node table written from the wrong
@@ -289,9 +291,9 @@ compiled: build
 	  $(COMPILED_DIR)/$$g-fiber.json \
 	  $(COMPILED_DIR)/$$g-d17-fiber.json || exit 1; \
 	done
-	./_build/default/bench/main.exe --quick --no-timings --only E1 \
+	./_build/default/bench/main.exe --quick --no-timings --only E1,E11,E13 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
-	./_build/default/bench/main.exe --quick --no-timings --only E1 \
+	./_build/default/bench/main.exe --quick --no-timings --only E1,E11,E13 \
 	  --mode compiled --json $(COMPILED_DIR)/e1-compiled.json > /dev/null
 	cmp $(COMPILED_DIR)/e1-fiber.json $(COMPILED_DIR)/e1-compiled.json
 	env QCHECK_SEED=20260809 ./_build/default/test/test_prop.exe

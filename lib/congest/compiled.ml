@@ -321,16 +321,12 @@ module Make (Msg : MESSAGE) = struct
     p : pool;
     estats : Stats.t;
     ff : bool;
-    mutable reject_log : (int * int * string) list;  (* reverse chron. *)
     mutable current_round : int;
   }
 
   type ctx = { mutable cur : int; eng : engine }
 
   let round c = c.eng.current_round
-
-  let reject c reason =
-    c.eng.reject_log <- (c.eng.current_round, c.cur, reason) :: c.eng.reject_log
 
   (* The inbox handed to [resume] is the head of the node's slab chain
      ([-1] when empty); a cursor is a slab index, valid until the hook
@@ -373,11 +369,7 @@ module Make (Msg : MESSAGE) = struct
     Graph.iter_incident c.eng.graph id (fun dest e ->
         send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
 
-  type result = {
-    rejections : (int * int * string) list;
-    stats : Stats.t;
-    completed : bool;
-  }
+  type result = { stats : Stats.t; completed : bool }
 
   let run ?bandwidth ?(max_rounds = 1_000_000) ?telemetry ?trace
       ?(fast_forward = true) ?on_round ?pool:opool g ~start ~resume =
@@ -406,7 +398,6 @@ module Make (Msg : MESSAGE) = struct
         p;
         estats = Account.stats acct;
         ff = fast_forward;
-        reject_log = [];
         current_round = 0;
       }
     in
@@ -651,9 +642,5 @@ module Make (Msg : MESSAGE) = struct
           completed)
     in
     Account.finish acct ~mode:"compiled" ~wall:"1" ~completed;
-    {
-      rejections = List.rev eng.reject_log;
-      stats = eng.estats;
-      completed;
-    }
+    { stats = eng.estats; completed }
 end

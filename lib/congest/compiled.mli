@@ -54,9 +54,11 @@
     emit the same message/resume/park/round/fast-forward event stream
     the fiber engine records from its serial half — including the
     causal wake slots — so a compiled [.ctrace] is byte-identical to a
-    serial fiber one.  Fault injection is deliberately not: it perturbs
-    the lockstep assumptions, so {!pick} returns [false] under faults
-    and callers run the same kernel on the fiber engine instead. *)
+    serial fiber one.  Fault injection is not: the fault layer's draw
+    order is defined by the fiber engine's delivery loop, so {!pick}
+    returns [false] under faults and callers run the same kernel on the
+    fiber engine instead.  That is the only time a compiled-mode run
+    touches a fiber: every protocol of the tester is a kernel. *)
 
 (** Execution-mode knob threaded through [Stage1], [Planarity_tester] and
     the CLIs ([planartest --mode], [bench --mode]).  It picks the executor
@@ -65,9 +67,8 @@
 type mode =
   | Fiber  (** the general effect-handler engine (the default) *)
   | Compiled
-      (** compiled array passes; silently falls back to the fiber engine
-          under faults.  General [run_program]-style node programs always
-          run on fibers. *)
+      (** compiled array passes for every kernel; silently falls back to
+          the fiber engine under faults. *)
 
 (** [pick mode ~faults] decides whether a kernel run should take the
     compiled path: exactly when [mode = Compiled] and no fault policy is
@@ -168,9 +169,6 @@ module Make (Msg : MESSAGE) : sig
       resume pass) — same clock as [Engine.round]. *)
   val round : ctx -> int
 
-  (** Record rejection evidence, like [Engine.reject]. *)
-  val reject : ctx -> string -> unit
-
   (** The head of the node's slab chain, linked in delivery order, so
       reading an inbox allocates nothing. *)
   type inbox
@@ -180,9 +178,9 @@ module Make (Msg : MESSAGE) : sig
   val inbox_msg : ctx -> inbox -> Msg.t
   val inbox_next : ctx -> inbox -> inbox
 
+  (** A kernel has no [reject] ({!NET}), so a run yields no rejection
+      evidence: only its stats and completion. *)
   type result = {
-    rejections : (int * int * string) list;
-        (** (round, node, reason), chronological *)
     stats : Stats.t;
     completed : bool;  (** false iff [max_rounds] was exhausted *)
   }

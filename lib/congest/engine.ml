@@ -541,20 +541,23 @@ module Make (Msg : MESSAGE) = struct
      for the run's whole duration; a concurrent run that fails to get it
      steps serially, which changes nothing observable (accounting is
      invariant under the domain count).  An epoch takes part of the team
-     only, workers [1..tactive]: the others sit it out, so a team grown by
-     one wide run does not hold back later narrow runs. *)
+     only, workers [1..tactive]: the others sit it out.  A run that
+     needs fewer workers than the team holds first joins the surplus
+     ([team_trim]): an idle domain still takes part in every
+     stop-the-world collection, so a team left grown by one wide run
+     would slow every later run of the process. *)
   type team = {
     tm : Mutex.t;
     tgo : Condition.t;
     tdone : Condition.t;
-    mutable tsize : int;  (* workers spawned (= length of tdoms) *)
+    mutable tsize : int;
+        (* live workers (= length of tdoms); worker [d > tsize] quits *)
     mutable tready : int;  (* workers that recorded their start epoch *)
     mutable tepoch : int;
     mutable tactive : int;  (* workers 1..tactive take part in the epoch *)
     mutable tdone_count : int;
     mutable twork : int -> unit;  (* set per epoch by the owning run *)
-    mutable tquit : bool;
-    mutable tdoms : unit Domain.t list;
+    mutable tdoms : unit Domain.t list;  (* worker tsize first *)
   }
 
   let team_owner = Mutex.create ()
@@ -574,10 +577,10 @@ module Make (Msg : MESSAGE) = struct
       Mutex.lock t.tm;
       (* An epoch this worker sits out leaves [seen] behind, which is
          harmless: only an epoch that includes it gets past the wait. *)
-      while (t.tepoch = !seen || d > t.tactive) && not t.tquit do
+      while (t.tepoch = !seen || d > t.tactive) && d <= t.tsize do
         Condition.wait t.tgo t.tm
       done;
-      if t.tquit then stop := true else seen := t.tepoch;
+      if d > t.tsize then stop := true else seen := t.tepoch;
       let work = t.twork in
       Mutex.unlock t.tm;
       if not !stop then begin
@@ -589,16 +592,22 @@ module Make (Msg : MESSAGE) = struct
       end
     done
 
-  let team_shutdown () =
-    match !the_team with
-    | None -> ()
-    | Some t ->
-        Mutex.lock t.tm;
-        t.tquit <- true;
-        Condition.broadcast t.tgo;
-        Mutex.unlock t.tm;
-        List.iter Domain.join t.tdoms;
-        the_team := None
+  (* Called with [team_owner] held, or at exit, with no epoch in
+     flight: cut the team down to [k] workers and join the rest. *)
+  let team_trim t k =
+    if t.tsize > k then begin
+      Mutex.lock t.tm;
+      let surplus = t.tsize - k in
+      let gone = List.filteri (fun i _ -> i < surplus) t.tdoms in
+      t.tdoms <- List.filteri (fun i _ -> i >= surplus) t.tdoms;
+      t.tsize <- k;
+      t.tready <- k;
+      Condition.broadcast t.tgo;
+      Mutex.unlock t.tm;
+      List.iter Domain.join gone
+    end
+
+  let team_size () = match !the_team with Some t -> t.tsize | None -> 0
 
   (* Called with [team_owner] held and no epoch in flight.  Returns a
      team with >= [nworkers] workers (indices 1..), growing or creating
@@ -620,22 +629,25 @@ module Make (Msg : MESSAGE) = struct
               tactive = 0;
               tdone_count = 0;
               twork = ignore;
-              tquit = false;
               tdoms = [];
             }
           in
           the_team := Some t;
-          at_exit team_shutdown;
+          at_exit (fun () -> team_trim t 0);
           t
     in
     if t.tsize < nworkers then begin
+      (* The size grows first: a worker past [tsize] quits at once. *)
+      Mutex.lock t.tm;
+      let first = t.tsize + 1 in
+      t.tsize <- nworkers;
+      Mutex.unlock t.tm;
       let doms = ref [] in
-      for d = t.tsize + 1 to nworkers do
+      for d = first to nworkers do
         doms := Domain.spawn (team_worker t d) :: !doms
       done;
       Mutex.lock t.tm;
       t.tdoms <- !doms @ t.tdoms;
-      t.tsize <- nworkers;
       while t.tready < t.tsize do
         Condition.wait t.tdone t.tm
       done;
@@ -767,11 +779,12 @@ module Make (Msg : MESSAGE) = struct
     in
     let start v =
       let ctx = { id = v; crng = None; eng } in
-      Effect.Deep.match_with
-        (fun () -> outputs.(v) <- Some (program ctx))
-        ()
+      (* The fiber runs the program itself and [retc] stores its output
+         from the handler's side, so no frame of this closure sits under
+         the node program in the fiber's stack. *)
+      Effect.Deep.match_with program ctx
         {
-          retc = (fun () -> ());
+          retc = (fun o -> outputs.(v) <- Some o);
           exnc = (fun e -> match e with Stopped -> () | e -> raise e);
           effc =
             (fun (type a) (eff : a Effect.t) ->
@@ -903,6 +916,10 @@ module Make (Msg : MESSAGE) = struct
        is acquired lazily on the first round big enough to shard, held
        for the rest of the run, and released on every exit path. *)
     let nworkers = d_req - 1 in
+    if Mutex.try_lock team_owner then begin
+      Option.iter (fun t -> team_trim t nworkers) !the_team;
+      Mutex.unlock team_owner
+    end;
     let task_start = ref false in
     let task_len = ref 0 in
     (* Domain [d]'s slice of a [len]-item phase.  The items are cut over

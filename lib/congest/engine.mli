@@ -51,7 +51,10 @@
       protocols built from thousands of short runs never pay a
       spawn/join per run.  A single run drives the team at a time; a
       concurrent run that finds the team busy steps serially, which by
-      the merge argument above changes nothing observable.
+      the merge argument above changes nothing observable.  A run that
+      needs fewer workers than the team holds joins the surplus first
+      (idle domains would still stall every stop-the-world collection),
+      so a serial run after a wide one leaves no worker alive.
 
     {b Fast-forward.}  When a round ends with no frame in flight (no node
     queued a send) and every live fiber is parked in a {!Make.wait} whose
@@ -230,6 +233,11 @@ module Make (Msg : MESSAGE) : sig
   type footprint = { node_bytes : int; edge_bytes : int; slab_bytes : int }
 
   val footprint : pool -> footprint
+
+  (** Worker domains the process-wide team holds right now (see
+      {e Worker team} above): [0] before the first sharded round, and
+      again after a serial run. *)
+  val team_size : unit -> int
 
   (** [run g program] executes [program] at every node of [g].
 

@@ -262,19 +262,18 @@ let edge g e = (g.esrc.(e), g.edst.(e))
 
 let endpoints g = Array.init g.m (fun e -> (g.esrc.(e), g.edst.(e)))
 
-(* Binary search over the neighbor-sorted arc slice. *)
-let find_incident g u v =
-  let a = g.adj in
-  let rec go lo hi =
-    if lo >= hi then raise Not_found
-    else
-      let mid = (lo + hi) / 2 in
-      let w = a.(mid) lsr eid_shift in
-      if w = v then a.(mid) land eid_mask
-      else if w < v then go (mid + 1) hi
-      else go lo mid
-  in
-  go g.xadj.(u) g.xadj.(u + 1)
+(* Binary search over the neighbor-sorted arc slice [a.(lo..hi-1)]; top
+   level, so a lookup (every [send] by neighbor id) builds no closure. *)
+let rec search_row a v lo hi =
+  if lo >= hi then raise Not_found
+  else
+    let mid = (lo + hi) / 2 in
+    let w = a.(mid) lsr eid_shift in
+    if w = v then a.(mid) land eid_mask
+    else if w < v then search_row a v (mid + 1) hi
+    else search_row a v lo mid
+
+let find_incident g u v = search_row g.adj v g.xadj.(u) g.xadj.(u + 1)
 
 let find_edge g u v = find_incident g u v
 

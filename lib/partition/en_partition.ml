@@ -26,7 +26,29 @@ let run ?(seed = 0) ?state g ~eps =
     let best_val = Array.make n neg_infinity in
     let best_src = Array.make n (-1) in
     let best_from = Array.make n (-1) in
-    Prims.run_program st ~seed (fun ctx nd ->
+    (* Lexicographic maximum on (value, -source): ties in the scaled
+       arithmetic resolve toward the smaller source everywhere, which
+       makes the quiescent parent pointers cluster-consistent. *)
+    let beats x src y src' = x > y || (x = y && src < src') in
+    (* The last wave each node relayed: it relays again only when its
+       best improved since. *)
+    let sent_val = Array.make n neg_infinity in
+    let sent_src = Array.make n max_int in
+    let maybe_broadcast send (nd : State.node) =
+      let v = nd.State.id in
+      if beats best_val.(v) best_src.(v) sent_val.(v) sent_src.(v) then begin
+        sent_val.(v) <- best_val.(v);
+        sent_src.(v) <- best_src.(v);
+        let payload =
+          [ best_src.(v); int_of_float ((best_val.(v) -. 1.0) *. float_of_int scale) ]
+        in
+        Array.iter
+          (fun (nbr, _) -> send ~dest:nbr (Msg.Bdry (95, payload)))
+          (Graph.incident g v)
+      end
+    in
+    Prims.wave st ~budget:(2 * radius_bound) ~settle:maybe_broadcast
+      ~start:(fun send nd ->
         let v = nd.State.id in
         let rng = Random.State.make [| seed; v; 0xe14 |] in
         let r_v = -.log (1.0 -. Random.State.float rng 1.0) /. beta in
@@ -37,42 +59,18 @@ let run ?(seed = 0) ?state g ~eps =
         in
         best_val.(v) <- r_v;
         best_src.(v) <- v;
-        (* Lexicographic maximum on (value, -source): ties in the scaled
-           arithmetic resolve toward the smaller source everywhere, which
-           makes the quiescent parent pointers cluster-consistent. *)
-        let better x src =
-          x > best_val.(v) || (x = best_val.(v) && src < best_src.(v))
-        in
-        let last_sent = ref (neg_infinity, max_int) in
-        let maybe_broadcast () =
-          if
-            best_val.(v) > fst !last_sent
-            || (best_val.(v) = fst !last_sent && best_src.(v) < snd !last_sent)
-          then begin
-            last_sent := (best_val.(v), best_src.(v));
-            let payload =
-              [ best_src.(v); int_of_float ((best_val.(v) -. 1.0) *. float_of_int scale) ]
-            in
-            Array.iter
-              (fun (nbr, _) -> Prims.send ctx ~dest:nbr (Msg.Bdry (95, payload)))
-              (Graph.incident g v)
-          end
-        in
-        maybe_broadcast ();
-        Prims.wait_rounds ctx ~budget:(2 * radius_bound) (fun inbox ->
-            List.iter
-              (fun (from, msg) ->
-                match msg with
-                | Msg.Bdry (95, [ src; scaled ]) ->
-                    let x = float_of_int scaled /. float_of_int scale in
-                    if better x src then begin
-                      best_val.(v) <- x;
-                      best_src.(v) <- src;
-                      best_from.(v) <- from
-                    end
-                | _ -> assert false)
-              inbox;
-            maybe_broadcast ()));
+        maybe_broadcast send nd)
+      ~receive:(fun _ nd ~from msg ->
+        let v = nd.State.id in
+        match msg with
+        | Msg.Bdry (95, [ src; scaled ]) ->
+            let x = float_of_int scaled /. float_of_int scale in
+            if beats x src best_val.(v) best_src.(v) then begin
+              best_val.(v) <- x;
+              best_src.(v) <- src;
+              best_from.(v) <- from
+            end
+        | _ -> assert false);
     (* Install the partition: part root = cluster source, tree = the
        first-contact (best-delivery) edges; children via one more round. *)
     Array.iter
@@ -82,16 +80,14 @@ let run ?(seed = 0) ?state g ~eps =
         nd.State.parent <- best_from.(v);
         nd.State.children <- [])
       st.State.nodes;
-    Prims.run_program st (fun ctx nd ->
-        (if nd.State.parent >= 0 then
-           Prims.send ctx ~dest:nd.State.parent (Msg.Bdry (96, [])));
-        let inbox = Prims.sync ctx in
-        List.iter
-          (fun (from, msg) ->
-            match msg with
-            | Msg.Bdry (96, []) -> nd.State.children <- from :: nd.State.children
-            | _ -> assert false)
-          inbox);
+    Prims.wave st ~budget:1
+      ~start:(fun send nd ->
+        if nd.State.parent >= 0 then
+          send ~dest:nd.State.parent (Msg.Bdry (96, [])))
+      ~receive:(fun _ nd ~from msg ->
+        match msg with
+        | Msg.Bdry (96, []) -> nd.State.children <- from :: nd.State.children
+        | _ -> assert false);
     Prims.refresh_roots st;
     State.check_invariants st;
     {

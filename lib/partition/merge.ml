@@ -248,24 +248,21 @@ let marking st ~budget =
       | _ -> assert false);
   (* Cross-edge notifications: child-marked (u -> v) and parent-marked
      (v -> u). *)
-  Prims.run_program st (fun ctx nd ->
-      (if is_charge nd && nd.State.out_marked then
-         Prims.send ctx ~dest:nd.State.charge_nbr (Msg.Bdry (4004, [ 1 ])));
+  Prims.wave st ~budget:1
+    ~start:(fun send nd ->
+      if is_charge nd && nd.State.out_marked then
+        send ~dest:nd.State.charge_nbr (Msg.Bdry (4004, [ 1 ]));
       List.iter
         (fun (e : State.bdry_child) ->
-          if e.State.marked then
-            Prims.send ctx ~dest:e.State.child (Msg.Bdry (4004, [ 2 ])))
-        nd.State.bdry_children;
-      let inbox = Prims.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Bdry (4004, [ 1 ]) -> mark_child from nd.State.bdry_children
-          | Msg.Bdry (4004, [ 2 ]) ->
-              assert (is_charge nd);
-              nd.State.out_marked <- true
-          | _ -> assert false)
-        inbox);
+          if e.State.marked then send ~dest:e.State.child (Msg.Bdry (4004, [ 2 ])))
+        nd.State.bdry_children)
+    ~receive:(fun _ nd ~from msg ->
+      match msg with
+      | Msg.Bdry (4004, [ 1 ]) -> mark_child from nd.State.bdry_children
+      | Msg.Bdry (4004, [ 2 ]) ->
+          assert (is_charge nd);
+          nd.State.out_marked <- true
+      | _ -> assert false);
   (* The root learns whether the parent marked our out-edge. *)
   Prims.converge st ~budget ~tag:4005
     ~init:(fun nd -> if is_charge nd && nd.State.out_marked then 1 else 0)
@@ -474,41 +471,38 @@ let contract st ~budget =
       match pl with [ r ] -> nd.State.part_root <- r | _ -> assert false);
   (* Flip the tree path from the charge node to the old root, and hook the
      charge node across the cut. *)
-  Prims.run_program st (fun ctx nd ->
-      let forward_flip dest = Prims.send ctx ~dest (Msg.Bdry (7004, [])) in
-      (if nd.State.scratch = 1 && is_charge nd then begin
-         let old_parent = nd.State.parent in
-         nd.State.parent <- nd.State.charge_nbr;
-         if old_parent >= 0 then begin
-           nd.State.children <- old_parent :: nd.State.children;
-           forward_flip old_parent
-         end
-       end);
-      Prims.wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | Msg.Bdry (7004, []) ->
-                 let old_parent = nd.State.parent in
-                 nd.State.children <-
-                   List.filter (fun c -> c <> from) nd.State.children;
-                 nd.State.parent <- from;
-                 if old_parent >= 0 then begin
-                   nd.State.children <- old_parent :: nd.State.children;
-                   forward_flip old_parent
-                 end
-             | _ -> assert false)));
+  let forward_flip send dest = send ~dest (Msg.Bdry (7004, [])) in
+  Prims.wave st ~budget
+    ~start:(fun send nd ->
+      if nd.State.scratch = 1 && is_charge nd then begin
+        let old_parent = nd.State.parent in
+        nd.State.parent <- nd.State.charge_nbr;
+        if old_parent >= 0 then begin
+          nd.State.children <- old_parent :: nd.State.children;
+          forward_flip send old_parent
+        end
+      end)
+    ~receive:(fun send nd ~from msg ->
+      match msg with
+      | Msg.Bdry (7004, []) ->
+          let old_parent = nd.State.parent in
+          nd.State.children <-
+            List.filter (fun c -> c <> from) nd.State.children;
+          nd.State.parent <- from;
+          if old_parent >= 0 then begin
+            nd.State.children <- old_parent :: nd.State.children;
+            forward_flip send old_parent
+          end
+      | _ -> assert false);
   (* Attach: the parent-side endpoints adopt the charge nodes as children. *)
-  Prims.run_program st (fun ctx nd ->
-      (if nd.State.scratch = 1 && is_charge nd then
-         Prims.send ctx ~dest:nd.State.charge_nbr (Msg.Bdry (7005, [])));
-      let inbox = Prims.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Bdry (7005, []) ->
-              nd.State.children <- from :: nd.State.children
-          | _ -> assert false)
-        inbox)
+  Prims.wave st ~budget:1
+    ~start:(fun send nd ->
+      if nd.State.scratch = 1 && is_charge nd then
+        send ~dest:nd.State.charge_nbr (Msg.Bdry (7005, [])))
+    ~receive:(fun _ nd ~from msg ->
+      match msg with
+      | Msg.Bdry (7005, []) -> nd.State.children <- from :: nd.State.children
+      | _ -> assert false)
 
 let run_after_selection st ~budget =
   designate st ~budget;

@@ -3,29 +3,6 @@ open Graphlib
 module Eng = State.Eng
 module Cmp = State.Cmp
 
-let sync = Eng.sync
-let wait = Eng.wait
-let round = Eng.round
-let send = Eng.send
-let reject = Eng.reject
-let rng = Eng.rng
-
-(* Arrival-driven budget loop: call [on_inbox] for each non-empty inbox
-   until [budget] rounds have passed, parking the node in between (so the
-   engine can fast-forward network-wide quiet spans).  Observationally
-   identical to [budget] iterations of [sync] when the processing of an
-   empty inbox is a no-op — which is the only sound way to use it. *)
-let wait_rounds ctx ~budget on_inbox =
-  let deadline = Eng.round ctx + budget in
-  let rec pump () =
-    let left = deadline - Eng.round ctx in
-    if left > 0 then begin
-      (match Eng.wait ctx left with [] -> () | inbox -> on_inbox inbox);
-      pump ()
-    end
-  in
-  pump ()
-
 (* [traced st label f] wraps one primitive's engine run in a trace span
    when the state carries a trace; spans nest under the current trace
    phase and cost nothing when tracing is off. *)
@@ -34,57 +11,47 @@ let traced (st : State.t) label f =
   | Some tr -> Congest.Trace.span tr label f
   | None -> f ()
 
-let run_program ?(seed = 0) (st : State.t) program =
-  let res =
-    Eng.run ~seed ?telemetry:st.State.telemetry ?trace:st.State.trace
-      ~domains:st.State.domains ~fast_forward:st.State.fast_forward
-      ?faults:st.State.faults ?on_round:st.State.on_round
-      ~pool:st.State.pool st.State.graph
-      (fun ctx -> program ctx (State.node st (Eng.my_id ctx)))
-  in
-  (* Charge before judging completion: a degraded run's rounds and fault
-     counters must still land in [st.stats] so higher layers can report
-     honestly what happened on the wire. *)
-  Congest.Stats.add_into st.State.stats res.Eng.stats;
-  if not res.Eng.completed then
-    if Congest.Faults.active st.State.faults then
-      raise
-        (Congest.Faults.Degraded
-           "Prims: node program did not complete under fault injection")
-    else failwith "Prims: node program did not complete";
-  (* Keep every (round, node, reason) entry: identical rejections from
-     different rounds must not collapse (display paths dedup later). *)
-  st.State.rejections <-
-    List.map (fun (_, v, reason) -> (v, reason)) res.Eng.rejections
-    @ st.State.rejections
-
-(* The four lockstep primitives below ([refresh_roots], [bcast],
-   [converge], [boundary]) are each one kernel (see
-   [Congest.Compiled.step]) written against [Congest.Compiled.NET] and
-   instantiated for both executors: [Congest.Compiled]'s flat array
-   passes ([Kc]), or the fiber engine through [Eng.kernel] ([Ke]).
-   Stats and Telemetry are byte-identical either way, so the dispatch
-   is invisible to callers.  General [run_program] node programs always stay on the
-   fiber engine: they can wait at arbitrary nesting depths, which is
-   exactly what the kernel shape gives up. *)
+(* Every primitive below is one kernel (see [Congest.Compiled.step])
+   written against [Congest.Compiled.NET] and instantiated for both
+   executors: [Congest.Compiled]'s flat array passes ([Kc]), or the
+   fiber engine through [Eng.kernel] ([Ke]), which is the only executor
+   with a fault layer.  Stats and Telemetry are byte-identical either
+   way, so the dispatch is invisible to callers. *)
 let compiled_active (st : State.t) =
   Congest.Compiled.pick st.State.mode
     ~faults:(Congest.Faults.active st.State.faults)
 
-(* [run_program]'s compiled counterpart.  Faults are never active here
-   ([compiled_active] excludes them), so an incomplete run is a plain
-   budget failure, never a Degraded verdict. *)
+(* Kernel hooks have no [reject], so a run carries no rejections.  A run
+   that cannot complete under an active fault policy (a crash-stopped
+   node, or [max_rounds]) raises [Congest.Faults.Degraded].  Charge
+   before judging completion: a degraded run's rounds and fault counters
+   must still land in [st.stats] so higher layers can report honestly
+   what happened on the wire. *)
+let charge (st : State.t) stats ~completed =
+  Congest.Stats.add_into st.State.stats stats;
+  if not completed then
+    if Congest.Faults.active st.State.faults then
+      raise
+        (Congest.Faults.Degraded
+           "Prims: node program did not complete under fault injection")
+    else failwith "Prims: node program did not complete"
+
+let run_fiber (st : State.t) ~start ~resume =
+  let res =
+    Eng.run ?telemetry:st.State.telemetry ?trace:st.State.trace
+      ~domains:st.State.domains ~fast_forward:st.State.fast_forward
+      ?faults:st.State.faults ?on_round:st.State.on_round
+      ~pool:st.State.pool st.State.graph (Eng.kernel ~start ~resume)
+  in
+  charge st res.Eng.stats ~completed:res.Eng.completed
+
 let run_compiled (st : State.t) ~start ~resume =
   let res =
     Cmp.run ?telemetry:st.State.telemetry ?trace:st.State.trace
       ~fast_forward:st.State.fast_forward ?on_round:st.State.on_round
       ~pool:(State.cmp_pool st) st.State.graph ~start ~resume
   in
-  Congest.Stats.add_into st.State.stats res.Cmp.stats;
-  if not res.Cmp.completed then failwith "Prims: node program did not complete";
-  st.State.rejections <-
-    List.map (fun (_, v, reason) -> (v, reason)) res.Cmp.rejections
-    @ st.State.rejections
+  charge st res.Cmp.stats ~completed:res.Cmp.completed
 
 (* How a tree primitive's payload rides a message: a flat int list in
    [Down]/[Up], or a priced host value in [Held].  [unwrap] only
@@ -323,13 +290,47 @@ struct
       Halt
     in
     N.run st ~start ~resume
+
+  (* [bcast]'s schedule with caller-written hooks.  The hooks send
+     through a closure over [ctx]; the compiled executor hands every hook
+     of a run the same [ctx], so the closure is built once per run there.
+     On fibers the context is per node and the check misses, which only
+     builds a fresh closure: [bound] is a cache, never a channel, so a
+     node on another domain overwriting it changes nothing either. *)
+  let wave (st : State.t) ~budget ~start ~receive ~settle =
+    let park = if budget > 0 then Park budget else Halt in
+    let bound = ref None in
+    let sender ctx =
+      match !bound with
+      | Some (c, send) when c == ctx -> send
+      | _ ->
+          let send ~dest msg = N.send ctx ~dest msg in
+          bound := Some (ctx, send);
+          send
+    in
+    let start ctx v =
+      start (sender ctx) (State.node st v);
+      park
+    and resume ctx v inbox =
+      if not (N.inbox_is_empty inbox) then begin
+        let send = sender ctx and nd = State.node st v in
+        let cur = ref inbox in
+        while not (N.inbox_is_empty !cur) do
+          receive send nd ~from:(N.inbox_sender ctx !cur) (N.inbox_msg ctx !cur);
+          cur := N.inbox_next ctx !cur
+        done;
+        settle send nd
+      end;
+      let left = budget - N.round ctx in
+      if left > 0 then Park left else Halt
+    in
+    N.run st ~start ~resume
 end
 
 module Ke = Kernels (struct
   include Eng
 
-  let run st ~start ~resume =
-    run_program st (fun ctx _ -> Eng.kernel ~start ~resume ctx)
+  let run = run_fiber
 end)
 
 module Kc = Kernels (struct
@@ -371,3 +372,11 @@ let boundary ?(to_nbr = every_nbr) st ~tag ~payload ~on_receive =
   traced st "boundary" @@ fun () ->
   if compiled_active st then Kc.boundary st ~tag ~to_nbr ~payload ~on_receive
   else Ke.boundary st ~tag ~to_nbr ~payload ~on_receive
+
+type send = dest:int -> Msg.t -> unit
+
+let no_settle _ _ = ()
+
+let wave ?(settle = no_settle) st ~budget ~start ~receive =
+  if compiled_active st then Kc.wave st ~budget ~start ~receive ~settle
+  else Ke.wave st ~budget ~start ~receive ~settle

@@ -1,31 +1,23 @@
-(** Tree and boundary communication primitives of the Stage I emulation.
+(** The communication primitives of the partitions and testers.
 
     Every function executes one complete CONGEST protocol over the whole
     network in which all nodes follow the same fixed round schedule.  Each
     is written once, as a kernel (see {!Congest.Compiled.step}), and runs
     on the executor [st.mode] selects: the compiled array passes, or the
-    fiber engine (always under faults).  Chaining primitives keeps every
-    node in lockstep — exactly the fixed-budget scheduling the paper uses (it
-    budgets each emulated super-round by the [4^i] diameter bound; we
-    budget by the true maximum part depth and account the nominal schedule
-    separately).
+    fiber engine (always under faults).  There is no other way to run a
+    node program here, so without faults a compiled run never starts a
+    fiber.  Chaining primitives keeps every node in lockstep — exactly
+    the fixed-budget scheduling the paper uses (it budgets each emulated
+    super-round by the [4^i] diameter bound; we budget by the true
+    maximum part depth and account the nominal schedule separately).
 
-    Round statistics accumulate into [st.stats].  When [st.trace] is set,
-    each primitive wraps its engine run in a {!Congest.Trace.span} named
-    after itself ("refresh_roots", "bcast", "converge", "boundary"), and
-    the run's events land on the trace's continuous timeline. *)
-
-module Eng : sig
-  type ctx
-
-  type 'o result = {
-    outputs : 'o option array;
-    rejections : (int * int * string) list;  (** (round, node, reason) *)
-    failures : (int * int * exn) list;  (** (round, node, exn) *)
-    stats : Congest.Stats.t;
-    completed : bool;
-  }
-end
+    Round statistics accumulate into [st.stats].  A run that cannot
+    complete under an active fault policy raises
+    {!Congest.Faults.Degraded} after still accumulating its stats.  When
+    [st.trace] is set, the tree and boundary primitives wrap their engine
+    run in a {!Congest.Trace.span} named after themselves
+    ("refresh_roots", "bcast", "converge", "boundary"); {!wave} opens no
+    span.  Every run's events land on the trace's continuous timeline. *)
 
 (** One round: every node tells every neighbor its current part root;
     updates [nbr_root]. *)
@@ -101,40 +93,26 @@ val boundary :
   on_receive:(State.node -> nbr:int -> int list -> unit) ->
   unit
 
-(** [run_program st program] escape hatch: run an arbitrary node program
-    over the state's graph, accumulating stats.  [program] receives the
-    engine context and this node's state.  [seed] feeds the per-node
-    random states.  When [st.faults] is an active policy the engine
-    injects its fault schedule; a run that cannot complete under it (a
-    crash-stopped node, or [max_rounds]) raises
-    {!Congest.Faults.Degraded} after still accumulating the run's stats. *)
-val run_program :
-  ?seed:int -> State.t -> (Eng.ctx -> State.node -> unit) -> unit
+(** What a {!wave} hook sends with: [send ~dest msg] queues [msg] to the
+    neighbor [dest], delivered next round. *)
+type send = dest:int -> Msg.t -> unit
 
-(** Per-node random state (valid inside [run_program]). *)
-val rng : Eng.ctx -> Random.State.t
-
-(** Node-level API usable inside [run_program]. *)
-val sync : Eng.ctx -> (int * Msg.t) list
-
-(** [wait ctx k]: park until the first arrival or for [k] rounds,
-    whichever comes first (see {!Congest.Engine.Make.wait}); prefer it
-    over a [k]-iteration [sync] loop so quiet spans can be
-    fast-forwarded. *)
-val wait : Eng.ctx -> int -> (int * Msg.t) list
-
-(** Current round number inside a run. *)
-val round : Eng.ctx -> int
-
-(** [wait_rounds ctx ~budget on_inbox] runs the node for exactly [budget]
-    further rounds, invoking [on_inbox] on every non-empty inbox and
-    parking it in between.  Drop-in replacement for a [budget]-iteration
-    [sync] loop whose empty-inbox iterations are no-ops: the node observes
-    the same arrivals in the same rounds and finishes in the same round,
-    but quiet spans become fast-forwardable. *)
-val wait_rounds :
-  Eng.ctx -> budget:int -> ((int * Msg.t) list -> unit) -> unit
-
-val send : Eng.ctx -> dest:int -> Msg.t -> unit
-
-val reject : Eng.ctx -> string -> unit
+(** [wave st ~budget ~start ~receive] is the kernel every other
+    fixed-budget step is written as: a one-round exchange
+    ([~budget:1]) or a flood that may relay for [budget] rounds.
+    [start send nd] runs at every node at round 0; [receive send nd
+    ~from msg] runs for each delivery, in inbox order; [settle send nd]
+    (default: nothing) runs after each non-empty inbox, once all of it
+    has been received.  Every hook may send.  Each node parks until
+    round [budget], as {!bcast} does, so every call lasts exactly
+    [budget] rounds; [budget <= 0] halts each node right after [start].
+    Per-node state the hooks keep between rounds lives in arrays the
+    caller owns, indexed by node id: the hooks of node [v] may write
+    only entry [v]. *)
+val wave :
+  ?settle:(send -> State.node -> unit) ->
+  State.t ->
+  budget:int ->
+  start:(send -> State.node -> unit) ->
+  receive:(send -> State.node -> from:int -> Msg.t -> unit) ->
+  unit

@@ -18,71 +18,74 @@ let trials_for ~delta =
    endpoint outside, target part root, total cut degree). *)
 let uniform_draw st ~budget ~trial ~seed =
   let tag = 9000 + trial in
-  Array.iter (fun nd -> nd.State.scratch_list <- []) st.State.nodes;
-  Prims.run_program st ~seed (fun ctx nd ->
-      let rng = Random.State.make [| seed; nd.State.id; trial; 0xd4aa |] in
+  let nodes = st.State.nodes in
+  Array.iter (fun nd -> nd.State.scratch_list <- []) nodes;
+  let rng =
+    Array.map
+      (fun nd -> Random.State.make [| seed; nd.State.id; trial; 0xd4aa |])
+      nodes
+  in
+  (* Children yet to report, or [-1] once the node has sent (or, at a
+     root, recorded) its draw. *)
+  let pending = Array.map (fun nd -> List.length nd.State.children) nodes in
+  let acc = Array.make (Array.length nodes) None in
+  let merge v a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some (_, _, _, ca), Some (_, _, _, cb) ->
+        let total = ca + cb in
+        let pick_a = Random.State.int rng.(v) total < ca in
+        let u, w, t, _ = if pick_a then Option.get a else Option.get b in
+        Some (u, w, t, total)
+  in
+  let payload = function None -> [] | Some (u, w, t, c) -> [ u; w; t; c ] in
+  let maybe_send send (nd : State.node) =
+    let v = nd.State.id in
+    if pending.(v) = 0 then begin
+      pending.(v) <- -1;
+      if nd.State.parent >= 0 then
+        send ~dest:nd.State.parent (Msg.Up (tag, payload acc.(v)))
+      else
+        (* Root: record the draw. *)
+        nd.State.scratch_list <-
+          (match acc.(v) with
+          | None -> []
+          | Some (u, w, t, c) -> [ (u, w); (t, c) ])
+    end
+  in
+  Prims.wave st ~budget
+    ~start:(fun send nd ->
+      let v = nd.State.id in
       (* Local uniform choice among this node's cut edges. *)
       let cut_edges = ref [] in
       Array.iteri
         (fun port (nbr, _) ->
           if nd.State.nbr_root.(port) <> nd.State.part_root then
             cut_edges := (nbr, nd.State.nbr_root.(port)) :: !cut_edges)
-        (Graph.incident st.State.graph nd.State.id);
-      let own =
-        match !cut_edges with
-        | [] -> None
-        | l ->
-            let k = List.length l in
-            let nbr, troot = List.nth l (Random.State.int rng k) in
-            Some (nd.State.id, nbr, troot, k)
-      in
-      let pending = ref (List.length nd.State.children) in
-      let acc = ref own in
-      let sent = ref false in
-      let merge a b =
-        match (a, b) with
-        | None, x | x, None -> x
-        | Some (_, _, _, ca), Some (_, _, _, cb) ->
-            let total = ca + cb in
-            let pick_a = Random.State.int rng total < ca in
-            let u, v, t, _ = if pick_a then Option.get a else Option.get b in
-            Some (u, v, t, total)
-      in
-      let payload = function
-        | None -> []
-        | Some (u, v, t, c) -> [ u; v; t; c ]
-      in
-      let maybe_send () =
-        if !pending = 0 && not !sent then begin
-          sent := true;
-          if nd.State.parent >= 0 then
-            Prims.send ctx ~dest:nd.State.parent (Msg.Up (tag, payload !acc))
-          else
-            (* Root: record the draw. *)
-            nd.State.scratch_list <-
-              (match !acc with
-              | None -> []
-              | Some (u, v, t, c) -> [ (u, v); (t, c) ])
-        end
-      in
-      maybe_send ();
-      Prims.wait_rounds ctx ~budget (fun inbox ->
-          List.iter
-            (fun (_, msg) ->
-              match msg with
-              | Msg.Up (t, pl) when t = tag ->
-                  let v =
-                    match pl with
-                    | [] -> None
-                    | [ u; v; tr; c ] -> Some (u, v, tr, c)
-                    | _ -> assert false
-                  in
-                  acc := merge !acc v;
-                  decr pending
-              | _ -> assert false)
-            inbox;
-          maybe_send ());
-      if not !sent then failwith "Random_partition: draw budget too small")
+        (Graph.incident st.State.graph v);
+      (match !cut_edges with
+      | [] -> ()
+      | l ->
+          let k = List.length l in
+          let nbr, troot = List.nth l (Random.State.int rng.(v) k) in
+          acc.(v) <- Some (v, nbr, troot, k));
+      maybe_send send nd)
+    ~receive:(fun send nd ~from:_ msg ->
+      let v = nd.State.id in
+      match msg with
+      | Msg.Up (t, pl) when t = tag ->
+          let d =
+            match pl with
+            | [] -> None
+            | [ u; w; tr; c ] -> Some (u, w, tr, c)
+            | _ -> assert false
+          in
+          acc.(v) <- merge v acc.(v) d;
+          pending.(v) <- pending.(v) - 1;
+          maybe_send send nd
+      | _ -> assert false);
+  if Array.exists (fun p -> p >= 0) pending then
+    failwith "Random_partition: draw budget too small"
 
 (* Weighted-edge selection: [s] uniform draws per part, then the heaviest
    drawn auxiliary edge (weight = cut multiplicity to that target part)

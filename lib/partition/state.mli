@@ -73,8 +73,9 @@ type t = {
   nodes : node array;
   stats : Congest.Stats.t;  (** accumulated over every engine run *)
   pool : Eng.pool;
-      (** reusable engine delivery state — every {!Prims.run_program} over
-          [graph] draws on it instead of allocating per run *)
+      (** reusable fiber-engine delivery state — every fiber run of a
+          {!Prims} kernel over [graph] draws on it instead of allocating
+          per run *)
   mutable rejections : (int * string) list;
       (** one-sided-error evidence collected so far, newest first *)
   mutable nominal_rounds : int;
@@ -106,9 +107,7 @@ type t = {
       (** executor for the lockstep {!Prims} kernels (default [Fiber]);
           [Compiled] runs them as fiber-free array passes when no faults
           are attached — accounting is byte-identical either way (see
-          {!Congest.Compiled}).  General
-          {!Prims.run_program} node programs always use the fiber
-          engine. *)
+          {!Congest.Compiled}). *)
   mutable cpool : Cmp.pool option;
       (** reusable compiled-path delivery state, allocated lazily by
           {!cmp_pool} on the first compiled run *)

@@ -116,10 +116,9 @@ val effective_eps : Graphlib.Graph.t -> eps:float -> float
     [stage2 st ~eps ~seed] is the property-specific per-part check; it
     runs only when Stage I neither rejected nor degraded, receives the
     final partition state, and communicates violations by pushing
-    [(node, reason)] pairs into [st.rejections] (typically via
-    {!Partition.Prims.reject}).  Its return value is surfaced as
-    [fst (run ...)] — [None] when Stage II was skipped or was
-    interrupted by faults.  [property] is a short name ("planarity",
+    [(node, reason)] pairs into [st.rejections].  Its return value is
+    surfaced as [fst (run ...)] — [None] when Stage II was skipped or
+    was interrupted by faults.  [property] is a short name ("planarity",
     "bipartite", …) used in error messages and by callers for report
     labeling; it does not influence execution.
 

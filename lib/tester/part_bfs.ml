@@ -44,36 +44,32 @@ let build st =
       nd.S.children <- [])
     st.S.nodes;
   let dist = Array.make n (-1) in
-  P.run_program st (fun ctx nd ->
-      let send_intra msg = iter_intra st nd (fun _ nbr -> P.send ctx ~dest:nbr msg) in
-      (if S.is_root st nd.S.id then begin
-         dist.(nd.S.id) <- 0;
-         send_intra (M.Bdry (81, [ 0 ]))
-       end);
-      P.wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | M.Bdry (81, [ d ]) ->
-                 if nd.S.parent = -1 && not (S.is_root st nd.S.id) then begin
-                   nd.S.parent <- from;
-                   dist.(nd.S.id) <- d + 1;
-                   P.send ctx ~dest:from (M.Bdry (82, []));
-                   send_intra (M.Bdry (81, [ d + 1 ]))
-                 end
-             | M.Bdry (82, []) -> nd.S.children <- from :: nd.S.children
-             | _ -> assert false)));
+  let send_intra send nd msg = iter_intra st nd (fun _ nbr -> send ~dest:nbr msg) in
+  P.wave st ~budget
+    ~start:(fun send nd ->
+      if S.is_root st nd.S.id then begin
+        dist.(nd.S.id) <- 0;
+        send_intra send nd (M.Bdry (81, [ 0 ]))
+      end)
+    ~receive:(fun send nd ~from msg ->
+      match msg with
+      | M.Bdry (81, [ d ]) ->
+          if nd.S.parent = -1 && not (S.is_root st nd.S.id) then begin
+            nd.S.parent <- from;
+            dist.(nd.S.id) <- d + 1;
+            send ~dest:from (M.Bdry (82, []));
+            send_intra send nd (M.Bdry (81, [ d + 1 ]))
+          end
+      | M.Bdry (82, []) -> nd.S.children <- from :: nd.S.children
+      | _ -> assert false);
   let nbr_level = Array.make n [] in
-  P.run_program st (fun ctx nd ->
-      iter_intra st nd (fun _ nbr ->
-          P.send ctx ~dest:nbr (M.Bdry (83, [ dist.(nd.S.id) ])));
-      let inbox = P.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | M.Bdry (83, [ d ]) ->
-              nbr_level.(nd.S.id) <- (from, d) :: nbr_level.(nd.S.id)
-          | _ -> assert false)
-        inbox);
+  P.wave st ~budget:1
+    ~start:(fun send nd -> send_intra send nd (M.Bdry (83, [ dist.(nd.S.id) ])))
+    ~receive:(fun _ nd ~from msg ->
+      match msg with
+      | M.Bdry (83, [ d ]) ->
+          nbr_level.(nd.S.id) <- (from, d) :: nbr_level.(nd.S.id)
+      | _ -> assert false);
   { dist; nbr_level; depth_bound; parts }
 
 let is_tree_edge st v w =

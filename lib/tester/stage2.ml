@@ -240,23 +240,36 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           | _ -> assert false));
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
-  P.run_program st (fun ctx nd ->
-      let send_child_labels mylab =
-        scan nd rotation (fun w rank t ->
-            if t = 0 then P.send ctx ~dest:w (M.Down (85, mylab @ [ rank ])))
-      in
-      (if S.is_root st nd.S.id then begin
-         label.(nd.S.id) <- [];
-         send_child_labels []
-       end);
-      P.wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | M.Down (85, lab) ->
-                 assert (from = nd.S.parent);
-                 label.(nd.S.id) <- lab;
-                 send_child_labels lab
-             | _ -> assert false)));
+  (* Each node's (child, rank) pairs in rotation order, found before the
+     wave: a fiber's stack keeps the depth its hooks reached for as long
+     as the node stays parked, and the rotation scan is the deepest part
+     of this step. *)
+  let child_ranks =
+    Array.map
+      (fun nd ->
+        let l = ref [] in
+        scan nd rotation (fun w rank t -> if t = 0 then l := (w, rank) :: !l);
+        List.rev !l)
+      st.S.nodes
+  in
+  let send_child_labels send nd mylab =
+    List.iter
+      (fun (w, rank) -> send ~dest:w (M.Down (85, mylab @ [ rank ])))
+      child_ranks.(nd.S.id)
+  in
+  P.wave st ~budget
+    ~start:(fun send nd ->
+      if S.is_root st nd.S.id then begin
+        label.(nd.S.id) <- [];
+        send_child_labels send nd []
+      end)
+    ~receive:(fun send nd ~from msg ->
+      match msg with
+      | M.Down (85, lab) ->
+          assert (from = nd.S.parent);
+          label.(nd.S.id) <- lab;
+          send_child_labels send nd lab
+      | _ -> assert false);
   (* Step 6: corner keys of incident non-tree edges; exchange across each
      edge so the assigned endpoint holds the sorted key pair. *)
   let inf = (2 * n) + 1 in
@@ -269,27 +282,25 @@ let run ?(embedding = Oracle) st ~eps ~seed =
               (w, label.(nd.S.id) @ [ rank; inf; t ]) :: my_keys.(nd.S.id)))
     st.S.nodes;
   let assigned_pairs = Array.make n [] in
-  P.run_program st (fun ctx nd ->
+  P.wave st ~budget:1
+    ~start:(fun send nd ->
       List.iter
-        (fun (w, key) -> P.send ctx ~dest:w (M.Bdry (86, key)))
-        my_keys.(nd.S.id);
-      let inbox = P.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | M.Bdry (86, key_other) ->
-              if assigned_to nd from then begin
-                let key_mine = List.assoc from my_keys.(nd.S.id) in
-                let pair =
-                  keyed
-                    (if Violation.compare_label key_mine key_other <= 0 then
-                       (key_mine, key_other)
-                     else (key_other, key_mine))
-                in
-                assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
-              end
-          | _ -> assert false)
-        inbox);
+        (fun (w, key) -> send ~dest:w (M.Bdry (86, key)))
+        my_keys.(nd.S.id))
+    ~receive:(fun _ nd ~from msg ->
+      match msg with
+      | M.Bdry (86, key_other) ->
+          if assigned_to nd from then begin
+            let key_mine = List.assoc from my_keys.(nd.S.id) in
+            let pair =
+              keyed
+                (if Violation.compare_label key_mine key_other <= 0 then
+                   (key_mine, key_other)
+                 else (key_other, key_mine))
+            in
+            assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
+          end
+      | _ -> assert false);
   (* Step 7: roots broadcast the part's non-tree edge count. *)
   let nt_count = Array.make n 0 in
   P.bcast st ~budget ~tag:87

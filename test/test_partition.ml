@@ -117,8 +117,11 @@ let test_boundary () =
    nodes and one of 2n), the n extra nodes may cost a kernel the words
    of the message values they build ([msg_words] apiece: a [Root], a
    [Bdry] or a root's [Down]) plus at most one word each.  A closure, a
-   boxed [Park] or an n-sized array per call or per node costs more. *)
+   boxed [Park] or an n-sized array per call or per node costs more.
+   The [wave] exchange sends one shared message per node, so its nodes
+   may cost a word each and no more. *)
 let kernel_payload = Some [ 1 ]
+let wave_msg = Partition.Msg.Bdry (4, [ 1 ])
 
 let alloc_kernels =
   [
@@ -144,6 +147,13 @@ let alloc_kernels =
           ~encode:(fun v -> [ v ])
           ~decode:(function [ v ] -> v | _ -> assert false)
           ~at_root:(fun _ _ -> ()) );
+    ( "wave",
+      0,
+      fun st ->
+        Partition.Prims.wave st ~budget:1
+          ~start:(fun send nd ->
+            send ~dest:(Graph.nbr st.S.graph nd.S.id 0) wave_msg)
+          ~receive:(fun _ _ ~from:_ _ -> ()) );
   ]
 
 (* Words allocated so far, minor and major heap alike (an n-sized array
@@ -647,6 +657,97 @@ let test_stage1_golden () =
         ])
     golden_stage1
 
+(* The two alternative partitions' wire, pinned like Stage I's above:
+   one row per (input, partition) with the run's rounds, messages,
+   total bits, charged rounds, largest per-edge load and cut, then a
+   digest of every node's (part_root, parent) pair.  Every executor and
+   domain count must give the pinned rows. *)
+let partition_row ~mode ~domains g (name, run) =
+  let st = S.create g in
+  st.S.mode <- mode;
+  st.S.domains <- domains;
+  let cut = run st g in
+  let s = st.S.stats in
+  let open Congest.Stats in
+  Printf.sprintf
+    "%s: rounds=%d messages=%d bits=%d charged=%d max_edge_bits=%d cut=%d \
+     trees=%s"
+    name s.rounds s.messages s.total_bits s.charged_rounds s.max_edge_bits cut
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";"
+             (Array.to_list
+                (Array.map
+                   (fun nd -> Printf.sprintf "%d,%d" nd.S.part_root nd.S.parent)
+                   st.S.nodes)))))
+
+let golden_partitions =
+  [
+    ( "exp-shifts",
+      fun st g ->
+        (Partition.En_partition.run ~seed:5 ~state:st g ~eps:0.8)
+          .Partition.En_partition.cut );
+    ( "randomized",
+      fun st g ->
+        (Partition.Random_partition.run ~state:st g ~eps:0.3 ~delta:0.1
+           ~seed:5)
+          .Partition.Random_partition.cut );
+  ]
+
+let golden_partition_inputs =
+  [
+    ( "grid",
+      (fun () -> Generators.grid 20 20),
+      [
+        "exp-shifts: rounds=36 messages=6274 bits=212785 charged=36 \
+         max_edge_bits=45 cut=184 trees=c5b8c423bae8a5e8372f35e196b58666";
+        "randomized: rounds=3697 messages=157036 bits=3791353 charged=3697 \
+         max_edge_bits=81 cut=98 trees=2d7d483952c7cbc503cd8d2280a7e219";
+      ] );
+    ( "far",
+      (fun () ->
+        Generators.far_from_planar (Random.State.make [| 3 |]) ~n:200 ~eps:0.5),
+      [
+        "exp-shifts: rounds=34 messages=10117 bits=354306 charged=34 \
+         max_edge_bits=45 cut=69 trees=77046704728a56f449043b97c65a94f6";
+        "randomized: rounds=2358 messages=137247 bits=3111425 charged=2358 \
+         max_edge_bits=75 cut=0 trees=ad3d5f30f4e876dcf88e58a5f10ac22e";
+      ] );
+  ]
+
+let test_partitions_golden () =
+  List.iter
+    (fun (name, graph, rows) ->
+      let g = graph () in
+      List.iter
+        (fun (mode, domains) ->
+          check
+            (Alcotest.list Alcotest.string)
+            (Printf.sprintf "%s %s --domains %d" name
+               (Congest.Compiled.mode_to_string mode)
+               domains)
+            rows
+            (List.map (partition_row ~mode ~domains g) golden_partitions))
+        [
+          (Congest.Compiled.Fiber, 1);
+          (Congest.Compiled.Fiber, 4);
+          (Congest.Compiled.Fiber, 17);
+          (Congest.Compiled.Compiled, 1);
+        ])
+    golden_partition_inputs
+
+(* A run that needs fewer workers than the process-wide team holds
+   joins the surplus first, down to none for a serial run. *)
+let test_team_trimmed () =
+  let st = S.create (Generators.grid 8 8) in
+  List.iter
+    (fun (domains, workers) ->
+      st.S.domains <- domains;
+      Partition.Prims.refresh_roots st;
+      check ci (Printf.sprintf "workers after a %d-domain run" domains) workers
+        (S.Eng.team_size ()))
+    [ (17, 16); (4, 3); (1, 0); (17, 16); (1, 0) ]
+
 let test_phases_for_monotone () =
   check cb "more phases for smaller eps" true
     (Partition.Stage1.phases_for ~eps:0.05 ~alpha:3
@@ -887,9 +988,14 @@ let () =
           Alcotest.test_case "trials_for" `Quick test_trials_for;
           q test_random_partition_qcheck;
         ] );
-      (* Last: its 17-domain runs leave idle workers alive for the rest
-         of the process. *)
       ( "stage1-golden",
         [ Alcotest.test_case "golden Stage I costs" `Quick test_stage1_golden ]
       );
+      ( "partition-golden",
+        [
+          Alcotest.test_case "golden partition costs" `Quick
+            test_partitions_golden;
+          Alcotest.test_case "narrower run joins surplus workers" `Quick
+            test_team_trimmed;
+        ] );
     ]

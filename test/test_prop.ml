@@ -563,6 +563,12 @@ let prop_portfolio_invariance =
               snd
                 (Tester.Cycle_free_tester.run ~seed ~domains ~fast_forward
                    ~mode g ~eps:0.3) );
+          ( "bipartite (Exponential_shifts)",
+            fun ~domains ~fast_forward ~mode ->
+              snd
+                (Tester.Bipartite_tester.run
+                   ~partition:Tester.Harness.Exponential_shifts ~seed ~domains
+                   ~fast_forward ~mode g ~eps:0.3) );
           ( "cycle-free (Randomized 0.1)",
             fun ~domains ~fast_forward ~mode ->
               snd
@@ -617,9 +623,6 @@ let () =
           to_alcotest prop_fragment_splice_detected;
         ] );
       ("faults", [ to_alcotest prop_spec_roundtrip ]);
-      (* The groups with a domain sweep run last: once a run has used 17
-         domains their idle workers stay alive for the process, and every
-         stop-the-world collection after that has to reach them. *)
       ( "portfolio",
         [
           to_alcotest prop_bipartite_matches_reference;

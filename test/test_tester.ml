@@ -1033,8 +1033,6 @@ let () =
           q test_crossing_qcheck;
           Alcotest.test_case "golden Stage II costs" `Quick test_stage2_golden;
         ] );
-      (* Last: its 17-domain runs leave idle workers alive for the rest
-         of the process. *)
       ( "stage2-shared-decode",
         [
           Alcotest.test_case "invisible across domains and mode" `Quick

@@ -270,7 +270,7 @@ let test_projections_agree () =
   let far =
     Generators.far_from_planar (Random.State.make [| 7 |]) ~n:256 ~eps:0.25
   in
-  let leg (name, g, mode, fast_forward, faults) =
+  let leg (name, g, partition, mode, fast_forward, faults) =
     let ci what = Alcotest.check Alcotest.int (name ^ ": " ^ what) in
     Fun.protect
       ~finally:(fun () -> M.set_enabled false)
@@ -283,16 +283,20 @@ let test_projections_agree () =
           Obs.Heartbeat.create ~run_id:name ~fingerprint:"projections"
             ~property:"planarity" ()
         in
+        let partition_state = ref None in
         let _, t =
-          H.run ~telemetry ~trace ~heartbeat ~mode ~fast_forward ?faults
-            ~property:"planarity"
-            ~stage2:(fun st ~eps ~seed -> Tester.Stage2.run st ~eps ~seed)
+          H.run ~telemetry ~trace ~heartbeat ~partition ~mode ~fast_forward
+            ?faults ~property:"planarity"
+            ~stage2:(fun st ~eps ~seed ->
+              partition_state := Some st;
+              Tester.Stage2.run st ~eps ~seed)
             g ~eps:0.3
         in
         let s =
-          match t.H.stage1 with
-          | Some r -> r.Partition.Stage1.state.S.stats
-          | None -> Alcotest.fail "Stage_one run has no Stage I result"
+          match (t.H.stage1, !partition_state) with
+          | Some r, _ -> r.Partition.Stage1.state.S.stats
+          | None, Some st -> st.S.stats
+          | None, None -> Alcotest.fail "no partition state to read"
         in
         let tel = Tel.phases telemetry in
         let sum f = List.fold_left (fun acc p -> acc + f p) 0 tel in
@@ -307,12 +311,17 @@ let test_projections_agree () =
         ci "trace phase rounds" s.St.rounds
           (tsum (fun (p : Tr.sim_phase) -> p.Tr.rounds));
         ci "congest_rounds" s.St.rounds (counter "congest_rounds");
-        (* general node programs run on fibers in either mode *)
+        (* every round ran on one of the two executors *)
         ci "congest_mode_rounds" s.St.rounds
           (counter ~labels:[ ("mode", "fiber") ] "congest_mode_rounds"
           + counter ~labels:[ ("mode", "compiled") ] "congest_mode_rounds");
         Alcotest.check cb (name ^ ": the mode's executor ran") true
           (counter ~labels:[ ("mode", mode_label) ] "congest_mode_rounds" > 0);
+        (* every protocol is a kernel: without faults, compiled mode
+           never starts a fiber *)
+        if mode = Congest.Compiled.Compiled && faults = None then
+          ci "fiber runs in compiled mode" 0
+            (counter ~labels:[ ("mode", "fiber") ] "congest_mode_runs");
         ci "heartbeat rounds" s.St.rounds hb.Obs.Heartbeat.rounds;
         (* charged rounds, Stage II's oracle embedding charge included *)
         ci "telemetry frames" s.St.charged_rounds (sum (fun p -> p.Tel.frames));
@@ -393,11 +402,18 @@ let test_projections_agree () =
                  ( Printf.sprintf "%s %s ff=%b" gname
                      (Congest.Compiled.mode_to_string mode)
                      ff,
-                   g, mode, ff, None ))
+                   g, H.Stage_one, mode, ff, None ))
                [ true; false ])
            [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
        [ ("grid", grid); ("far", far) ]
-    @ [ ("grid fiber drop=0.01", grid, Congest.Compiled.Fiber, true, drop) ])
+    @ [
+        ( "grid fiber drop=0.01", grid, H.Stage_one, Congest.Compiled.Fiber,
+          true, drop );
+        ( "grid Exponential_shifts compiled", grid, H.Exponential_shifts,
+          Congest.Compiled.Compiled, true, None );
+        ( "grid Randomized 0.1 compiled", grid, H.Randomized 0.1,
+          Congest.Compiled.Compiled, true, None );
+      ])
 
 (* ------------------------------------------------------------------ *)
 
