@@ -1,6 +1,6 @@
 (** Run-level accounting of one engine run, shared by both executors.
 
-    {!Engine.Make.run} (fibers) and {!Compiled.Make.run} (array passes)
+    {!Engine.Make.run_kernel} (sharded) and {!Compiled.Make.run} (serial)
     differ in how a round steps its nodes and delivers its messages, but
     not in what a run counts.  Everything that is executor-independent
     lives here, once:

@@ -43,12 +43,9 @@ module Make (Msg : MESSAGE) = struct
 
   (* The compiled analogue of [Engine.pool]: the same flat delivery
      state (per-directed-edge bit counters, the sender worklist with
-     contiguous send spans, the inbox slab) minus everything fibers
-     needed — no continuation array, no arenas, no per-step effect
-     dispatch — plus the due-set scheduler.  Delivery pushes in the
-     fiber engine's order and each node's slab chain is linked in that
-     (FIFO) order, which is what makes inboxes byte-identical to the
-     fiber engine's lists without building one.
+     contiguous send spans, the inbox slab linked in delivery (FIFO)
+     order) minus the arenas and the fault index, plus the due-set
+     scheduler.
 
      Scheduler.  A parked node sits in exactly one intrusive,
      doubly-linked list ([bnext]/[bprev]): the wheel slot
@@ -405,13 +402,13 @@ module Make (Msg : MESSAGE) = struct
     let wake = p.wake and where = p.where and due = p.due in
     let live = ref 0 in  (* parked nodes *)
     (* Resume/park trace events, predicted before/after the step loop in
-       ascending id order — the same two-pass shape as the fiber
-       engine's prescan/postscan, so the fiber event stream is
-       byte-identical across modes.  Candidates are the due nodes with
-       fast-forward on and every parked node with it off (the fiber
-       baseline resumes every waiting fiber every round). *)
+       ascending id order — the same two-pass shape as the engine's
+       prescan/postscan, so the event stream is byte-identical across
+       modes.  Candidates are the due nodes with fast-forward on and
+       every parked node with it off (the engine's baseline steps every
+       parked node every round). *)
     let trace_resume tr v =
-      (* Prefer-arrival rule, as in the fiber engine: any delivery this
+      (* Prefer-arrival rule, as in the engine: any delivery this
          round outranks an expired deadline. *)
       if p.ib_head.(v) >= 0 then
         Trace.fiber_resume tr ~round:eng.current_round ~node:v
@@ -432,10 +429,9 @@ module Make (Msg : MESSAGE) = struct
         done
     in
     (* Halted and failed candidates are no longer parked and are
-       skipped; with fast-forward off a surviving fiber's park deadline
-       is the next round (the fiber baseline re-suspends with
-       [Suspend 1]), except candidates past a failed hook, which were
-       never stepped and keep last round's deadline. *)
+       skipped; with fast-forward off a surviving node's wake is the next
+       round (the baseline's one-round park), except candidates past a
+       failed hook, which were never stepped and keep this round. *)
     let trace_postscan tr nd ~failed =
       let r = eng.current_round in
       if eng.ff then
@@ -554,10 +550,9 @@ module Make (Msg : MESSAGE) = struct
       else sort_range due p.due_tmp 0 nd;
       (match trace with Some tr -> trace_prescan tr nd | None -> ());
       (* Step the due nodes in ascending id order.  With fast-forward on
-         they are what the fiber engine resumes; with it off, the legacy
-         baseline also steps every other parked node (its own hook
-         still only runs on arrival or deadline, exactly like
-         [Engine.wait]'s internal loop), so all of them count. *)
+         they are what the engine steps; with it off, the legacy baseline
+         also steps every other parked node (without running its hook,
+         as in the engine's stepping loop), so all of them count. *)
       let live_before = !live in
       let ci = ref 0 in
       let failure = ref None in
@@ -609,7 +604,7 @@ module Make (Msg : MESSAGE) = struct
         ~release:(fun () -> if owned then p.in_use <- false)
         (fun () ->
           (* Start phase: ascending id order, no telemetry tick — like the
-             fiber engine's start-up. *)
+             engine's start-up. *)
           for v = 0 to n - 1 do
             ctx.cur <- v;
             match start ctx v with
@@ -620,8 +615,8 @@ module Make (Msg : MESSAGE) = struct
           done;
           (match trace with
           | Some tr ->
-              (* Initial parks; with fast-forward off the fiber baseline's
-                 first suspension is always [Suspend 1], deadline round 1. *)
+              (* Initial parks; with fast-forward off the baseline's first
+                 wake is always round 1. *)
               for v = 0 to n - 1 do
                 if Bytes.unsafe_get where v <> '\000' then
                   Trace.fiber_park tr ~round:0 ~node:v

@@ -1,15 +1,12 @@
-(** Fiber-free compiled execution for lockstep protocol shapes.
+(** Serial compiled execution of lockstep kernels.
 
-    The general {!Engine} runs one effect-handler fiber per node, which is
-    what makes arbitrary node programs (nested waits, exceptions, local
-    recursion) expressible — but the suspend/resume machinery dominates
-    the inner rounds of the protocols this repository actually runs.
-    Stage I's primitives and the {!Protocols} helpers are all of one
-    restricted shape: a node does some work at start-up, parks for a known
-    number of rounds, and is re-entered once per delivery or deadline with
-    its inbox.  That shape needs no fiber at all: this module executes it
-    as flat array passes over the CSR substrate — one pass per simulated
-    round, no continuations, no per-node stacks.
+    Every protocol of the tester is a {e kernel} ({!step}): a node does
+    some work at start-up, parks for a known number of rounds, and is
+    re-entered once per delivery or deadline with its inbox.  The
+    sharded {!Engine} steps kernels too, with a fault layer and worker
+    domains; this module executes them serially as flat array passes
+    over the CSR substrate — one pass per simulated round, with a
+    due-set scheduler instead of the engine's live worklist.
 
     {b Cost.}  A round costs O(due nodes + delivered messages), plus
     sorting the due set; once that set holds n/8 nodes or more it is
@@ -29,7 +26,7 @@
 
     {b Byte-identity contract.}  For the same graph and the same
     (deterministic, fault-free) protocol, a compiled run produces
-    {!Stats.t} and {!Telemetry} output byte-identical to the fiber engine
+    {!Stats.t} and {!Telemetry} output byte-identical to the {!Engine}
     at the same [fast_forward] setting: the delivery order (ascending
     sender, reverse send order within a sender), the inbox construction,
     bandwidth charging ([max_edge_bits], [oversized], frame counts)
@@ -39,10 +36,10 @@
     both executors call the one {!Account}, so a compiled run differs
     from a serial fiber run in no metric family but the mode-labelled
     [congest_mode_runs]/[congest_mode_rounds] pair, and there by the
-    label only.  With fast-forward off the
-    fiber baseline resumes every waiting fiber every round; compiled
-    execution still steps only the due nodes but counts every parked one
-    as stepped, as that baseline does.  The differential suite in
+    label only.  With fast-forward off the engine's
+    baseline steps every parked node every round; compiled execution
+    still visits only the due nodes but counts every parked one as
+    stepped, as that baseline does.  The differential suite in
     [test/test_prop.ml] and the [make compiled] CI leg enforce this.
 
     Compiled execution is serial by construction (a round is a single
@@ -52,20 +49,19 @@
 
     Event tracing ([?trace]) is implemented natively: the array passes
     emit the same message/resume/park/round/fast-forward event stream
-    the fiber engine records from its serial half — including the
-    causal wake slots — so a compiled [.ctrace] is byte-identical to a
-    serial fiber one.  Fault injection is not: the fault layer's draw
-    order is defined by the fiber engine's delivery loop, so {!pick}
-    returns [false] under faults and callers run the same kernel on the
-    fiber engine instead.  That is the only time a compiled-mode run
-    touches a fiber: every protocol of the tester is a kernel. *)
+    the engine records from its serial half — including the causal wake
+    slots — so a compiled [.ctrace] is byte-identical to a serial fiber
+    one.  Fault injection is not: the fault layer's draw order is
+    defined by the engine's delivery loop, so {!pick} returns [false]
+    under faults and callers run the same kernel on the engine instead
+    ([Engine.Make.run_kernel]), which starts no fiber for it either. *)
 
 (** Execution-mode knob threaded through [Stage1], [Planarity_tester] and
     the CLIs ([planartest --mode], [bench --mode]).  It picks the executor
     for the lockstep kernels; the kernels themselves are written once (see
     {!step} and {!NET}). *)
 type mode =
-  | Fiber  (** the general effect-handler engine (the default) *)
+  | Fiber  (** the sharded {!Engine} (the default) *)
   | Compiled
       (** compiled array passes for every kernel; silently falls back to
           the fiber engine under faults. *)
@@ -87,8 +83,8 @@ val mode_of_string : string -> mode option
 
     A {e kernel} is a lockstep protocol written as such a pair of hooks
     over a {!NET}.  It is written once and runs on either executor:
-    {!Make.run} executes it as array passes, and [Engine.Make.kernel]
-    turns it into a fiber node program. *)
+    {!Make.run} executes it as array passes, and [Engine.Make.run_kernel]
+    steps it on the sharded engine. *)
 type step = Halt | Park of int
 
 (** The node-side operations a kernel may use, provided by both
@@ -115,8 +111,8 @@ module type NET = sig
         done
       ]}
 
-      Reading an inbox this way allocates nothing: the cursor is an
-      immediate (a slab index) or the list [wait] returned. *)
+      Reading an inbox this way allocates nothing: on both executors the
+      cursor is a slab index. *)
   type inbox
 
   (** [true] past the last delivery. *)
@@ -146,7 +142,7 @@ module Make (Msg : MESSAGE) : sig
   type ctx
 
   (** Preallocated per-graph delivery state, reusable across runs (the
-      compiled analogue of [Engine.pool], minus fiber storage).  One run
+      compiled analogue of [Engine.pool], minus the arenas).  One run
       at a time; a busy pool falls back to fresh allocation. *)
   type pool
 

@@ -8,7 +8,7 @@ end
 
 exception Stopped
 
-(* Breaks out of a shard's stepping loop after a node program raised; never
+(* Breaks out of a shard's stepping loop after a kernel hook raised; never
    escapes this module. *)
 exception Shard_stop
 
@@ -37,7 +37,7 @@ module Make (Msg : MESSAGE) = struct
   type msg = Msg.t
 
   (* Per-domain stepping state.  During a round, each domain steps a
-     disjoint block of nodes; everything a node program can mutate that is
+     disjoint block of nodes; everything a kernel hook can mutate that is
      not indexed by its own id (the senders worklist, queued sends, the
      rejection log, a raised exception) lands in the stepping domain's
      arena and is merged by the coordinating domain, in arena order, after
@@ -64,7 +64,7 @@ module Make (Msg : MESSAGE) = struct
     mutable afailed : (int * exn) option;  (* lowest failing node in block *)
     mutable afails : (int * int * exn) list;
         (* all failing nodes in block ([`Record] mode), reverse chron. *)
-    mutable astepped : int;  (* fibers resumed this phase *)
+    mutable astepped : int;  (* nodes stepped this phase *)
     mutable akept : int;  (* nodes still live after this phase *)
     mutable aculled : int;  (* crash-stopped nodes dropped this phase *)
     mutable amin_wake : int;  (* min wake round over kept nodes *)
@@ -134,12 +134,13 @@ module Make (Msg : MESSAGE) = struct
     queued : Bytes.t;  (* '\001' iff already in some arena's senders list *)
     receivers : int array;  (* nodes with a non-empty inbox *)
     mutable receivers_len : int;
-    (* Worklist of nodes still suspended at a [wait]; ascending id order
-       (nodes only ever leave), so each round costs O(live + messages)
-       rather than O(n). *)
+    (* Worklist of parked nodes; ascending id order (nodes only ever
+       leave), so each round costs O(live + messages) rather than O(n). *)
     live : int array;
-    (* Absolute round at which a suspended node resumes even with an empty
-       inbox; written at suspension time, so no reset is needed. *)
+    (* The parked mark and deadline in one: the absolute round at which a
+       parked node resumes even with an empty inbox, or -1 once it halted
+       or failed.  Start-up writes every node's entry, so no reset is
+       needed. *)
     wake : int array;
     (* Causal parent of the round's first inbox delivery per node —
        (sender, send round) of the frame that flipped [ib_head] from
@@ -149,17 +150,15 @@ module Make (Msg : MESSAGE) = struct
     mutable wake_sender : int array;
     mutable wake_sent : int array;
     arena_of : int array;  (* node -> index of the arena stepping it *)
-    (* Parked continuations; [none_k] (an immediate sentinel compared
-       with [==]) marks "not parked", avoiding an [option] box per
-       suspended node per round. *)
-    conts : ((int * Msg.t) list, unit) Effect.Deep.continuation array;
     (* Inbox slab: deliveries for the round land in one growable set of
        parallel arrays, chained per destination through [ib_next] from
-       [ib_head.(dest)] (-1 = empty).  Chains are LIFO, so walking one
-       while prepending rebuilds push order.  Only the stepping domain
-       that owns [dest] ever consumes its chain; the slab itself is
-       written exclusively by the coordinator during delivery. *)
+       [ib_head.(dest)] (-1 = empty) to [ib_tail.(dest)], in delivery
+       (FIFO) order, so a resumed node reads its inbox in place through
+       a cursor.  Only the stepping domain that owns [dest] reads its
+       chain; the slab itself is written exclusively by the coordinator
+       during delivery. *)
     ib_head : int array;
+    ib_tail : int array;
     mutable ib_sender : int array;
     mutable ib_next : int array;
     mutable ib_msgs : Msg.t array;
@@ -168,9 +167,8 @@ module Make (Msg : MESSAGE) = struct
     mutable in_use : bool;
   }
 
-  let none_k : ((int * Msg.t) list, unit) Effect.Deep.continuation =
-    Obj.magic 0
-
+  (* Append to [dest]'s chain, so walking it from [ib_head] yields push
+     order. *)
   let push_inbox p ~sender ~dest msg =
     let cap = Array.length p.ib_sender in
     if p.ib_len = cap then begin
@@ -186,9 +184,11 @@ module Make (Msg : MESSAGE) = struct
     end;
     let s = p.ib_len in
     p.ib_sender.(s) <- sender;
-    p.ib_next.(s) <- p.ib_head.(dest);
+    p.ib_next.(s) <- -1;
     p.ib_msgs.(s) <- msg;
-    p.ib_head.(dest) <- s;
+    if p.ib_head.(dest) < 0 then p.ib_head.(dest) <- s
+    else p.ib_next.(p.ib_tail.(dest)) <- s;
+    p.ib_tail.(dest) <- s;
     p.ib_len <- s + 1
 
   let push_extra p de =
@@ -272,7 +272,7 @@ module Make (Msg : MESSAGE) = struct
       + w
         * (Array.length p.receivers + Array.length p.live
          + Array.length p.wake + Array.length p.arena_of
-         + Array.length p.conts + Array.length p.ib_head
+         + Array.length p.ib_tail + Array.length p.ib_head
          + Array.length p.wake_sender + Array.length p.wake_sent);
     Array.iter
       (fun a ->
@@ -308,12 +308,12 @@ module Make (Msg : MESSAGE) = struct
         receivers = Array.make n 0;
         receivers_len = 0;
         live = Array.make n 0;
-        wake = Array.make n 0;
+        wake = Array.make n (-1);
         wake_sender = [||];
         wake_sent = [||];
         arena_of = Array.make n 0;
-        conts = Array.make n none_k;
         ib_head = Array.make n (-1);
+        ib_tail = Array.make n (-1);
         ib_sender = [||];
         ib_next = [||];
         ib_msgs = [||];
@@ -346,8 +346,7 @@ module Make (Msg : MESSAGE) = struct
      sends, or mid-round state abandoned by an exception) by replaying
      the same send entries the charge pass would have scanned; cost is
      proportional to the leftovers, not to n + m, and every step is
-     idempotent so any partially-reset state is safe.  [conts] needs no
-     sweep: every exit path of [run] leaves it all-[none_k]. *)
+     idempotent so any partially-reset state is safe. *)
   let reset_pool p =
     let have_fidx = Array.length p.fidx > 0 in
     Array.iter
@@ -383,7 +382,6 @@ module Make (Msg : MESSAGE) = struct
     seed : int;
     p : pool;
     estats : Stats.t;
-    ff : bool;  (* park fibers across rounds + skip quiescent spans *)
     mutable reject_log : (int * int * string) list;
         (* (round, node, reason), reverse chronological *)
     mutable fail_log : (int * int * exn) list;
@@ -391,14 +389,21 @@ module Make (Msg : MESSAGE) = struct
     mutable current_round : int;
   }
 
-  (* The per-node random state is created on first use: most node
-     programs are deterministic, and eagerly seeding n states dominated
-     the fixed cost of short engine runs.  Laziness does not change the
-     stream a program that does call {!rng} observes. *)
-  type ctx = { id : int; mutable crng : Random.State.t option; eng : engine }
+  (* Kernel hooks share one ctx per arena, re-pointed at each node the
+     arena steps; a node program gets a ctx of its own ([program]), which
+     is where its random state lives.  That state is created on first
+     use: most node programs are deterministic, and eagerly seeding n
+     states dominated the fixed cost of short engine runs.  Laziness does
+     not change the stream a program that does call {!rng} observes. *)
+  type ctx = {
+    mutable id : int;
+    mutable crng : Random.State.t option;
+    eng : engine;
+    program : bool;
+  }
 
-  (* [Suspend k] parks the fiber until the first round with a non-empty
-     inbox, or unconditionally after [k] rounds (k >= 1). *)
+  (* [Suspend k] parks a node program's fiber until the first round with
+     a non-empty inbox, or unconditionally after [k] rounds (k >= 1). *)
   type _ Effect.t += Suspend : int -> (int * Msg.t) list Effect.t
 
   let my_id c = c.id
@@ -412,6 +417,8 @@ module Make (Msg : MESSAGE) = struct
     match c.crng with
     | Some r -> r
     | None ->
+        if not c.program then
+          invalid_arg "Engine.rng: kernel hooks have no per-node random state";
         let r = Random.State.make [| c.eng.seed; c.id; 0x5eed |] in
         c.crng <- Some r;
         r
@@ -451,54 +458,25 @@ module Make (Msg : MESSAGE) = struct
     Graph.iter_incident c.eng.graph id (fun dest e ->
         send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
 
-  (* With fast-forwarding off the engine reverts to legacy per-round
-     stepping — one suspension per round, every waiting fiber resumed
-     every round — which is the measurement baseline the optimisation is
-     compared against.  Observable behaviour is identical: a parked fiber
-     resumes on the first non-empty inbox or at the deadline, and so does
-     this loop. *)
-  let wait c k =
-    if k <= 0 then []
-    else if c.eng.ff then Effect.perform (Suspend k)
-    else begin
-      let deadline = c.eng.current_round + k in
-      let rec loop () =
-        let inbox = Effect.perform (Suspend 1) in
-        if inbox <> [] || c.eng.current_round >= deadline then inbox
-        else loop ()
-      in
-      loop ()
-    end
-
+  (* With fast-forward off, the stepping loop itself steps every parked
+     node every round (see [step_range]); [wait] is the same either way. *)
+  let wait _ k = if k <= 0 then [] else Effect.perform (Suspend k)
   let sync c = wait c 1
 
-  type inbox = (int * Msg.t) list
+  (* The inbox handed to [resume] is the head of the node's slab chain
+     ([-1] when empty); a cursor is a slab index, valid until the hook
+     returns. *)
+  type inbox = int
 
-  let inbox_is_empty = function [] -> true | _ :: _ -> false
+  let inbox_is_empty s = s < 0
+  let inbox_sender c s = c.eng.p.ib_sender.(s)
+  let inbox_msg c s = c.eng.p.ib_msgs.(s)
+  let inbox_next c s = c.eng.p.ib_next.(s)
 
-  (* The cursor is [wait]'s list itself: wrapping it per resume would be
-     allocation the compiled path does not have. *)
-  let inbox_sender _ = function
-    | (s, _) :: _ -> s
-    | [] -> invalid_arg "Engine.inbox_sender: empty inbox"
-
-  let inbox_msg _ = function
-    | (_, m) :: _ -> m
-    | [] -> invalid_arg "Engine.inbox_msg: empty inbox"
-
-  let inbox_next _ = function
-    | _ :: rest -> rest
-    | [] -> invalid_arg "Engine.inbox_next: empty inbox"
-
-  (* A kernel's [Park k] is exactly [wait]'s contract; the clamp keeps
-     [k <= 0] meaning one round, as in [Compiled], instead of [wait]'s
-     return-without-ending-the-round. *)
-  let kernel ~start ~resume c =
-    let rec loop = function
-      | Compiled.Halt -> ()
-      | Compiled.Park k -> loop (resume c c.id (wait c (max 1 k)))
-    in
-    loop (start c c.id)
+  (* The list [wait] returns, in delivery order. *)
+  let[@tail_mod_cons] rec inbox_list p s =
+    if s < 0 then []
+    else (p.ib_sender.(s), p.ib_msgs.(s)) :: inbox_list p p.ib_next.(s)
 
   let idle c k =
     let deadline = c.eng.current_round + k in
@@ -516,12 +494,19 @@ module Make (Msg : MESSAGE) = struct
     let a = p.arenas.(p.arena_of.(c.id)) in
     a.arejects <- (c.eng.current_round, c.id, reason) :: a.arejects
 
-  type 'o result = {
-    outputs : 'o option array;
+  type outcome = {
     rejections : (int * int * string) list;
     failures : (int * int * exn) list;
         (* (round, node, exn), chronological; non-empty only in [`Record]
            mode — see [?on_error] *)
+    stats : Stats.t;
+    completed : bool;
+  }
+
+  type 'o result = {
+    outputs : 'o option array;
+    rejections : (int * int * string) list;
+    failures : (int * int * exn) list;
     stats : Stats.t;
     completed : bool;
   }
@@ -655,9 +640,10 @@ module Make (Msg : MESSAGE) = struct
     end;
     t
 
-  let run ?(seed = 0) ?bandwidth ?(strict = false) ?(max_rounds = 1_000_000)
-      ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
-      ?on_round ?(on_error = `Propagate) ?pool:opool g program =
+  let run_kernel ?(seed = 0) ?bandwidth ?(strict = false)
+      ?(max_rounds = 1_000_000) ?telemetry ?trace ?(domains = 1)
+      ?(fast_forward = true) ?faults ?on_round ?(on_error = `Propagate)
+      ?pool:opool g ~start ~resume =
     let n = Graph.n g in
     let acct =
       Account.create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g
@@ -703,12 +689,15 @@ module Make (Msg : MESSAGE) = struct
         seed;
         p;
         estats = Account.stats acct;
-        ff = fast_forward;
         reject_log = [];
         fail_log = [];
         current_round = 0;
       }
     in
+    let ctxs =
+      Array.init d_req (fun _ -> { id = -1; crng = None; eng; program = false })
+    in
+    let wake = p.wake in
     (* Is node [v] down at the round currently being processed?  Reads
        only immutable schedule arrays and [current_round] (stable during
        a phase), so it is safe from worker domains. *)
@@ -757,101 +746,45 @@ module Make (Msg : MESSAGE) = struct
       p.fidx.(de) <- k + 1;
       k
     in
-    let outputs = Array.make n None in
-    let conts = p.conts in
-    (* Every exit path must run this: a node suspended at [wait] when the
-       run ends (strict-mode overflow, node exception, [max_rounds]) is
-       discontinued with [Stopped] so its stack unwinds and finalizers
-       ([Fun.protect] etc.) run.  [Stopped] itself is swallowed by the
-       per-node handler; any exception a node raises while unwinding is
-       dropped here so every node still gets finalized.  Postcondition:
-       [conts] is all-[none_k], even if a node caught [Stopped] and tried
-       to wait again. *)
-    let finalize () =
-      for v = 0 to n - 1 do
-        let k = conts.(v) in
-        if k != none_k then begin
-          conts.(v) <- none_k;
-          (try Effect.Deep.discontinue k Stopped with _ -> ());
-          conts.(v) <- none_k
-        end
-      done
-    in
-    let start v =
-      let ctx = { id = v; crng = None; eng } in
-      (* The fiber runs the program itself and [retc] stores its output
-         from the handler's side, so no frame of this closure sits under
-         the node program in the fiber's stack. *)
-      Effect.Deep.match_with program ctx
-        {
-          retc = (fun o -> outputs.(v) <- Some o);
-          exnc = (fun e -> match e with Stopped -> () | e -> raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Suspend k ->
-                  Some
-                    (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                      p.wake.(v) <- eng.current_round + max 1 k;
-                      conts.(v) <- cont)
-              | _ -> None);
-        }
-    in
     let live = p.live in
     let live_len = ref 0 in
-    (* Chains are LIFO; prepending while walking head-to-tail rebuilds
-       push order (ascending sender, reverse send order within a sender —
-       the pre-rewrite inbox order).  Consumes the chain: only the
-       stepping domain that owns [v] calls this, and the barrier's
-       happens-before edge covers its reads of the coordinator-written
-       slab. *)
-    let build_inbox v =
-      let head = p.ib_head.(v) in
-      if head < 0 then []
+    (* A hook that raised leaves its node dead.  In [`Propagate] mode,
+       record the (lowest) failing node of the block and stop the block —
+       exactly what a serial loop does for its prefix; in [`Record] mode,
+       log the failure and keep stepping the block, so every failing node
+       is observed regardless of the domain count. *)
+    let fail a v e =
+      wake.(v) <- -1;
+      if record_errors then a.afails <- (eng.current_round, v, e) :: a.afails
       else begin
-        let acc = ref [] in
-        let s = ref head in
-        while !s >= 0 do
-          acc := (p.ib_sender.(!s), p.ib_msgs.(!s)) :: !acc;
-          s := p.ib_next.(!s)
-        done;
-        p.ib_head.(v) <- -1;
-        !acc
+        a.afailed <- Some (v, e);
+        raise Shard_stop
       end
     in
-    (* Run start-up for nodes [lo, hi) with arena [d].  On a node
-       exception: in [`Propagate] mode, record the (lowest) failing node
-       and stop this block — exactly what a serial start loop does for
-       its prefix; in [`Record] mode, log the failure, let the node die
-       and keep stepping the block, so every failing node is observed
-       regardless of the domain count. *)
+    (* Run start-up for nodes [lo, hi) with arena [d]. *)
     let start_range d lo hi =
-      let a = arenas.(d) in
-      a.astepped <- 0;
+      let a = arenas.(d) and c = ctxs.(d) in
       a.afailed <- None;
       a.afails <- [];
       try
         for v = lo to hi - 1 do
           p.arena_of.(v) <- d;
-          (try start v
-           with e ->
-             if record_errors then
-               a.afails <- (eng.current_round, v, e) :: a.afails
-             else begin
-               a.afailed <- Some (v, e);
-               raise Shard_stop
-             end);
-          a.astepped <- a.astepped + 1
+          c.id <- v;
+          match start c v with
+          | Compiled.Park k -> wake.(v) <- max 1 k
+          | Compiled.Halt -> wake.(v) <- -1
+          | exception e -> fail a v e
         done
       with Shard_stop -> ()
     in
-    (* Step the live-list slice [lo, hi) with arena [d]: resume each node
-       whose inbox is non-empty or whose wake round has arrived, and
-       compact the survivors to the front of the slice.  Nodes are visited
-       in ascending id order, so each arena's sends/rejects come out in
-       serial order for its block. *)
+    (* Step the live-list slice [lo, hi) with arena [d] on this domain's
+       own stack: run [resume] for each node whose inbox is non-empty or
+       whose deadline has arrived, and compact the survivors to the front
+       of the slice.  Nodes are visited in ascending id order, so each
+       arena's sends/rejects come out in serial order for its block. *)
     let step_range d lo hi =
-      let a = arenas.(d) in
+      let a = arenas.(d) and c = ctxs.(d) in
+      let r = eng.current_round in
       a.astepped <- 0;
       a.afailed <- None;
       a.afails <- [];
@@ -861,18 +794,18 @@ module Make (Msg : MESSAGE) = struct
       let keep v =
         live.(!kept) <- v;
         incr kept;
-        if p.wake.(v) < a.amin_wake then a.amin_wake <- p.wake.(v)
+        if wake.(v) < a.amin_wake then a.amin_wake <- wake.(v)
       in
       (* A crashed node is frozen: not resumed even when its wake round
          has passed, so it observes nothing until recovery.  Its earliest
          possible resume round is max(wake, recovery), which is what
          bounds fast-forward.  A crash-stopped node (no recovery) can
          never resume — cull it from the live list so the run can still
-         terminate; its fiber is discontinued by [finalize]. *)
+         terminate. *)
       let keep_crashed v =
         live.(!kept) <- v;
         incr kept;
-        let w = p.wake.(v) in
+        let w = wake.(v) in
         let w = if w < crash_until.(v) then crash_until.(v) else w in
         if w < a.amin_wake then a.amin_wake <- w
       in
@@ -883,26 +816,31 @@ module Make (Msg : MESSAGE) = struct
              if crash_until.(v) = max_int then a.aculled <- a.aculled + 1
              else keep_crashed v
            end
-           else if p.ib_head.(v) >= 0 || p.wake.(v) <= eng.current_round
-           then begin
-             let k = conts.(v) in
-             if k != none_k then begin
-               conts.(v) <- none_k;
-               p.arena_of.(v) <- d;
-               let inbox = build_inbox v in
-               a.astepped <- a.astepped + 1;
-               (try Effect.Deep.continue k inbox
-                with e ->
-                  if record_errors then
-                    a.afails <- (eng.current_round, v, e) :: a.afails
-                  else begin
-                    a.afailed <- Some (v, e);
-                    raise Shard_stop
-                  end);
-               if conts.(v) != none_k then keep v
-             end
+           else if p.ib_head.(v) >= 0 || wake.(v) <= r then begin
+             p.arena_of.(v) <- d;
+             c.id <- v;
+             a.astepped <- a.astepped + 1;
+             match resume c v p.ib_head.(v) with
+             | Compiled.Park k ->
+                 wake.(v) <- r + max 1 k;
+                 keep v
+             | Compiled.Halt -> wake.(v) <- -1
+             | exception e ->
+                 (* With fast-forward off, the nodes a propagated failure
+                    leaves unstepped keep this round as their wake. *)
+                 if not (record_errors || fast_forward) then
+                   for j = i + 1 to hi - 1 do
+                     wake.(live.(j)) <- r
+                   done;
+                 fail a v e
            end
-           else keep v
+           else begin
+             (* Fast-forward off is the legacy baseline: every parked
+                node is stepped every round, and its hook still runs
+                only on an arrival or at its deadline. *)
+             if not fast_forward then a.astepped <- a.astepped + 1;
+             keep v
+           end
          done
        with Shard_stop -> ());
       a.akept <- !kept - lo
@@ -1066,12 +1004,14 @@ module Make (Msg : MESSAGE) = struct
        how far it may jump. *)
     let min_wake = ref max_int in
     let culled = ref 0 in
-    (* Fiber resume/park trace events are predicted on the coordinating
-       domain, never recorded from workers: before a step phase, scan the
-       live worklist with the exact resume predicate [step_range] uses
-       (ascending id order — the serial order); after the barrier, a
-       candidate whose continuation survived parked again.  This keeps the
-       fiber event stream byte-identical for every domain count. *)
+    (* Resume/park trace events are predicted on the coordinating domain,
+       never recorded from workers: before a step phase, scan the live
+       worklist for the nodes [step_range] steps (ascending id order — the
+       serial order); after the barrier, every candidate still parked has
+       parked again.  This keeps the event stream byte-identical for every
+       domain count.  With fast-forward off every live node is stepped,
+       and a re-parked node reports the next round as its wake, as the
+       legacy baseline's one-round suspension did. *)
     let fiber_scratch = ref [||] in
     let trace_prescan tr =
       if Array.length !fiber_scratch = 0 then
@@ -1082,8 +1022,8 @@ module Make (Msg : MESSAGE) = struct
         let v = live.(i) in
         if
           (not (is_crashed v))
-          && conts.(v) != none_k
-          && (p.ib_head.(v) >= 0 || p.wake.(v) <= eng.current_round)
+          && ((not fast_forward) || p.ib_head.(v) >= 0
+             || wake.(v) <= eng.current_round)
         then begin
           (* Prefer-arrival rule: a resume with any delivery this round
              is blamed on the first-delivered frame even if its deadline
@@ -1104,12 +1044,12 @@ module Make (Msg : MESSAGE) = struct
       !cnt
     in
     let trace_postscan tr cnt =
-      let sc = !fiber_scratch in
+      let sc = !fiber_scratch and r = eng.current_round in
       for i = 0 to cnt - 1 do
         let v = sc.(i) in
-        if conts.(v) != none_k then
-          Trace.fiber_park tr ~round:eng.current_round ~node:v
-            ~wake:p.wake.(v)
+        if wake.(v) >= 0 then
+          Trace.fiber_park tr ~round:r ~node:v
+            ~wake:(if fast_forward then wake.(v) else min wake.(v) (r + 1))
       done
     in
     (* Crash events taking effect by the current round (or during a span
@@ -1123,7 +1063,7 @@ module Make (Msg : MESSAGE) = struct
         && fst crash_starts.(!crash_start_i) <= eng.current_round
       do
         let r, v = crash_starts.(!crash_start_i) in
-        if conts.(v) != none_k then begin
+        if wake.(v) >= 0 then begin
           incr k;
           match trace with
           | Some tr ->
@@ -1148,186 +1088,151 @@ module Make (Msg : MESSAGE) = struct
       (* Deliver: drain arena senders (ascending blocks, each ascending)
          into the inbox slab, summing bits per directed edge.  Each
          sender's entry span is drained in reverse send order, which
-         makes every inbox chain rebuild to exactly the order the
-         pre-rewrite engine produced (sorted by sender, same-sender
-         messages in reverse send order).  Send entries are NOT consumed
-         here — the charge pass below re-scans them in the same order to
-         recover the touched edges, then resets the buffers (always
-         before the step phase queues new sends). *)
-      (match fpol with
-      | None ->
-          for d = 0 to d_req - 1 do
-            let a = arenas.(d) in
-            for i = 0 to a.asenders_len - 1 do
-              let v = a.asenders.(i) in
-              Bytes.unsafe_set p.queued v '\000';
-              let lo = a.aoff.(i) in
-              let hi =
-                if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len
-              in
-              for j = hi - 1 downto lo do
-                let dest = a.s_dest.(j) and de = a.s_eids.(j) in
-                let msg = a.s_msgs.(j) in
-                let b = Msg.bits msg in
-                incr round_msgs;
-                round_bits := !round_bits + b;
-                p.edge_bits.(de) <- p.edge_bits.(de) + b;
-                if p.ib_head.(dest) < 0 then begin
-                  p.receivers.(p.receivers_len) <- dest;
-                  p.receivers_len <- p.receivers_len + 1;
-                  if traced then begin
-                    p.wake_sender.(dest) <- v;
-                    p.wake_sent.(dest) <- eng.current_round - 1
-                  end
-                end;
-                push_inbox p ~sender:v ~dest msg;
-                (match trace with
-                | Some tr ->
-                    Trace.message tr ~round:eng.current_round
-                      ~sent:(eng.current_round - 1) ~sender:v ~dest ~edge:de
-                      ~bits:b
-                | None -> ())
-              done
-            done
-          done
-      | Some fp ->
-          (* Fault-aware delivery.  Decisions are per message, drawn from
-             the splittable PRNG keyed by (edge, round, per-edge index);
-             the iteration order below is the deterministic serial order,
-             so the schedule is invariant under the domain count. *)
-          let charge_wire de b =
-            incr round_msgs;
-            round_bits := !round_bits + b;
-            p.edge_bits.(de) <- p.edge_bits.(de) + b
-          in
-          let trace_fault kind ~sender ~dest ~de ~info =
-            match trace with
-            | Some tr ->
-                Trace.fault tr ~round:eng.current_round ~kind ~sender ~dest
-                  ~edge:de ~info
-            | None -> ()
-          in
-          let deliver ~sent ~de ~bits sender dest msg =
-            (* A message reaching a node that is down is lost — the
-               CONGEST-faithful model is silence, never an error. *)
-            if is_crashed dest then begin
-              incr round_dropped;
-              trace_fault Trace.Down_drop ~sender ~dest ~de ~info:0
-            end
-            else begin
-              if p.ib_head.(dest) < 0 then begin
-                p.receivers.(p.receivers_len) <- dest;
-                p.receivers_len <- p.receivers_len + 1;
-                if traced then begin
-                  p.wake_sender.(dest) <- sender;
-                  p.wake_sent.(dest) <- sent
-                end
-              end;
-              push_inbox p ~sender ~dest msg;
-              match trace with
-              | Some tr ->
-                  Trace.message tr ~round:eng.current_round ~sent ~sender ~dest
-                    ~edge:de ~bits
-              | None -> ()
-            end
-          in
-          (* Deferred messages due this round arrive first, in original
-             send order, then fresh sends — so under delays an inbox is
-             no longer guaranteed to be sorted by sender.  Bits are
-             charged at the round the frame actually occupies. *)
-          if !dq_min <= eng.current_round then begin
-            (* Exact [dq_min] maintenance plus the fast-forward cap mean
-               the only due entries live in this round's bucket, already
-               in enqueue (= global sequence) order. *)
-            let slot = dq.(eng.current_round mod Array.length dq) in
-            assert (
-              !dq_min = eng.current_round
-              && slot.q_len > 0
-              && slot.q_due = eng.current_round);
-            for j = 0 to slot.q_len - 1 do
-              let de = slot.q_de.(j) in
-              let msg = slot.q_msgs.(j) in
-              let b = Msg.bits msg in
-              (* The send-entry re-scan cannot see this arc; remember it
-                 for the charge pass (first touch wins, matching the old
-                 touched-list order: deferred arrivals precede fresh
-                 sends). *)
-              if p.edge_bits.(de) = 0 then push_extra p de;
-              charge_wire de b;
-              deliver ~sent:slot.q_sent.(j) ~de ~bits:b slot.q_sender.(j)
-                slot.q_dest.(j) msg
-            done;
-            dq_count := !dq_count - slot.q_len;
-            slot.q_len <- 0;
-            slot.q_due <- -1;
-            if !dq_count = 0 then dq_min := max_int
-            else begin
-              dq_min := max_int;
-              Array.iter
-                (fun s -> if s.q_len > 0 && s.q_due < !dq_min then
-                    dq_min := s.q_due)
-                dq
+         links every inbox chain in exactly the order the pre-rewrite
+         engine produced (sorted by sender, same-sender messages in
+         reverse send order).  Send entries are NOT consumed here — the
+         charge pass below re-scans them in the same order to recover the
+         touched edges, then resets the buffers (always before the step
+         phase queues new sends).  Fault decisions are per message, drawn
+         from the splittable PRNG keyed by (edge, round, per-edge index)
+         in this serial order, so the schedule is invariant under the
+         domain count; without a policy every message is delivered. *)
+      let charge_wire de b =
+        incr round_msgs;
+        round_bits := !round_bits + b;
+        p.edge_bits.(de) <- p.edge_bits.(de) + b
+      in
+      let trace_fault kind ~sender ~dest ~de ~info =
+        match trace with
+        | Some tr ->
+            Trace.fault tr ~round:eng.current_round ~kind ~sender ~dest
+              ~edge:de ~info
+        | None -> ()
+      in
+      let deliver ~sent ~de ~bits sender dest msg =
+        (* A message reaching a node that is down is lost — the
+           CONGEST-faithful model is silence, never an error. *)
+        if is_crashed dest then begin
+          incr round_dropped;
+          trace_fault Trace.Down_drop ~sender ~dest ~de ~info:0
+        end
+        else begin
+          if p.ib_head.(dest) < 0 then begin
+            p.receivers.(p.receivers_len) <- dest;
+            p.receivers_len <- p.receivers_len + 1;
+            if traced then begin
+              p.wake_sender.(dest) <- sender;
+              p.wake_sent.(dest) <- sent
             end
           end;
-          for d = 0 to d_req - 1 do
-            let a = arenas.(d) in
-            for i = 0 to a.asenders_len - 1 do
-              let v = a.asenders.(i) in
-              Bytes.unsafe_set p.queued v '\000';
-              let lo = a.aoff.(i) in
-              let hi =
-                if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len
-              in
-              for j = hi - 1 downto lo do
-                let dest = a.s_dest.(j) and de = a.s_eids.(j) in
-                let msg = a.s_msgs.(j) in
-                let b = Msg.bits msg in
-                let sent = eng.current_round - 1 in
-                if is_crashed v then begin
-                  (* The sender went down with this frame still queued:
-                     nothing ever reaches the wire. *)
-                  incr round_dropped;
-                  trace_fault Trace.Down_drop ~sender:v ~dest ~de ~info:0
-                end
-                else
-                  match
+          push_inbox p ~sender ~dest msg;
+          match trace with
+          | Some tr ->
+              Trace.message tr ~round:eng.current_round ~sent ~sender ~dest
+                ~edge:de ~bits
+          | None -> ()
+        end
+      in
+      (* Deferred messages due this round arrive first, in original
+         send order, then fresh sends — so under delays an inbox is
+         no longer guaranteed to be sorted by sender.  Bits are
+         charged at the round the frame actually occupies. *)
+      if !dq_min <= eng.current_round then begin
+        (* Exact [dq_min] maintenance plus the fast-forward cap mean
+           the only due entries live in this round's bucket, already
+           in enqueue (= global sequence) order. *)
+        let slot = dq.(eng.current_round mod Array.length dq) in
+        assert (
+          !dq_min = eng.current_round
+          && slot.q_len > 0
+          && slot.q_due = eng.current_round);
+        for j = 0 to slot.q_len - 1 do
+          let de = slot.q_de.(j) in
+          let msg = slot.q_msgs.(j) in
+          let b = Msg.bits msg in
+          (* The send-entry re-scan cannot see this arc; remember it
+             for the charge pass (first touch wins, matching the old
+             touched-list order: deferred arrivals precede fresh
+             sends). *)
+          if p.edge_bits.(de) = 0 then push_extra p de;
+          charge_wire de b;
+          deliver ~sent:slot.q_sent.(j) ~de ~bits:b slot.q_sender.(j)
+            slot.q_dest.(j) msg
+        done;
+        dq_count := !dq_count - slot.q_len;
+        slot.q_len <- 0;
+        slot.q_due <- -1;
+        if !dq_count = 0 then dq_min := max_int
+        else begin
+          dq_min := max_int;
+          Array.iter
+            (fun s -> if s.q_len > 0 && s.q_due < !dq_min then
+                dq_min := s.q_due)
+            dq
+        end
+      end;
+      for d = 0 to d_req - 1 do
+        let a = arenas.(d) in
+        for i = 0 to a.asenders_len - 1 do
+          let v = a.asenders.(i) in
+          Bytes.unsafe_set p.queued v '\000';
+          let lo = a.aoff.(i) in
+          let hi =
+            if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len
+          in
+          for j = hi - 1 downto lo do
+            let dest = a.s_dest.(j) and de = a.s_eids.(j) in
+            let msg = a.s_msgs.(j) in
+            let b = Msg.bits msg in
+            let sent = eng.current_round - 1 in
+            if is_crashed v then begin
+              (* The sender went down with this frame still queued:
+                 nothing ever reaches the wire. *)
+              incr round_dropped;
+              trace_fault Trace.Down_drop ~sender:v ~dest ~de ~info:0
+            end
+            else
+              match
+                match fpol with
+                | None -> Faults.Deliver
+                | Some fp ->
                     Faults.draw fp ~edge:de ~round:eng.current_round
                       ~k:(next_k de)
-                  with
-                  | Faults.Deliver ->
-                      charge_wire de b;
-                      deliver ~sent ~de ~bits:b v dest msg
-                  | Faults.Drop ->
-                      charge_wire de b;
-                      incr round_dropped;
-                      trace_fault Trace.Drop ~sender:v ~dest ~de ~info:0
-                  | Faults.Truncate ->
-                      (* A truncated frame occupies at most one full
-                         bandwidth slot on the wire and is undecodable at
-                         the receiver: silence, never corruption. *)
-                      charge_wire de (if b < bw then b else bw);
-                      incr round_dropped;
-                      trace_fault Trace.Truncate ~sender:v ~dest ~de ~info:b
-                  | Faults.Duplicate ->
-                      charge_wire de b;
-                      charge_wire de b;
-                      incr round_duplicated;
-                      trace_fault Trace.Duplicate ~sender:v ~dest ~de ~info:0;
-                      deliver ~sent ~de ~bits:b v dest msg;
-                      deliver ~sent ~de ~bits:b v dest msg
-                  | Faults.Delay dl ->
-                      incr round_delayed;
-                      trace_fault Trace.Delay ~sender:v ~dest ~de ~info:dl;
-                      let due = eng.current_round + dl in
-                      let slot = dq.(due mod Array.length dq) in
-                      assert (slot.q_len = 0 || slot.q_due = due);
-                      if slot.q_len = 0 then slot.q_due <- due;
-                      push_dslot slot ~sent ~sender:v ~dest ~de msg;
-                      incr dq_count;
-                      if due < !dq_min then dq_min := due
-              done
-            done
-          done);
+              with
+              | Faults.Deliver ->
+                  charge_wire de b;
+                  deliver ~sent ~de ~bits:b v dest msg
+              | Faults.Drop ->
+                  charge_wire de b;
+                  incr round_dropped;
+                  trace_fault Trace.Drop ~sender:v ~dest ~de ~info:0
+              | Faults.Truncate ->
+                  (* A truncated frame occupies at most one full
+                     bandwidth slot on the wire and is undecodable at
+                     the receiver: silence, never corruption. *)
+                  charge_wire de (if b < bw then b else bw);
+                  incr round_dropped;
+                  trace_fault Trace.Truncate ~sender:v ~dest ~de ~info:b
+              | Faults.Duplicate ->
+                  charge_wire de b;
+                  charge_wire de b;
+                  incr round_duplicated;
+                  trace_fault Trace.Duplicate ~sender:v ~dest ~de ~info:0;
+                  deliver ~sent ~de ~bits:b v dest msg;
+                  deliver ~sent ~de ~bits:b v dest msg
+              | Faults.Delay dl ->
+                  incr round_delayed;
+                  trace_fault Trace.Delay ~sender:v ~dest ~de ~info:dl;
+                  let due = eng.current_round + dl in
+                  let slot = dq.(due mod Array.length dq) in
+                  assert (slot.q_len = 0 || slot.q_due = due);
+                  if slot.q_len = 0 then slot.q_due <- due;
+                  push_dslot slot ~sent ~sender:v ~dest ~de msg;
+                  incr dq_count;
+                  if due < !dq_min then dq_min := due
+          done
+        done
+      done;
       (* Charge bandwidth per directed edge by re-scanning what was
          delivered: deferred-arrival arcs first ([extra_touched]), then
          the send entries in the exact drain order above.  Zeroing
@@ -1437,11 +1342,6 @@ module Make (Msg : MESSAGE) = struct
     let completed =
       Account.guard acct
         ~release:(fun () ->
-          (* Every fiber still parked — a node suspended when [max_rounds]
-             hit, or a crash-stopped node culled from the live list — is
-             discontinued here so finalizers run (a no-op on a clean exit:
-             [conts] is already all-[None]). *)
-          finalize ();
           release_team ();
           if owned then p.in_use <- false)
         (fun () ->
@@ -1452,21 +1352,23 @@ module Make (Msg : MESSAGE) = struct
           live_len := 0;
           min_wake := max_int;
           for v = 0 to n - 1 do
-            if conts.(v) != none_k then begin
+            if wake.(v) >= 0 then begin
               live.(!live_len) <- v;
               incr live_len;
-              if p.wake.(v) < !min_wake then min_wake := p.wake.(v)
+              if wake.(v) < !min_wake then min_wake := wake.(v)
             end
           done;
           (match trace with
           | Some tr ->
+              (* With fast-forward off the first wake is round 1. *)
               for i = 0 to !live_len - 1 do
                 let v = live.(i) in
-                Trace.fiber_park tr ~round:0 ~node:v ~wake:p.wake.(v)
+                Trace.fiber_park tr ~round:0 ~node:v
+                  ~wake:(if fast_forward then wake.(v) else 1)
               done
           | None -> ());
           (* Quiescent-round fast-forward: with no frame in flight anywhere
-             and every live fiber parked on a wake round strictly in the
+             and every live node parked on a wake round strictly in the
              future, the rounds before the earliest wake are provably
              empty.  Under faults, a deferred message's due round bounds
              the skip just like the earliest waiter does: the round a
@@ -1487,16 +1389,91 @@ module Make (Msg : MESSAGE) = struct
           (* A final skip moved only [Stats.rounds]. *)
           eng.current_round <- eng.estats.Stats.rounds;
           (* Crash events inside a span the final fast-forward jumped over
-             were never seen by [one_round]; count them now (before
-             [finalize] kills the fibers the liveness check reads) so the
-             tally matches a round-by-round execution. *)
+             were never seen by [one_round]; count them now so the tally
+             matches a round-by-round execution. *)
           if has_crash then Account.crashed acct (crashes_due ());
           completed && !culled = 0 && eng.fail_log = [])
+    in
+    Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
+    {
+      rejections = List.rev eng.reject_log;
+      failures = List.rev eng.fail_log;
+      stats = eng.estats;
+      completed;
+    }
+
+  (* A general node program runs as a kernel of its own: [start] runs the
+     program on a fiber up to its first [Suspend k] and answers [Park k],
+     and [resume] continues that fiber with the inbox as a list.  Fibers
+     and continuations exist only here. *)
+  let run ?seed ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
+      ?fast_forward ?faults ?on_round ?on_error ?pool g program =
+    let n = Graph.n g in
+    let outputs = Array.make n None in
+    (* Parked continuations; [none_k] (an immediate sentinel compared
+       with [==]) marks "not parked", avoiding an [option] box per
+       suspension.  Slot [v] is written only by the domain stepping [v]. *)
+    let none_k : ((int * Msg.t) list, Compiled.step) Effect.Deep.continuation
+        =
+      Obj.magic 0
+    in
+    let conts = Array.make n none_k in
+    let start (c : ctx) v =
+      (* The fiber runs the program itself and [retc] stores its output
+         from the handler's side, so no frame of this closure sits under
+         the node program in the fiber's stack. *)
+      Effect.Deep.match_with program
+        { id = v; crng = None; eng = c.eng; program = true }
+        {
+          retc =
+            (fun o ->
+              outputs.(v) <- Some o;
+              Compiled.Halt);
+          exnc = (function Stopped -> Compiled.Halt | e -> raise e);
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Suspend k ->
+                  Some
+                    (fun (cont : (a, Compiled.step) Effect.Deep.continuation) ->
+                      conts.(v) <- cont;
+                      Compiled.Park k)
+              | _ -> None);
+        }
+    in
+    let resume c v inbox =
+      let k = conts.(v) in
+      conts.(v) <- none_k;
+      Effect.Deep.continue k (inbox_list c.eng.p inbox)
+    in
+    (* Every exit path must run this: a node suspended at [wait] when the
+       run ends (strict-mode overflow, node exception, [max_rounds], a
+       crash-stopped node) is discontinued with [Stopped] so its stack
+       unwinds and finalizers ([Fun.protect] etc.) run.  [Stopped] itself
+       is swallowed by the handler; any exception a node raises while
+       unwinding is dropped here so every node still gets finalized.
+       Postcondition: [conts] is all-[none_k], even if a node caught
+       [Stopped] and tried to wait again. *)
+    let finalize () =
+      for v = 0 to n - 1 do
+        let k = conts.(v) in
+        if k != none_k then begin
+          conts.(v) <- none_k;
+          (try ignore (Effect.Deep.discontinue k Stopped) with _ -> ());
+          conts.(v) <- none_k
+        end
+      done
+    in
+    let r =
+      Fun.protect ~finally:finalize (fun () ->
+          run_kernel ?seed ?bandwidth ?strict ?max_rounds ?telemetry ?trace
+            ?domains ?fast_forward ?faults ?on_round ?on_error ?pool g ~start
+            ~resume)
     in
     (* Post-condition: a completed run has an output at every node.  A
        node that silently dropped out of the run is an engine bug, never
        a result. *)
-    if completed then
+    if r.completed then
       Array.iteri
         (fun v o ->
           if Option.is_none o then
@@ -1504,12 +1481,11 @@ module Make (Msg : MESSAGE) = struct
               (Printf.sprintf
                  "Engine.run: run completed but node %d has no output" v))
         outputs;
-    Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
     {
       outputs;
-      rejections = List.rev eng.reject_log;
-      failures = List.rev eng.fail_log;
-      stats = eng.estats;
-      completed;
+      rejections = r.rejections;
+      failures = r.failures;
+      stats = r.stats;
+      completed = r.completed;
     }
 end

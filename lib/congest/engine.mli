@@ -1,10 +1,14 @@
 (** Round-synchronous CONGEST simulator.
 
-    Node programs are ordinary OCaml functions written in direct style; the
-    effect handler behind {!Make.sync} suspends a node until the next round
-    and delivers its inbox.  All nodes run in lockstep: a round consists of
-    every live node executing until its next [sync], with the messages it
-    sent becoming visible to its neighbors when their [sync] returns.
+    The engine steps {e kernels} ({!Compiled.step}): [start] at every node
+    in round 0, then [resume] with the node's inbox at each arrival or
+    deadline, run by {!Make.run_kernel} on the stepping domain's own stack.
+    A parked node is a deadline, not a continuation.  General node
+    programs, ordinary OCaml functions in direct style, run through
+    {!Make.run}, an effect adapter that is itself a kernel: each program
+    gets a fiber, which {!Make.wait} suspends until the node's next step.
+    All nodes run in lockstep: a round steps every due node once, and the
+    messages it sent reach its neighbors' next step.
 
     Bandwidth is accounted per directed edge per round.  Rather than
     fragmenting payloads, the engine charges a round in which some edge
@@ -27,11 +31,12 @@
       contiguous blocks; domain [i] steps block [i] in ascending id order.
       Rounds with fewer live nodes than a small threshold are stepped by
       the calling domain alone (same code path, one block).
-    - {b Arenas.}  Any state a node program can mutate that is not indexed
+    - {b Arenas.}  Any state a kernel hook can mutate that is not indexed
       by its own node id — the active-senders worklist, the rejection log,
       an escaping exception — is written to the stepping domain's private
-      arena.  State indexed by node id (outboxes, inboxes, continuations,
-      wake rounds, outputs, RNG states) has a single writer per round
+      arena, through the arena's one shared ctx.  State indexed by node id
+      (inboxes, wake rounds, a kernel's per-node state, a node program's
+      continuation, output and RNG state) has a single writer per round
       because blocks are disjoint.
     - {b Barrier merge.}  After all blocks finish, the calling domain
       merges arenas in index order 0..d-1.  Because blocks are contiguous
@@ -44,8 +49,8 @@
       ([parallel_rounds], [max_domains]) depend on [d].
     - {b Synchronization.}  One mutex/condition barrier per phase; its
       acquire/release pairs carry every cross-domain happens-before edge.
-      Node programs never need locks and must not touch shared mutable
-      state other than through this module's API.
+      Kernel hooks and node programs never need locks and must not touch
+      shared mutable state other than through this module's API.
     - {b Worker team.}  Worker domains are spawned once per process (on
       the first sharded round) and reused by every subsequent run —
       protocols built from thousands of short runs never pay a
@@ -57,9 +62,9 @@
       so a serial run after a wide one leaves no worker alive.
 
     {b Fast-forward.}  When a round ends with no frame in flight (no node
-    queued a send) and every live fiber is parked in a {!Make.wait} whose
-    wake round is strictly in the future, the intervening rounds are
-    provably empty: nothing to deliver, one frame charged, nobody resumed.
+    queued a send) and every live node is parked on a wake round strictly
+    in the future, the intervening rounds are provably empty: nothing to
+    deliver, one frame charged, nobody resumed.
     [run ~fast_forward:true] (the default) advances [rounds],
     [charged_rounds] and the round counter over that span in O(1) instead
     of simulating it, records the span in
@@ -74,7 +79,7 @@
     trace's run end and the run-level [congest_*] metrics all live in
     {!Account}, which {!Compiled} shares.  This module keeps the
     stepping, delivery, per-edge bandwidth charging and the event-level
-    trace records (messages, faults, fiber resume/park, shards).
+    trace records (messages, faults, resume/park, shards).
 
     {b Fault injection.}  [run ?faults] consults a {!Faults.policy} at
     delivery time — the serial, deterministically ordered half of a round
@@ -110,8 +115,9 @@ module Make (Msg : MESSAGE) : sig
   type msg = Msg.t
 
   type ctx
-  (** Handle to a node's identity and mailboxes, usable only inside a node
-      program. *)
+  (** Handle to a node's identity and mailboxes.  A node program has one
+      of its own; kernel hooks share their arena's, re-pointed at each
+      node, so a hook must use it synchronously. *)
 
   val my_id : ctx -> int
   val n_nodes : ctx -> int
@@ -123,7 +129,8 @@ module Make (Msg : MESSAGE) : sig
   (** [(neighbor, edge id)] pairs, sorted by neighbor. *)
   val incident : ctx -> (int * int) array
 
-  (** Per-node deterministic random state (derived from the run seed). *)
+  (** A node program's deterministic random state (derived from the run
+      seed).  @raise Invalid_argument from a kernel hook. *)
   val rng : ctx -> Random.State.t
 
   (** [send ctx ~dest msg] queues [msg] on the edge to neighbor [dest] for
@@ -151,30 +158,20 @@ module Make (Msg : MESSAGE) : sig
       parked node, and a round in which {e every} live node is parked with
       no message in flight is fast-forwarded in O(1) (see the module
       preamble), so protocols should prefer one [wait budget] over a
-      budget-length [sync] loop when they only react to arrivals. *)
+      budget-length [sync] loop when they only react to arrivals.  With
+      fast-forward off the stepping loop steps a waiting node every
+      round, and [wait] still returns only on an arrival or at the
+      deadline.  Only a node program run by {!run} may call it. *)
   val wait : ctx -> int -> (int * Msg.t) list
 
-  (** A kernel's inbox cursor on this engine is {!wait}'s list, so
-      {!Compiled.NET} is satisfied with no conversion: the cursor's next
-      position is the list's tail. *)
-  type inbox = (int * Msg.t) list
+  (** A kernel's inbox cursor: a slab index into the round's deliveries,
+      chained in delivery order, as in {!Compiled.Make}. *)
+  type inbox
 
   val inbox_is_empty : inbox -> bool
   val inbox_sender : ctx -> inbox -> int
   val inbox_msg : ctx -> inbox -> Msg.t
   val inbox_next : ctx -> inbox -> inbox
-
-  (** [kernel ~start ~resume] is the node program that runs a
-      {!Compiled.step} kernel on this engine: [start ctx id] once, then
-      [resume ctx id inbox] after each [wait ctx (max 1 k)] while the
-      kernel answers [Park k].  Without faults the run's stats and trace
-      are byte-identical to {!Compiled.Make.run} of the same kernel (its
-      telemetry too, at [~domains:1]). *)
-  val kernel :
-    start:(ctx -> int -> Compiled.step) ->
-    resume:(ctx -> int -> inbox -> Compiled.step) ->
-    ctx ->
-    unit
 
   (** [idle ctx k] parks for exactly [k] rounds, discarding any arrivals
       (equivalent to [k] ignored syncs, but fast-forwardable). *)
@@ -186,6 +183,14 @@ module Make (Msg : MESSAGE) : sig
   (** Record a one-sided-error rejection at this node; the program may keep
       running. *)
   val reject : ctx -> string -> unit
+
+  (** What a kernel run leaves: {!result} without outputs. *)
+  type outcome = {
+    rejections : (int * int * string) list;
+    failures : (int * int * exn) list;
+    stats : Stats.t;
+    completed : bool;
+  }
 
   type 'o result = {
     outputs : 'o option array;
@@ -239,7 +244,34 @@ module Make (Msg : MESSAGE) : sig
       again after a serial run. *)
   val team_size : unit -> int
 
-  (** [run g program] executes [program] at every node of [g].
+  (** [run_kernel g ~start ~resume] runs a {!Compiled.step} kernel, in
+      {!Compiled.Make.run}'s shape: [start ctx v] at every node in round 0
+      (ascending ids), then [resume ctx v inbox] at each round in which
+      [v] is due — a non-empty inbox, or the deadline of its last [Park k]
+      ([k <= 0] means one round) — until every node halts.  Hooks run on
+      the stepping domain's own stack; options are {!run}'s.  Without
+      faults its stats and trace equal {!Compiled.Make.run}'s for the
+      same kernel (its telemetry too, at [~domains:1]). *)
+  val run_kernel :
+    ?seed:int ->
+    ?bandwidth:int ->
+    ?strict:bool ->
+    ?max_rounds:int ->
+    ?telemetry:Telemetry.t ->
+    ?trace:Trace.t ->
+    ?domains:int ->
+    ?fast_forward:bool ->
+    ?faults:Faults.policy ->
+    ?on_round:(int -> unit) ->
+    ?on_error:[ `Propagate | `Record ] ->
+    ?pool:pool ->
+    Graphlib.Graph.t ->
+    start:(ctx -> int -> Compiled.step) ->
+    resume:(ctx -> int -> inbox -> Compiled.step) ->
+    outcome
+
+  (** [run g program] executes [program] at every node of [g], each on a
+      fiber of its own, through an adapter kernel run by {!run_kernel}.
 
       On every early exit — a strict-mode bandwidth failure, an exception
       escaping a node program, or hitting [max_rounds] — all still-suspended
@@ -262,15 +294,15 @@ module Make (Msg : MESSAGE) : sig
              traced run ticks its trace's telemetry
              ({!Trace.resolve}): pass that one, or none.
       @param trace when given, typed per-event records (message
-             deliveries, fault firings, fiber resume/park, fast-forward
+             deliveries, fault firings, resume/park, fast-forward
              spans, per-round accounting, domain-shard boundaries) are
              appended to the {!Trace.t} ring.  Simulated-event categories
              are recorded from the serial half of a round in deterministic
              order — byte-identical for every [?domains] count; host-side
              categories (shard boundaries) reflect the actual execution.
-             Fiber resume/park events are predicted on the coordinating
-             domain from the same resume predicate the stepper uses, so
-             they too are domain-count invariant.  The trace's exact
+             Resume/park events are predicted on the coordinating
+             domain from the same predicate the stepper uses, so they
+             too are domain-count invariant.  The trace's exact
              totals are those of the telemetry it is built over; with the
              argument omitted the engine's hot path pays a single branch
              per event site.
@@ -282,12 +314,13 @@ module Make (Msg : MESSAGE) : sig
              shared across runs (one run drives it at a time, concurrent
              runs step serially) and joined at process exit.
       @param fast_forward advance provably-quiescent round spans in O(1)
-             (default [true]).  [false] is the measurement baseline: it
-             also reverts {!wait} to legacy per-round stepping (every
-             waiting fiber resumed every round), reproducing the
-             pre-optimisation engine.  Accounting is identical either
-             way; only {!Stats.t.fast_forwarded_rounds} records that the
-             shortcut was taken.
+             (default [true]).  [false] is the measurement baseline: the
+             stepping loop then steps every parked node every round
+             (hooks still run only on an arrival or at the deadline),
+             reproducing the pre-optimisation engine.  Accounting is
+             identical either way; only
+             {!Stats.t.fast_forwarded_rounds} records that the shortcut
+             was taken.
       @param faults inject deterministic message/node faults drawn from
              the policy's splittable PRNG (default: none).  See
              {e Fault injection} in the module preamble.  Passing

@@ -159,7 +159,7 @@ end
 module KE = Kernels (struct
   include E
 
-  let run g ~start ~resume = (E.run g (E.kernel ~start ~resume)).E.stats
+  let run g ~start ~resume = (E.run_kernel g ~start ~resume).E.stats
 end)
 
 module KC = Kernels (struct

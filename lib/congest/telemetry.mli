@@ -111,7 +111,7 @@ type phase_view = {
   frames : int;  (** sum of per-round frame charges (= charged rounds) *)
   bits : int;
   messages : int;
-  stepped : int;  (** total node fibers resumed across the phase *)
+  stepped : int;  (** total nodes stepped across the phase *)
   parallel_rounds : int;  (** rounds stepped by more than one domain *)
   fast_forwarded : int;  (** of [rounds], how many were fast-forwarded *)
   max_domains : int;  (** peak domains used on any round (>= 1) *)

@@ -145,8 +145,8 @@ type event =
   | Shard of { round : int; domains : int; max_stepped : int;
                stepped : int }
       (** {b host-side}: the round's stepping was sharded across
-          [domains] domains; the most loaded one resumed [max_stepped]
-          of the [stepped] fibers *)
+          [domains] domains; the most loaded one stepped [max_stepped]
+          of the [stepped] nodes *)
   | Run_end of { round : int; rounds : int }
       (** one engine run finished at absolute round [round] after
           [rounds] simulated rounds; the next event's run starts here
@@ -191,9 +191,9 @@ type host_phase = {
   minor_collections : int;
   major_collections : int;
   par_rounds : int;  (** rounds whose stepping was sharded *)
-  stepped : int;  (** fibers resumed across the phase *)
+  stepped : int;  (** nodes stepped across the phase *)
   max_stepped : int;
-      (** sum over sharded rounds of the most loaded domain's fiber
+      (** sum over sharded rounds of the most loaded domain's node
           count — [max_stepped * domains / stepped] ~ load imbalance *)
   max_domains : int;
 }

@@ -14,9 +14,10 @@ let traced (st : State.t) label f =
 (* Every primitive below is one kernel (see [Congest.Compiled.step])
    written against [Congest.Compiled.NET] and instantiated for both
    executors: [Congest.Compiled]'s flat array passes ([Kc]), or the
-   fiber engine through [Eng.kernel] ([Ke]), which is the only executor
-   with a fault layer.  Stats and Telemetry are byte-identical either
-   way, so the dispatch is invisible to callers. *)
+   sharded engine's stepping loop through [Eng.run_kernel] ([Ke]), which
+   is the only executor with a fault layer.  Neither starts a fiber.
+   Stats and Telemetry are byte-identical either way, so the dispatch is
+   invisible to callers. *)
 let compiled_active (st : State.t) =
   Congest.Compiled.pick st.State.mode
     ~faults:(Congest.Faults.active st.State.faults)
@@ -38,10 +39,10 @@ let charge (st : State.t) stats ~completed =
 
 let run_fiber (st : State.t) ~start ~resume =
   let res =
-    Eng.run ?telemetry:st.State.telemetry ?trace:st.State.trace
+    Eng.run_kernel ?telemetry:st.State.telemetry ?trace:st.State.trace
       ~domains:st.State.domains ~fast_forward:st.State.fast_forward
       ?faults:st.State.faults ?on_round:st.State.on_round
-      ~pool:st.State.pool st.State.graph (Eng.kernel ~start ~resume)
+      ~pool:st.State.pool st.State.graph ~start ~resume
   in
   charge st res.Eng.stats ~completed:res.Eng.completed
 
@@ -292,11 +293,11 @@ struct
     N.run st ~start ~resume
 
   (* [bcast]'s schedule with caller-written hooks.  The hooks send
-     through a closure over [ctx]; the compiled executor hands every hook
-     of a run the same [ctx], so the closure is built once per run there.
-     On fibers the context is per node and the check misses, which only
-     builds a fresh closure: [bound] is a cache, never a channel, so a
-     node on another domain overwriting it changes nothing either. *)
+     through a closure over [ctx]; both executors hand every hook one
+     domain steps the same [ctx], so the closure is built once per run.
+     With several domains the check may miss, which only builds a fresh
+     closure: [bound] is a cache, never a channel, so a node on another
+     domain overwriting it changes nothing. *)
   let wave (st : State.t) ~budget ~start ~receive ~settle =
     let park = if budget > 0 then Park budget else Halt in
     let bound = ref None in

@@ -4,9 +4,9 @@
     network in which all nodes follow the same fixed round schedule.  Each
     is written once, as a kernel (see {!Congest.Compiled.step}), and runs
     on the executor [st.mode] selects: the compiled array passes, or the
-    fiber engine (always under faults).  There is no other way to run a
-    node program here, so without faults a compiled run never starts a
-    fiber.  Chaining primitives keeps every node in lockstep — exactly
+    sharded engine (always under faults).  There is no other way to run
+    a node program here, so no run of these primitives starts a fiber.
+    Chaining primitives keeps every node in lockstep — exactly
     the fixed-budget scheduling the paper uses (it budgets each emulated
     super-round by the [4^i] diameter bound; we budget by the true
     maximum part depth and account the nominal schedule separately).

@@ -10,7 +10,7 @@
     preallocated {!Congest.Engine.Make.pool} serves every run). *)
 module Eng : module type of Congest.Engine.Make (Msg)
 
-(** The compiled (fiber-free) executor over the same message type; the
+(** The serial compiled executor over the same message type; the
     lockstep {!Prims} kernels run on it when {!t.mode} selects the
     compiled path (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
@@ -105,7 +105,7 @@ type t = {
           rather than failing silently *)
   mutable mode : Congest.Compiled.mode;
       (** executor for the lockstep {!Prims} kernels (default [Fiber]);
-          [Compiled] runs them as fiber-free array passes when no faults
+          [Compiled] runs them as serial array passes when no faults
           are attached — accounting is byte-identical either way (see
           {!Congest.Compiled}). *)
   mutable cpool : Cmp.pool option;

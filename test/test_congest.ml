@@ -1261,9 +1261,9 @@ let test_protocols_compiled_differential =
         seed)
 
 (* A kernel's [Park k] with [k <= 0] means one round on both executors.
-   The fiber adapter must clamp before calling [wait], whose [k <= 0]
-   returns without ending the round: unclamped, this kernel would spin
-   forever inside round 1. *)
+   The engine's stepping loop clamps it like [Compiled] does: taken
+   literally, [Park 0] would wake the node again inside the round it
+   parked in. *)
 module Clamp_kernel (N : Congest.Compiled.NET with type msg = M.t) = struct
   let last = 6
 
@@ -1288,7 +1288,7 @@ let test_kernel_park_clamp () =
   List.iter
     (fun fast_forward ->
       let fiber =
-        E.run ~fast_forward g (E.kernel ~start:KE.start ~resume:KE.resume)
+        E.run_kernel ~fast_forward g ~start:KE.start ~resume:KE.resume
       in
       let compiled =
         C.run ~fast_forward g ~start:KC.start ~resume:KC.resume
@@ -1357,8 +1357,8 @@ let fiber_outcome ?max_rounds ?(capacity = 1 lsl 16) ~fast_forward g
   let module KE = K (E) in
   outcome ~capacity (fun trace ->
       let r =
-        E.run ?max_rounds ~fast_forward ~trace g
-          (E.kernel ~start:KE.start ~resume:KE.resume)
+        E.run_kernel ?max_rounds ~fast_forward ~trace g ~start:KE.start
+          ~resume:KE.resume
       in
       (r.E.stats, r.E.completed))
 
@@ -1435,10 +1435,9 @@ let test_on_round_sums_to_rounds () =
       let sum = ref 0 in
       let module KE = Far_parks (E) in
       let r =
-        E.run ~max_rounds ~fast_forward
+        E.run_kernel ~max_rounds ~fast_forward
           ~on_round:(fun d -> sum := !sum + d)
-          g
-          (E.kernel ~start:KE.start ~resume:KE.resume)
+          g ~start:KE.start ~resume:KE.resume
       in
       check_sum "engine" r.E.stats !sum;
       let sum = ref 0 in
@@ -1546,6 +1545,136 @@ let test_compiled_hook_exception () =
       let fresh = compiled_outcome ~fast_forward g (module Far_parks) in
       check_same_outcome (what ^ ": next run on the same pool") fresh reused)
     [ true; false ]
+
+(* The engine's kernel adapter as it was before kernels stepped on the
+   engine's own stack: a node program that drives a kernel through
+   [wait], over the inbox list [wait] returns ([EL]).  Run by [E.run]'s
+   effect adapter, it is the reference for [E.run_kernel]'s direct
+   stepping. *)
+module EL = struct
+  type ctx = E.ctx
+  type msg = M.t
+
+  let send = E.send
+  let send_port = E.send_port
+  let broadcast = E.broadcast
+  let round = E.round
+
+  type inbox = (int * M.t) list
+
+  let inbox_is_empty = function [] -> true | _ :: _ -> false
+  let inbox_sender _ l = fst (List.hd l)
+  let inbox_msg _ l = snd (List.hd l)
+  let inbox_next _ l = List.tl l
+end
+
+let program_of_kernel ~start ~resume c =
+  let rec loop = function
+    | Congest.Compiled.Halt -> ()
+    | Congest.Compiled.Park k ->
+        loop (resume c (E.my_id c) (E.wait c (max 1 k)))
+  in
+  loop (start c (E.my_id c))
+
+(* Traffic-dependent sends and parks (including [Park 0]) on a 49-node
+   grid, wide enough to shard; nodes 5, 16, 27 and 38 halt at start-up,
+   and node 20 raises at its first step from round 4 on. *)
+module Mixed (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let start ctx v =
+    if v mod 3 = 0 then N.broadcast ctx (M.Int v);
+    if v mod 11 = 5 then Congest.Compiled.Halt
+    else Congest.Compiled.Park (1 + (v mod 4))
+
+  let resume ctx v inbox =
+    let r = N.round ctx in
+    let sum = ref 0 and cur = ref inbox in
+    while not (N.inbox_is_empty !cur) do
+      (match N.inbox_msg ctx !cur with
+      | M.Int x -> sum := (3 * !sum) + x + N.inbox_sender ctx !cur);
+      cur := N.inbox_next ctx !cur
+    done;
+    if v = 20 && r >= 4 then failwith "node 20";
+    if r >= 14 then Congest.Compiled.Halt
+    else begin
+      if (!sum + v + r) mod 3 = 0 then N.broadcast ctx (M.Int (r + v));
+      Congest.Compiled.Park (if v mod 5 = 0 then 0 else 1 + ((v + r) mod 6))
+    end
+end
+
+let test_adapter_matches_direct () =
+  let g = Generators.grid 7 7 in
+  let policy spec =
+    match Congest.Faults.of_spec spec with
+    | Ok p -> Some p
+    | Error e -> failwith e
+  in
+  (* Node 5 halted at start-up, so only the crashes of nodes 7 and 12,
+     which are still running, count. *)
+  let crash = policy "crash=7@3,crash=5@2,crash=12@2-6" in
+  let failures = ref [] in
+  let record fs =
+    failures :=
+      List.map (fun (r, v, e) -> (r, v, Printexc.to_string e)) fs
+  in
+  List.iter
+    (fun (pname, faults) ->
+      List.iter
+        (fun (fast_forward, domains, on_error) ->
+          let what =
+            Printf.sprintf "%s ff=%b domains=%d %s" pname fast_forward domains
+              (if on_error = `Record then "record" else "propagate")
+          in
+          failures := [];
+          let direct =
+            let module K = Mixed (E) in
+            outcome ~capacity:(1 lsl 16) (fun trace ->
+                let r =
+                  E.run_kernel ?faults ~fast_forward ~domains ~on_error ~trace
+                    g ~start:K.start ~resume:K.resume
+                in
+                record r.E.failures;
+                (r.E.stats, r.E.completed))
+          in
+          let direct_failures = !failures in
+          failures := [];
+          let adapted =
+            let module K = Mixed (EL) in
+            outcome ~capacity:(1 lsl 16) (fun trace ->
+                let r =
+                  E.run ?faults ~fast_forward ~domains ~on_error ~trace g
+                    (program_of_kernel ~start:K.start ~resume:K.resume)
+                in
+                record r.E.failures;
+                (r.E.stats, r.E.completed))
+          in
+          check_same_outcome what direct adapted;
+          check (Alcotest.list triple) (what ^ ": failures") direct_failures
+            !failures;
+          if on_error = `Record then
+            check ci (what ^ ": node 20 failed") 1 (List.length !failures);
+          if domains > 1 then
+            check cb (what ^ ": sharded") true
+              (List.exists
+                 (function T.Shard _ -> true | _ -> false)
+                 direct.o_events);
+          if faults == crash then
+            match direct.o_stats with
+            | Some s ->
+                check ci (what ^ ": running nodes crashed") 2
+                  s.Congest.Stats.crashed_nodes
+            | None -> ())
+        (List.concat_map
+           (fun ff ->
+             List.concat_map
+               (fun d -> [ (ff, d, `Record); (ff, d, `Propagate) ])
+               [ 1; 4; 17 ])
+           [ true; false ]))
+    [
+      ("no faults", None);
+      ("drop", policy "drop=0.01,seed=7");
+      ("delay", policy "delay=0.3,maxdelay=3,seed=5");
+      ("crash", crash);
+    ]
 
 (* The compiled executor allocates nothing per delivery beyond the
    messages themselves: node 0 sends [count] messages to node 1 on its
@@ -1824,6 +1953,8 @@ let () =
           q test_protocols_compiled_differential;
           Alcotest.test_case "kernel Park 0 / Park -3 is one round" `Quick
             test_kernel_park_clamp;
+          Alcotest.test_case "kernel adapter matches direct stepping" `Quick
+            test_adapter_matches_direct;
         ] );
       ( "scheduler",
         [

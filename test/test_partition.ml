@@ -113,13 +113,14 @@ let test_boundary () =
     (List.sort compare seen.(1))
 
 (* Each lockstep kernel allocates per message sent, never per node
-   stepped.  On warm compiled states of singleton parts (a cycle of n
-   nodes and one of 2n), the n extra nodes may cost a kernel the words
-   of the message values they build ([msg_words] apiece: a [Root], a
-   [Bdry] or a root's [Down]) plus at most one word each.  A closure, a
-   boxed [Park] or an n-sized array per call or per node costs more.
-   The [wave] exchange sends one shared message per node, so its nodes
-   may cost a word each and no more. *)
+   stepped, on either executor: neither starts a fiber for a kernel.  On
+   warm states of singleton parts (a cycle of n nodes and one of 2n),
+   compiled and serial fiber alike, the n extra nodes may cost a kernel
+   the words of the message values they build ([msg_words] apiece: a
+   [Root], a [Bdry] or a root's [Down]) plus at most one word each.  A
+   closure, a boxed [Park], a fiber or an n-sized array per call or per
+   node costs more.  The [wave] exchange sends one shared message per
+   node, so its nodes may cost a word each and no more. *)
 let kernel_payload = Some [ 1 ]
 let wave_msg = Partition.Msg.Bdry (4, [ 1 ])
 
@@ -165,9 +166,10 @@ let alloc_words () =
   Gc.minor_words () +. major -. promoted
 
 (* Words one warm run allocates. *)
-let kernel_words n run =
+let kernel_words mode n run =
   let st = S.create (Generators.cycle n) in
-  st.S.mode <- Congest.Compiled.Compiled;
+  st.S.mode <- mode;
+  st.S.domains <- 1;
   run st;
   run st;
   let w0 = alloc_words () in
@@ -177,14 +179,20 @@ let kernel_words n run =
 let test_kernel_alloc_per_node () =
   let n = 2_000 in
   List.iter
-    (fun (name, msg_words, run) ->
-      let extra = kernel_words (2 * n) run -. kernel_words n run in
-      let bound = float_of_int ((msg_words + 1) * n) in
-      check cb
-        (Printf.sprintf "%s: %d extra nodes cost %.0f words (<= %.0f)" name n
-           extra bound)
-        true (extra <= bound))
-    alloc_kernels
+    (fun mode ->
+      List.iter
+        (fun (name, msg_words, run) ->
+          let extra =
+            kernel_words mode (2 * n) run -. kernel_words mode n run
+          in
+          let bound = float_of_int ((msg_words + 1) * n) in
+          check cb
+            (Printf.sprintf "%s %s: %d extra nodes cost %.0f words (<= %.0f)"
+               (Congest.Compiled.mode_to_string mode)
+               name n extra bound)
+            true (extra <= bound))
+        alloc_kernels)
+    [ Congest.Compiled.Compiled; Congest.Compiled.Fiber ]
 
 (* ------------------------------------------------------------------ *)
 (* Forest decomposition                                                *)
