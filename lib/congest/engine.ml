@@ -379,7 +379,6 @@ module Make (Msg : MESSAGE) = struct
 
   type engine = {
     graph : Graph.t;
-    seed : int;
     p : pool;
     estats : Stats.t;
     mutable reject_log : (int * int * string) list;
@@ -390,16 +389,17 @@ module Make (Msg : MESSAGE) = struct
   }
 
   (* Kernel hooks share one ctx per arena, re-pointed at each node the
-     arena steps; a node program gets a ctx of its own ([program]), which
-     is where its random state lives.  That state is created on first
-     use: most node programs are deterministic, and eagerly seeding n
-     states dominated the fixed cost of short engine runs.  Laziness does
-     not change the stream a program that does call {!rng} observes. *)
+     arena steps ([seed = -1]); a node program gets a ctx of its own,
+     carrying the run seed, which is where its random state lives.  That
+     state is created on first use: most node programs are deterministic,
+     and eagerly seeding n states dominated the fixed cost of short
+     engine runs.  Laziness does not change the stream a program that
+     does call {!rng} observes. *)
   type ctx = {
     mutable id : int;
     mutable crng : Random.State.t option;
     eng : engine;
-    program : bool;
+    seed : int;
   }
 
   (* [Suspend k] parks a node program's fiber until the first round with
@@ -417,9 +417,9 @@ module Make (Msg : MESSAGE) = struct
     match c.crng with
     | Some r -> r
     | None ->
-        if not c.program then
+        if c.seed < 0 then
           invalid_arg "Engine.rng: kernel hooks have no per-node random state";
-        let r = Random.State.make [| c.eng.seed; c.id; 0x5eed |] in
+        let r = Random.State.make [| c.seed; c.id; 0x5eed |] in
         c.crng <- Some r;
         r
 
@@ -494,19 +494,12 @@ module Make (Msg : MESSAGE) = struct
     let a = p.arenas.(p.arena_of.(c.id)) in
     a.arejects <- (c.eng.current_round, c.id, reason) :: a.arejects
 
-  type outcome = {
-    rejections : (int * int * string) list;
-    failures : (int * int * exn) list;
-        (* (round, node, exn), chronological; non-empty only in [`Record]
-           mode — see [?on_error] *)
-    stats : Stats.t;
-    completed : bool;
-  }
-
   type 'o result = {
     outputs : 'o option array;
     rejections : (int * int * string) list;
     failures : (int * int * exn) list;
+        (* (round, node, exn), chronological; non-empty only in [`Record]
+           mode — see [?on_error] *)
     stats : Stats.t;
     completed : bool;
   }
@@ -640,7 +633,7 @@ module Make (Msg : MESSAGE) = struct
     end;
     t
 
-  let run_kernel ?(seed = 0) ?bandwidth ?(strict = false)
+  let run_kernel ?bandwidth ?(strict = false)
       ?(max_rounds = 1_000_000) ?telemetry ?trace ?(domains = 1)
       ?(fast_forward = true) ?faults ?on_round ?(on_error = `Propagate)
       ?pool:opool g ~start ~resume =
@@ -686,7 +679,6 @@ module Make (Msg : MESSAGE) = struct
     let eng =
       {
         graph = g;
-        seed;
         p;
         estats = Account.stats acct;
         reject_log = [];
@@ -695,7 +687,7 @@ module Make (Msg : MESSAGE) = struct
       }
     in
     let ctxs =
-      Array.init d_req (fun _ -> { id = -1; crng = None; eng; program = false })
+      Array.init d_req (fun _ -> { id = -1; crng = None; eng; seed = -1 })
     in
     let wake = p.wake in
     (* Is node [v] down at the round currently being processed?  Reads
@@ -1330,9 +1322,9 @@ module Make (Msg : MESSAGE) = struct
       for d = 0 to nd_used - 1 do
         if arenas.(d).amin_wake < !min_wake then min_wake := arenas.(d).amin_wake
       done;
-      (* Inbox chains of nodes that finished earlier were never consumed:
-         drop them (idempotent for chains [build_inbox] already cleared)
-         and recycle the slab so the next round appends from slot 0. *)
+      (* Steps read inbox chains in place, so clear every receiver's
+         chain here and recycle the slab: the next round appends from
+         slot 0. *)
       for i = 0 to p.receivers_len - 1 do
         p.ib_head.(p.receivers.(i)) <- -1
       done;
@@ -1396,6 +1388,7 @@ module Make (Msg : MESSAGE) = struct
     in
     Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
     {
+      outputs = [||];
       rejections = List.rev eng.reject_log;
       failures = List.rev eng.fail_log;
       stats = eng.estats;
@@ -1406,7 +1399,7 @@ module Make (Msg : MESSAGE) = struct
      program on a fiber up to its first [Suspend k] and answers [Park k],
      and [resume] continues that fiber with the inbox as a list.  Fibers
      and continuations exist only here. *)
-  let run ?seed ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
+  let run ?(seed = 0) ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
       ?fast_forward ?faults ?on_round ?on_error ?pool g program =
     let n = Graph.n g in
     let outputs = Array.make n None in
@@ -1423,7 +1416,7 @@ module Make (Msg : MESSAGE) = struct
          from the handler's side, so no frame of this closure sits under
          the node program in the fiber's stack. *)
       Effect.Deep.match_with program
-        { id = v; crng = None; eng = c.eng; program = true }
+        { id = v; crng = None; eng = c.eng; seed }
         {
           retc =
             (fun o ->
@@ -1466,7 +1459,7 @@ module Make (Msg : MESSAGE) = struct
     in
     let r =
       Fun.protect ~finally:finalize (fun () ->
-          run_kernel ?seed ?bandwidth ?strict ?max_rounds ?telemetry ?trace
+          run_kernel ?bandwidth ?strict ?max_rounds ?telemetry ?trace
             ?domains ?fast_forward ?faults ?on_round ?on_error ?pool g ~start
             ~resume)
     in
@@ -1481,11 +1474,5 @@ module Make (Msg : MESSAGE) = struct
               (Printf.sprintf
                  "Engine.run: run completed but node %d has no output" v))
         outputs;
-    {
-      outputs;
-      rejections = r.rejections;
-      failures = r.failures;
-      stats = r.stats;
-      completed = r.completed;
-    }
+    { r with outputs }
 end

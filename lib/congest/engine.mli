@@ -184,17 +184,10 @@ module Make (Msg : MESSAGE) : sig
       running. *)
   val reject : ctx -> string -> unit
 
-  (** What a kernel run leaves: {!result} without outputs. *)
-  type outcome = {
-    rejections : (int * int * string) list;
-    failures : (int * int * exn) list;
-    stats : Stats.t;
-    completed : bool;
-  }
-
   type 'o result = {
     outputs : 'o option array;
-        (** per node; [None] if the node did not finish before [max_rounds] *)
+        (** per node; [None] if the node did not finish before [max_rounds];
+            [[||]] from {!run_kernel}, whose kernels have no outputs *)
     rejections : (int * int * string) list;
         (** full log: [(round, node, reason)] in chronological order.  The
             same node re-recording the same reason in a later round yields
@@ -249,11 +242,12 @@ module Make (Msg : MESSAGE) : sig
       (ascending ids), then [resume ctx v inbox] at each round in which
       [v] is due — a non-empty inbox, or the deadline of its last [Park k]
       ([k <= 0] means one round) — until every node halts.  Hooks run on
-      the stepping domain's own stack; options are {!run}'s.  Without
-      faults its stats and trace equal {!Compiled.Make.run}'s for the
-      same kernel (its telemetry too, at [~domains:1]). *)
+      the stepping domain's own stack; options are {!run}'s, less the
+      seed (a hook has no random state), and the result's [outputs] is
+      [[||]].  Without faults its stats and trace equal
+      {!Compiled.Make.run}'s for the same kernel (its telemetry too, at
+      [~domains:1]). *)
   val run_kernel :
-    ?seed:int ->
     ?bandwidth:int ->
     ?strict:bool ->
     ?max_rounds:int ->
@@ -268,7 +262,7 @@ module Make (Msg : MESSAGE) : sig
     Graphlib.Graph.t ->
     start:(ctx -> int -> Compiled.step) ->
     resume:(ctx -> int -> inbox -> Compiled.step) ->
-    outcome
+    'o result
 
   (** [run g program] executes [program] at every node of [g], each on a
       fiber of its own, through an adapter kernel run by {!run_kernel}.

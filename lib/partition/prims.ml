@@ -294,20 +294,21 @@ struct
 
   (* [bcast]'s schedule with caller-written hooks.  The hooks send
      through a closure over [ctx]; both executors hand every hook one
-     domain steps the same [ctx], so the closure is built once per run.
-     With several domains the check may miss, which only builds a fresh
-     closure: [bound] is a cache, never a channel, so a node on another
-     domain overwriting it changes nothing. *)
+     domain steps the same [ctx] (one per arena), so [bound] caches one
+     closure per ctx, built on its first use.  A ctx is stepped by one
+     domain at a time and the compare-and-set loses no entry, so the
+     cache holds at most one closure per domain. *)
   let wave (st : State.t) ~budget ~start ~receive ~settle =
     let park = if budget > 0 then Park budget else Halt in
-    let bound = ref None in
-    let sender ctx =
-      match !bound with
-      | Some (c, send) when c == ctx -> send
-      | _ ->
+    let bound = Atomic.make [] in
+    let rec sender ctx = lookup ctx (Atomic.get bound)
+    and lookup ctx = function
+      | (c, send) :: rest -> if c == ctx then send else lookup ctx rest
+      | [] ->
+          let l = Atomic.get bound in
           let send ~dest msg = N.send ctx ~dest msg in
-          bound := Some (ctx, send);
-          send
+          if Atomic.compare_and_set bound l ((ctx, send) :: l) then send
+          else sender ctx
     in
     let start ctx v =
       start (sender ctx) (State.node st v);
