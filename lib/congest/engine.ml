@@ -38,11 +38,11 @@ module Make (Msg : MESSAGE) = struct
 
   (* Per-domain stepping state.  During a round, each domain steps a
      disjoint block of nodes; everything a kernel hook can mutate that is
-     not indexed by its own id (the senders worklist, queued sends, the
-     rejection log, a raised exception) lands in the stepping domain's
-     arena and is merged by the coordinating domain, in arena order, after
-     the barrier.  Blocks partition the node-id-sorted worklists into
-     contiguous ascending ranges, so concatenating arenas 0..D-1
+     not indexed by its own id (the senders worklist, queued sends, a
+     raised exception) lands in the stepping domain's arena and is merged
+     by the coordinating domain, in arena order, after the barrier.
+     Blocks partition the node-id-sorted worklists into contiguous
+     ascending ranges, so concatenating arenas 0..D-1
      reproduces exactly the order a serial engine would have produced.
 
      Sends live in one flat growable buffer per arena ([s_dest] / [s_eids]
@@ -60,7 +60,6 @@ module Make (Msg : MESSAGE) = struct
     mutable s_eids : int array;  (* directed edge ids *)
     mutable s_msgs : Msg.t array;
     mutable s_len : int;
-    mutable arejects : (int * int * string) list;  (* reverse chron. *)
     mutable afailed : (int * exn) option;  (* lowest failing node in block *)
     mutable afails : (int * int * exn) list;
         (* all failing nodes in block ([`Record] mode), reverse chron. *)
@@ -79,7 +78,6 @@ module Make (Msg : MESSAGE) = struct
       s_eids = [||];
       s_msgs = [||];
       s_len = 0;
-      arejects = [];
       afailed = None;
       afails = [];
       astepped = 0;
@@ -361,7 +359,6 @@ module Make (Msg : MESSAGE) = struct
         done;
         a.asenders_len <- 0;
         a.s_len <- 0;
-        a.arejects <- [];
         a.afailed <- None;
         a.afails <- [])
       p.arenas;
@@ -381,26 +378,14 @@ module Make (Msg : MESSAGE) = struct
     graph : Graph.t;
     p : pool;
     estats : Stats.t;
-    mutable reject_log : (int * int * string) list;
-        (* (round, node, reason), reverse chronological *)
     mutable fail_log : (int * int * exn) list;
         (* (round, node, exn) in [`Record] mode, reverse chronological *)
     mutable current_round : int;
   }
 
   (* Kernel hooks share one ctx per arena, re-pointed at each node the
-     arena steps ([seed = -1]); a node program gets a ctx of its own,
-     carrying the run seed, which is where its random state lives.  That
-     state is created on first use: most node programs are deterministic,
-     and eagerly seeding n states dominated the fixed cost of short
-     engine runs.  Laziness does not change the stream a program that
-     does call {!rng} observes. *)
-  type ctx = {
-    mutable id : int;
-    mutable crng : Random.State.t option;
-    eng : engine;
-    seed : int;
-  }
+     arena steps; a node program gets a ctx of its own. *)
+  type ctx = { mutable id : int; eng : engine }
 
   (* [Suspend k] parks a node program's fiber until the first round with
      a non-empty inbox, or unconditionally after [k] rounds (k >= 1). *)
@@ -412,16 +397,6 @@ module Make (Msg : MESSAGE) = struct
   let neighbors c = Graph.neighbors c.eng.graph c.id
   let incident c = Graph.incident c.eng.graph c.id
   let round c = c.eng.current_round
-
-  let rng c =
-    match c.crng with
-    | Some r -> r
-    | None ->
-        if c.seed < 0 then
-          invalid_arg "Engine.rng: kernel hooks have no per-node random state";
-        let r = Random.State.make [| c.seed; c.id; 0x5eed |] in
-        c.crng <- Some r;
-        r
 
   (* Within one domain nodes run one at a time in ascending id order
      (both at start-up and when resumed), so appending on first use keeps
@@ -489,23 +464,14 @@ module Make (Msg : MESSAGE) = struct
     in
     loop ()
 
-  let reject c reason =
-    let p = c.eng.p in
-    let a = p.arenas.(p.arena_of.(c.id)) in
-    a.arejects <- (c.eng.current_round, c.id, reason) :: a.arejects
-
   type 'o result = {
     outputs : 'o option array;
-    rejections : (int * int * string) list;
     failures : (int * int * exn) list;
         (* (round, node, exn), chronological; non-empty only in [`Record]
            mode — see [?on_error] *)
     stats : Stats.t;
     completed : bool;
   }
-
-  let distinct_rejections l =
-    List.sort_uniq compare (List.map (fun (_, v, reason) -> (v, reason)) l)
 
   (* Below this many live nodes, a round is stepped by the coordinating
      domain alone: the work is too small to amortize a barrier. *)
@@ -681,14 +647,11 @@ module Make (Msg : MESSAGE) = struct
         graph = g;
         p;
         estats = Account.stats acct;
-        reject_log = [];
         fail_log = [];
         current_round = 0;
       }
     in
-    let ctxs =
-      Array.init d_req (fun _ -> { id = -1; crng = None; eng; seed = -1 })
-    in
+    let ctxs = Array.init d_req (fun _ -> { id = -1; eng }) in
     let wake = p.wake in
     (* Is node [v] down at the round currently being processed?  Reads
        only immutable schedule arrays and [current_round] (stable during
@@ -773,7 +736,7 @@ module Make (Msg : MESSAGE) = struct
        own stack: run [resume] for each node whose inbox is non-empty or
        whose deadline has arrived, and compact the survivors to the front
        of the slice.  Nodes are visited in ascending id order, so each
-       arena's sends/rejects come out in serial order for its block. *)
+       arena's sends come out in serial order for its block. *)
     let step_range d lo hi =
       let a = arenas.(d) and c = ctxs.(d) in
       let r = eng.current_round in
@@ -962,20 +925,6 @@ module Make (Msg : MESSAGE) = struct
               eng.fail_log <- f @ eng.fail_log;
               a.afails <- []
         done
-    in
-    let merge_rejects () =
-      (* Arena d's list is reverse-chronological for its ascending block;
-         prepending blocks 0..D-1 in order leaves the highest block at the
-         head — the same reverse-chronological global log a serial round
-         produces. *)
-      for d = 0 to d_req - 1 do
-        let a = arenas.(d) in
-        match a.arejects with
-        | [] -> ()
-        | r ->
-            eng.reject_log <- r @ eng.reject_log;
-            a.arejects <- []
-      done
     in
     let total_stepped nd =
       let s = ref 0 in
@@ -1302,7 +1251,6 @@ module Make (Msg : MESSAGE) = struct
       | None -> ());
       check_failures ();
       merge_failures ();
-      merge_rejects ();
       if has_crash then
         for d = 0 to nd_used - 1 do
           culled := !culled + arenas.(d).aculled
@@ -1340,7 +1288,6 @@ module Make (Msg : MESSAGE) = struct
           let (_ : int) = run_phase ~start:true n in
           check_failures ();
           merge_failures ();
-          merge_rejects ();
           live_len := 0;
           min_wake := max_int;
           for v = 0 to n - 1 do
@@ -1389,7 +1336,6 @@ module Make (Msg : MESSAGE) = struct
     Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
     {
       outputs = [||];
-      rejections = List.rev eng.reject_log;
       failures = List.rev eng.fail_log;
       stats = eng.estats;
       completed;
@@ -1399,7 +1345,7 @@ module Make (Msg : MESSAGE) = struct
      program on a fiber up to its first [Suspend k] and answers [Park k],
      and [resume] continues that fiber with the inbox as a list.  Fibers
      and continuations exist only here. *)
-  let run ?(seed = 0) ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
+  let run ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
       ?fast_forward ?faults ?on_round ?on_error ?pool g program =
     let n = Graph.n g in
     let outputs = Array.make n None in
@@ -1416,7 +1362,7 @@ module Make (Msg : MESSAGE) = struct
          from the handler's side, so no frame of this closure sits under
          the node program in the fiber's stack. *)
       Effect.Deep.match_with program
-        { id = v; crng = None; eng = c.eng; seed }
+        { id = v; eng = c.eng }
         {
           retc =
             (fun o ->

@@ -32,20 +32,22 @@
       Rounds with fewer live nodes than a small threshold are stepped by
       the calling domain alone (same code path, one block).
     - {b Arenas.}  Any state a kernel hook can mutate that is not indexed
-      by its own node id — the active-senders worklist, the rejection log,
+      by its own node id — the active-senders worklist and queued sends,
       an escaping exception — is written to the stepping domain's private
       arena, through the arena's one shared ctx.  State indexed by node id
       (inboxes, wake rounds, a kernel's per-node state, a node program's
-      continuation, output and RNG state) has a single writer per round
-      because blocks are disjoint.
+      continuation and output) has a single writer per round because
+      blocks are disjoint.  The engine keeps no other per-node state: a
+      protocol that needs randomness derives it from its own seed and the
+      node id.
     - {b Barrier merge.}  After all blocks finish, the calling domain
       merges arenas in index order 0..d-1.  Because blocks are contiguous
       ascending id ranges, concatenating the arenas' sender lists yields
       the exact globally-ascending sender order of the serial engine, so
-      inbox contents, per-edge bit totals, frame charges, the rejection
-      log, and the choice of which exception propagates (the lowest
-      failing node id) are all {e byte-identical for every d}, including
-      [d = 1].  Only wall-clock time and the telemetry utilization fields
+      inbox contents, per-edge bit totals, frame charges and the choice
+      of which exception propagates (the lowest failing node id) are all
+      {e byte-identical for every d}, including [d = 1].  Only
+      wall-clock time and the telemetry utilization fields
       ([parallel_rounds], [max_domains]) depend on [d].
     - {b Synchronization.}  One mutex/condition barrier per phase; its
       acquire/release pairs carry every cross-domain happens-before edge.
@@ -129,10 +131,6 @@ module Make (Msg : MESSAGE) : sig
   (** [(neighbor, edge id)] pairs, sorted by neighbor. *)
   val incident : ctx -> (int * int) array
 
-  (** A node program's deterministic random state (derived from the run
-      seed).  @raise Invalid_argument from a kernel hook. *)
-  val rng : ctx -> Random.State.t
-
   (** [send ctx ~dest msg] queues [msg] on the edge to neighbor [dest] for
       delivery at the end of the current round.  Raises [Invalid_argument]
       if [dest] is not a neighbor. *)
@@ -180,18 +178,10 @@ module Make (Msg : MESSAGE) : sig
   (** Current round number (starts at 0, increments at each [sync]). *)
   val round : ctx -> int
 
-  (** Record a one-sided-error rejection at this node; the program may keep
-      running. *)
-  val reject : ctx -> string -> unit
-
   type 'o result = {
     outputs : 'o option array;
         (** per node; [None] if the node did not finish before [max_rounds];
             [[||]] from {!run_kernel}, whose kernels have no outputs *)
-    rejections : (int * int * string) list;
-        (** full log: [(round, node, reason)] in chronological order.  The
-            same node re-recording the same reason in a later round yields
-            a separate entry (use {!distinct_rejections} for display). *)
     failures : (int * int * exn) list;
         (** [(round, node, exn)] for every node program that raised, in
             chronological order — non-empty only with [~on_error:`Record]
@@ -202,10 +192,6 @@ module Make (Msg : MESSAGE) : sig
         (** all nodes ran to completion (false when [max_rounds] hit, a
             node crash-stopped, or a failure was recorded) *)
   }
-
-  (** Deduplicated display view of a rejection log: distinct
-      [(node, reason)] pairs, sorted. *)
-  val distinct_rejections : (int * int * string) list -> (int * string) list
 
   type pool
   (** Preallocated delivery state (message buffers, per-edge bit counters,
@@ -242,11 +228,10 @@ module Make (Msg : MESSAGE) : sig
       (ascending ids), then [resume ctx v inbox] at each round in which
       [v] is due — a non-empty inbox, or the deadline of its last [Park k]
       ([k <= 0] means one round) — until every node halts.  Hooks run on
-      the stepping domain's own stack; options are {!run}'s, less the
-      seed (a hook has no random state), and the result's [outputs] is
-      [[||]].  Without faults its stats and trace equal
-      {!Compiled.Make.run}'s for the same kernel (its telemetry too, at
-      [~domains:1]). *)
+      the stepping domain's own stack; options are {!run}'s, and the
+      result's [outputs] is [[||]].  Without faults its stats and trace
+      equal {!Compiled.Make.run}'s for the same kernel (its telemetry
+      too, at [~domains:1]). *)
   val run_kernel :
     ?bandwidth:int ->
     ?strict:bool ->
@@ -272,7 +257,6 @@ module Make (Msg : MESSAGE) : sig
       nodes are discontinued with {!Stopped} before [run] returns or
       re-raises, so no live continuation (or its finalizers) is abandoned.
 
-      @param seed     determinism seed for the per-node random states.
       @param bandwidth per-edge per-round bit budget
              (default {!Bits.default_bandwidth}).
       @param strict raise [Failure] on the first (edge, round) pair whose
@@ -338,7 +322,6 @@ module Make (Msg : MESSAGE) : sig
       @param pool reuse preallocated delivery state (must come from
              [pool g] on the same graph value). *)
   val run :
-    ?seed:int ->
     ?bandwidth:int ->
     ?strict:bool ->
     ?max_rounds:int ->

@@ -116,11 +116,10 @@ type report = {
     [Accept], [Degraded] — or [Reject] only when no fault actually fired,
     so the report is identical for any [domains] and [fast_forward]
     setting, faults included.  [mode] selects the executor for the
-    lockstep Stage I kernels (default [Fiber]): [Compiled] runs them as
-    fiber-free array passes when no faults are attached, with a
-    byte-identical report, Stats and Telemetry (see
-    {!Congest.Compiled}); Stage II and general node programs always use
-    the fiber engine.  [checkpoint] enables phase-boundary
+    lockstep kernels, Stage II's included (default [Fiber]): [Compiled]
+    runs them as serial array passes when no faults are attached, with
+    a byte-identical report, Stats and Telemetry (see
+    {!Congest.Compiled}).  [checkpoint] enables phase-boundary
     checkpoint/resume (see {!checkpoint}); it requires the [Stage_one]
     partition and raises [Invalid_argument] with any other.
     Snapshots carry the telemetry series and the event-trace state, so a

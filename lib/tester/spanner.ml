@@ -1,8 +1,6 @@
 open Graphlib
 module S = Partition.State
 
-type mode = Deterministic | Randomized of float
-
 type result = {
   spanner : Graph.t;
   tree_edges : int;
@@ -12,23 +10,29 @@ type result = {
   nominal_rounds : int;
 }
 
-let build ?(mode = Deterministic) ?(seed = 0) g ~eps =
-  let n = Graph.n g in
-  let st =
-    match mode with
-    | Deterministic ->
-        (* Stage1 target is eps' * m / 2 edges; we want eps * n. *)
-        let eps' =
-          if Graph.m g = 0 then eps
-          else
-            min 0.999 (2.0 *. eps *. float_of_int n /. float_of_int (Graph.m g))
-        in
-        let eps' = max eps' 1e-9 in
-        (Partition.Stage1.run g ~eps:eps').Partition.Stage1.state
-    | Randomized delta ->
-        (Partition.Random_partition.run g ~eps ~delta ~seed)
-          .Partition.Random_partition.state
+(* The cut target is [eps * n] edges; each partition states its own
+   target in other units: Stage I [eps' * m / 2], exponential shifts
+   [eps' * m], Random_partition [eps' * n]. *)
+let partition_eps g ~eps (partition : Harness.partition_mode) =
+  let n = float_of_int (Graph.n g) and m = float_of_int (Graph.m g) in
+  let per_edge scale =
+    if m = 0.0 then eps else max 1e-9 (min 0.999 (scale *. eps *. n /. m))
   in
+  match partition with
+  | Stage_one -> per_edge 2.0
+  | Exponential_shifts -> per_edge 1.0
+  | Randomized _ -> eps
+
+let build ?(partition = Harness.Stage_one) ?(seed = 0) ?state g ~eps =
+  let n = Graph.n g in
+  let st = match state with Some st -> st | None -> S.create g in
+  let eps' = partition_eps g ~eps partition in
+  (match partition with
+  | Stage_one -> ignore (Partition.Stage1.run ~state:st g ~eps:eps')
+  | Exponential_shifts ->
+      ignore (Partition.En_partition.run ~seed ~state:st g ~eps:eps')
+  | Randomized delta ->
+      ignore (Partition.Random_partition.run ~state:st g ~eps:eps' ~delta ~seed));
   let bfs = Part_bfs.build st in
   (* Every node contributes its BFS parent edge and its incident cut
      edges; the orchestrator assembles the edge set. *)

@@ -3,11 +3,10 @@
     Run a partitioning algorithm with edge-cut target [eps * n], then keep
     the BFS tree of every part plus every inter-part edge.  The result has
     at most [(1 + eps) n] edges (deterministically for the Stage I
-    partition; with probability [1 - delta] for the Theorem 4 variant) and
-    stretch at most [2 D + 1] where [D] is the maximum part diameter —
-    [poly (1/eps)]. *)
-
-type mode = Deterministic | Randomized of float  (** confidence [delta] *)
+    partition; with probability [1 - delta] for the Theorem 4 variant;
+    the exponential shifts bound their cut only up to a constant, in
+    expectation) and stretch at most [2 D + 1] where [D] is the maximum
+    part diameter — [poly (1/eps)]. *)
 
 type result = {
   spanner : Graphlib.Graph.t;
@@ -18,7 +17,20 @@ type result = {
   nominal_rounds : int;
 }
 
-val build : ?mode:mode -> ?seed:int -> Graphlib.Graph.t -> eps:float -> result
+(** [build ?partition ?seed ?state g ~eps] runs [partition] (default
+    [Stage_one]; [seed] drives the randomized ones) and {!Part_bfs.build}
+    on [state] (default a fresh {!Partition.State.t}), so every round runs
+    with that state's engine settings: domains, mode, fast-forward,
+    telemetry and trace.  Each partition's own eps is set so its cut
+    target is [eps * n] edges.  [rounds] and [nominal_rounds] are the
+    state's totals, so pass a fresh state. *)
+val build :
+  ?partition:Harness.partition_mode ->
+  ?seed:int ->
+  ?state:Partition.State.t ->
+  Graphlib.Graph.t ->
+  eps:float ->
+  result
 
 (** [measured_stretch ?samples ?rng g spanner] — the maximum over (sampled)
     edges [(u, v)] of [g] of the spanner distance from [u] to [v] (exact

@@ -131,36 +131,8 @@ let test_max_rounds_timeout () =
 
 let triple = Alcotest.triple ci ci Alcotest.string
 
-let test_rejection_log () =
-  let g = Generators.path 3 in
-  let res =
-    E.run g (fun ctx -> if E.my_id ctx = 1 then E.reject ctx "bad")
-  in
-  check (Alcotest.list triple) "rejections" [ (0, 1, "bad") ] res.E.rejections
-
-(* Regression: identical (node, reason) rejections recorded in different
-   rounds used to be collapsed by a [sort_uniq] — the full log must keep
-   them all, with the deduped view exposed separately. *)
-let test_rejection_log_not_collapsed () =
-  let g = Generators.path 3 in
-  let res =
-    E.run g (fun ctx ->
-        if E.my_id ctx = 1 then begin
-          E.reject ctx "dup";
-          ignore (E.sync ctx);
-          E.reject ctx "dup";
-          ignore (E.sync ctx);
-          E.reject ctx "other"
-        end)
-  in
-  check (Alcotest.list triple) "chronological full log"
-    [ (0, 1, "dup"); (1, 1, "dup"); (2, 1, "other") ]
-    res.E.rejections;
-  check
-    (Alcotest.list (Alcotest.pair ci Alcotest.string))
-    "deduped display view"
-    [ (1, "dup"); (1, "other") ]
-    (E.distinct_rejections res.E.rejections)
+(* A node's random stream, derived from a run seed and its id. *)
+let node_rng seed ctx = Random.State.make [| seed; E.my_id ctx; 0x5eed |]
 
 let test_message_accounting () =
   let g = Generators.path 2 in
@@ -192,8 +164,8 @@ let test_bandwidth_charging () =
 let test_determinism () =
   let g = Generators.grid 4 4 in
   let run () =
-    E.run ~seed:3 g (fun ctx ->
-        let r = Random.State.int (E.rng ctx) 1000 in
+    E.run g (fun ctx ->
+        let r = Random.State.int (node_rng 3 ctx) 1000 in
         E.broadcast ctx (M.Int r);
         List.fold_left (fun acc (_, M.Int v) -> acc + v) r (E.sync ctx))
   in
@@ -368,11 +340,12 @@ let test_max_edge_bits_per_destination () =
 let inbox_transcript seed =
   let g = Generators.grid 5 5 in
   let res =
-    E.run ~seed g (fun ctx ->
+    E.run g (fun ctx ->
+        let rng = node_rng seed ctx in
         let log = ref [] in
-        let r = Random.State.int (E.rng ctx) 3 + 1 in
+        let r = Random.State.int rng 3 + 1 in
         for _ = 1 to r do
-          E.broadcast ctx (M.Int (Random.State.int (E.rng ctx) 500));
+          E.broadcast ctx (M.Int (Random.State.int rng 500));
           log := E.sync ctx :: !log
         done;
         List.rev !log)
@@ -800,8 +773,8 @@ let test_fast_forward_capped_by_max_rounds () =
 
 (* A messaging protocol with staggered waits: the hub pings every leaf
    after a long pause, leaves wake on arrival and echo back.  Nominal
-   accounting, outputs and the rejection log must be byte-identical with
-   fast-forward on and off. *)
+   accounting and outputs must be byte-identical with fast-forward on and
+   off. *)
 let ping_echo ff =
   let g = Generators.star 8 in
   E.run ~fast_forward:ff g (fun ctx ->
@@ -814,7 +787,6 @@ let ping_echo ff =
       else
         match E.wait ctx 100 with
         | [ (0, M.Int v) ] ->
-            if E.my_id ctx = 3 then E.reject ctx "three";
             E.send ctx ~dest:0 (M.Int (v * 2));
             ignore (E.wait ctx 1);
             v
@@ -827,8 +799,6 @@ let test_fast_forward_stats_identical_with_traffic () =
   check cb "stats identical" true
     (stats_tuple on.E.stats = stats_tuple off.E.stats);
   check cb "outputs identical" true (on.E.outputs = off.E.outputs);
-  check cb "rejection logs identical" true
-    (on.E.rejections = off.E.rejections);
   check (Alcotest.option ci) "hub summed doubled pings" (Some 70)
     on.E.outputs.(0)
 
@@ -838,23 +808,22 @@ let test_fast_forward_stats_identical_with_traffic () =
 
 (* 25 live nodes exceeds the engine's sharding threshold, so d > 1 runs
    genuinely cut the worklist into blocks.  Everything observable —
-   inbox transcripts, outputs, stats, the rejection log — must match the
-   serial run exactly. *)
+   inbox transcripts, outputs, stats — must match the serial run
+   exactly. *)
 let sharded_run d =
   let g = Generators.grid 5 5 in
   let res =
-    E.run ~seed:7 ~domains:d g (fun ctx ->
+    E.run ~domains:d g (fun ctx ->
         let log = ref [] in
-        let r = Random.State.int (E.rng ctx) 3 + 2 in
+        let r = Random.State.int (node_rng 7 ctx) 3 + 2 in
         for i = 1 to r do
           E.broadcast ctx (M.Int ((100 * E.my_id ctx) + i));
           log := E.sync ctx :: !log
         done;
-        if Random.State.int (E.rng ctx) 5 = 0 then E.reject ctx "sampled";
         ignore (E.wait ctx (1 + (E.my_id ctx mod 4)));
         List.rev !log)
   in
-  (res.E.outputs, stats_tuple res.E.stats, res.E.rejections)
+  (res.E.outputs, stats_tuple res.E.stats)
 
 let test_sharded_accounting_invariant () =
   let serial = sharded_run 1 in
@@ -1829,9 +1798,6 @@ let () =
           Alcotest.test_case "send to non-neighbor" `Quick
             test_send_non_neighbor_rejected;
           Alcotest.test_case "max_rounds" `Quick test_max_rounds_timeout;
-          Alcotest.test_case "rejection log" `Quick test_rejection_log;
-          Alcotest.test_case "rejection log keeps repeats" `Quick
-            test_rejection_log_not_collapsed;
           Alcotest.test_case "message accounting" `Quick
             test_message_accounting;
           Alcotest.test_case "bandwidth charging" `Quick

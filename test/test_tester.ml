@@ -353,6 +353,45 @@ let test_cycle_free_one_sided_qcheck =
 (* Spanners                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every engine setting a caller's state carries: the spanners must come
+   out the same under each. *)
+let spanner_settings =
+  List.concat_map
+    (fun mode -> List.map (fun d -> (d, mode)) [ 1; 4; 17 ])
+    Congest.Compiled.[ Fiber; Compiled ]
+
+let settings_state g (domains, mode) =
+  let st = Partition.State.create g in
+  st.Partition.State.domains <- domains;
+  st.Partition.State.mode <- mode;
+  st
+
+let check_settings_agree name build =
+  let serial = build None in
+  List.iter
+    (fun ((d, mode) as setting) ->
+      check cb
+        (Printf.sprintf "%s: domains=%d mode=%s agrees with the default" name d
+           (Congest.Compiled.mode_to_string mode))
+        true
+        (build (Some setting) = serial))
+    spanner_settings
+
+(* Edge set (in construction order), rounds and nominal rounds. *)
+let spanner_outcome ?partition ?seed g ~eps setting =
+  let state = Option.map (settings_state g) setting in
+  let r = Tester.Spanner.build ?partition ?seed ?state g ~eps in
+  ( Graph.endpoints r.Tester.Spanner.spanner,
+    r.Tester.Spanner.rounds,
+    r.Tester.Spanner.nominal_rounds )
+
+let en_outcome g ~k ~seed setting =
+  let state = Option.map (settings_state g) setting in
+  let r = Tester.Elkin_neiman.build ?state g ~k ~delta:0.2 ~seed in
+  ( Graph.endpoints r.Tester.Elkin_neiman.spanner,
+    r.Tester.Elkin_neiman.rounds,
+    r.Tester.Elkin_neiman.failed )
+
 let test_spanner_size_and_stretch () =
   let g = Generators.apollonian (Random.State.make [| 11 |]) 250 in
   let eps = 0.3 in
@@ -365,7 +404,8 @@ let test_spanner_size_and_stretch () =
   check cb "measured within bound" true
     (stretch <= r.Tester.Spanner.stretch_bound);
   (* spanner is a subgraph *)
-  Graph.iter_edges (fun _ u v -> check cb "edge of g" true (Graph.has_edge g u v)) sp
+  Graph.iter_edges (fun _ u v -> check cb "edge of g" true (Graph.has_edge g u v)) sp;
+  check_settings_agree "stage_one" (spanner_outcome g ~eps)
 
 let test_spanner_tree_input () =
   let g = Generators.random_tree (Random.State.make [| 12 |]) 100 in
@@ -375,11 +415,11 @@ let test_spanner_tree_input () =
 
 let test_spanner_randomized_mode () =
   let g = Generators.apollonian (Random.State.make [| 13 |]) 200 in
-  let r =
-    Tester.Spanner.build ~mode:(Tester.Spanner.Randomized 0.1) ~seed:4 g
-      ~eps:0.4
-  in
-  check cb "connected" true (Traversal.is_connected r.Tester.Spanner.spanner)
+  let partition = Tester.Harness.Randomized 0.1 in
+  let r = Tester.Spanner.build ~partition ~seed:4 g ~eps:0.4 in
+  check cb "connected" true (Traversal.is_connected r.Tester.Spanner.spanner);
+  check_settings_agree "randomized"
+    (spanner_outcome ~partition ~seed:4 g ~eps:0.4)
 
 let test_spanner_qcheck =
   QCheck.Test.make ~name:"spanner: size bound and stretch on planar inputs"
@@ -412,7 +452,15 @@ let test_en_stretch () =
 let test_en_rounds () =
   let g = Generators.grid 8 8 in
   let r = Tester.Elkin_neiman.build g ~k:5 ~delta:0.2 ~seed:1 in
-  check ci "k rounds" 5 r.Tester.Elkin_neiman.rounds
+  check ci "k rounds" 5 r.Tester.Elkin_neiman.rounds;
+  (* Pinned from the node-program implementation: the port keeps each
+     node's draws and the first-arrival tie rules, down to the order the
+     edges are collected in. *)
+  check ci "pinned edge count" 108 r.Tester.Elkin_neiman.edges;
+  check Alcotest.int64 "pinned edge set" 1503593733665823712L
+    (Graph.fingerprint r.Tester.Elkin_neiman.spanner);
+  check cb "not failed" false r.Tester.Elkin_neiman.failed;
+  check_settings_agree "elkin-neiman" (en_outcome g ~k:5 ~seed:1)
 
 let test_en_qcheck =
   QCheck.Test.make ~name:"elkin-neiman: stretch bound when no failure"
