@@ -1,5 +1,5 @@
 .PHONY: all build test bench fuzz trace critpath monitor monitor-baseline \
-  scale compiled testers live perf-smoke ci clean
+  scale testers live perf-smoke ci clean
 
 all: build
 
@@ -26,10 +26,10 @@ fuzz: build
 	  ./_build/default/test/test_prop.exe
 
 # End-to-end tracing check (also a CI leg): record the same tester run
-# under --domains 1, --domains 4, --no-fast-forward and --mode compiled
-# (fast-forward on and off), assert with `planartrace diff` that the
-# simulated accounting of each is byte-identical to the serial fiber
-# trace (only host metrics may differ), do the same for the run under
+# under --domains 1, --domains 4 and --no-fast-forward, assert with
+# `planartrace diff` that the simulated accounting of each is
+# byte-identical to the serial trace (only host metrics may differ), do
+# the same for the run under
 # --faults drop=0.01,seed=7 at --domains 1, --domains 4 and
 # --no-fast-forward, and validate the Perfetto
 # export round-trip — the export is a pure function of the
@@ -48,13 +48,8 @@ trace: build
 	  --eps 0.3 --domains 4 --trace $(TRACE_DIR)/d4.ctrace
 	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
 	  --eps 0.3 --no-fast-forward --trace $(TRACE_DIR)/noff.ctrace
-	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
-	  --eps 0.3 --mode compiled --trace $(TRACE_DIR)/comp.ctrace
-	./_build/default/bin/planartest.exe test $(TRACE_DIR)/input.txt \
-	  --eps 0.3 --mode compiled --no-fast-forward \
-	  --trace $(TRACE_DIR)/comp-noff.ctrace
 	./_build/default/bin/planartrace.exe info $(TRACE_DIR)/d1.ctrace
-	set -e; for t in d4 noff comp comp-noff; do \
+	set -e; for t in d4 noff; do \
 	  ./_build/default/bin/planartrace.exe diff $(TRACE_DIR)/d1.ctrace \
 	    $(TRACE_DIR)/$$t.ctrace; \
 	done
@@ -82,10 +77,10 @@ trace: build
 #      round (path length = total traced rounds, zero excess, ring
 #      complete), and the JSON must carry the locked critpath/v1 tag.
 #   2. invariance — the critpath JSON of the same (smaller) workload
-#      must be byte-identical under --domains 1/4, --no-fast-forward
-#      and --mode compiled (the ff-off leg records every per-round spin
-#      resume, so it needs the bigger share of the ring; the analyzer's
-#      timer-collapse folds them back into the same path).
+#      must be byte-identical under --domains 1/4 and --no-fast-forward
+#      (the ff-off leg records every per-round spin resume, so it needs
+#      the bigger share of the ring; the analyzer's timer-collapse folds
+#      them back into the same path).
 #   3. delay-storm attribution — the tester is deadline-scheduled, so a
 #      delay storm shows up as slack absorption, never path excess: the
 #      storm leg locks the path's excess at zero.  The complementary
@@ -122,10 +117,6 @@ critpath: build
 	  --eps 0.1 --seed 3 --no-fast-forward \
 	  --trace $(CRITPATH_DIR)/noff.ctrace \
 	  --trace-capacity 1048576 --log-level warn > /dev/null
-	./_build/default/bin/planartest.exe test $(CRITPATH_DIR)/g64.txt \
-	  --eps 0.1 --seed 3 --mode compiled \
-	  --trace $(CRITPATH_DIR)/comp.ctrace \
-	  --trace-capacity 1048576 --log-level warn > /dev/null
 	./_build/default/bin/planartrace.exe critpath $(CRITPATH_DIR)/d1.ctrace \
 	  --gate exact --json $(CRITPATH_DIR)/d1.critpath.json > /dev/null
 	./_build/default/bin/planartrace.exe critpath $(CRITPATH_DIR)/d4.ctrace \
@@ -133,12 +124,8 @@ critpath: build
 	./_build/default/bin/planartrace.exe critpath \
 	  $(CRITPATH_DIR)/noff.ctrace \
 	  --json $(CRITPATH_DIR)/noff.critpath.json > /dev/null
-	./_build/default/bin/planartrace.exe critpath \
-	  $(CRITPATH_DIR)/comp.ctrace \
-	  --json $(CRITPATH_DIR)/comp.critpath.json > /dev/null
 	cmp $(CRITPATH_DIR)/d1.critpath.json $(CRITPATH_DIR)/d4.critpath.json
 	cmp $(CRITPATH_DIR)/d1.critpath.json $(CRITPATH_DIR)/noff.critpath.json
-	cmp $(CRITPATH_DIR)/d1.critpath.json $(CRITPATH_DIR)/comp.critpath.json
 	./_build/default/bin/planartest.exe test $(CRITPATH_DIR)/g256.txt \
 	  --eps 0.3 --seed 3 --faults "delay=0.2,maxdelay=8,seed=7" \
 	  --trace $(CRITPATH_DIR)/storm.ctrace --trace-capacity 1048576 \
@@ -230,123 +217,61 @@ scale: build
 	./_build/default/bin/planartrace.exe diff $(SCALE_DIR)/full.ctrace \
 	  $(SCALE_DIR)/resumed.ctrace
 
-# Compiled execution-mode gate (also a CI leg).  Three halves:
-#   1. byte-identity — the same planartest run under --mode fiber and
-#      --mode compiled must produce cmp-identical stats JSON (a grid, a
-#      far-from-planar input, which takes Stage I's reject path, and an
-#      apollonian triangulation, each with fast-forward on and off), and
-#      the same quick bench E1, E11 (the randomized partition) and E13
-#      (the exponential-shift partition) sweeps must produce
-#      cmp-identical BENCH JSON (--no-timings strips the only
-#      legitimately host-dependent fields).  Both modes run the same
-#      protocol kernels, so this holds the sharded engine's kernel
-#      stepping to the compiled executor.  Each input also runs
-#      under --domains 4 in both modes, and under an oversubscribed
-#      --domains 17 on fibers (node hooks then run on many worker
-#      domains, which is where a per-node table written from the wrong
-#      node would race), each gated by `planarmon compare --no-wall`
-#      against the serial fiber stats JSON: only the members that echo
-#      the domain count (Report.field_class Config) may differ.
-#   2. the differential property suite under a pinned QCHECK_SEED (the
-#      compiled-vs-fiber invariance property lives in test_prop.exe).
-#   3. the full-size C1 experiment with its throughput gate: on a
-#      flood kernel with fast-forward off, the compiled executor's
-#      speedup over the same kernel run as per-node fibers (resumed
-#      every parked round, as the fiber executor once ran kernels) must
-#      reach C1_MIN_SPEEDUP (default 10) on both E1 families.  C1 also
-#      hard-asserts stats equality across the executors internally.
-# COMPILED_DIR keeps the artifacts for upload on CI failure.
-COMPILED_DIR ?= /tmp/planarcompiled
-C1_MIN_SPEEDUP ?= 10
-compiled: build
-	mkdir -p $(COMPILED_DIR)
-	./_build/default/bin/planartest.exe gen --family grid --n 1024 \
-	  > $(COMPILED_DIR)/grid.txt
-	./_build/default/bin/planartest.exe gen --family far --n 1024 \
-	  --param 0.25 > $(COMPILED_DIR)/far.txt
-	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
-	  > $(COMPILED_DIR)/apollonian.txt
-	for g in grid far apollonian; do for ff in '' --no-fast-forward; do \
-	  for mode in fiber compiled; do \
-	    ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
-	      --eps 0.3 --mode $$mode $$ff --log-level warn \
-	      --stats-json $(COMPILED_DIR)/$$g$$ff-$$mode.json > /dev/null \
-	      || exit 1; \
-	  done; \
-	  cmp $(COMPILED_DIR)/$$g$$ff-fiber.json \
-	    $(COMPILED_DIR)/$$g$$ff-compiled.json || exit 1; \
-	done; \
-	for mode in fiber compiled; do \
-	  ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
-	    --eps 0.3 --mode $$mode --domains 4 --log-level warn \
-	    --stats-json $(COMPILED_DIR)/$$g-d4-$$mode.json > /dev/null \
-	    || exit 1; \
-	  ./_build/default/bin/planarmon.exe compare --no-wall \
-	    $(COMPILED_DIR)/$$g-fiber.json \
-	    $(COMPILED_DIR)/$$g-d4-$$mode.json || exit 1; \
-	done; \
-	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/$$g.txt \
-	  --eps 0.3 --mode fiber --domains 17 --log-level warn \
-	  --stats-json $(COMPILED_DIR)/$$g-d17-fiber.json > /dev/null \
-	  || exit 1; \
-	./_build/default/bin/planarmon.exe compare --no-wall \
-	  $(COMPILED_DIR)/$$g-fiber.json \
-	  $(COMPILED_DIR)/$$g-d17-fiber.json || exit 1; \
-	done
-	./_build/default/bench/main.exe --quick --no-timings --only E1,E11,E13 \
-	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
-	./_build/default/bench/main.exe --quick --no-timings --only E1,E11,E13 \
-	  --mode compiled --json $(COMPILED_DIR)/e1-compiled.json > /dev/null
-	cmp $(COMPILED_DIR)/e1-fiber.json $(COMPILED_DIR)/e1-compiled.json
-	env QCHECK_SEED=20260809 ./_build/default/test/test_prop.exe
-	env C1_MIN_SPEEDUP=$(C1_MIN_SPEEDUP) ./_build/default/bench/main.exe \
-	  --only C1 --json $(COMPILED_DIR)/c1.json
-
-# Tester-portfolio gate (also a CI leg).  Three parts:
+# Tester-portfolio and executor gate (also a CI leg).  Five parts:
 #   1. the harness unit suite: verdict plumbing, Degraded propagation
 #      under faults, checkpoint validation, the run's settings reaching
 #      every partition mode, eps-clamp boundaries.
-#   2. the portfolio differential suite under a pinned QCHECK_SEED:
-#      bipartiteness / cycle-freeness testers vs the centralized
+#   2. the whole property suite under a pinned QCHECK_SEED: Stage I and
+#      the bipartiteness / cycle-freeness testers vs the centralized
 #      references, never-reject on holding inputs (faults off or on),
 #      certified-far instances rejecting deterministically, and the
-#      domains x ff x mode totals invariance.  On failure the shrunk
-#      qcheck counterexample is in the captured log under TESTERS_DIR
-#      for CI artifact upload — paste it into a regression test.
+#      domains x ff (x faults) totals invariance.  On failure the
+#      shrunk qcheck counterexample is in the captured log under
+#      TESTERS_DIR for CI artifact upload — paste it into a regression
+#      test.
 #   3. a quick T1 + E11 run (T1 hard-asserts every (property,
 #      instance) verdict internally and exits 1 on any mismatch; E11
 #      does the same for the Corollary 16 testers under the Stage I
-#      and the randomized partition), plus CLI byte-identity of the new
-#      testers' stats JSON
-#      across --mode fiber/compiled.
+#      and the randomized partition).
+#   4. domain legs: a grid, a far-from-planar input (Stage I's reject
+#      path) and an apollonian triangulation run under --domains 4 and
+#      an oversubscribed --domains 17 (node hooks then run on many
+#      worker domains, which is where a per-node table written from the
+#      wrong node would race), each gated by `planarmon compare
+#      --no-wall` against the serial stats JSON: only the members that
+#      echo the domain count (Report.field_class Config) may differ.
+#   5. the full-size C1 experiment with its throughput gate: on a flood
+#      kernel with fast-forward off, Engine.Make.run_kernel's speedup
+#      over the same kernel run as per-node fibers must reach
+#      C1_MIN_SPEEDUP (default 10) on both E1 families (C1 also
+#      hard-asserts stats equality internally).
 TESTERS_DIR ?= /tmp/planartesters
+C1_MIN_SPEEDUP ?= 10
 testers: build
 	mkdir -p $(TESTERS_DIR)
 	./_build/default/test/test_tester_harness.exe \
 	  > $(TESTERS_DIR)/harness.txt 2>&1; \
 	  code=$$?; cat $(TESTERS_DIR)/harness.txt; exit $$code
-	env QCHECK_SEED=20260809 \
-	  ./_build/default/test/test_prop.exe test portfolio \
-	  > $(TESTERS_DIR)/portfolio.txt 2>&1; \
-	  code=$$?; cat $(TESTERS_DIR)/portfolio.txt; exit $$code
+	env QCHECK_SEED=20260809 ./_build/default/test/test_prop.exe \
+	  > $(TESTERS_DIR)/prop.txt 2>&1; \
+	  code=$$?; cat $(TESTERS_DIR)/prop.txt; exit $$code
 	dune exec bench/main.exe -- --quick --no-timings --only T1,E11 \
 	  --json $(TESTERS_DIR)/t1.json
-	./_build/default/bin/planartest.exe gen --family grid --n 256 \
-	  > $(TESTERS_DIR)/g.txt
-	./_build/default/bin/planartest.exe test $(TESTERS_DIR)/g.txt --eps 0.3 \
-	  --property bipartite --mode fiber \
-	  --stats-json $(TESTERS_DIR)/bip-fiber.json --log-level warn > /dev/null
-	./_build/default/bin/planartest.exe test $(TESTERS_DIR)/g.txt --eps 0.3 \
-	  --property bipartite --mode compiled \
-	  --stats-json $(TESTERS_DIR)/bip-compiled.json --log-level warn > /dev/null
-	cmp $(TESTERS_DIR)/bip-fiber.json $(TESTERS_DIR)/bip-compiled.json
-	./_build/default/bin/planartest.exe test $(TESTERS_DIR)/g.txt --eps 0.3 \
-	  --property cycle-free --mode fiber \
-	  --stats-json $(TESTERS_DIR)/cyc-fiber.json --log-level warn > /dev/null
-	./_build/default/bin/planartest.exe test $(TESTERS_DIR)/g.txt --eps 0.3 \
-	  --property cycle-free --mode compiled \
-	  --stats-json $(TESTERS_DIR)/cyc-compiled.json --log-level warn > /dev/null
-	cmp $(TESTERS_DIR)/cyc-fiber.json $(TESTERS_DIR)/cyc-compiled.json
+	./_build/default/bin/planartest.exe gen --family grid --n 1024 \
+	  > $(TESTERS_DIR)/grid.txt
+	./_build/default/bin/planartest.exe gen --family far --n 1024 \
+	  --param 0.25 > $(TESTERS_DIR)/far.txt
+	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
+	  > $(TESTERS_DIR)/apollonian.txt
+	set -e; for g in grid far apollonian; do for d in 1 4 17; do \
+	  ./_build/default/bin/planartest.exe test $(TESTERS_DIR)/$$g.txt \
+	    --eps 0.3 --domains $$d --log-level warn \
+	    --stats-json $(TESTERS_DIR)/$$g-d$$d.json > /dev/null; \
+	  ./_build/default/bin/planarmon.exe compare --no-wall \
+	    $(TESTERS_DIR)/$$g-d1.json $(TESTERS_DIR)/$$g-d$$d.json; \
+	done; done
+	env C1_MIN_SPEEDUP=$(C1_MIN_SPEEDUP) ./_build/default/bench/main.exe \
+	  --only C1 --json $(TESTERS_DIR)/c1.json
 
 # Live-observability gate (also a CI leg).  Four parts:
 #   1. kill detection — run with --heartbeat --checkpoint
@@ -363,10 +288,10 @@ testers: build
 #      stays green over them.
 #   3. observer-effect matrix — heartbeat-on vs heartbeat-off stats
 #      JSON must be cmp-identical across --domains 1/4 x fast-forward
-#      on/off x --mode fiber/compiled (the heartbeat runs host-side
-#      from quiescent boundaries, so it must not perturb one simulated
-#      byte), and a traced pair must agree under `planartrace diff`
-#      (only host wall-clock/GC may differ).
+#      on/off (the heartbeat runs host-side from quiescent boundaries,
+#      so it must not perturb one simulated byte), and a traced pair
+#      must agree under `planartrace diff` (only host wall-clock/GC may
+#      differ).
 #   4. L1 with its overhead gate: heartbeat publication at the default
 #      cadence costs < L1_MAX_OVERHEAD_PCT % wall on the n=2048 grid
 #      (L1 also hard-asserts on/off stats identity internally).
@@ -400,19 +325,16 @@ live: build
 	./_build/default/bin/planartest.exe gen --family grid --n 256 \
 	  > $(LIVE_DIR)/gm.txt
 	set -e; for d in 1 4; do for ff in "" "--no-fast-forward"; do \
-	  for m in fiber compiled; do \
-	    tag="d$$d$${ff:+-noff}-$$m"; \
-	    ./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt \
-	      --eps 0.3 --domains $$d $$ff --mode $$m \
-	      --stats-json $(LIVE_DIR)/off-$$tag.json \
-	      --log-level warn > /dev/null; \
-	    ./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt \
-	      --eps 0.3 --domains $$d $$ff --mode $$m \
-	      --heartbeat $(LIVE_DIR)/hb-m.json --heartbeat-every 64 \
-	      --stats-json $(LIVE_DIR)/on-$$tag.json \
-	      --log-level warn > /dev/null; \
-	    cmp $(LIVE_DIR)/off-$$tag.json $(LIVE_DIR)/on-$$tag.json; \
-	  done; done; done
+	  tag="d$$d$${ff:+-noff}"; \
+	  ./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt \
+	    --eps 0.3 --domains $$d $$ff \
+	    --stats-json $(LIVE_DIR)/off-$$tag.json --log-level warn > /dev/null; \
+	  ./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt \
+	    --eps 0.3 --domains $$d $$ff \
+	    --heartbeat $(LIVE_DIR)/hb-m.json --heartbeat-every 64 \
+	    --stats-json $(LIVE_DIR)/on-$$tag.json --log-level warn > /dev/null; \
+	  cmp $(LIVE_DIR)/off-$$tag.json $(LIVE_DIR)/on-$$tag.json; \
+	done; done
 	./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt --eps 0.3 \
 	  --trace $(LIVE_DIR)/off.ctrace --log-level warn > /dev/null
 	./_build/default/bin/planartest.exe test $(LIVE_DIR)/gm.txt --eps 0.3 \
@@ -442,7 +364,7 @@ perf-smoke: build
 # `planarmon compare --no-wall` gates exactly that (it skips what the
 # invocation fixes: the --jobs/--domains echo, M1's per-domain engine
 # bytes).  The build-test-bench CI leg runs the same three commands.
-ci: build test trace critpath monitor scale compiled testers live perf-smoke
+ci: build test trace critpath monitor scale testers live perf-smoke
 	./_build/default/bench/main.exe --quick --no-timings --domains 1 \
 	  --jobs 1 --json /tmp/bench-d1.json > /dev/null
 	./_build/default/bench/main.exe --quick --no-timings --domains 2 \

@@ -6,8 +6,8 @@
    for paper-vs-measured).
 
    Usage:  bench [--quick|-q] [--jobs N] [--domains D] [--no-timings]
-                 [--mode fiber|compiled] [--json PATH] [--only IDS]
-                 [--faults SPEC] [--trace PATH] [--ledger PATH]
+                 [--json PATH] [--only IDS] [--faults SPEC] [--trace PATH]
+                 [--ledger PATH]
 
    Every experiment is one entry of the [experiments] registry at the end
    of this file (id, title, paper claim, [run]); the registry fixes the
@@ -21,10 +21,8 @@
    fanned across [--jobs] domains (default: the recommended domain count);
    results are reassembled in input order, so the report is identical to a
    serial run.  [--domains D] additionally shards node stepping *inside*
-   each tester/partition run across D engine domains, and [--mode] selects
-   the executor for the lockstep Stage I kernels (default fiber; compiled
-   runs them as fiber-free array passes).  Every simulated statistic is
-   identical for any D and either mode, only wall-clock changes.
+   each tester/partition run across D engine domains.  Every simulated
+   statistic is identical for any D, only wall-clock changes.
    [--no-timings] skips the Bechamel section B and drops every clock or
    host reading (Report.field_class) from the printed report and the JSON
    alike.  What remains is simulated accounting plus a few members fixed
@@ -55,7 +53,6 @@ let json_path = ref None
 let faults_spec = ref None
 let trace_path = ref None
 let only = ref None
-let mode = ref Congest.Compiled.Fiber
 let log_level = ref "info"
 let log_json = ref None
 let ledger_path = ref None
@@ -65,9 +62,8 @@ let () =
   let usage () =
     prerr_endline
       "usage: bench [--quick|-q] [--jobs N] [--domains D] [--no-timings] \
-       [--mode fiber|compiled] [--json PATH] [--faults SPEC] \
-       [--trace PATH] [--only IDS] [--ledger PATH] [--log-level LEVEL] \
-       [--log-json PATH]";
+       [--json PATH] [--faults SPEC] [--trace PATH] [--only IDS] \
+       [--ledger PATH] [--log-level LEVEL] [--log-json PATH]";
     exit 2
   in
   let rec parse i =
@@ -102,15 +98,6 @@ let () =
               Printf.eprintf "bench: --faults: %s\n" msg;
               exit 2);
           parse (i + 2)
-      | "--mode" when i + 1 < Array.length argv ->
-          (match Congest.Compiled.mode_of_string argv.(i + 1) with
-          | Some m -> mode := m
-          | None ->
-              Printf.eprintf
-                "bench: --mode: unknown mode %S (expected fiber or compiled)\n"
-                argv.(i + 1);
-              exit 2);
-          parse (i + 2)
       | "--only" when i + 1 < Array.length argv ->
           let ids =
             String.split_on_char ',' argv.(i + 1)
@@ -130,7 +117,9 @@ let () =
       | "--log-json" when i + 1 < Array.length argv ->
           log_json := Some argv.(i + 1);
           parse (i + 2)
-      | _ -> usage ()
+      | arg ->
+          Printf.eprintf "bench: unexpected argument %S\n" arg;
+          usage ()
   in
   parse 1;
   (match Obs.Log.level_of_string !log_level with
@@ -156,13 +145,6 @@ let faults_spec = !faults_spec
 let trace_path = !trace_path
 let only = !only
 let ledger_path = !ledger_path
-
-(* The execution mode threaded into every tester / Stage I run below.
-   The dispatcher runs the same kernels on the fiber engine when faults
-   are attached, and all statistics are byte-identical across modes,
-   so the whole report is mode-invariant (C1 checks that claim on the
-   spot, timing both modes). *)
-let mode = !mode
 
 (* With --json -, stdout carries exactly the JSON document and the
    human-readable report moves to stderr (mirroring planartest
@@ -237,21 +219,21 @@ let interleaved_best ~reps a b =
 (* --- tester runs ------------------------------------------------------ *)
 
 (* Every planarity-tester run below goes through [planarity], so the
-   invocation's --domains and --mode reach all of them (P1 and L1 pin
-   their own domain counts).  All statistics are identical for any
-   setting of either flag; only wall-clock changes. *)
+   invocation's --domains reaches all of them (P1 and L1 pin their own
+   domain counts).  All statistics are identical for any setting of the
+   flag; only wall-clock changes. *)
 let planarity ?(domains = domains) ?partition ?embedding ?fast_forward
     ?faults ?trace ?heartbeat g ~eps ~seed =
-  PT.run ~domains ~mode ?partition ?embedding ?fast_forward ?faults ?trace
+  PT.run ~domains ?partition ?embedding ?fast_forward ?faults ?trace
     ?heartbeat g ~eps ~seed
 
 (* The Corollary 16 testers on the same harness, with the same flags. *)
 let harness ?partition property g ~eps ~seed =
   match property with
   | "bipartite" ->
-      snd (Tester.Bipartite_tester.run ?partition ~domains ~mode ~seed g ~eps)
+      snd (Tester.Bipartite_tester.run ?partition ~domains ~seed g ~eps)
   | _ ->
-      snd (Tester.Cycle_free_tester.run ?partition ~domains ~mode ~seed g ~eps)
+      snd (Tester.Cycle_free_tester.run ?partition ~domains ~seed g ~eps)
 
 let accepted (r : PT.report) = r.PT.verdict = PT.Accept
 
@@ -528,15 +510,14 @@ let e4_soundness () =
 module S1 = Partition.Stage1
 
 (* Stage I reads its engine settings from the state it runs on. *)
-let s1_state_with ~domains ~mode ~fast_forward g =
+let s1_state_with ~domains ~fast_forward g =
   let st = Partition.State.create g in
   st.Partition.State.domains <- domains;
-  st.Partition.State.mode <- mode;
   st.Partition.State.fast_forward <- fast_forward;
   st
 
-(* A fresh state at this invocation's --domains and --mode. *)
-let s1_state g = s1_state_with ~domains ~mode ~fast_forward:true g
+(* A fresh state at this invocation's --domains. *)
+let s1_state g = s1_state_with ~domains ~fast_forward:true g
 
 let e5_weight_decay () =
   let n = if quick then 300 else 800 in
@@ -1072,7 +1053,7 @@ let a3_adaptive_schedule () =
       (fun eps ->
         let full fast_forward () =
           S1.run ~stop_when_met:false
-            ~state:(s1_state_with ~domains ~mode ~fast_forward g)
+            ~state:(s1_state_with ~domains ~fast_forward g)
             g ~eps
         in
         let slow, slow_s = time (full false) in
@@ -1314,13 +1295,13 @@ let bechamel_section () =
       mk "lr_embed_n1000" (fun () -> ignore (Planarity.Lr.embed g_planarity));
       mk "stage1_n150" (fun () ->
           let state =
-            s1_state_with ~domains:1 ~mode ~fast_forward:true g_small
+            s1_state_with ~domains:1 ~fast_forward:true g_small
           in
           ignore (S1.run ~state g_small ~eps:0.3));
       mk "full_tester_planar_n150" (fun () ->
-          ignore (PT.run ~mode g_small ~eps:0.3 ~seed:1));
+          ignore (PT.run g_small ~eps:0.3 ~seed:1));
       mk "full_tester_far_n150" (fun () ->
-          ignore (PT.run ~mode far ~eps:0.2 ~seed:1));
+          ignore (PT.run far ~eps:0.2 ~seed:1));
       mk "spanner_n150" (fun () ->
           ignore
             (Tester.Spanner.build ~state:(s1_state g_small) g_small ~eps:0.3));
@@ -1416,32 +1397,20 @@ let m1_memory_substrate () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Compiled hot path: fiber vs compiled execution                      *)
+(* Kernel stepping vs per-node fibers                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* C1 times the E1 workloads (planar apollonian and grid at the largest
-   E1 size) under both execution modes and both fast-forward settings,
-   gating on the spot that every statistic in the report is
-   byte-identical across modes.  Both executors step Stage I's kernels
-   directly, so the Stage I rows only report their per-round throughput
-   (executed rounds per second; with fast-forward off every simulated
-   round is an actual stepping pass).
-
-   The gated metric is what the compiled path was built to remove: the
-   per-node fiber.  [c1_fibers] runs one kernel (a flood, [Probe]) on the
-   same graphs, fast-forward off, three ways: stepped directly by the
-   sharded engine ([Engine.Make.run_kernel]) and by the compiled
-   executor, and as one fiber node program per node through
-   [Engine.Make.run] that is resumed every round it is parked — how the
-   fiber executor ran kernels before it stepped them itself.
-   C1_MIN_SPEEDUP=<x> turns the smaller of the two compiled-over-fiber
-   speedups into a hard gate (exit 1 below x) — the CI compiled leg sets
-   it; unset, C1 only reports.  The engine's column is reported, not
-   gated: its fast-forward-off stepping visits every parked node every
-   round, a few ns each against ~100 ns for a fiber resume, which leaves
-   too thin a margin over 10x for a wall-clock gate on a shared host;
-   test_partition's allocation gate keeps fibers out of its kernel
-   runs. *)
+(* C1 gates what stepping kernels on the engine's own stack was built to
+   remove: the per-node fiber.  One kernel (a flood, [Probe]) runs on
+   the E1 graph families at the largest E1 size, fast-forward off, two
+   ways: stepped directly by [Engine.Make.run_kernel], and as one fiber
+   node program per node through [Engine.Make.run] that is resumed every
+   round it is parked — how kernels once ran.  Both give the same stats
+   (gated on the spot).  C1_MIN_SPEEDUP=<x> turns the smaller of the two
+   speedups into a hard gate (exit 1 below x); unset, C1 only reports.
+   With fast-forward off the engine steps only a round's due nodes, so a
+   merely parked node costs it nothing, against ~100 ns per fiber
+   resume. *)
 
 module Probe_msg = struct
   type t = int
@@ -1450,7 +1419,6 @@ module Probe_msg = struct
 end
 
 module Probe_eng = Congest.Engine.Make (Probe_msg)
-module Probe_cmp = Congest.Compiled.Make (Probe_msg)
 
 (* [Probe_eng] as a NET whose inbox is the list [sync] returns, for the
    fiber-driven runs. *)
@@ -1504,7 +1472,8 @@ let program_of_kernel ~start ~resume c =
   in
   step (start c v)
 
-let c1_fibers n =
+let c1_kernel_stepping () =
+  let n = if quick then 512 else 2048 in
   let horizon = 1024 in
   let point family =
     let g = e1_graph family n in
@@ -1515,11 +1484,6 @@ let c1_fibers n =
         Probe_eng.run_kernel ~fast_forward:false g ~start ~resume
       in
       (r.Probe_eng.stats, r.Probe_eng.completed)
-    and compiled () =
-      let module K = Probe (Probe_cmp) in
-      let start, resume = K.kernel ~horizon (Graph.n g) in
-      let r = Probe_cmp.run ~fast_forward:false g ~start ~resume in
-      (r.Probe_cmp.stats, r.Probe_cmp.completed)
     and fibers () =
       let module K = Probe (Probe_list) in
       let start, resume = K.kernel ~horizon (Graph.n g) in
@@ -1531,20 +1495,16 @@ let c1_fibers n =
     in
     let (sf, _), tf = best_of_3 fibers in
     let (se, ce), te = best_of_3 engine in
-    let (sc, cc), tc = best_of_3 compiled in
-    gate (ce && cc) "%s: the flood did not complete" family;
-    gate (sf = se && se = sc)
-      "%s: fiber-driven and direct flood stats differ" family;
-    (family, g, se, (tf, te, tc))
+    gate ce "%s: the flood did not complete" family;
+    gate (sf = se) "%s: fiber-driven and direct flood stats differ" family;
+    (family, g, se, (tf, te))
   in
   let rows = List.map point [ "apollonian"; "grid" ] in
-  let speedup pick (_, _, _, ((tf, _, _) as t)) = tf /. max 1e-9 (pick t) in
-  let engine_x = speedup (fun (_, te, _) -> te)
-  and compiled_x = speedup (fun (_, _, tc) -> tc) in
+  let speedup (_, _, _, (tf, te)) = tf /. max 1e-9 te in
   line
     "kernel stepping vs per-node fibers: a flood halting at round %d, \
-     fast-forward off"
-    horizon;
+     fast-forward off, E1 graph families at n=%d"
+    horizon n;
   let data =
     table
       [
@@ -1557,100 +1517,21 @@ let c1_fibers n =
         cell 16 "stats identical" "stats_identical"
           (fun _ -> J.Bool true)
           (fun _ -> "yes");
-        float 10 3 "fibers(s)" "fibers_seconds" (fun (_, _, _, (tf, _, _)) ->
-            tf);
-        float 10 3 "engine(s)" "engine_seconds" (fun (_, _, _, (_, te, _)) ->
-            te);
-        float 11 3 "compiled(s)" "compiled_seconds"
-          (fun (_, _, _, (_, _, tc)) -> tc);
-        float ~suffix:"x" 9 1 "engine" "engine_speedup" engine_x;
-        float ~suffix:"x" 9 1 "compiled" "compiled_speedup" compiled_x;
+        float 10 3 "fibers(s)" "fibers_seconds" (fun (_, _, _, (tf, _)) -> tf);
+        float 10 3 "engine(s)" "engine_seconds" (fun (_, _, _, (_, te)) -> te);
+        float ~suffix:"x" 9 1 "speedup" "speedup" speedup;
       ]
       rows
   in
   Option.iter
     (fun min_speedup ->
-      let x =
-        List.fold_left (fun m row -> min m (compiled_x row)) infinity rows
-      in
+      let x = List.fold_left (fun m row -> min m (speedup row)) infinity rows in
       gate (x >= min_speedup)
-        "compiled-over-fiber speedup %.2fx below required %.2fx" x min_speedup;
-      line ~shows:"speedup"
-        "C1 gate: compiled-over-fiber speedup %.2fx >= %.2fx" x min_speedup)
+        "kernel-over-fiber speedup %.2fx below required %.2fx" x min_speedup;
+      line ~shows:"speedup" "C1 gate: kernel-over-fiber speedup %.2fx >= %.2fx"
+        x min_speedup)
     (limit "C1_MIN_SPEEDUP");
   data
-
-let c1_compiled_hot_path () =
-  let n = if quick then 512 else 2048 in
-  (* Serial timing on purpose; [parmap] concurrency would distort it.
-     Stage I only: that is where the compiled hot path runs (Stage II is
-     a constant number of rounds per part and always uses the fiber
-     engine, so folding it in would just dilute the measurement).
-     eps = 0.1 rather than E1's 0.3: more phases means more peeling
-     super-rounds, which is exactly the hot path this experiment
-     measures (per-phase setup is shared between the modes). *)
-  let ffw r =
-    r.S1.state.Partition.State.stats.Congest.Stats.fast_forwarded_rounds
-  in
-  let point (family, ff) =
-    let g = e1_graph family n in
-    let run m () =
-      S1.run ~measure_diameters:false
-        ~state:(s1_state_with ~domains:1 ~mode:m ~fast_forward:ff g)
-        g ~eps:0.1
-    in
-    ignore (run Congest.Compiled.Compiled ()) (* warm the allocator *);
-    let rf, sf = best_of_3 (run Congest.Compiled.Fiber) in
-    let rc, sc = best_of_3 (run Congest.Compiled.Compiled) in
-    gate
-      (same_stage1 rf rc && ffw rf = ffw rc)
-      "%s ff=%b: fiber and compiled stats differ" family ff;
-    (family, ff, g, rf, (sf, sc))
-  in
-  let rows =
-    List.map point
-      [
-        ("apollonian", false);
-        ("grid", false);
-        ("apollonian", true);
-        ("grid", true);
-      ]
-  in
-  let executed (_, _, _, rf, _) = rf.S1.rounds - ffw rf in
-  let per_sec pick ((_, _, _, _, t) as row) =
-    float_of_int (executed row) /. max 1e-9 (pick t)
-  in
-  let speedup (_, _, _, _, (sf, sc)) = sf /. max 1e-9 sc in
-  line
-    "input: E1 graph families at n=%d, eps=0.1 (planar; Stage I partition \
-     only)"
-    n;
-  let data =
-    table
-      [
-        str 12 "family" "family" (fun (f, _, _, _, _) -> f);
-        data "n" (fun (_, _, g, _, _) -> J.Int (Graph.n g));
-        data "m" (fun (_, _, g, _, _) -> J.Int (Graph.m g));
-        cell 5 "ff" "fast_forward"
-          (fun (_, ff, _, _, _) -> J.Bool ff)
-          (fun (_, ff, _, _, _) -> if ff then "on" else "off");
-        int 9 "rounds" "rounds" (fun (_, _, _, rf, _) -> rf.S1.rounds);
-        int 10 "executed" "executed_rounds" executed;
-        data "messages" (fun (_, _, _, rf, _) ->
-            J.Int rf.S1.state.Partition.State.stats.Congest.Stats.messages);
-        cell 16 "stats identical" "stats_identical"
-          (fun _ -> J.Bool true)
-          (fun _ -> "yes");
-        float 10 3 "fiber(s)" "fiber_seconds" (fun (_, _, _, _, (sf, _)) -> sf);
-        float 11 3 "compiled(s)" "compiled_seconds" (fun (_, _, _, _, (_, sc)) ->
-            sc);
-        float 12 0 "fiber r/s" "fiber_rounds_per_sec" (per_sec fst);
-        float 12 0 "compiled r/s" "compiled_rounds_per_sec" (per_sec snd);
-        float ~suffix:"x" 8 2 "speedup" "speedup" speedup;
-      ]
-      rows
-  in
-  J.Obj [ ("stage1", data); ("fibers", c1_fibers n) ]
 
 (* T1: the property portfolio on the shared Stage I harness.  One
    holding and one certified-far instance per property; the far
@@ -1898,12 +1779,12 @@ let experiments =
       "engineering target, not a paper claim: flat per-edge state keeps the \
        substrate at <= 64 bytes/edge so 10^6..10^7-node runs fit in RAM"
       m1_memory_substrate;
-    exp "C1" "compiled hot path: fiber vs compiled execution modes"
-      "Stage I lockstep primitives as fiber-free kernels on both \
-       executors: byte-identical stats; the compiled executor steps a \
-       kernel at >=10x the per-round throughput of per-node fibers (ff \
-       off = every simulated round executed individually)"
-      c1_compiled_hot_path;
+    exp "C1" "kernel stepping vs per-node fibers"
+      "every protocol is a kernel stepped on the engine's own stack: \
+       byte-identical stats, at >=10x the per-round throughput of \
+       per-node fibers (ff off = every simulated round executed \
+       individually)"
+      c1_kernel_stepping;
     exp "T1" "property portfolio on the shared Stage I harness"
       "Section 1 framework: one Stage I partition serves planarity, \
        bipartiteness and cycle-freeness Stage II checks (one-sided error)"
@@ -1970,7 +1851,7 @@ let () =
   (* One provenance record per invocation.  The digest covers the
      simulated members of the report (Report.field_class), so repeat
      runs of one configuration must digest identically regardless of
-     --domains / --mode / host / machine load, and [planarmon history]
+     --domains / host / machine load, and [planarmon history]
      flags any mismatch as determinism drift. *)
   (match ledger_path with
   | None -> ()
@@ -2018,7 +1899,6 @@ let () =
               ("quick", string_of_bool quick);
               ("jobs", string_of_int jobs);
               ("domains", string_of_int domains);
-              ("mode", Congest.Compiled.mode_to_string mode);
               ("faults", faults_str);
               ("only", ids);
             ];

@@ -333,7 +333,7 @@ let test_cmd =
         | "bipartite" ->
             let _, t =
               Tester.Bipartite_tester.run ?telemetry ?trace ~domains
-                ~fast_forward:(not no_ff) ?faults ~mode ?checkpoint
+                ~fast_forward:(not no_ff) ?faults ?checkpoint
                 ?heartbeat g ~eps ~seed
             in
             ( t,
@@ -343,7 +343,7 @@ let test_cmd =
         | _ ->
             let _, t =
               Tester.Cycle_free_tester.run ?telemetry ?trace ~domains
-                ~fast_forward:(not no_ff) ?faults ~mode ?checkpoint
+                ~fast_forward:(not no_ff) ?faults ?checkpoint
                 ?heartbeat g ~eps ~seed
             in
             ( t,
@@ -519,12 +519,10 @@ let test_cmd =
   in
   let mode_arg =
     let doc =
-      "Executor for the lockstep protocol kernels (the Stage I \
-       primitives): $(b,fiber) (the effect-handler engine) or \
-       $(b,compiled) (fiber-free array passes; falls back to fiber when \
-       faults are active).  Each kernel is written once and runs on \
-       either.  The verdict, statistics, telemetry and --trace event \
-       stream are byte-identical across modes."
+      "Accepted for compatibility and validated ($(b,fiber) or \
+       $(b,compiled)); it selects nothing.  Every protocol kernel runs on \
+       the one engine, so the verdict, statistics, telemetry and --trace \
+       event stream are the same for either value."
     in
     Arg.(value & opt string "fiber" & info [ "mode" ] ~docv:"MODE" ~doc)
   in
@@ -570,7 +568,7 @@ let test_cmd =
        $(b,bipartite) (odd-cycle detection via per-part 2-coloring) or \
        $(b,cycle-free) (per-part excess-edge counting).  All three share \
        the Stage I partition harness and its accounting guarantees \
-       (byte-identical stats across --domains, fast-forward and --mode)."
+       (byte-identical stats across --domains and fast-forward)."
     in
     Arg.(value & opt string "planarity" & info [ "property" ] ~docv:"PROP" ~doc)
   in

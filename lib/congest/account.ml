@@ -2,8 +2,8 @@ open Graphlib
 
 (* Run-level metrics, recorded once per run by [finish] — never on the
    per-round hot path.  Everything marked stable is a pure function of
-   (program, graph, seed, faults): the same numbers for any domain count,
-   for fast-forward on/off and for either executor. *)
+   (program, graph, seed, faults): the same numbers for any domain count
+   and for fast-forward on/off. *)
 let m_runs =
   Obs.Metrics.counter ~help:"Engine runs completed" "congest_runs"
 
@@ -46,16 +46,6 @@ let m_faults =
 let m_crashed =
   Obs.Metrics.counter ~help:"Crash-stop events charged to nodes"
     "congest_crashed_nodes"
-
-(* The one family where a fiber and a compiled run of the same workload
-   differ — by the mode label only, never the values. *)
-let m_mode_runs =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Engine runs by execution mode" "congest_mode_runs"
-
-let m_mode_rounds =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Simulated rounds by execution mode" "congest_mode_rounds"
 
 let m_run_wall =
   Obs.Metrics.counter ~stable:false ~label_names:[ "domains" ]
@@ -187,7 +177,7 @@ let guard a ~release body =
       run_end a;
       raise e
 
-let finish a ~mode ~wall ~completed =
+let finish a ~domains ~completed =
   if Obs.Metrics.enabled () then begin
     let s = a.stats in
     Obs.Metrics.inc m_runs;
@@ -202,10 +192,8 @@ let finish a ~mode ~wall ~completed =
     Obs.Metrics.inc ~labels:[ "duplicated" ] ~by:s.Stats.duplicated m_faults;
     Obs.Metrics.inc ~labels:[ "delayed" ] ~by:s.Stats.delayed m_faults;
     Obs.Metrics.inc ~by:s.Stats.crashed_nodes m_crashed;
-    Obs.Metrics.inc ~labels:[ mode ] m_mode_runs;
-    Obs.Metrics.inc ~labels:[ mode ] ~by:s.Stats.rounds m_mode_rounds;
     let dt_us =
       int_of_float ((Unix.gettimeofday () -. a.t0) *. 1e6) |> max 0
     in
-    Obs.Metrics.inc ~labels:[ wall ] ~by:dt_us m_run_wall
+    Obs.Metrics.inc ~labels:[ string_of_int domains ] ~by:dt_us m_run_wall
   end

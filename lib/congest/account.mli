@@ -1,9 +1,7 @@
-(** Run-level accounting of one engine run, shared by both executors.
+(** Run-level accounting of one engine run.
 
-    {!Engine.Make.run_kernel} (sharded) and {!Compiled.Make.run} (serial)
-    differ in how a round steps its nodes and delivers its messages, but
-    not in what a run counts.  Everything that is executor-independent
-    lives here, once:
+    {!Engine.Make.run_kernel} decides how a round steps its nodes and
+    delivers its messages; what a run counts lives here, once:
 
     - the run's {!Stats.t} record, created with the bandwidth default
       ({!Bits.default_bandwidth}) and announced to the trace
@@ -28,13 +26,13 @@
       and nowhere else, and bumped once per run by {!finish} (and by
       {!charge}, which lies outside any run).
 
-    An executor keeps its event-level trace calls (message, resume, park,
+    The engine keeps its event-level trace calls (message, resume, park,
     shard, fault), its delivery, and its per-edge charge pass, which
     alone writes [max_edge_bits] and [oversized].  It sums each round's
     messages, bits, frames and fault events into locals and hands them
     to {!close_round}, so mid-round the stats show the round opened but
     not yet its deliveries (node programs have no stats accessor).  The
-    simulated clock is [(stats a).rounds]; an executor's own round
+    simulated clock is [(stats a).rounds]; the engine's own round
     counter follows it. *)
 
 type t
@@ -94,7 +92,7 @@ val charge : stats:Stats.t -> telemetry:Telemetry.t option -> int -> unit
 (** [drive a ~live ~wake ~step] runs rounds while [live ()] holds and
     returns [false] iff [max_rounds] cut the run short.  Before each round
     it skips to just before [wake ()], the earliest round that must be
-    simulated (the executor's skip target; [max_int] when no skip is
+    simulated (the engine's skip target; [max_int] when no skip is
     possible), clamped to the round budget; then [step ()] simulates one
     round and [on_round 1] follows. *)
 val drive :
@@ -105,8 +103,7 @@ val drive :
     {!Trace.run_end} — on an exception too, which is re-raised. *)
 val guard : t -> release:(unit -> unit) -> (unit -> 'a) -> 'a
 
-(** [finish a ~mode ~wall ~completed] records the run in the metrics
-    registry (when enabled): the run-level counters, the [mode]-labelled
-    pair (["fiber"] or ["compiled"]) and the run's wall clock under the
-    [wall] label (the requested domain count). *)
-val finish : t -> mode:string -> wall:string -> completed:bool -> unit
+(** [finish a ~domains ~completed] records the run in the metrics
+    registry (when enabled): the run-level counters and the run's wall
+    clock, labelled with the requested domain count. *)
+val finish : t -> domains:int -> completed:bool -> unit

@@ -37,13 +37,13 @@ module Make (Msg : MESSAGE) = struct
   type msg = Msg.t
 
   (* Per-domain stepping state.  During a round, each domain steps a
-     disjoint block of nodes; everything a kernel hook can mutate that is
-     not indexed by its own id (the senders worklist, queued sends, a
-     raised exception) lands in the stepping domain's arena and is merged
-     by the coordinating domain, in arena order, after the barrier.
-     Blocks partition the node-id-sorted worklists into contiguous
-     ascending ranges, so concatenating arenas 0..D-1
-     reproduces exactly the order a serial engine would have produced.
+     disjoint block of the due set; everything a kernel hook can mutate
+     that is not indexed by its own id (the senders worklist, queued
+     sends, a raised exception) lands in the stepping domain's arena and
+     is merged by the coordinating domain, in arena order, after the
+     barrier.  Blocks cut the ascending due set into contiguous ranges,
+     so concatenating arenas 0..D-1 reproduces exactly the order a
+     serial engine would have produced.
 
      Sends live in one flat growable buffer per arena ([s_dest] / [s_eids]
      / [s_msgs]) instead of a per-node outbox: a node steps exactly once
@@ -64,9 +64,6 @@ module Make (Msg : MESSAGE) = struct
     mutable afails : (int * int * exn) list;
         (* all failing nodes in block ([`Record] mode), reverse chron. *)
     mutable astepped : int;  (* nodes stepped this phase *)
-    mutable akept : int;  (* nodes still live after this phase *)
-    mutable aculled : int;  (* crash-stopped nodes dropped this phase *)
-    mutable amin_wake : int;  (* min wake round over kept nodes *)
   }
 
   let fresh_arena n =
@@ -81,9 +78,6 @@ module Make (Msg : MESSAGE) = struct
       afailed = None;
       afails = [];
       astepped = 0;
-      akept = 0;
-      aculled = 0;
-      amin_wake = max_int;
     }
 
   (* [s_msgs] is created from the first message pushed, so no dummy
@@ -106,10 +100,26 @@ module Make (Msg : MESSAGE) = struct
     a.s_msgs.(a.s_len) <- msg;
     a.s_len <- a.s_len + 1
 
-  (* Preallocated per-graph delivery state, reusable across runs so that a
-     protocol built from many short engine runs (Stage I's primitives) does
-     not pay an O(n + m) allocation bill per run.  One run at a time; a
-     nested [run] on a busy pool silently falls back to fresh allocation. *)
+  (* Preallocated per-graph delivery and scheduling state, reusable across
+     runs so that a protocol built from many short engine runs (Stage I's
+     primitives) does not pay an O(n + m) allocation bill per run.  One
+     run at a time; a nested [run] on a busy pool silently falls back to
+     fresh allocation.
+
+     Scheduler.  A parked node sits in exactly one intrusive,
+     doubly-linked list ([bnext]/[bprev]): the wheel slot
+     [wake land (W - 1)] when its deadline is less than [W] rounds past
+     the round it parked in, otherwise the overflow list.  Wheel
+     deadlines always lie in one [W]-round window starting at or after
+     the next round to run, so a slot holds a single deadline; [settle]
+     migrates overflow nodes into the wheel once their deadline enters
+     the window ([ov_min] is a lower bound on the overflow deadlines, so
+     the check is O(1) until that happens).  A round's due set is its
+     deadline slot plus every parked node that received a message; it
+     is put in ascending id order by sorting it or, once it holds n/8
+     nodes or more, by one scan over the ids (at most 8 ids per due
+     node; a budget's last round wakes every node at once).  Nodes that
+     are merely parked are never visited. *)
   type pool = {
     pgraph : Graph.t;
     (* Per-directed-edge bit totals for the round being delivered.  The
@@ -132,14 +142,21 @@ module Make (Msg : MESSAGE) = struct
     queued : Bytes.t;  (* '\001' iff already in some arena's senders list *)
     receivers : int array;  (* nodes with a non-empty inbox *)
     mutable receivers_len : int;
-    (* Worklist of parked nodes; ascending id order (nodes only ever
-       leave), so each round costs O(live + messages) rather than O(n). *)
-    live : int array;
-    (* The parked mark and deadline in one: the absolute round at which a
-       parked node resumes even with an empty inbox, or -1 once it halted
-       or failed.  Start-up writes every node's entry, so no reset is
-       needed. *)
+    (* A live node's deadline: the absolute round at which it resumes
+       even with an empty inbox, or -1 once it halted, failed or was
+       culled by a crash-stop.  Start-up writes every node's entry, so
+       no reset is needed. *)
     wake : int array;
+    where : Bytes.t;  (* '\000' not parked, '\001' wheel, '\002' overflow *)
+    bnext : int array;
+    bprev : int array;
+    slots : int array;  (* wheel list heads; length W, a power of two *)
+    mutable ov_head : int;
+    mutable ov_min : int;
+    mutable in_wheel : int;
+    due : int array;  (* the round's due nodes, ascending *)
+    due_tmp : int array;  (* merge scratch; only sets under n/8 are sorted *)
+    mutable dirty : bool;  (* set until a run ends with every node halted *)
     (* Causal parent of the round's first inbox delivery per node —
        (sender, send round) of the frame that flipped [ib_head] from
        empty — feeding the trace's Resume wake-cause slots.  Valid only
@@ -147,7 +164,6 @@ module Make (Msg : MESSAGE) = struct
        run so untraced pools pay nothing. *)
     mutable wake_sender : int array;
     mutable wake_sent : int array;
-    arena_of : int array;  (* node -> index of the arena stepping it *)
     (* Inbox slab: deliveries for the round land in one growable set of
        parallel arrays, chained per destination through [ib_next] from
        [ib_head.(dest)] (-1 = empty) to [ib_tail.(dest)], in delivery
@@ -255,7 +271,8 @@ module Make (Msg : MESSAGE) = struct
     s.q_len <- s.q_len + 1
 
   (* Analytic resident cost of a pool, split the way the M1 memory gate
-     reports it: vertex-indexed arrays, edge-indexed arrays, and the
+     reports it: vertex-indexed arrays (the wheel's slots included, one
+     per node rounded up to a power of two), edge-indexed arrays, and the
      growable message slabs (send buffers + inbox slab + delay-touched
      scratch), whose capacity tracks the peak per-round traffic rather
      than n or m.  Slot bytes only; message payloads are shared values
@@ -264,14 +281,16 @@ module Make (Msg : MESSAGE) = struct
 
   let footprint p =
     let w = 8 in
-    let node = ref (Bytes.length p.queued) in
+    let node = ref (Bytes.length p.queued + Bytes.length p.where) in
     node :=
       !node
       + w
-        * (Array.length p.receivers + Array.length p.live
-         + Array.length p.wake + Array.length p.arena_of
-         + Array.length p.ib_tail + Array.length p.ib_head
-         + Array.length p.wake_sender + Array.length p.wake_sent);
+        * (Array.length p.receivers + Array.length p.wake
+         + Array.length p.bnext + Array.length p.bprev
+         + Array.length p.slots + Array.length p.due
+         + Array.length p.due_tmp + Array.length p.ib_tail
+         + Array.length p.ib_head + Array.length p.wake_sender
+         + Array.length p.wake_sent);
     Array.iter
       (fun a ->
         node := !node + (w * (Array.length a.asenders + Array.length a.aoff)))
@@ -295,6 +314,10 @@ module Make (Msg : MESSAGE) = struct
 
   let pool g =
     let n = Graph.n g in
+    let w = ref 1024 in
+    while !w < n do
+      w := 2 * !w
+    done;
     let p =
       {
         pgraph = g;
@@ -305,11 +328,19 @@ module Make (Msg : MESSAGE) = struct
         queued = Bytes.make n '\000';
         receivers = Array.make n 0;
         receivers_len = 0;
-        live = Array.make n 0;
         wake = Array.make n (-1);
+        where = Bytes.make n '\000';
+        bnext = Array.make n (-1);
+        bprev = Array.make n (-1);
+        slots = Array.make !w (-1);
+        ov_head = -1;
+        ov_min = max_int;
+        in_wheel = 0;
+        due = Array.make n 0;
+        due_tmp = Array.make (n / 8) 0;
+        dirty = false;
         wake_sender = [||];
         wake_sent = [||];
-        arena_of = Array.make n 0;
         ib_head = Array.make n (-1);
         ib_tail = Array.make n (-1);
         ib_sender = [||];
@@ -344,7 +375,8 @@ module Make (Msg : MESSAGE) = struct
      sends, or mid-round state abandoned by an exception) by replaying
      the same send entries the charge pass would have scanned; cost is
      proportional to the leftovers, not to n + m, and every step is
-     idempotent so any partially-reset state is safe. *)
+     idempotent so any partially-reset state is safe.  The scheduler is
+     clean after any run that ended with every node halted. *)
   let reset_pool p =
     let have_fidx = Array.length p.fidx > 0 in
     Array.iter
@@ -372,7 +404,126 @@ module Make (Msg : MESSAGE) = struct
       p.ib_head.(p.receivers.(i)) <- -1
     done;
     p.receivers_len <- 0;
-    p.ib_len <- 0
+    p.ib_len <- 0;
+    if p.dirty then begin
+      Bytes.fill p.where 0 (Bytes.length p.where) '\000';
+      Array.fill p.slots 0 (Array.length p.slots) (-1);
+      p.ov_head <- -1;
+      p.in_wheel <- 0;
+      p.dirty <- false
+    end;
+    p.ov_min <- max_int
+
+  (* Park [v] until absolute round [w], from round [now < w]. *)
+  let park p ~now v w =
+    let mask = Array.length p.slots - 1 in
+    p.wake.(v) <- w;
+    let head =
+      if w - now <= mask then begin
+        Bytes.unsafe_set p.where v '\001';
+        p.in_wheel <- p.in_wheel + 1;
+        let h = p.slots.(w land mask) in
+        p.slots.(w land mask) <- v;
+        h
+      end
+      else begin
+        Bytes.unsafe_set p.where v '\002';
+        if w < p.ov_min then p.ov_min <- w;
+        let h = p.ov_head in
+        p.ov_head <- v;
+        h
+      end
+    in
+    p.bprev.(v) <- -1;
+    p.bnext.(v) <- head;
+    if head >= 0 then p.bprev.(head) <- v
+
+  (* Take a parked [v] off its list; [wake.(v)] must still be the
+     deadline it was parked with. *)
+  let unpark p v =
+    let nx = p.bnext.(v) and pv = p.bprev.(v) in
+    let in_wheel = Bytes.unsafe_get p.where v = '\001' in
+    if in_wheel then p.in_wheel <- p.in_wheel - 1;
+    if pv >= 0 then p.bnext.(pv) <- nx
+    else if in_wheel then
+      p.slots.(p.wake.(v) land (Array.length p.slots - 1)) <- nx
+    else p.ov_head <- nx;
+    if nx >= 0 then p.bprev.(nx) <- pv;
+    Bytes.unsafe_set p.where v '\000'
+
+  (* Move every overflow node with a deadline before [lo + W] into the
+     wheel, anchoring its window at [lo] (no parked deadline is earlier
+     than [lo]); afterwards [ov_min] bounds what is left. *)
+  let settle p lo =
+    let hi = lo + Array.length p.slots in
+    if p.ov_min < hi then begin
+      let v = ref p.ov_head and m = ref max_int in
+      while !v >= 0 do
+        let u = !v in
+        v := p.bnext.(u);
+        let w = p.wake.(u) in
+        if w < hi then begin
+          unpark p u;
+          park p ~now:lo u w
+        end
+        else if w < !m then m := w
+      done;
+      p.ov_min <- !m
+    end
+
+  (* The earliest parked deadline at or after [lo], or [cap] if that
+     comes first: exact, because [settle] leaves no overflow deadline
+     inside the wheel's window.  An empty wheel is re-anchored at the
+     earliest overflow deadline only when that is the next round to run,
+     never past [cap] (a delayed frame's landing round), so the window
+     never starts after the next round.  Some node must be parked. *)
+  let rec next_deadline p lo ~cap =
+    settle p lo;
+    if p.in_wheel > 0 then begin
+      let mask = Array.length p.slots - 1 in
+      let r = ref lo in
+      while !r < cap && p.slots.(!r land mask) < 0 do
+        incr r
+      done;
+      !r
+    end
+    else if p.ov_min < cap then next_deadline p p.ov_min ~cap
+    else cap
+
+  (* Ascending sort of [a.(lo) .. a.(hi - 1)]: insertion sort on short
+     ranges, merge sort (through [tmp]) above; an already ordered split
+     skips its merge, so sorted input costs one pass. *)
+  let rec sort_range (a : int array) tmp lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort_range a tmp lo mid;
+      sort_range a tmp mid hi;
+      if a.(mid - 1) > a.(mid) then begin
+        Array.blit a lo tmp lo (mid - lo);
+        let i = ref lo and j = ref mid and k = ref lo in
+        while !i < mid do
+          if !j < hi && a.(!j) < tmp.(!i) then begin
+            a.(!k) <- a.(!j);
+            incr j
+          end
+          else begin
+            a.(!k) <- tmp.(!i);
+            incr i
+          end;
+          incr k
+        done
+      end
+    end
 
   type engine = {
     graph : Graph.t;
@@ -384,8 +535,9 @@ module Make (Msg : MESSAGE) = struct
   }
 
   (* Kernel hooks share one ctx per arena, re-pointed at each node the
-     arena steps; a node program gets a ctx of its own. *)
-  type ctx = { mutable id : int; eng : engine }
+     arena steps; a node program gets a ctx of its own, whose arena the
+     adapter re-points at each step. *)
+  type ctx = { mutable id : int; mutable a : arena; eng : engine }
 
   (* [Suspend k] parks a node program's fiber until the first round with
      a non-empty inbox, or unconditionally after [k] rounds (k >= 1). *)
@@ -404,8 +556,7 @@ module Make (Msg : MESSAGE) = struct
      once per round, its sends stay contiguous from the offset recorded
      here. *)
   let send_de c dest de msg =
-    let p = c.eng.p in
-    let a = p.arenas.(p.arena_of.(c.id)) in
+    let p = c.eng.p and a = c.a in
     if Bytes.unsafe_get p.queued c.id = '\000' then begin
       Bytes.unsafe_set p.queued c.id '\001';
       a.asenders.(a.asenders_len) <- c.id;
@@ -433,8 +584,9 @@ module Make (Msg : MESSAGE) = struct
     Graph.iter_incident c.eng.graph id (fun dest e ->
         send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
 
-  (* With fast-forward off, the stepping loop itself steps every parked
-     node every round (see [step_range]); [wait] is the same either way. *)
+  (* With fast-forward off every round is simulated and a waiting node is
+     counted as stepped each round (see [run_kernel]); [wait] is the same
+     either way. *)
   let wait _ k = if k <= 0 then [] else Effect.perform (Suspend k)
   let sync c = wait c 1
 
@@ -473,7 +625,7 @@ module Make (Msg : MESSAGE) = struct
     completed : bool;
   }
 
-  (* Below this many live nodes, a round is stepped by the coordinating
+  (* Below this many due nodes, a round is stepped by the coordinating
      domain alone: the work is too small to amortize a barrier. *)
   let par_threshold = 16
 
@@ -500,7 +652,7 @@ module Make (Msg : MESSAGE) = struct
     mutable tepoch : int;
     mutable tactive : int;  (* workers 1..tactive take part in the epoch *)
     mutable tdone_count : int;
-    mutable twork : int -> unit;  (* set per epoch by the owning run *)
+    mutable twork : int -> unit;  (* set by the run holding the team *)
     mutable tdoms : unit Domain.t list;  (* worker tsize first *)
   }
 
@@ -599,17 +751,749 @@ module Make (Msg : MESSAGE) = struct
     end;
     t
 
-  let run_kernel ?bandwidth ?(strict = false)
-      ?(max_rounds = 1_000_000) ?telemetry ?trace ?(domains = 1)
-      ?(fast_forward = true) ?faults ?on_round ?(on_error = `Propagate)
-      ?pool:opool g ~start ~resume =
+  (* One run's state.  The run's steps are the top-level functions below,
+     each taking this record, so starting a run allocates the record and
+     no closure per step: Stage I makes thousands of short runs. *)
+  type run = {
+    eng : engine;
+    acct : Account.t;
+    bw : int;
+    d_req : int;  (* requested domains, >= 1 *)
+    strict : bool;
+    record_errors : bool;
+    fast_forward : bool;
+    trace : Trace.t option;
+    traced : bool;
+    ctxs : ctx array;  (* one per arena *)
+    start : ctx -> int -> Compiled.step;
+    resume : ctx -> int -> inbox -> Compiled.step;
+    mutable live : int;  (* nodes not halted, failed or culled *)
+    (* Fault layer; the crash schedule arrays are empty without crashes. *)
+    fpol : Faults.policy option;
+    crash_from : int array;
+    crash_until : int array;
+    (* Crash-start events, sorted by round, for honest [crashed_nodes]
+       accounting (an event only counts if the node is still running when
+       the crash takes effect). *)
+    crash_starts : (int * int) array;
+    mutable crash_start_i : int;
+    mutable culled : int;
+    (* Messages the fault layer deferred, bucketed by due round in a ring
+       of [max_delay + 1] slots.  Run-local contents; anything still
+       queued when the run ends is lost, like any other in-flight
+       frame. *)
+    dq : dslot array;
+    mutable dq_count : int;
+    mutable dq_min : int;
+    (* Sharding: the phase published to the team, and the team while
+       this run holds it. *)
+    mutable task_start : bool;
+    mutable task_len : int;
+    mutable my_team : team option;
+    (* Per-round sums, reset by [one_round]. *)
+    mutable nd : int;  (* due nodes found so far this round *)
+    mutable round_bits : int;
+    mutable round_msgs : int;
+    mutable round_dropped : int;
+    mutable round_duplicated : int;
+    mutable round_delayed : int;
+    mutable max_frames : int;
+  }
+
+  (* Is node [v] down at the round currently being processed?  Reads
+     only immutable schedule arrays and [current_round] (stable during a
+     phase), so it is safe from worker domains. *)
+  let is_crashed r v =
+    Array.length r.crash_from > 0
+    && r.crash_from.(v) <= r.eng.current_round
+    && r.eng.current_round < r.crash_until.(v)
+
+  (* A hook that raised leaves its node dead.  In [`Propagate] mode,
+     record the (lowest) failing node of the block and stop the block —
+     exactly what a serial loop does for its prefix; in [`Record] mode,
+     log the failure and keep stepping the block, so every failing node
+     is observed regardless of the domain count. *)
+  let fail r a v e =
+    r.eng.p.wake.(v) <- -1;
+    if r.record_errors then
+      a.afails <- (r.eng.current_round, v, e) :: a.afails
+    else begin
+      a.afailed <- Some (v, e);
+      raise Shard_stop
+    end
+
+  (* Run start-up for nodes [lo, hi) with arena [d]. *)
+  let start_range r d lo hi =
+    let a = r.eng.p.arenas.(d) and c = r.ctxs.(d) and wake = r.eng.p.wake in
+    a.afailed <- None;
+    a.afails <- [];
+    try
+      for v = lo to hi - 1 do
+        c.id <- v;
+        match r.start c v with
+        | Compiled.Park k -> wake.(v) <- if k < 1 then 1 else k
+        | Compiled.Halt -> wake.(v) <- -1
+        | exception e -> fail r a v e
+      done
+    with Shard_stop -> ()
+
+  (* Step the due-set slice [lo, hi) with arena [d] on this domain's own
+     stack, in ascending id order, so each arena's sends come out in
+     serial order for its block.  A step writes only [wake.(v)], the
+     node's own state and the arena: the coordinator took the due nodes
+     off the wheel before the phase and re-parks them after it. *)
+  let step_range r d lo hi =
+    let p = r.eng.p in
+    let a = p.arenas.(d) and c = r.ctxs.(d) and wake = p.wake and due = p.due in
+    let now = r.eng.current_round in
+    a.astepped <- 0;
+    a.afailed <- None;
+    a.afails <- [];
+    try
+      for i = lo to hi - 1 do
+        let v = due.(i) in
+        c.id <- v;
+        a.astepped <- a.astepped + 1;
+        match r.resume c v p.ib_head.(v) with
+        | Compiled.Park k -> wake.(v) <- (now + if k < 1 then 1 else k)
+        | Compiled.Halt -> wake.(v) <- -1
+        | exception e -> fail r a v e
+      done
+    with Shard_stop -> ()
+
+  (* Domain [d]'s slice of a [len]-item phase.  The items are cut over
+     [min d_req len] blocks, so every block is non-empty and the
+     per-phase merges over arenas [0..used-1] see every item; domains
+     past that take no part in the phase. *)
+  let exec r d =
+    let len = r.task_len in
+    let used = min r.d_req len in
+    let lo = d * len / used and hi = (d + 1) * len / used in
+    if r.task_start then start_range r d lo hi else step_range r d lo hi
+
+  (* Published to the team each epoch and run by workers [1..used-1].
+     An engine bug or OOM on a worker is recorded in its arena rather
+     than deadlocking the barrier (a real node failure recorded by the
+     shard takes precedence in [check_failures]). *)
+  let work r d =
+    try exec r d
+    with e ->
+      let a = r.eng.p.arenas.(d) in
+      if a.afailed = None then a.afailed <- Some (max_int, e)
+
+  let acquire_team r =
+    match r.my_team with
+    | Some t -> Some t
+    | None ->
+        (* Another run (a concurrent tester in a different domain) may
+           hold the team; stepping serially instead is observationally
+           identical. *)
+        if Mutex.try_lock team_owner then begin
+          let t = team_ensure (r.d_req - 1) in
+          (* No other run touches the team while this one holds it. *)
+          t.twork <- work r;
+          r.my_team <- Some t;
+          Some t
+        end
+        else None
+
+  let release_team r =
+    if r.my_team <> None then begin
+      r.my_team <- None;
+      Mutex.unlock team_owner
+    end
+
+  (* Sharded phase execution over the process-wide team.  Each phase (the
+     start-up over the node ids, or a round's step over its due set) of
+     [len] items is one epoch when worthwhile: the coordinator publishes
+     the task under the team mutex, takes block 0 itself, and waits for
+     every worker.  The mutex acquire/release pairs around each epoch
+     establish the happens-before edges that make every per-node write
+     visible across domains; there is no other cross-domain
+     communication.  The team is acquired lazily on the first phase big
+     enough to shard and held for the rest of the run.  Returns the
+     number of domains used.  Accounting is invariant: the merge reads
+     arenas 0..D-1 in order, so any D (including the serial fallback,
+     D = 1 with arena 0) yields byte-identical engine state. *)
+  let run_phase r ~start len =
+    r.task_start <- start;
+    r.task_len <- len;
+    let team =
+      if r.d_req > 1 && len >= par_threshold then acquire_team r else None
+    in
+    match team with
+    | None ->
+        if start then start_range r 0 0 len else step_range r 0 0 len;
+        1
+    | Some t ->
+        let used = min r.d_req len in
+        Mutex.lock t.tm;
+        t.tdone_count <- 0;
+        t.tactive <- used - 1;
+        t.tepoch <- t.tepoch + 1;
+        Condition.broadcast t.tgo;
+        Mutex.unlock t.tm;
+        exec r 0;
+        Mutex.lock t.tm;
+        while t.tdone_count < t.tactive do
+          Condition.wait t.tdone t.tm
+        done;
+        Mutex.unlock t.tm;
+        used
+
+  (* Post-phase merges, all on the coordinating domain. *)
+  let check_failures r =
+    let best = ref None in
+    for d = 0 to r.d_req - 1 do
+      match r.eng.p.arenas.(d).afailed with
+      | None -> ()
+      | Some (v, _) as f -> (
+          match !best with Some (bv, _) when bv <= v -> () | _ -> best := f)
+    done;
+    match !best with Some (_, e) -> raise e | None -> ()
+
+  let merge_failures r =
+    if r.record_errors then
+      for d = 0 to r.d_req - 1 do
+        let a = r.eng.p.arenas.(d) in
+        match a.afails with
+        | [] -> ()
+        | f ->
+            if Obs.Log.would_log Obs.Log.Debug then
+              List.iter
+                (fun (rd, v, e) ->
+                  Obs.Log.debugf ~node:v
+                    ~fields:[ ("round", Obs.Log.I rd) ]
+                    "node program raised (recorded): %s"
+                    (Printexc.to_string e))
+                (List.rev f);
+            r.eng.fail_log <- f @ r.eng.fail_log;
+            a.afails <- []
+      done
+
+  let pending_sends r =
+    let s = ref 0 in
+    for d = 0 to r.d_req - 1 do
+      s := !s + r.eng.p.arenas.(d).asenders_len
+    done;
+    !s
+
+  (* Crash events taking effect by the current round (or during a span
+     the engine fast-forwarded over — node state cannot have changed
+     since, so the count is identical whether or not the span was
+     skipped): traced, and returned as a count for {!Account}.  Called
+     between rounds, when every live node is parked.  With [~cull] a
+     node that goes down leaves the wheel's deadline order: a
+     crash-stopped one is culled at once (it can never resume, and
+     waiting for its deadline would stretch the run), and a
+     crash-recovering one moves its deadline to its recovery round if
+     that is later — a frozen node observes nothing until then. *)
+  let crashes_due r ~cull =
+    let p = r.eng.p in
+    let k = ref 0 in
+    let now = r.eng.current_round in
+    while
+      r.crash_start_i < Array.length r.crash_starts
+      && fst r.crash_starts.(r.crash_start_i) <= now
+    do
+      let from, v = r.crash_starts.(r.crash_start_i) in
+      if p.wake.(v) >= 0 then begin
+        incr k;
+        let until = r.crash_until.(v) in
+        (match r.trace with
+        | Some tr ->
+            Trace.fault tr ~round:from ~kind:Trace.Crash ~sender:v ~dest:v
+              ~edge:(-1)
+              ~info:(if until = max_int then -1 else until - from)
+        | None -> ());
+        if cull then
+          if until = max_int then begin
+            unpark p v;
+            p.wake.(v) <- -1;
+            r.live <- r.live - 1;
+            r.culled <- r.culled + 1
+          end
+          else if now < until && p.wake.(v) < until then begin
+            unpark p v;
+            park p ~now v until
+          end
+      end;
+      r.crash_start_i <- r.crash_start_i + 1
+    done;
+    !k
+
+  (* Live nodes down at the current round; only the fast-forward-off step
+     count needs them. *)
+  let down_now r =
+    let k = ref 0 in
+    for i = 0 to r.crash_start_i - 1 do
+      let v = snd r.crash_starts.(i) in
+      if r.eng.p.wake.(v) >= 0 && is_crashed r v then incr k
+    done;
+    !k
+
+  (* Resume/park trace events are predicted on the coordinating domain,
+     never recorded from workers: before a step phase, over the nodes the
+     phase steps (ascending id order — the serial order); after the
+     barrier, every candidate still live has parked again.  This keeps
+     the event stream byte-identical for every domain count.  With
+     fast-forward off the candidates are every live node that is not
+     down (the legacy baseline stepped them all every round), and a
+     re-parked node reports the next round as its wake, as that
+     baseline's one-round suspension did. *)
+  let trace_resume r tr v =
+    (* Prefer-arrival rule: a resume with any delivery this round is
+       blamed on the first-delivered frame even if its deadline also
+       expired — the only attribution that is invariant under
+       fast-forward (ff-off spin wakes are pure Deadline resumes, arrival
+       rounds look identical either way). *)
+    let p = r.eng.p in
+    if p.ib_head.(v) >= 0 then
+      Trace.fiber_resume tr ~round:r.eng.current_round ~node:v
+        ~cause:Trace.Wake_deliver ~sender:p.wake_sender.(v)
+        ~sent:p.wake_sent.(v)
+    else
+      Trace.fiber_resume tr ~round:r.eng.current_round ~node:v
+        ~cause:Trace.Wake_deadline ~sender:(-1) ~sent:(-1)
+
+  let trace_prescan r tr nd =
+    let p = r.eng.p in
+    if r.fast_forward then
+      for i = 0 to nd - 1 do
+        trace_resume r tr p.due.(i)
+      done
+    else
+      for v = 0 to Array.length p.wake - 1 do
+        if p.wake.(v) >= 0 && not (is_crashed r v) then trace_resume r tr v
+      done
+
+  (* Halted and failed candidates are no longer live and are skipped;
+     with fast-forward off, candidates past a failed hook were never
+     stepped and keep this round as their wake. *)
+  let trace_postscan r tr nd ~failed =
+    let p = r.eng.p and now = r.eng.current_round in
+    if r.fast_forward then
+      for i = 0 to nd - 1 do
+        let v = p.due.(i) in
+        if p.wake.(v) >= 0 then
+          Trace.fiber_park tr ~round:now ~node:v ~wake:p.wake.(v)
+      done
+    else
+      for v = 0 to Array.length p.wake - 1 do
+        if p.wake.(v) >= 0 && not (is_crashed r v) then
+          Trace.fiber_park tr ~round:now ~node:v
+            ~wake:(if v > failed then now else now + 1)
+      done
+
+  let charge_wire r de b =
+    r.round_msgs <- r.round_msgs + 1;
+    r.round_bits <- r.round_bits + b;
+    r.eng.p.edge_bits.(de) <- r.eng.p.edge_bits.(de) + b
+
+  let trace_fault r kind ~sender ~dest ~de ~info =
+    match r.trace with
+    | Some tr ->
+        Trace.fault tr ~round:r.eng.current_round ~kind ~sender ~dest ~edge:de
+          ~info
+    | None -> ()
+
+  (* The first delivery of the round to [dest]: list it as a receiver,
+     and make it due if it is parked. *)
+  let first_arrival r ~sent sender dest =
+    let p = r.eng.p in
+    p.receivers.(p.receivers_len) <- dest;
+    p.receivers_len <- p.receivers_len + 1;
+    if Bytes.unsafe_get p.where dest <> '\000' then begin
+      p.due.(r.nd) <- dest;
+      r.nd <- r.nd + 1
+    end;
+    if r.traced then begin
+      p.wake_sender.(dest) <- sender;
+      p.wake_sent.(dest) <- sent
+    end
+
+  (* A message reaching a node that is down is lost — the
+     CONGEST-faithful model is silence, never an error. *)
+  let deliver r ~sent ~de ~bits sender dest msg =
+    let p = r.eng.p in
+    if is_crashed r dest then begin
+      r.round_dropped <- r.round_dropped + 1;
+      trace_fault r Trace.Down_drop ~sender ~dest ~de ~info:0
+    end
+    else begin
+      if p.ib_head.(dest) < 0 then first_arrival r ~sent sender dest;
+      push_inbox p ~sender ~dest msg;
+      match r.trace with
+      | Some tr ->
+          Trace.message tr ~round:r.eng.current_round ~sent ~sender ~dest
+            ~edge:de ~bits
+      | None -> ()
+    end
+
+  (* [b] bits on directed edge [de] this round exceed the bandwidth. *)
+  let charge_oversized r de b =
+    let s = r.eng.estats in
+    if r.strict then begin
+      Obs.Log.warnf
+        ~fields:
+          [ ("round", Obs.Log.I r.eng.current_round); ("edge", Obs.Log.I de);
+            ("bits", Obs.Log.I b); ("bandwidth", Obs.Log.I r.bw) ]
+        "bandwidth exceeded in strict mode";
+      failwith
+        (Printf.sprintf
+           "Engine: %d bits on one edge in one round exceeds the %d-bit \
+            bandwidth (strict mode)"
+           b r.bw)
+    end;
+    s.oversized <- s.oversized + 1;
+    let frames = Stats.frames ~bandwidth:r.bw b in
+    if frames > r.max_frames then r.max_frames <- frames
+
+  (* Charge bandwidth on a directed edge at its first touch; zeroing
+     [edge_bits] doubles as the visited mark. *)
+  let charge_de r de =
+    let p = r.eng.p and s = r.eng.estats in
+    let b = p.edge_bits.(de) in
+    if b <> 0 then begin
+      p.edge_bits.(de) <- 0;
+      if b > s.max_edge_bits then s.max_edge_bits <- b;
+      if b > r.bw then charge_oversized r de b
+    end
+
+  (* Deferred messages due this round arrive first, in original send
+     order, then fresh sends — so under delays an inbox is no longer
+     guaranteed to be sorted by sender.  Bits are charged at the round
+     the frame actually occupies. *)
+  let deliver_deferred r =
+    let p = r.eng.p and now = r.eng.current_round in
+    (* Exact [dq_min] maintenance plus the fast-forward cap mean the only
+       due entries live in this round's bucket, already in enqueue (=
+       global sequence) order. *)
+    let slot = r.dq.(now mod Array.length r.dq) in
+    assert (r.dq_min = now && slot.q_len > 0 && slot.q_due = now);
+    for j = 0 to slot.q_len - 1 do
+      let de = slot.q_de.(j) in
+      let msg = slot.q_msgs.(j) in
+      let b = Msg.bits msg in
+      (* The send-entry re-scan cannot see this arc; remember it for the
+         charge pass (first touch wins: deferred arrivals precede fresh
+         sends). *)
+      if p.edge_bits.(de) = 0 then push_extra p de;
+      charge_wire r de b;
+      deliver r ~sent:slot.q_sent.(j) ~de ~bits:b slot.q_sender.(j)
+        slot.q_dest.(j) msg
+    done;
+    r.dq_count <- r.dq_count - slot.q_len;
+    slot.q_len <- 0;
+    slot.q_due <- -1;
+    r.dq_min <- max_int;
+    if r.dq_count > 0 then
+      Array.iter
+        (fun s -> if s.q_len > 0 && s.q_due < r.dq_min then r.dq_min <- s.q_due)
+        r.dq
+
+  (* One fresh send through the fault layer.  Decisions are per message,
+     drawn from the splittable PRNG keyed by (edge, round, per-edge
+     index) in the serial delivery order, so the schedule is invariant
+     under the domain count. *)
+  let deliver_faulted r fp ~sent ~de ~b v dest msg =
+    let p = r.eng.p in
+    if is_crashed r v then begin
+      (* The sender went down with this frame still queued: nothing ever
+         reaches the wire. *)
+      r.round_dropped <- r.round_dropped + 1;
+      trace_fault r Trace.Down_drop ~sender:v ~dest ~de ~info:0
+    end
+    else begin
+      let k = p.fidx.(de) in
+      p.fidx.(de) <- k + 1;
+      match Faults.draw fp ~edge:de ~round:r.eng.current_round ~k with
+      | Faults.Deliver ->
+          charge_wire r de b;
+          deliver r ~sent ~de ~bits:b v dest msg
+      | Faults.Drop ->
+          charge_wire r de b;
+          r.round_dropped <- r.round_dropped + 1;
+          trace_fault r Trace.Drop ~sender:v ~dest ~de ~info:0
+      | Faults.Truncate ->
+          (* A truncated frame occupies at most one full bandwidth slot
+             on the wire and is undecodable at the receiver: silence,
+             never corruption. *)
+          charge_wire r de (if b < r.bw then b else r.bw);
+          r.round_dropped <- r.round_dropped + 1;
+          trace_fault r Trace.Truncate ~sender:v ~dest ~de ~info:b
+      | Faults.Duplicate ->
+          charge_wire r de b;
+          charge_wire r de b;
+          r.round_duplicated <- r.round_duplicated + 1;
+          trace_fault r Trace.Duplicate ~sender:v ~dest ~de ~info:0;
+          deliver r ~sent ~de ~bits:b v dest msg;
+          deliver r ~sent ~de ~bits:b v dest msg
+      | Faults.Delay dl ->
+          r.round_delayed <- r.round_delayed + 1;
+          trace_fault r Trace.Delay ~sender:v ~dest ~de ~info:dl;
+          let at = r.eng.current_round + dl in
+          let slot = r.dq.(at mod Array.length r.dq) in
+          assert (slot.q_len = 0 || slot.q_due = at);
+          if slot.q_len = 0 then slot.q_due <- at;
+          push_dslot slot ~sent ~sender:v ~dest ~de msg;
+          r.dq_count <- r.dq_count + 1;
+          if at < r.dq_min then r.dq_min <- at
+    end
+
+  let one_round r =
+    let p = r.eng.p and eng = r.eng in
+    let wake = p.wake and due = p.due and n = Array.length p.wake in
+    (* The clock follows [Stats.rounds], which also moves by skips. *)
+    eng.current_round <- Account.open_round r.acct;
+    let now = eng.current_round in
+    r.round_bits <- 0;
+    r.round_msgs <- 0;
+    r.round_dropped <- 0;
+    r.round_duplicated <- 0;
+    r.round_delayed <- 0;
+    r.nd <- 0;
+    let has_crash = Array.length r.crash_from > 0 in
+    let round_crashed = if has_crash then crashes_due r ~cull:true else 0 in
+    (* Deliver: drain arena senders (ascending blocks, each ascending)
+       into the inbox slab, summing bits per directed edge.  Each sender's
+       entry span is drained in reverse send order, so every inbox chain
+       is sorted by sender, same-sender messages in reverse send order.
+       Send entries are NOT consumed here — the charge pass below
+       re-scans them in the same order to recover the touched edges, then
+       resets the buffers (always before the step phase queues new
+       sends).  [Msg.bits] is memoized for a message physically equal to
+       the previous one (a broadcast, a relayed payload); no hook runs
+       inside this pass, so the memo cannot go stale. *)
+    if r.dq_min <= now then deliver_deferred r;
+    let sent = now - 1 in
+    let edge_bits = p.edge_bits and ib_head = p.ib_head in
+    for d = 0 to r.d_req - 1 do
+      let a = p.arenas.(d) in
+      let prev = ref (-1) and prev_bits = ref 0 in
+      for i = 0 to a.asenders_len - 1 do
+        let v = a.asenders.(i) in
+        Bytes.unsafe_set p.queued v '\000';
+        let lo = a.aoff.(i) in
+        let hi = if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len in
+        for j = hi - 1 downto lo do
+          let dest = a.s_dest.(j) and de = a.s_eids.(j) in
+          let msg = a.s_msgs.(j) in
+          let b =
+            if !prev >= 0 && a.s_msgs.(!prev) == msg then !prev_bits
+            else begin
+              let b = Msg.bits msg in
+              prev_bits := b;
+              b
+            end
+          in
+          prev := j;
+          match r.fpol with
+          | None -> (
+              (* [charge_wire] and [deliver], without faults. *)
+              r.round_msgs <- r.round_msgs + 1;
+              r.round_bits <- r.round_bits + b;
+              edge_bits.(de) <- edge_bits.(de) + b;
+              if ib_head.(dest) < 0 then first_arrival r ~sent v dest;
+              push_inbox p ~sender:v ~dest msg;
+              match r.trace with
+              | Some tr ->
+                  Trace.message tr ~round:now ~sent ~sender:v ~dest ~edge:de
+                    ~bits:b
+              | None -> ())
+          | Some fp -> deliver_faulted r fp ~sent ~de ~b v dest msg
+        done
+      done
+    done;
+    (* Charge bandwidth per directed edge by re-scanning what was
+       delivered: deferred-arrival arcs first ([extra_touched]), then the
+       send entries in the exact drain order above, so an arc is charged
+       at its first touch (the arc a strict-mode overflow names).  The
+       scan also resets [fidx] and finally the send buffers themselves,
+       always before the step phase queues new sends. *)
+    r.max_frames <- 1;
+    let faulted = Option.is_some r.fpol and stats = eng.estats in
+    for i = 0 to p.extra_len - 1 do
+      charge_de r p.extra_touched.(i)
+    done;
+    p.extra_len <- 0;
+    for d = 0 to r.d_req - 1 do
+      let a = p.arenas.(d) in
+      for i = 0 to a.asenders_len - 1 do
+        let lo = a.aoff.(i) in
+        let hi = if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len in
+        for j = hi - 1 downto lo do
+          let de = a.s_eids.(j) in
+          if faulted then p.fidx.(de) <- 0;
+          (* [charge_de], inline. *)
+          let b = edge_bits.(de) in
+          if b <> 0 then begin
+            edge_bits.(de) <- 0;
+            if b > stats.max_edge_bits then stats.max_edge_bits <- b;
+            if b > r.bw then charge_oversized r de b
+          end
+        done
+      done;
+      a.asenders_len <- 0;
+      a.s_len <- 0
+    done;
+    (* The round's deadline slot; receivers are already listed.  A dense
+       due set is re-listed in order by one scan over the ids. *)
+    settle p now;
+    let v = ref p.slots.(now land (Array.length p.slots - 1)) in
+    while !v >= 0 do
+      if p.ib_head.(!v) < 0 && wake.(!v) = now then begin
+        due.(r.nd) <- !v;
+        r.nd <- r.nd + 1
+      end;
+      v := p.bnext.(!v)
+    done;
+    let nd = r.nd in
+    if 8 * nd >= n then begin
+      let k = ref 0 in
+      for u = 0 to n - 1 do
+        if
+          Bytes.unsafe_get p.where u <> '\000'
+          && (p.ib_head.(u) >= 0 || wake.(u) = now)
+        then begin
+          due.(!k) <- u;
+          incr k
+        end
+      done
+    end
+    else sort_range due p.due_tmp 0 nd;
+    (match r.trace with Some tr -> trace_prescan r tr nd | None -> ());
+    (* Step the due nodes (sharded when worthwhile).  Fast-forward off is
+       the legacy baseline, which stepped every live node every round and
+       ran its hook only on an arrival or at its deadline: the hooks run
+       exactly as here, but every live node that is not down counts as
+       stepped. *)
+    let live_before = r.live in
+    for i = 0 to nd - 1 do
+      unpark p due.(i)
+    done;
+    let nd_used = run_phase r ~start:false nd in
+    let failed = ref max_int and stepped = ref 0 in
+    for d = 0 to nd_used - 1 do
+      let a = p.arenas.(d) in
+      stepped := !stepped + a.astepped;
+      match a.afailed with
+      | Some (v, _) when v < !failed -> failed := v
+      | _ -> ()
+    done;
+    let failed = !failed in
+    let stepped =
+      if r.fast_forward then !stepped
+      else begin
+        let down = if has_crash then down_now r else 0 in
+        if failed = max_int then live_before - down
+        else begin
+          (* Every live node up to the failed one was stepped: the parked
+             ones below it, and the due ones up to it. *)
+          let c = ref 0 in
+          for u = 0 to failed - 1 do
+            if Bytes.unsafe_get p.where u <> '\000' && not (is_crashed r u)
+            then incr c
+          done;
+          for i = 0 to nd - 1 do
+            if due.(i) <= failed then incr c
+          done;
+          !c
+        end
+      end
+    in
+    (match r.trace with
+    | Some tr -> trace_postscan r tr nd ~failed
+    | None -> ());
+    Account.close_round r.acct ~stepped ~domains:nd_used
+      ~dropped:r.round_dropped ~duplicated:r.round_duplicated
+      ~delayed:r.round_delayed ~crashed:round_crashed ~bits:r.round_bits
+      ~frames:r.max_frames ~messages:r.round_msgs;
+    (match r.trace with
+    | Some tr ->
+        if nd_used > 1 then begin
+          let mx = ref 0 in
+          for d = 0 to nd_used - 1 do
+            if p.arenas.(d).astepped > !mx then mx := p.arenas.(d).astepped
+          done;
+          Trace.shard tr ~round:now ~domains:nd_used ~max_stepped:!mx ~stepped
+        end
+    | None -> ());
+    (* A propagated hook exception aborts here, after the round's
+       accounting; the next run's [reset_pool] clears the leftovers. *)
+    check_failures r;
+    merge_failures r;
+    (* Re-park the due nodes that parked again. *)
+    for i = 0 to nd - 1 do
+      let v = due.(i) in
+      if wake.(v) >= 0 then park p ~now v wake.(v) else r.live <- r.live - 1
+    done;
+    (* Steps read inbox chains in place, so clear every receiver's chain
+       here and recycle the slab: the next round appends from slot 0. *)
+    for i = 0 to p.receivers_len - 1 do
+      p.ib_head.(p.receivers.(i)) <- -1
+    done;
+    p.receivers_len <- 0;
+    p.ib_len <- 0
+
+  (* Quiescent-round fast-forward: with no frame in flight anywhere and
+     every live node parked on a deadline strictly in the future, the
+     rounds before the earliest deadline are provably empty.  Under
+     faults, a deferred message's due round bounds the skip just like
+     the earliest deadline does: the round a delayed frame lands in must
+     be simulated.  (Crash windows need no extra cap: a frozen node's
+     deadline already accounts for its recovery, and crash events
+     landing in a skipped quiescent span are observably identical to the
+     unskipped execution.) *)
+  let skip_target r =
+    if r.fast_forward && pending_sends r = 0 then
+      next_deadline r.eng.p (r.eng.current_round + 1) ~cap:r.dq_min
+    else max_int
+
+  let drive r =
+    let p = r.eng.p and n = Array.length r.eng.p.wake in
+    let (_ : int) = run_phase r ~start:true n in
+    check_failures r;
+    merge_failures r;
+    for v = 0 to n - 1 do
+      if p.wake.(v) >= 0 then begin
+        park p ~now:0 v p.wake.(v);
+        r.live <- r.live + 1
+      end
+    done;
+    (match r.trace with
+    | Some tr ->
+        (* With fast-forward off the first wake is round 1. *)
+        for v = 0 to n - 1 do
+          if p.wake.(v) >= 0 then
+            Trace.fiber_park tr ~round:0 ~node:v
+              ~wake:(if r.fast_forward then p.wake.(v) else 1)
+        done
+    | None -> ());
+    let completed =
+      Account.drive r.acct
+        ~live:(fun () -> r.live > 0)
+        ~wake:(fun () -> skip_target r)
+        ~step:(fun () -> one_round r)
+    in
+    (* A final skip moved only [Stats.rounds]. *)
+    r.eng.current_round <- r.eng.estats.Stats.rounds;
+    (* Crash events inside a span the final fast-forward jumped over were
+       never seen by [one_round]; count them now so the tally matches a
+       round-by-round execution. *)
+    if Array.length r.crash_from > 0 then
+      Account.crashed r.acct (crashes_due r ~cull:false);
+    if r.live = 0 then p.dirty <- false;
+    completed && r.culled = 0 && r.eng.fail_log = []
+
+  let run_kernel ?bandwidth ?(strict = false) ?(max_rounds = 1_000_000)
+      ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
+      ?on_round ?(on_error = `Propagate) ?pool:opool g ~start ~resume =
     let n = Graph.n g in
     let acct =
       Account.create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g
     in
-    let bw = (Account.stats acct).Stats.bandwidth in
     let d_req = if domains < 1 then 1 else domains in
-    let record_errors = on_error = `Record in
     (* Fault layer.  All decisions happen during delivery — the serial,
        deterministically ordered half of a round — so the injected
        schedule is a pure function of (policy, directed edge, round,
@@ -619,14 +1503,19 @@ module Make (Msg : MESSAGE) = struct
       match faults with Some f when not (Faults.is_none f) -> Some f | _ -> None
     in
     let crash_from, crash_until =
-      match fpol with
-      | Some f -> (
-          match Faults.crash_schedule f ~n with
-          | Some (cf, cu) -> (cf, cu)
-          | None -> ([||], [||]))
+      match Option.bind fpol (fun f -> Faults.crash_schedule f ~n) with
+      | Some s -> s
       | None -> ([||], [||])
     in
-    let has_crash = Array.length crash_from > 0 in
+    let crash_starts =
+      let l = ref [] in
+      Array.iteri
+        (fun v from -> if from <> max_int then l := (from, v) :: !l)
+        crash_from;
+      let a = Array.of_list !l in
+      Array.sort compare a;
+      a
+    in
     let p, owned =
       match opool with
       | Some p when p.pgraph == g && not p.in_use ->
@@ -636,12 +1525,16 @@ module Make (Msg : MESSAGE) = struct
     in
     ensure_arenas p d_req;
     p.in_use <- true;
-    let traced = trace <> None in
-    if traced && Array.length p.wake_sender < n then begin
+    p.dirty <- true;
+    if trace <> None && Array.length p.wake_sender < n then begin
       p.wake_sender <- Array.make (max 1 n) (-1);
       p.wake_sent <- Array.make (max 1 n) (-1)
     end;
-    let arenas = p.arenas in
+    (* The per-edge fault index is pool-owned so repeated faulted runs on
+       the same pool do not pay a fresh 2m allocation each ([fidx] is
+       reset by the charge re-scan, entry by entry). *)
+    if fpol <> None && Array.length p.fidx < 2 * Graph.m g then
+      p.fidx <- Array.make (2 * Graph.m g) 0;
     let eng =
       {
         graph = g;
@@ -651,689 +1544,58 @@ module Make (Msg : MESSAGE) = struct
         current_round = 0;
       }
     in
-    let ctxs = Array.init d_req (fun _ -> { id = -1; eng }) in
-    let wake = p.wake in
-    (* Is node [v] down at the round currently being processed?  Reads
-       only immutable schedule arrays and [current_round] (stable during
-       a phase), so it is safe from worker domains. *)
-    let is_crashed v =
-      has_crash
-      && crash_from.(v) <= eng.current_round
-      && eng.current_round < crash_until.(v)
+    let r =
+      {
+        eng;
+        acct;
+        bw = eng.estats.Stats.bandwidth;
+        d_req;
+        strict;
+        record_errors = on_error = `Record;
+        fast_forward;
+        trace;
+        traced = Option.is_some trace;
+        ctxs = Array.init d_req (fun d -> { id = -1; a = p.arenas.(d); eng });
+        start;
+        resume;
+        live = 0;
+        fpol;
+        crash_from;
+        crash_until;
+        crash_starts;
+        crash_start_i = 0;
+        culled = 0;
+        dq =
+          (match fpol with
+          | Some f -> Array.init (f.Faults.max_delay + 1) (fun _ -> fresh_dslot ())
+          | None -> [||]);
+        dq_count = 0;
+        dq_min = max_int;
+        task_start = false;
+        task_len = 0;
+        my_team = None;
+        nd = 0;
+        round_bits = 0;
+        round_msgs = 0;
+        round_dropped = 0;
+        round_duplicated = 0;
+        round_delayed = 0;
+        max_frames = 1;
+      }
     in
-    (* Crash-start events, sorted by round, for honest [crashed_nodes]
-       accounting (an event only counts if the node is still running when
-       the crash takes effect). *)
-    let crash_starts =
-      if not has_crash then [||]
-      else begin
-        let l = ref [] in
-        for v = 0 to n - 1 do
-          if crash_from.(v) <> max_int then l := (crash_from.(v), v) :: !l
-        done;
-        let a = Array.of_list !l in
-        Array.sort compare a;
-        a
-      end
-    in
-    let crash_start_i = ref 0 in
-    (* Messages the fault layer deferred, bucketed by due round in a ring
-       of [max_delay + 1] slots.  Run-local contents; the slots themselves
-       are cheap (empty arrays) and anything still queued when the run
-       ends is lost, like any other in-flight frame. *)
-    let dq =
-      match fpol with
-      | Some f -> Array.init (f.Faults.max_delay + 1) (fun _ -> fresh_dslot ())
-      | None -> [||]
-    in
-    let dq_count = ref 0 in
-    let dq_min = ref max_int in
-    (* The per-edge fault index is pool-owned so repeated faulted runs on
-       the same pool do not pay a fresh 2m allocation each ([fidx] is
-       reset by the charge re-scan, entry by entry). *)
-    (match fpol with
-    | Some _ ->
-        if Array.length p.fidx < 2 * Graph.m g then
-          p.fidx <- Array.make (2 * Graph.m g) 0
-    | None -> ());
-    let next_k de =
-      let k = p.fidx.(de) in
-      p.fidx.(de) <- k + 1;
-      k
-    in
-    let live = p.live in
-    let live_len = ref 0 in
-    (* A hook that raised leaves its node dead.  In [`Propagate] mode,
-       record the (lowest) failing node of the block and stop the block —
-       exactly what a serial loop does for its prefix; in [`Record] mode,
-       log the failure and keep stepping the block, so every failing node
-       is observed regardless of the domain count. *)
-    let fail a v e =
-      wake.(v) <- -1;
-      if record_errors then a.afails <- (eng.current_round, v, e) :: a.afails
-      else begin
-        a.afailed <- Some (v, e);
-        raise Shard_stop
-      end
-    in
-    (* Run start-up for nodes [lo, hi) with arena [d]. *)
-    let start_range d lo hi =
-      let a = arenas.(d) and c = ctxs.(d) in
-      a.afailed <- None;
-      a.afails <- [];
-      try
-        for v = lo to hi - 1 do
-          p.arena_of.(v) <- d;
-          c.id <- v;
-          match start c v with
-          | Compiled.Park k -> wake.(v) <- max 1 k
-          | Compiled.Halt -> wake.(v) <- -1
-          | exception e -> fail a v e
-        done
-      with Shard_stop -> ()
-    in
-    (* Step the live-list slice [lo, hi) with arena [d] on this domain's
-       own stack: run [resume] for each node whose inbox is non-empty or
-       whose deadline has arrived, and compact the survivors to the front
-       of the slice.  Nodes are visited in ascending id order, so each
-       arena's sends come out in serial order for its block. *)
-    let step_range d lo hi =
-      let a = arenas.(d) and c = ctxs.(d) in
-      let r = eng.current_round in
-      a.astepped <- 0;
-      a.afailed <- None;
-      a.afails <- [];
-      a.aculled <- 0;
-      a.amin_wake <- max_int;
-      let kept = ref lo in
-      let keep v =
-        live.(!kept) <- v;
-        incr kept;
-        if wake.(v) < a.amin_wake then a.amin_wake <- wake.(v)
-      in
-      (* A crashed node is frozen: not resumed even when its wake round
-         has passed, so it observes nothing until recovery.  Its earliest
-         possible resume round is max(wake, recovery), which is what
-         bounds fast-forward.  A crash-stopped node (no recovery) can
-         never resume — cull it from the live list so the run can still
-         terminate. *)
-      let keep_crashed v =
-        live.(!kept) <- v;
-        incr kept;
-        let w = wake.(v) in
-        let w = if w < crash_until.(v) then crash_until.(v) else w in
-        if w < a.amin_wake then a.amin_wake <- w
-      in
-      (try
-         for i = lo to hi - 1 do
-           let v = live.(i) in
-           if is_crashed v then begin
-             if crash_until.(v) = max_int then a.aculled <- a.aculled + 1
-             else keep_crashed v
-           end
-           else if p.ib_head.(v) >= 0 || wake.(v) <= r then begin
-             p.arena_of.(v) <- d;
-             c.id <- v;
-             a.astepped <- a.astepped + 1;
-             match resume c v p.ib_head.(v) with
-             | Compiled.Park k ->
-                 wake.(v) <- r + max 1 k;
-                 keep v
-             | Compiled.Halt -> wake.(v) <- -1
-             | exception e ->
-                 (* With fast-forward off, the nodes a propagated failure
-                    leaves unstepped keep this round as their wake. *)
-                 if not (record_errors || fast_forward) then
-                   for j = i + 1 to hi - 1 do
-                     wake.(live.(j)) <- r
-                   done;
-                 fail a v e
-           end
-           else begin
-             (* Fast-forward off is the legacy baseline: every parked
-                node is stepped every round, and its hook still runs
-                only on an arrival or at its deadline. *)
-             if not fast_forward then a.astepped <- a.astepped + 1;
-             keep v
-           end
-         done
-       with Shard_stop -> ());
-      a.akept <- !kept - lo
-    in
-    (* Sharded phase execution over the process-wide team.  Each phase is
-       one epoch: the coordinator publishes the task under the team
-       mutex, takes block 0 itself, and waits for every worker.  The
-       mutex acquire/release pairs around each epoch establish the
-       happens-before edges that make every per-node write visible across
-       domains; there is no other cross-domain communication.  The team
-       is acquired lazily on the first round big enough to shard, held
-       for the rest of the run, and released on every exit path. *)
-    let nworkers = d_req - 1 in
+    (* A narrower run first joins the team's surplus workers. *)
     if Mutex.try_lock team_owner then begin
-      Option.iter (fun t -> team_trim t nworkers) !the_team;
+      Option.iter (fun t -> team_trim t (d_req - 1)) !the_team;
       Mutex.unlock team_owner
     end;
-    let task_start = ref false in
-    let task_len = ref 0 in
-    (* Domain [d]'s slice of a [len]-item phase.  The items are cut over
-       [min d_req len] blocks, so every block is non-empty and the
-       per-phase merges over arenas [0..used-1] see every item; domains
-       past that take no part in the phase. *)
-    let block d len =
-      let used = min d_req len in
-      (d * len / used, (d + 1) * len / used)
-    in
-    let exec d =
-      let len = !task_len in
-      let lo, hi = block d len in
-      if !task_start then start_range d lo hi else step_range d lo hi
-    in
-    (* Published to the team each epoch and run by workers
-       [1..used-1].  An engine bug or OOM on a worker is recorded in its
-       arena rather than deadlocking the barrier (a real node failure
-       recorded by the shard takes precedence in [check_failures]). *)
-    let work d =
-      try exec d
-      with e ->
-        if arenas.(d).afailed = None then
-          arenas.(d).afailed <- Some (max_int, e)
-    in
-    let my_team = ref None in
-    let acquire_team () =
-      match !my_team with
-      | Some t -> Some t
-      | None ->
-          (* Another run (a concurrent tester in a different domain) may
-             hold the team; stepping serially instead is observationally
-             identical. *)
-          if Mutex.try_lock team_owner then begin
-            let t = team_ensure nworkers in
-            my_team := Some t;
-            Some t
-          end
-          else None
-    in
-    let release_team () =
-      if !my_team <> None then begin
-        my_team := None;
-        Mutex.unlock team_owner
-      end
-    in
-    (* Execute one phase (start-up or a round's stepping) over [len]
-       items, sharded when worthwhile; returns the number of domains
-       used.  Accounting is invariant: the merge reads arenas 0..D-1 in
-       order, so any D (including the serial fallback, D = 1 with arena
-       0) yields byte-identical engine state. *)
-    let run_phase ~start len =
-      if nworkers > 0 && len >= par_threshold then begin
-        match acquire_team () with
-        | None ->
-            if start then start_range 0 0 len else step_range 0 0 len;
-            1
-        | Some t ->
-            let used = min d_req len in
-            task_start := start;
-            task_len := len;
-            Mutex.lock t.tm;
-            t.tdone_count <- 0;
-            t.tactive <- used - 1;
-            t.twork <- work;
-            t.tepoch <- t.tepoch + 1;
-            Condition.broadcast t.tgo;
-            Mutex.unlock t.tm;
-            exec 0;
-            Mutex.lock t.tm;
-            while t.tdone_count < t.tactive do
-              Condition.wait t.tdone t.tm
-            done;
-            Mutex.unlock t.tm;
-            used
-      end
-      else begin
-        if start then start_range 0 0 len else step_range 0 0 len;
-        1
-      end
-    in
-    (* Post-phase merges, all on the coordinating domain. *)
-    let check_failures () =
-      let best = ref None in
-      for d = 0 to d_req - 1 do
-        match arenas.(d).afailed with
-        | None -> ()
-        | Some (v, _) as f -> (
-            match !best with
-            | Some (bv, _) when bv <= v -> ()
-            | _ -> best := f)
-      done;
-      match !best with Some (_, e) -> raise e | None -> ()
-    in
-    let merge_failures () =
-      if record_errors then
-        for d = 0 to d_req - 1 do
-          let a = arenas.(d) in
-          match a.afails with
-          | [] -> ()
-          | f ->
-              if Obs.Log.would_log Obs.Log.Debug then
-                List.iter
-                  (fun (r, v, e) ->
-                    Obs.Log.debugf ~node:v
-                      ~fields:[ ("round", Obs.Log.I r) ]
-                      "node program raised (recorded): %s"
-                      (Printexc.to_string e))
-                  (List.rev f);
-              eng.fail_log <- f @ eng.fail_log;
-              a.afails <- []
-        done
-    in
-    let total_stepped nd =
-      let s = ref 0 in
-      for d = 0 to nd - 1 do
-        s := !s + arenas.(d).astepped
-      done;
-      !s
-    in
-    let pending_sends () =
-      let s = ref 0 in
-      for d = 0 to d_req - 1 do
-        s := !s + arenas.(d).asenders_len
-      done;
-      !s
-    in
-    (* Earliest wake round over still-live nodes; [max_int] when dead.
-       Updated after every phase, it both gates fast-forward and bounds
-       how far it may jump. *)
-    let min_wake = ref max_int in
-    let culled = ref 0 in
-    (* Resume/park trace events are predicted on the coordinating domain,
-       never recorded from workers: before a step phase, scan the live
-       worklist for the nodes [step_range] steps (ascending id order — the
-       serial order); after the barrier, every candidate still parked has
-       parked again.  This keeps the event stream byte-identical for every
-       domain count.  With fast-forward off every live node is stepped,
-       and a re-parked node reports the next round as its wake, as the
-       legacy baseline's one-round suspension did. *)
-    let fiber_scratch = ref [||] in
-    let trace_prescan tr =
-      if Array.length !fiber_scratch = 0 then
-        fiber_scratch := Array.make (max 1 n) 0;
-      let sc = !fiber_scratch in
-      let cnt = ref 0 in
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if
-          (not (is_crashed v))
-          && ((not fast_forward) || p.ib_head.(v) >= 0
-             || wake.(v) <= eng.current_round)
-        then begin
-          (* Prefer-arrival rule: a resume with any delivery this round
-             is blamed on the first-delivered frame even if its deadline
-             also expired — the only attribution that is invariant under
-             fast-forward (ff-off spin wakes are pure Deadline resumes,
-             arrival rounds look identical either way). *)
-          if p.ib_head.(v) >= 0 then
-            Trace.fiber_resume tr ~round:eng.current_round ~node:v
-              ~cause:Trace.Wake_deliver ~sender:p.wake_sender.(v)
-              ~sent:p.wake_sent.(v)
-          else
-            Trace.fiber_resume tr ~round:eng.current_round ~node:v
-              ~cause:Trace.Wake_deadline ~sender:(-1) ~sent:(-1);
-          sc.(!cnt) <- v;
-          incr cnt
-        end
-      done;
-      !cnt
-    in
-    let trace_postscan tr cnt =
-      let sc = !fiber_scratch and r = eng.current_round in
-      for i = 0 to cnt - 1 do
-        let v = sc.(i) in
-        if wake.(v) >= 0 then
-          Trace.fiber_park tr ~round:r ~node:v
-            ~wake:(if fast_forward then wake.(v) else min wake.(v) (r + 1))
-      done
-    in
-    (* Crash events taking effect by the current round (or during a span
-       the engine fast-forwarded over — node state cannot have changed
-       since, so the count is identical whether or not the span was
-       skipped): traced, and returned as a count for {!Account}. *)
-    let crashes_due () =
-      let k = ref 0 in
-      while
-        !crash_start_i < Array.length crash_starts
-        && fst crash_starts.(!crash_start_i) <= eng.current_round
-      do
-        let r, v = crash_starts.(!crash_start_i) in
-        if wake.(v) >= 0 then begin
-          incr k;
-          match trace with
-          | Some tr ->
-              Trace.fault tr ~round:r ~kind:Trace.Crash ~sender:v ~dest:v
-                ~edge:(-1)
-                ~info:(if crash_until.(v) = max_int then -1
-                       else crash_until.(v) - r)
-          | None -> ()
-        end;
-        incr crash_start_i
-      done;
-      !k
-    in
-    let one_round () =
-      (* The clock follows [Stats.rounds], which also moves by skips. *)
-      eng.current_round <- Account.open_round acct;
-      let round_bits = ref 0 and round_msgs = ref 0 in
-      let round_dropped = ref 0
-      and round_duplicated = ref 0
-      and round_delayed = ref 0 in
-      let round_crashed = if has_crash then crashes_due () else 0 in
-      (* Deliver: drain arena senders (ascending blocks, each ascending)
-         into the inbox slab, summing bits per directed edge.  Each
-         sender's entry span is drained in reverse send order, which
-         links every inbox chain in exactly the order the pre-rewrite
-         engine produced (sorted by sender, same-sender messages in
-         reverse send order).  Send entries are NOT consumed here — the
-         charge pass below re-scans them in the same order to recover the
-         touched edges, then resets the buffers (always before the step
-         phase queues new sends).  Fault decisions are per message, drawn
-         from the splittable PRNG keyed by (edge, round, per-edge index)
-         in this serial order, so the schedule is invariant under the
-         domain count; without a policy every message is delivered. *)
-      let charge_wire de b =
-        incr round_msgs;
-        round_bits := !round_bits + b;
-        p.edge_bits.(de) <- p.edge_bits.(de) + b
-      in
-      let trace_fault kind ~sender ~dest ~de ~info =
-        match trace with
-        | Some tr ->
-            Trace.fault tr ~round:eng.current_round ~kind ~sender ~dest
-              ~edge:de ~info
-        | None -> ()
-      in
-      let deliver ~sent ~de ~bits sender dest msg =
-        (* A message reaching a node that is down is lost — the
-           CONGEST-faithful model is silence, never an error. *)
-        if is_crashed dest then begin
-          incr round_dropped;
-          trace_fault Trace.Down_drop ~sender ~dest ~de ~info:0
-        end
-        else begin
-          if p.ib_head.(dest) < 0 then begin
-            p.receivers.(p.receivers_len) <- dest;
-            p.receivers_len <- p.receivers_len + 1;
-            if traced then begin
-              p.wake_sender.(dest) <- sender;
-              p.wake_sent.(dest) <- sent
-            end
-          end;
-          push_inbox p ~sender ~dest msg;
-          match trace with
-          | Some tr ->
-              Trace.message tr ~round:eng.current_round ~sent ~sender ~dest
-                ~edge:de ~bits
-          | None -> ()
-        end
-      in
-      (* Deferred messages due this round arrive first, in original
-         send order, then fresh sends — so under delays an inbox is
-         no longer guaranteed to be sorted by sender.  Bits are
-         charged at the round the frame actually occupies. *)
-      if !dq_min <= eng.current_round then begin
-        (* Exact [dq_min] maintenance plus the fast-forward cap mean
-           the only due entries live in this round's bucket, already
-           in enqueue (= global sequence) order. *)
-        let slot = dq.(eng.current_round mod Array.length dq) in
-        assert (
-          !dq_min = eng.current_round
-          && slot.q_len > 0
-          && slot.q_due = eng.current_round);
-        for j = 0 to slot.q_len - 1 do
-          let de = slot.q_de.(j) in
-          let msg = slot.q_msgs.(j) in
-          let b = Msg.bits msg in
-          (* The send-entry re-scan cannot see this arc; remember it
-             for the charge pass (first touch wins, matching the old
-             touched-list order: deferred arrivals precede fresh
-             sends). *)
-          if p.edge_bits.(de) = 0 then push_extra p de;
-          charge_wire de b;
-          deliver ~sent:slot.q_sent.(j) ~de ~bits:b slot.q_sender.(j)
-            slot.q_dest.(j) msg
-        done;
-        dq_count := !dq_count - slot.q_len;
-        slot.q_len <- 0;
-        slot.q_due <- -1;
-        if !dq_count = 0 then dq_min := max_int
-        else begin
-          dq_min := max_int;
-          Array.iter
-            (fun s -> if s.q_len > 0 && s.q_due < !dq_min then
-                dq_min := s.q_due)
-            dq
-        end
-      end;
-      for d = 0 to d_req - 1 do
-        let a = arenas.(d) in
-        for i = 0 to a.asenders_len - 1 do
-          let v = a.asenders.(i) in
-          Bytes.unsafe_set p.queued v '\000';
-          let lo = a.aoff.(i) in
-          let hi =
-            if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len
-          in
-          for j = hi - 1 downto lo do
-            let dest = a.s_dest.(j) and de = a.s_eids.(j) in
-            let msg = a.s_msgs.(j) in
-            let b = Msg.bits msg in
-            let sent = eng.current_round - 1 in
-            if is_crashed v then begin
-              (* The sender went down with this frame still queued:
-                 nothing ever reaches the wire. *)
-              incr round_dropped;
-              trace_fault Trace.Down_drop ~sender:v ~dest ~de ~info:0
-            end
-            else
-              match
-                match fpol with
-                | None -> Faults.Deliver
-                | Some fp ->
-                    Faults.draw fp ~edge:de ~round:eng.current_round
-                      ~k:(next_k de)
-              with
-              | Faults.Deliver ->
-                  charge_wire de b;
-                  deliver ~sent ~de ~bits:b v dest msg
-              | Faults.Drop ->
-                  charge_wire de b;
-                  incr round_dropped;
-                  trace_fault Trace.Drop ~sender:v ~dest ~de ~info:0
-              | Faults.Truncate ->
-                  (* A truncated frame occupies at most one full
-                     bandwidth slot on the wire and is undecodable at
-                     the receiver: silence, never corruption. *)
-                  charge_wire de (if b < bw then b else bw);
-                  incr round_dropped;
-                  trace_fault Trace.Truncate ~sender:v ~dest ~de ~info:b
-              | Faults.Duplicate ->
-                  charge_wire de b;
-                  charge_wire de b;
-                  incr round_duplicated;
-                  trace_fault Trace.Duplicate ~sender:v ~dest ~de ~info:0;
-                  deliver ~sent ~de ~bits:b v dest msg;
-                  deliver ~sent ~de ~bits:b v dest msg
-              | Faults.Delay dl ->
-                  incr round_delayed;
-                  trace_fault Trace.Delay ~sender:v ~dest ~de ~info:dl;
-                  let due = eng.current_round + dl in
-                  let slot = dq.(due mod Array.length dq) in
-                  assert (slot.q_len = 0 || slot.q_due = due);
-                  if slot.q_len = 0 then slot.q_due <- due;
-                  push_dslot slot ~sent ~sender:v ~dest ~de msg;
-                  incr dq_count;
-                  if due < !dq_min then dq_min := due
-          done
-        done
-      done;
-      (* Charge bandwidth per directed edge by re-scanning what was
-         delivered: deferred-arrival arcs first ([extra_touched]), then
-         the send entries in the exact drain order above.  Zeroing
-         [edge_bits] doubles as the visited mark, so an arc is charged at
-         its first touch — the same position the old explicit touched
-         list gave it (and the same arc a strict-mode overflow names).
-         The scan also resets [fidx] and finally the send buffers
-         themselves, always before the step phase queues new sends. *)
-      let max_frames = ref 1 in
-      let charge_de de =
-        let b = p.edge_bits.(de) in
-        if b <> 0 then begin
-          p.edge_bits.(de) <- 0;
-          if b > eng.estats.max_edge_bits then eng.estats.max_edge_bits <- b;
-          if b > bw then begin
-            if strict then begin
-              Obs.Log.warnf
-                ~fields:
-                  [ ("round", Obs.Log.I eng.current_round);
-                    ("edge", Obs.Log.I de); ("bits", Obs.Log.I b);
-                    ("bandwidth", Obs.Log.I bw) ]
-                "bandwidth exceeded in strict mode";
-              failwith
-                (Printf.sprintf
-                   "Engine: %d bits on one edge in one round exceeds the \
-                    %d-bit bandwidth (strict mode)"
-                   b bw)
-            end;
-            eng.estats.oversized <- eng.estats.oversized + 1;
-            let frames = Stats.frames ~bandwidth:bw b in
-            if frames > !max_frames then max_frames := frames
-          end
-        end
-      in
-      let faulted = fpol <> None in
-      for i = 0 to p.extra_len - 1 do
-        charge_de p.extra_touched.(i)
-      done;
-      p.extra_len <- 0;
-      for d = 0 to d_req - 1 do
-        let a = arenas.(d) in
-        for i = 0 to a.asenders_len - 1 do
-          let lo = a.aoff.(i) in
-          let hi = if i + 1 < a.asenders_len then a.aoff.(i + 1) else a.s_len in
-          for j = hi - 1 downto lo do
-            let de = a.s_eids.(j) in
-            if faulted then p.fidx.(de) <- 0;
-            charge_de de
-          done
-        done;
-        a.asenders_len <- 0;
-        a.s_len <- 0
-      done;
-      (* Step the live nodes (sharded when worthwhile). *)
-      let fib_cnt =
-        match trace with Some tr -> trace_prescan tr | None -> 0
-      in
-      let nd_used = run_phase ~start:false !live_len in
-      let stepped = total_stepped nd_used in
-      (match trace with Some tr -> trace_postscan tr fib_cnt | None -> ());
-      Account.close_round acct ~stepped ~domains:nd_used
-        ~dropped:!round_dropped ~duplicated:!round_duplicated
-        ~delayed:!round_delayed ~crashed:round_crashed ~bits:!round_bits
-        ~frames:!max_frames ~messages:!round_msgs;
-      (match trace with
-      | Some tr ->
-          if nd_used > 1 then begin
-            let mx = ref 0 in
-            for d = 0 to nd_used - 1 do
-              if arenas.(d).astepped > !mx then mx := arenas.(d).astepped
-            done;
-            Trace.shard tr ~round:eng.current_round ~domains:nd_used
-              ~max_stepped:!mx ~stepped
-          end
-      | None -> ());
-      check_failures ();
-      merge_failures ();
-      if has_crash then
-        for d = 0 to nd_used - 1 do
-          culled := !culled + arenas.(d).aculled
-        done;
-      (* Compact the surviving blocks into a prefix of [live] (ascending
-         blits over ascending blocks — plain memmove). *)
-      let dst = ref arenas.(0).akept in
-      if nd_used > 1 then
-        for d = 1 to nd_used - 1 do
-          let lo, _ = block d !live_len in
-          let a = arenas.(d) in
-          if a.akept > 0 && !dst <> lo then Array.blit live lo live !dst a.akept;
-          dst := !dst + a.akept
-        done;
-      live_len := !dst;
-      min_wake := max_int;
-      for d = 0 to nd_used - 1 do
-        if arenas.(d).amin_wake < !min_wake then min_wake := arenas.(d).amin_wake
-      done;
-      (* Steps read inbox chains in place, so clear every receiver's
-         chain here and recycle the slab: the next round appends from
-         slot 0. *)
-      for i = 0 to p.receivers_len - 1 do
-        p.ib_head.(p.receivers.(i)) <- -1
-      done;
-      p.receivers_len <- 0;
-      p.ib_len <- 0
-    in
     let completed =
       Account.guard acct
         ~release:(fun () ->
-          release_team ();
+          release_team r;
           if owned then p.in_use <- false)
-        (fun () ->
-          let (_ : int) = run_phase ~start:true n in
-          check_failures ();
-          merge_failures ();
-          live_len := 0;
-          min_wake := max_int;
-          for v = 0 to n - 1 do
-            if wake.(v) >= 0 then begin
-              live.(!live_len) <- v;
-              incr live_len;
-              if wake.(v) < !min_wake then min_wake := wake.(v)
-            end
-          done;
-          (match trace with
-          | Some tr ->
-              (* With fast-forward off the first wake is round 1. *)
-              for i = 0 to !live_len - 1 do
-                let v = live.(i) in
-                Trace.fiber_park tr ~round:0 ~node:v
-                  ~wake:(if fast_forward then wake.(v) else 1)
-              done
-          | None -> ());
-          (* Quiescent-round fast-forward: with no frame in flight anywhere
-             and every live node parked on a wake round strictly in the
-             future, the rounds before the earliest wake are provably
-             empty.  Under faults, a deferred message's due round bounds
-             the skip just like the earliest waiter does: the round a
-             delayed frame lands in must be simulated.  (Crash windows
-             need no extra cap: a frozen node's effective wake already
-             accounts for its recovery, and crash events landing in a
-             skipped quiescent span are observably identical to the
-             unskipped execution.) *)
-          let completed =
-            Account.drive acct
-              ~live:(fun () -> !live_len > 0)
-              ~wake:(fun () ->
-                if fast_forward && pending_sends () = 0 then
-                  if !dq_min < !min_wake then !dq_min else !min_wake
-                else max_int)
-              ~step:one_round
-          in
-          (* A final skip moved only [Stats.rounds]. *)
-          eng.current_round <- eng.estats.Stats.rounds;
-          (* Crash events inside a span the final fast-forward jumped over
-             were never seen by [one_round]; count them now so the tally
-             matches a round-by-round execution. *)
-          if has_crash then Account.crashed acct (crashes_due ());
-          completed && !culled = 0 && eng.fail_log = [])
+        (fun () -> drive r)
     in
-    Account.finish acct ~mode:"fiber" ~wall:(string_of_int d_req) ~completed;
+    Account.finish acct ~domains:d_req ~completed;
     {
       outputs = [||];
       failures = List.rev eng.fail_log;
@@ -1357,12 +1619,16 @@ module Make (Msg : MESSAGE) = struct
       Obj.magic 0
     in
     let conts = Array.make n none_k in
+    (* Each program's own ctx; its sends go to the arena of the domain
+       stepping it, re-pointed at every step. *)
+    let pctxs = Array.make n None in
     let start (c : ctx) v =
+      let pc = { id = v; a = c.a; eng = c.eng } in
+      pctxs.(v) <- Some pc;
       (* The fiber runs the program itself and [retc] stores its output
          from the handler's side, so no frame of this closure sits under
          the node program in the fiber's stack. *)
-      Effect.Deep.match_with program
-        { id = v; eng = c.eng }
+      Effect.Deep.match_with program pc
         {
           retc =
             (fun o ->
@@ -1381,6 +1647,7 @@ module Make (Msg : MESSAGE) = struct
         }
     in
     let resume c v inbox =
+      (match pctxs.(v) with Some pc -> pc.a <- c.a | None -> ());
       let k = conts.(v) in
       conts.(v) <- none_k;
       Effect.Deep.continue k (inbox_list c.eng.p inbox)

@@ -1,4 +1,4 @@
-(** Round-synchronous CONGEST simulator.
+(** Round-synchronous CONGEST simulator: the one executor of kernels.
 
     The engine steps {e kernels} ({!Compiled.step}): [start] at every node
     in round 0, then [resume] with the node's inbox at each arrival or
@@ -15,27 +15,38 @@
     carried [k] frames as [k] rounds in {!Stats.t.charged_rounds} — the cost
     an actual CONGEST execution would pay by pipelining.
 
-    The delivery path is allocation-free in steady state: bit totals live
-    in a preallocated per-directed-edge counter array (reset through a
-    touched-edge worklist), messages move through per-node buffers reused
-    across rounds, and the engine keeps worklists of live nodes and active
-    senders so a round costs O(live nodes + messages), not O(n).
+    {b Cost.}  A round costs O(due nodes + delivered messages), plus
+    sorting the due set.  A parked node waits in a round-indexed
+    deadline wheel (O(n) slots, with an overflow list for deadlines past
+    its window); a delivery marks its receiver due, and the round steps
+    exactly its due nodes, in ascending id order — once the due set
+    holds n/8 nodes or more it is listed by one scan over the ids
+    instead of a sort.  Nodes that are merely parked are never visited,
+    and fast-forward reads its target from the nearest non-empty slot.
+    Bit totals live in a per-directed-edge counter array reset by
+    re-scanning the round's send entries, a resumed node reads its inbox
+    in place from the delivery slab through a cursor, and [Msg.bits] is
+    taken once for a run of physically equal messages (a broadcast, a
+    relayed payload), so delivery allocates nothing beyond the messages
+    themselves.  All of this state lives in the reusable {!Make.pool}.
 
     {1 Concurrency and determinism}
 
     With [run ~domains:d] (d > 1), the stepping half of each round is
-    sharded across [d] OCaml domains; delivery, bandwidth charging and all
-    bookkeeping stay on the calling domain.  The contract:
+    sharded across [d] OCaml domains; delivery, bandwidth charging, the
+    wheel and all bookkeeping stay on the calling domain.  The contract:
 
-    - {b Sharding.}  The node-id-sorted live worklist is cut into [d]
-      contiguous blocks; domain [i] steps block [i] in ascending id order.
-      Rounds with fewer live nodes than a small threshold are stepped by
-      the calling domain alone (same code path, one block).
+    - {b Sharding.}  The ascending due set is cut into [d] contiguous
+      blocks; domain [i] steps block [i] in ascending id order.  Rounds
+      with fewer due nodes than a small threshold are stepped by the
+      calling domain alone (same code path, one block).  The calling
+      domain takes the due nodes off the wheel before the phase and
+      re-parks them after the barrier, so no worker touches the wheel.
     - {b Arenas.}  Any state a kernel hook can mutate that is not indexed
       by its own node id — the active-senders worklist and queued sends,
       an escaping exception — is written to the stepping domain's private
       arena, through the arena's one shared ctx.  State indexed by node id
-      (inboxes, wake rounds, a kernel's per-node state, a node program's
+      (inboxes, deadlines, a kernel's per-node state, a node program's
       continuation and output) has a single writer per round because
       blocks are disjoint.  The engine keeps no other per-node state: a
       protocol that needs randomness derives it from its own seed and the
@@ -64,7 +75,7 @@
       so a serial run after a wide one leaves no worker alive.
 
     {b Fast-forward.}  When a round ends with no frame in flight (no node
-    queued a send) and every live node is parked on a wake round strictly
+    queued a send) and every live node is parked on a deadline strictly
     in the future, the intervening rounds are provably empty: nothing to
     deliver, one frame charged, nobody resumed.
     [run ~fast_forward:true] (the default) advances [rounds],
@@ -72,16 +83,18 @@
     of simulating it, records the span in
     {!Stats.t.fast_forwarded_rounds}, and emits the same per-round
     telemetry the stepped rounds would have produced.  The round in which
-    the earliest waiter expires is always simulated normally, so nominal
-    and charged accounting are unchanged.
+    the earliest deadline expires is always simulated normally, so nominal
+    and charged accounting are unchanged.  With fast-forward off every
+    round is simulated, and every live node counts as stepped in each —
+    the legacy baseline, which resumed every parked node every round.
 
     {b Run accounting.}  What a run counts is not this module's: the
     {!Stats.t} record, the per-round telemetry tick and trace round
     tick, the fast-forward skip, the [max_rounds] round driver, the
     trace's run end and the run-level [congest_*] metrics all live in
-    {!Account}, which {!Compiled} shares.  This module keeps the
-    stepping, delivery, per-edge bandwidth charging and the event-level
-    trace records (messages, faults, resume/park, shards).
+    {!Account}.  This module keeps the stepping, delivery, per-edge
+    bandwidth charging and the event-level trace records (messages,
+    faults, resume/park, shards).
 
     {b Fault injection.}  [run ?faults] consults a {!Faults.policy} at
     delivery time — the serial, deterministically ordered half of a round
@@ -90,7 +103,10 @@
     decision is a pure function of [(policy, directed edge, round,
     per-edge message index)], the injected schedule inherits the full
     determinism contract: byte-identical [Stats] / [Telemetry] / outputs
-    for every [?domains] count and for [fast_forward] on/off.  Protocols
+    for every [?domains] count and for [fast_forward] on/off.  A node
+    that goes down leaves the wheel's deadline order at the first round
+    it is down: a crash-stopped node is culled at once, and a
+    crash-recovering one waits for its recovery round.  Protocols
     observe faults only as silence (lost or late messages, unresponsive
     neighbors), which is the CONGEST-faithful model; every fault is
     charged in {!Stats.t.dropped} / [duplicated] / [delayed] /
@@ -163,7 +179,7 @@ module Make (Msg : MESSAGE) : sig
   val wait : ctx -> int -> (int * Msg.t) list
 
   (** A kernel's inbox cursor: a slab index into the round's deliveries,
-      chained in delivery order, as in {!Compiled.Make}. *)
+      chained in delivery order (see {!Compiled.NET.inbox}). *)
   type inbox
 
   val inbox_is_empty : inbox -> bool
@@ -194,8 +210,9 @@ module Make (Msg : MESSAGE) : sig
   }
 
   type pool
-  (** Preallocated delivery state (message buffers, per-edge bit counters,
-      worklists) for one graph, reusable across {!run} calls so protocols
+  (** Preallocated delivery and scheduling state (message buffers,
+      per-edge bit counters, the deadline wheel) for one graph, reusable
+      across {!run} calls so protocols
       built from many short runs avoid the O(n + m) per-run allocation
       bill.  A pool is single-domain and serves one run at a time; passing
       a busy pool (nested run) or one built for a different graph value
@@ -208,7 +225,7 @@ module Make (Msg : MESSAGE) : sig
 
   (** Analytic resident cost of a pool, in bytes, split the way the M1
       memory experiment reports it: [node_bytes] covers the
-      vertex-indexed arrays, [edge_bytes] the edge-indexed arrays (16
+      vertex-indexed arrays (the wheel's slots included), [edge_bytes] the edge-indexed arrays (16
       bytes/edge fault-free; twice that once a faulted run has sized the
       per-edge fault index), and [slab_bytes] the growable message slabs,
       whose capacity tracks the peak per-round traffic rather than n or
@@ -223,15 +240,15 @@ module Make (Msg : MESSAGE) : sig
       again after a serial run. *)
   val team_size : unit -> int
 
-  (** [run_kernel g ~start ~resume] runs a {!Compiled.step} kernel, in
-      {!Compiled.Make.run}'s shape: [start ctx v] at every node in round 0
-      (ascending ids), then [resume ctx v inbox] at each round in which
-      [v] is due — a non-empty inbox, or the deadline of its last [Park k]
-      ([k <= 0] means one round) — until every node halts.  Hooks run on
-      the stepping domain's own stack; options are {!run}'s, and the
-      result's [outputs] is [[||]].  Without faults its stats and trace
-      equal {!Compiled.Make.run}'s for the same kernel (its telemetry
-      too, at [~domains:1]). *)
+  (** [run_kernel g ~start ~resume] runs a {!Compiled.step} kernel:
+      [start ctx v] at every node in round 0 (ascending ids), then
+      [resume ctx v inbox] at each round in which [v] is due — a
+      non-empty inbox, or the deadline of its last [Park k] ([k <= 0]
+      means one round) — until every node halts.  Hooks run on the
+      stepping domain's own stack; options are {!run}'s, and the
+      result's [outputs] is [[||]].  A hook exception aborts the run
+      after the round's accounting (or is recorded, with
+      [~on_error:`Record]). *)
   val run_kernel :
     ?bandwidth:int ->
     ?strict:bool ->
@@ -292,9 +309,9 @@ module Make (Msg : MESSAGE) : sig
              shared across runs (one run drives it at a time, concurrent
              runs step serially) and joined at process exit.
       @param fast_forward advance provably-quiescent round spans in O(1)
-             (default [true]).  [false] is the measurement baseline: the
-             stepping loop then steps every parked node every round
-             (hooks still run only on an arrival or at the deadline),
+             (default [true]).  [false] is the measurement baseline: every
+             round is simulated and every live node counts as stepped in
+             it (hooks still run only on an arrival or at the deadline),
              reproducing the pre-optimisation engine.  Accounting is
              identical either way; only
              {!Stats.t.fast_forwarded_rounds} records that the shortcut

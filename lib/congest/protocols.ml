@@ -9,16 +9,14 @@ module M = struct
 end
 
 module E = Engine.Make (M)
-module C = Compiled.Make (M)
 
 type bfs_result = { parent : int array; level : int array; rounds : int }
 
 (* Each protocol is one kernel (see [Compiled.step]) written against
-   [Compiled.NET] and instantiated once per executor; [N.run] executes a
-   kernel and returns the run's stats.  Sends follow a fixed order
-   (broadcasts in port order, [Child] replies in neighbor order), so
-   Stats and Telemetry are the same on either executor;
-   test/test_congest.ml holds them to that. *)
+   [Compiled.NET]; [N.run] executes a kernel and returns the run's
+   stats.  Sends follow a fixed order (broadcasts in port order, [Child]
+   replies in neighbor order); test/test_congest.ml runs the same
+   kernels on a reference executor and holds the engine to its Stats. *)
 module Kernels (N : sig
   include Compiled.NET with type msg = M.t
 
@@ -156,23 +154,8 @@ struct
     (!total, stats.Stats.rounds)
 end
 
-module KE = Kernels (struct
+include Kernels (struct
   include E
 
   let run g ~start ~resume = (E.run_kernel g ~start ~resume).E.stats
 end)
-
-module KC = Kernels (struct
-  include C
-
-  let run g ~start ~resume = (C.run g ~start ~resume).C.stats
-end)
-
-let bfs_tree ?(mode = Compiled.Fiber) =
-  if Compiled.pick mode ~faults:false then KC.bfs_tree else KE.bfs_tree
-
-let elect_min_id ?(mode = Compiled.Fiber) =
-  if Compiled.pick mode ~faults:false then KC.elect_min_id else KE.elect_min_id
-
-let count_nodes ?(mode = Compiled.Fiber) =
-  if Compiled.pick mode ~faults:false then KC.count_nodes else KE.count_nodes

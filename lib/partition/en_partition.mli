@@ -18,7 +18,7 @@
     {!State.t}): part roots and parent/children trees, ready for
     {!Tester.Stage2}.  The waves, the children round and the closing
     root refresh are distributed rounds, run with [state]'s engine
-    settings (telemetry, trace, domains, faults, mode, ...). *)
+    settings (telemetry, trace, domains, faults, ...). *)
 
 type result = {
   state : State.t;

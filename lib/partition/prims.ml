@@ -1,7 +1,6 @@
 open Graphlib
 
 module Eng = State.Eng
-module Cmp = State.Cmp
 
 (* [traced st label f] wraps one primitive's engine run in a trace span
    when the state carries a trace; spans nest under the current trace
@@ -12,15 +11,8 @@ let traced (st : State.t) label f =
   | None -> f ()
 
 (* Every primitive below is one kernel (see [Congest.Compiled.step])
-   written against [Congest.Compiled.NET] and instantiated for both
-   executors: [Congest.Compiled]'s flat array passes ([Kc]), or the
-   sharded engine's stepping loop through [Eng.run_kernel] ([Ke]), which
-   is the only executor with a fault layer.  Neither starts a fiber.
-   Stats and Telemetry are byte-identical either way, so the dispatch is
-   invisible to callers. *)
-let compiled_active (st : State.t) =
-  Congest.Compiled.pick st.State.mode
-    ~faults:(Congest.Faults.active st.State.faults)
+   written against [Congest.Compiled.NET] and run by [Eng.run_kernel];
+   none starts a fiber. *)
 
 (* Kernel hooks have no [reject], so a run carries no rejections.  A run
    that cannot complete under an active fault policy (a crash-stopped
@@ -37,7 +29,7 @@ let charge (st : State.t) stats ~completed =
            "Prims: node program did not complete under fault injection")
     else failwith "Prims: node program did not complete"
 
-let run_fiber (st : State.t) ~start ~resume =
+let execute (st : State.t) ~start ~resume =
   let res =
     Eng.run_kernel ?telemetry:st.State.telemetry ?trace:st.State.trace
       ~domains:st.State.domains ~fast_forward:st.State.fast_forward
@@ -45,14 +37,6 @@ let run_fiber (st : State.t) ~start ~resume =
       ~pool:st.State.pool st.State.graph ~start ~resume
   in
   charge st res.Eng.stats ~completed:res.Eng.completed
-
-let run_compiled (st : State.t) ~start ~resume =
-  let res =
-    Cmp.run ?telemetry:st.State.telemetry ?trace:st.State.trace
-      ~fast_forward:st.State.fast_forward ?on_round:st.State.on_round
-      ~pool:(State.cmp_pool st) st.State.graph ~start ~resume
-  in
-  charge st res.Cmp.stats ~completed:res.Cmp.completed
 
 (* How a tree primitive's payload rides a message: a flat int list in
    [Down]/[Up], or a priced host value in [Held].  [unwrap] only
@@ -140,7 +124,7 @@ struct
 
   (* A relay forwards the very message value it received: every hop of
      one part's broadcast carries one physical message, which the
-     compiled delivery pass prices once per round. *)
+     delivery pass prices once per round. *)
   let rec relay ctx msg = function
     | [] -> ()
     | c :: rest ->
@@ -246,7 +230,7 @@ struct
 
   (* The payload is computed once per sender, at its first cut port, and
      that one [Bdry] value goes out on every addressed cut port: the
-     compiled delivery pass prices a run of physically equal messages
+     delivery pass prices a run of physically equal messages
      once.  Payloads and filters are pure, so evaluating them once per
      sender instead of once per port changes nothing on the wire. *)
   let rec first_cut (nd : State.node) port deg =
@@ -293,7 +277,7 @@ struct
     N.run st ~start ~resume
 
   (* [bcast]'s schedule with caller-written hooks.  The hooks send
-     through a closure over [ctx]; both executors hand every hook one
+     through a closure over [ctx]; the engine hands every hook that one
      domain steps the same [ctx] (one per arena), so [bound] caches one
      closure per ctx, built on its first use.  A ctx is stepped by one
      domain at a time and the compare-and-set loses no entry, so the
@@ -329,26 +313,19 @@ struct
     N.run st ~start ~resume
 end
 
-module Ke = Kernels (struct
+module K = Kernels (struct
   include Eng
 
-  let run = run_fiber
-end)
-
-module Kc = Kernels (struct
-  include Cmp
-
-  let run = run_compiled
+  let run = execute
 end)
 
 let refresh_roots st =
   traced st "refresh_roots" @@ fun () ->
-  if compiled_active st then Kc.refresh_roots st else Ke.refresh_roots st
+  K.refresh_roots st
 
 let bcast_via c st ~budget ~tag ~at_root ~on_receive =
   traced st "bcast" @@ fun () ->
-  if compiled_active st then Kc.bcast c st ~budget ~tag ~at_root ~on_receive
-  else Ke.bcast c st ~budget ~tag ~at_root ~on_receive
+  K.bcast c st ~budget ~tag ~at_root ~on_receive
 
 let bcast st ~budget ~tag ~at_root ~on_receive =
   bcast_via down st ~budget ~tag ~at_root ~on_receive
@@ -358,9 +335,7 @@ let bcast_held st ~budget ~tag ~at_root ~on_receive =
 
 let converge_via c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
   traced st "converge" @@ fun () ->
-  if compiled_active st then
-    Kc.converge c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
-  else Ke.converge c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
+  K.converge c st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
 
 let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
   converge_via up st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
@@ -372,13 +347,11 @@ let every_nbr _ _ = true
 
 let boundary ?(to_nbr = every_nbr) st ~tag ~payload ~on_receive =
   traced st "boundary" @@ fun () ->
-  if compiled_active st then Kc.boundary st ~tag ~to_nbr ~payload ~on_receive
-  else Ke.boundary st ~tag ~to_nbr ~payload ~on_receive
+  K.boundary st ~tag ~to_nbr ~payload ~on_receive
 
 type send = dest:int -> Msg.t -> unit
 
 let no_settle _ _ = ()
 
 let wave ?(settle = no_settle) st ~budget ~start ~receive =
-  if compiled_active st then Kc.wave st ~budget ~start ~receive ~settle
-  else Ke.wave st ~budget ~start ~receive ~settle
+  K.wave st ~budget ~start ~receive ~settle

@@ -3,9 +3,9 @@
     Every function executes one complete CONGEST protocol over the whole
     network in which all nodes follow the same fixed round schedule.  Each
     is written once, as a kernel (see {!Congest.Compiled.step}), and runs
-    on the executor [st.mode] selects: the compiled array passes, or the
-    sharded engine (always under faults).  There is no other way to run
-    a node program here, so no run of these primitives starts a fiber.
+    on the engine ({!Congest.Engine.Make.run_kernel}) with the state's
+    settings.  There is no other way to run a node program here, so no
+    run of these primitives starts a fiber.
     Chaining primitives keeps every node in lockstep — exactly
     the fixed-budget scheduling the paper uses (it budgets each emulated
     super-round by the [4^i] diameter bound; we budget by the true
@@ -81,7 +81,7 @@ val converge_held :
     [Msg.Bdry] value carrying it goes out on every incident edge leading
     outside the part whose neighbor [to_nbr nd nbr] accepts (default:
     every one); sharing the value keeps the host cost of a message O(1)
-    words, and the compiled delivery pass prices the whole run of them
+    words, and the engine's delivery pass prices the whole run of them
     once.  Deliveries invoke [on_receive nd ~nbr payload].  [payload]
     and [to_nbr] must be pure: neither may depend on how often, or in
     what order, it is called. *)

@@ -27,7 +27,7 @@ val trials_for : delta:float -> int
     partition.  [alpha] is the promised arboricity bound (3 for planar).
     [state] (default a fresh [State.create g]) is the state to partition
     in place; its engine settings (telemetry, trace, domains, faults,
-    mode, ...) apply to every round the partition runs. *)
+    ...) apply to every round the partition runs. *)
 val run :
   ?alpha:int ->
   ?stop_when_met:bool ->

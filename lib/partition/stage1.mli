@@ -52,10 +52,10 @@ val phases_for : eps:float -> alpha:int -> int
     @param state run on this {!State.t} instead of [State.create g].
            The state is the one carrier of the run's settings: every
            engine run reads its telemetry and trace recorders, domain
-           count, fast-forward switch, fault policy, executor mode and
-           [on_round] observer from it (the {!State.create} defaults —
-           no recorders, serial, fast-forward on, no faults, [Fiber] —
-           when omitted), and each partition phase opens a
+           count, fast-forward switch, fault policy and [on_round]
+           observer from it (the {!State.create} defaults — no
+           recorders, serial, fast-forward on, no faults — when
+           omitted), and each partition phase opens a
            ["stage1-phase-<i>"] phase on its recorders ({!State.phase}).
            It is also the resume half of checkpointing: restore a state
            with {!State.restore}, configure it, then pass it here

@@ -1,7 +1,6 @@
 open Graphlib
 
 module Eng = Congest.Engine.Make (Msg)
-module Cmp = Congest.Compiled.Make (Msg)
 
 type bdry_child = {
   child : int;
@@ -52,8 +51,6 @@ type t = {
   mutable domains : int;
   mutable fast_forward : bool;
   mutable faults : Congest.Faults.policy option;
-  mutable mode : Congest.Compiled.mode;
-  mutable cpool : Cmp.pool option;  (* lazily allocated on first compiled run *)
   mutable on_round : (int -> unit) option;
   converge_left : int array;
 }
@@ -102,8 +99,6 @@ let create g =
     domains = 1;
     fast_forward = true;
     faults = None;
-    mode = Congest.Compiled.Fiber;
-    cpool = None;
     on_round = None;
     converge_left = Array.make (Graph.n g) (-1);
   }
@@ -123,19 +118,9 @@ let restore g ~nodes ~stats ~rejections ~nominal_rounds =
     domains = 1;
     fast_forward = true;
     faults = None;
-    mode = Congest.Compiled.Fiber;
-    cpool = None;
     on_round = None;
     converge_left = Array.make (Graph.n g) (-1);
   }
-
-let cmp_pool st =
-  match st.cpool with
-  | Some p -> p
-  | None ->
-      let p = Cmp.pool st.graph in
-      st.cpool <- Some p;
-      p
 
 let phase st label =
   (* A trace rotates the phase of the telemetry it projects. *)

@@ -10,11 +10,6 @@
     preallocated {!Congest.Engine.Make.pool} serves every run). *)
 module Eng : module type of Congest.Engine.Make (Msg)
 
-(** The serial compiled executor over the same message type; the
-    lockstep {!Prims} kernels run on it when {!t.mode} selects the
-    compiled path (see {!Congest.Compiled}). *)
-module Cmp : module type of Congest.Compiled.Make (Msg)
-
 (** A designated child edge [(u, v)] as its parent-side endpoint [v]
     sees it.  Only [v]'s own hooks write it. *)
 type bdry_child = {
@@ -73,9 +68,9 @@ type t = {
   nodes : node array;
   stats : Congest.Stats.t;  (** accumulated over every engine run *)
   pool : Eng.pool;
-      (** reusable fiber-engine delivery state — every fiber run of a
-          {!Prims} kernel over [graph] draws on it instead of allocating
-          per run *)
+      (** reusable engine delivery and scheduling state — every run of
+          a {!Prims} kernel over [graph] draws on it instead of
+          allocating per run *)
   mutable rejections : (int * string) list;
       (** one-sided-error evidence collected so far, newest first *)
   mutable nominal_rounds : int;
@@ -103,17 +98,9 @@ type t = {
           injects the deterministic fault schedule it describes; a run
           that cannot complete under it raises {!Congest.Faults.Degraded}
           rather than failing silently *)
-  mutable mode : Congest.Compiled.mode;
-      (** executor for the lockstep {!Prims} kernels (default [Fiber]);
-          [Compiled] runs them as serial array passes when no faults
-          are attached — accounting is byte-identical either way (see
-          {!Congest.Compiled}). *)
-  mutable cpool : Cmp.pool option;
-      (** reusable compiled-path delivery state, allocated lazily by
-          {!cmp_pool} on the first compiled run *)
   mutable on_round : (int -> unit) option;
       (** host-side per-round observer threaded to every engine run
-          through {!Prims} (fiber and compiled alike): [f 1] per stepped
+          through {!Prims}: [f 1] per stepped
           round, [f delta] per fast-forwarded span.  Must not touch
           simulated state — drives {!Obs.Heartbeat} ticks. *)
   converge_left : int array;
@@ -142,9 +129,6 @@ val restore :
   rejections:(int * string) list ->
   nominal_rounds:int ->
   t
-
-(** The state's compiled-path pool, allocating it on first use. *)
-val cmp_pool : t -> Cmp.pool
 
 (** [phase st label] opens the phase [label] on every observer the state
     carries: a {!Congest.Telemetry} phase, a {!Congest.Trace} phase and

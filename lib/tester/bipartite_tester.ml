@@ -72,7 +72,7 @@ let stage2 st ~eps:_ ~seed:_ =
     ~at_root:(fun nd t -> counts.(nd.S.id) <- Some t);
   (* Nominal schedule: refresh_roots (1) + BFS flood (budget) + level
      exchange (1) + convergecast (budget).  [budget] depends only on the
-     partition, so this is invariant across domains / ff / mode. *)
+     partition, so this is invariant across domains and ff. *)
   st.S.nominal_rounds <- st.S.nominal_rounds + (2 * budget) + 2;
   let parts =
     List.map
@@ -89,9 +89,9 @@ let stage2 st ~eps:_ ~seed:_ =
   }
 
 let run ?seed ?alpha ?partition ?measure_diameters ?telemetry ?trace ?domains
-    ?fast_forward ?faults ?mode ?checkpoint ?heartbeat g ~eps =
+    ?fast_forward ?faults ?checkpoint ?heartbeat g ~eps =
   Harness.run ?seed ?alpha ?partition ?measure_diameters ?telemetry ?trace
-    ?domains ?fast_forward ?faults ?mode ?checkpoint ?heartbeat
+    ?domains ?fast_forward ?faults ?checkpoint ?heartbeat
     ~property:"bipartite" ~stage2 g ~eps
 
 let accepts ?seed ?partition g ~eps =

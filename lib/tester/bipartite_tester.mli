@@ -15,7 +15,7 @@
     fault-free run, not merely with high probability.
 
     Accounting inherits the harness contract: verdict and totals are
-    byte-identical across [?domains], [?fast_forward] and [?mode]. *)
+    byte-identical across [?domains] and [?fast_forward]. *)
 
 (** Per-part summary gathered by convergecast at each part root. *)
 type part_info = {
@@ -45,7 +45,6 @@ val run :
   ?domains:int ->
   ?fast_forward:bool ->
   ?faults:Congest.Faults.policy ->
-  ?mode:Congest.Compiled.mode ->
   ?checkpoint:Harness.checkpoint ->
   ?heartbeat:Obs.Heartbeat.t ->
   Graphlib.Graph.t ->

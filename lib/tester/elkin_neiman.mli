@@ -12,7 +12,7 @@
 
     The waves are one {!Partition.Prims.wave} of budget [k], run with
     [state]'s engine settings (default a fresh {!Partition.State.t}):
-    domains, mode, fast-forward, telemetry and trace.  Node [v] draws
+    domains, fast-forward, telemetry and trace.  Node [v] draws
     from [Random.State.make [| seed; v; 0x5eed |]], and a wave message is
     priced at 64 bits.  The result is the same for every setting. *)
 

@@ -77,7 +77,7 @@ let effective_eps g ~eps =
 
 let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
     ?(measure_diameters = false) ?telemetry ?trace ?(domains = 1)
-    ?(fast_forward = true) ?faults ?(mode = Congest.Compiled.Fiber)
+    ?(fast_forward = true) ?faults ?mode:(_ : Congest.Compiled.mode option)
     ?checkpoint ?heartbeat ~property ~stage2 g ~eps =
   let faults_active = Congest.Faults.active faults in
   (* A traced run ticks the telemetry its trace projects. *)
@@ -156,7 +156,6 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
   st.Partition.State.domains <- domains;
   st.Partition.State.fast_forward <- fast_forward;
   st.Partition.State.faults <- faults;
-  st.Partition.State.mode <- mode;
   st.Partition.State.on_round <- hb_on_round;
   Option.iter
     (fun hb ->

@@ -16,9 +16,9 @@
 
     The harness preserves the engine contract: for a fixed
     (graph, seed, eps, faults), the verdict and every accounting total in
-    {!totals} are byte-identical across [?domains], [?fast_forward] and
-    [?mode] — instantiations must keep their Stage II deterministic in
-    the same sense (all the {!Partition.Prims} primitives are). *)
+    {!totals} are byte-identical across [?domains] and [?fast_forward] —
+    instantiations must keep their Stage II deterministic in the same
+    sense (all the {!Partition.Prims} primitives are). *)
 
 (** Tester verdict.  [Reject] carries per-node evidence as
     [(node, reason)] pairs, sorted and deduplicated.  [Degraded] is the
@@ -129,9 +129,10 @@ val effective_eps : Graphlib.Graph.t -> eps:float -> float
     3; the [Randomized] partition's promised arboricity too),
     [partition] (default [Stage_one]),
     [measure_diameters], [telemetry], [trace], [domains] (default 1),
-    [fast_forward] (default [true]), [faults], [mode] (default [Fiber]),
-    [checkpoint].  A traced run ticks the telemetry its trace projects
-    ({!Congest.Trace.resolve}): pass that one as [telemetry], or none.
+    [fast_forward] (default [true]), [faults], [checkpoint].  [mode] is
+    accepted and ignored: there is one executor.  A traced run ticks the
+    telemetry its trace projects ({!Congest.Trace.resolve}): pass that
+    one as [telemetry], or none.
 
     [heartbeat]: attach an {!Obs.Heartbeat.t} to the run.  The harness
     connects its sample source to the partition state's accumulated

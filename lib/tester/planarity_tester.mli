@@ -115,11 +115,8 @@ type report = {
     every engine run, the partition's included: the verdict is then
     [Accept], [Degraded] — or [Reject] only when no fault actually fired,
     so the report is identical for any [domains] and [fast_forward]
-    setting, faults included.  [mode] selects the executor for the
-    lockstep kernels, Stage II's included (default [Fiber]): [Compiled]
-    runs them as serial array passes when no faults are attached, with
-    a byte-identical report, Stats and Telemetry (see
-    {!Congest.Compiled}).  [checkpoint] enables phase-boundary
+    setting, faults included.  [mode] is accepted and ignored: every
+    kernel runs on the one engine.  [checkpoint] enables phase-boundary
     checkpoint/resume (see {!checkpoint}); it requires the [Stage_one]
     partition and raises [Invalid_argument] with any other.
     Snapshots carry the telemetry series and the event-trace state, so a

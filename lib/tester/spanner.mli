@@ -20,7 +20,7 @@ type result = {
 (** [build ?partition ?seed ?state g ~eps] runs [partition] (default
     [Stage_one]; [seed] drives the randomized ones) and {!Part_bfs.build}
     on [state] (default a fresh {!Partition.State.t}), so every round runs
-    with that state's engine settings: domains, mode, fast-forward,
+    with that state's engine settings: domains, fast-forward,
     telemetry and trace.  Each partition's own eps is set so its cut
     target is [eps * n] edges.  [rounds] and [nominal_rounds] are the
     state's totals, so pass a fresh state. *)

@@ -1199,40 +1199,173 @@ let test_protocols_count_qcheck =
       let count, _ = Congest.Protocols.count_nodes g ~root:0 ~rounds_bound:(3 * n + 4) in
       count = List.length members)
 
-(* The compiled execution path must be indistinguishable from the fiber
-   engine on every protocol it recognizes — same outputs, same round
-   counts — across connected and disconnected random inputs. *)
-let test_protocols_compiled_differential =
+(* ------------------------------------------------------------------ *)
+(* The engine against the naive reference executor                     *)
+(* ------------------------------------------------------------------ *)
+
+module R = Reference_net.Make (M)
+
+(* The pass condition: with fast-forward off the engine's Stats equal
+   the reference's byte for byte; with it on, on every field but
+   [fast_forwarded_rounds]. *)
+let stats_match ~fast_forward (s : Congest.Stats.t) (r : Congest.Stats.t) =
+  if fast_forward then { s with fast_forwarded_rounds = 0 } = r else s = r
+
+(* The same protocol kernels on the engine and on the reference must give
+   the same outputs and round counts, across connected and disconnected
+   random inputs. *)
+let test_protocols_reference_differential =
   QCheck.Test.make
-    ~name:"protocols: compiled mode == fiber mode on random graphs" ~count:30
+    ~name:"protocols: engine == reference executor on random graphs"
+    ~count:30
     QCheck.(pair (int_range 2 40) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Random.State.make [| seed; 31 |] in
       let g = Generators.gnp rng n 0.2 in
-      let run mode =
-        let bfs =
-          Congest.Protocols.bfs_tree ~mode g ~root:0 ~rounds_bound:(Graph.n g)
-        in
-        let leaders =
-          Congest.Protocols.elect_min_id ~mode g ~rounds_bound:(Graph.n g)
-        in
-        let count =
-          Congest.Protocols.count_nodes ~mode g ~root:0
-            ~rounds_bound:((3 * n) + 4)
-        in
+      let module RP = Reference_net.Make (Congest.Protocols.M) in
+      let module RK = Congest.Protocols.Kernels (struct
+        include RP
+
+        let run g ~start ~resume = (RP.run g ~start ~resume).RP.stats
+      end) in
+      let run bfs_tree elect_min_id count_nodes =
+        let bfs = bfs_tree g ~root:0 ~rounds_bound:(Graph.n g) in
         ( (bfs.Congest.Protocols.parent, bfs.Congest.Protocols.level,
            bfs.Congest.Protocols.rounds),
-          leaders, count )
+          elect_min_id g ~rounds_bound:(Graph.n g),
+          count_nodes g ~root:0 ~rounds_bound:((3 * n) + 4) )
       in
-      run Congest.Compiled.Fiber = run Congest.Compiled.Compiled
-      ||
-      QCheck.Test.fail_reportf "compiled/fiber divergence at n=%d seed=%d" n
-        seed)
+      run Congest.Protocols.bfs_tree Congest.Protocols.elect_min_id
+        Congest.Protocols.count_nodes
+      = run RK.bfs_tree RK.elect_min_id RK.count_nodes
+      || QCheck.Test.fail_reportf "engine/reference divergence at n=%d seed=%d"
+           n seed)
 
-(* A kernel's [Park k] with [k <= 0] means one round on both executors.
-   The engine's stepping loop clamps it like [Compiled] does: taken
-   literally, [Park 0] would wake the node again inside the round it
-   parked in. *)
+module type KERNEL = functor (N : Congest.Compiled.NET with type msg = M.t) -> sig
+  val start : N.ctx -> int -> Congest.Compiled.step
+  val resume : N.ctx -> int -> N.inbox -> Congest.Compiled.step
+end
+
+(* One kernel on the reference: its stats and completion, or the
+   exception a hook raised. *)
+let reference_run ?max_rounds g (module K : KERNEL) =
+  let module KR = K (R) in
+  match R.run ?max_rounds g ~start:KR.start ~resume:KR.resume with
+  | r -> Ok (r.R.stats, r.R.completed)
+  | exception e -> Error (Printexc.to_string e)
+
+let engine_run ?max_rounds ?(domains = 1) ?faults ~fast_forward g
+    (module K : KERNEL) =
+  let module KE = K (E) in
+  match
+    E.run_kernel ?max_rounds ~domains ?faults ~fast_forward g ~start:KE.start
+      ~resume:KE.resume
+  with
+  | r -> Ok (r.E.stats, r.E.completed)
+  | exception e -> Error (Printexc.to_string e)
+
+let check_matches_reference what ?max_rounds ~fast_forward g k =
+  let reference = reference_run ?max_rounds g k in
+  match (engine_run ?max_rounds ~fast_forward g k, reference) with
+  | Ok (s, c), Ok (rs, rc) ->
+      check cb (what ^ ": completed") rc c;
+      check cb (what ^ ": stats") true (stats_match ~fast_forward s rs)
+  | Error e, Error re -> check Alcotest.string (what ^ ": exception") re e
+  | Ok _, Error re -> Alcotest.failf "%s: only the reference raised %s" what re
+  | Error e, Ok _ -> Alcotest.failf "%s: only the engine raised %s" what e
+
+(* A random kernel drawn from a seed: every step hashes (seed, node,
+   round, inbox digest) into its sends — none, a broadcast, or a burst
+   of one to three sends to one neighbor (enough to overflow the
+   bandwidth) — and into what it does next: halt, or park for -2..0
+   rounds (one round), a few rounds, or far past the wheel's initial
+   window.  Nodes halt for good at round [last]; node [fst raise_at]
+   raises if it steps at round [snd raise_at]. *)
+module Random_kernel (P : sig
+  val g : Graph.t
+  val seed : int
+  val last : int
+  val raise_at : int * int
+end)
+(N : Congest.Compiled.NET with type msg = M.t) =
+struct
+  let parks = [| -2; 0; 1; 1; 2; 3; 5; 17; 300; 1_500 |]
+
+  let act ctx v x =
+    let r = N.round ctx in
+    if (v, r) = P.raise_at then failwith (Printf.sprintf "node %d round %d" v r);
+    let h = Hashtbl.hash (P.seed, v, r, x) in
+    let deg = Graph.degree P.g v in
+    (if deg > 0 then
+       match h mod 4 with
+       | 0 -> N.broadcast ctx (M.Int (h land 1023))
+       | 1 ->
+           let dest = Graph.nbr P.g v ((h / 4) mod deg) in
+           for i = 0 to (h / 64) mod 3 do
+             N.send ctx ~dest (M.Int ((h lsr 10) + i))
+           done
+       | _ -> ());
+    if r >= P.last || (h / 7) mod 23 = 0 then Congest.Compiled.Halt
+    else Congest.Compiled.Park parks.((h / 13) mod Array.length parks)
+
+  let start ctx v = act ctx v 0
+
+  let resume ctx v inbox =
+    let x = ref 0 and cur = ref inbox in
+    while not (N.inbox_is_empty !cur) do
+      (match N.inbox_msg ctx !cur with
+      | M.Int m -> x := (31 * !x) + m + (7 * N.inbox_sender ctx !cur));
+      cur := N.inbox_next ctx !cur
+    done;
+    act ctx v !x
+end
+
+let test_random_kernels_reference =
+  QCheck.Test.make
+    ~name:"random kernels: engine == reference at every domain count and ff"
+    ~count:40
+    QCheck.(
+      quad (int_range 1 40) (int_range 0 100_000) (int_range 1 2_000)
+        (int_range 0 3))
+    (fun (n, seed, last, shape) ->
+      let g =
+        Generators.gnp (Random.State.make [| seed; 7 |]) n
+          (3.0 /. float_of_int n)
+      in
+      let raise_at =
+        if shape = 0 then (seed mod n, 1 + (seed mod 40)) else (-1, -1)
+      in
+      let max_rounds = if shape = 1 then Some (1 + (seed mod 700)) else None in
+      let k =
+        (module Random_kernel (struct
+          let g = g
+          let seed = seed
+          let last = last
+          let raise_at = raise_at
+        end) : KERNEL)
+      in
+      let reference = reference_run ?max_rounds g k in
+      List.for_all
+        (fun (domains, fast_forward) ->
+          let ok =
+            match (engine_run ?max_rounds ~domains ~fast_forward g k, reference)
+            with
+            | Ok (s, c), Ok (rs, rc) ->
+                c = rc && stats_match ~fast_forward s rs
+            | Error e, Error re -> e = re
+            | _ -> false
+          in
+          ok
+          || QCheck.Test.fail_reportf
+               "n=%d seed=%d last=%d shape=%d: domains=%d ff=%b diverges" n
+               seed last shape domains fast_forward)
+        (List.concat_map
+           (fun d -> [ (d, true); (d, false) ])
+           [ 1; 2; 3; 4; 17 ]))
+
+(* A kernel's [Park k] with [k <= 0] means one round, on the engine as
+   on the reference: taken literally, [Park 0] would wake the node again
+   inside the round it parked in. *)
 module Clamp_kernel (N : Congest.Compiled.NET with type msg = M.t) = struct
   let last = 6
 
@@ -1248,32 +1381,23 @@ module Clamp_kernel (N : Congest.Compiled.NET with type msg = M.t) = struct
     else Congest.Compiled.Park (if r mod 2 = 0 then 0 else -3)
 end
 
-module C = Congest.Compiled.Make (M)
-
 let test_kernel_park_clamp () =
-  let module KE = Clamp_kernel (E) in
-  let module KC = Clamp_kernel (C) in
   let g = Generators.path 8 in
   List.iter
     (fun fast_forward ->
-      let fiber =
-        E.run_kernel ~fast_forward g ~start:KE.start ~resume:KE.resume
-      in
-      let compiled =
-        C.run ~fast_forward g ~start:KC.start ~resume:KC.resume
-      in
-      let fs = fiber.E.stats and cs = compiled.C.stats in
-      check cb "fiber completed" true fiber.E.completed;
-      check cb "compiled completed" true compiled.C.completed;
-      check ci "one round per park" KE.last fs.Congest.Stats.rounds;
-      check cb "messages sent" true (fs.Congest.Stats.messages > 0);
-      check cb
-        (Printf.sprintf "identical stats (ff=%b)" fast_forward)
-        true (fs = cs))
+      let module KE = Clamp_kernel (E) in
+      let r = E.run_kernel ~fast_forward g ~start:KE.start ~resume:KE.resume in
+      check cb "completed" true r.E.completed;
+      check ci "one round per park" KE.last r.E.stats.Congest.Stats.rounds;
+      check cb "messages sent" true (r.E.stats.Congest.Stats.messages > 0);
+      check_matches_reference
+        (Printf.sprintf "park clamp ff=%b" fast_forward)
+        ~fast_forward g
+        (module Clamp_kernel))
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
-(* Compiled scheduler edge cases, against the fiber adapter            *)
+(* Scheduler edge cases                                                *)
 (* ------------------------------------------------------------------ *)
 
 module T = Congest.Trace
@@ -1283,7 +1407,7 @@ let trace_events tr =
   T.iter_events tr (fun e -> acc := e :: !acc);
   List.rev !acc
 
-(* What one executor did with a kernel: the stats and completion flag (or
+(* What one run did with a kernel: the stats and completion flag (or
    the exception it raised), the exact trace totals and the events the
    ring kept. *)
 type outcome = {
@@ -1316,30 +1440,41 @@ let check_same_outcome what (a : outcome) (b : outcome) =
     (List.length b.o_events);
   check cb (what ^ ": events") true (a.o_events = b.o_events)
 
-module type KERNEL = functor (N : Congest.Compiled.NET with type msg = M.t) -> sig
-  val start : N.ctx -> int -> Congest.Compiled.step
-  val resume : N.ctx -> int -> N.inbox -> Congest.Compiled.step
-end
-
-let fiber_outcome ?max_rounds ?(capacity = 1 lsl 16) ~fast_forward g
+let traced_outcome ?max_rounds ?pool ?domains ?faults ~fast_forward g
     (module K : KERNEL) =
   let module KE = K (E) in
-  outcome ~capacity (fun trace ->
+  outcome ~capacity:(1 lsl 18) (fun trace ->
       let r =
-        E.run_kernel ?max_rounds ~fast_forward ~trace g ~start:KE.start
-          ~resume:KE.resume
+        E.run_kernel ?max_rounds ?pool ?domains ?faults ~fast_forward ~trace g
+          ~start:KE.start ~resume:KE.resume
       in
       (r.E.stats, r.E.completed))
 
-let compiled_outcome ?max_rounds ?(capacity = 1 lsl 16) ?pool ~fast_forward g
-    (module K : KERNEL) =
-  let module KC = K (C) in
-  outcome ~capacity (fun trace ->
-      let r =
-        C.run ?max_rounds ?pool ~fast_forward ~trace g ~start:KC.start
-          ~resume:KC.resume
-      in
-      (r.C.stats, r.C.completed))
+(* An outcome's simulated half: the host-side shard records, and the
+   ring counters they feed, aside. *)
+let simulated o =
+  {
+    o with
+    o_totals =
+      { o.o_totals with T.recorded = 0; overwritten = 0; sampled_out = 0 };
+    o_events =
+      List.filter (function T.Shard _ -> false | _ -> true) o.o_events;
+  }
+
+(* Event-level domain-count invariance: with fast-forward on and off, a
+   kernel's ring events (every resume and park the wheel predicts), exact
+   totals and stats at --domains 4 equal those at --domains 1.  The ring
+   keeps the latest events only, which are still compared in full. *)
+let check_same_across_domains what ?faults g k =
+  List.iter
+    (fun fast_forward ->
+      let what = Printf.sprintf "%s ff=%b" what fast_forward in
+      let serial = traced_outcome ?faults ~domains:1 ~fast_forward g k in
+      let sharded = traced_outcome ?faults ~domains:4 ~fast_forward g k in
+      check cb (what ^ ": events recorded") true (serial.o_events <> []);
+      check_same_outcome (what ^ ": domains 1 vs 4") (simulated serial)
+        (simulated sharded))
+    [ true; false ]
 
 (* Every deadline lies far past the scheduler's initial window: the
    start-up parks (10_000 + 1_000 v), the re-parks of a ping-pong wave
@@ -1365,41 +1500,32 @@ module Far_parks (N : Congest.Compiled.NET with type msg = M.t) = struct
     else Congest.Compiled.Park (12_345 + v)
 end
 
-let test_compiled_far_parks () =
+let test_far_parks () =
   let g = Generators.path 8 in
   List.iter
-    (fun (fast_forward, capacity) ->
-      let f = fiber_outcome ~capacity ~fast_forward g (module Far_parks) in
-      let c = compiled_outcome ~capacity ~fast_forward g (module Far_parks) in
-      check cb "ran past 10_000 rounds" true
-        (match f.o_stats with
-        | Some s -> s.Congest.Stats.rounds > 10_000
-        | None -> false);
-      check_same_outcome (Printf.sprintf "far parks ff=%b" fast_forward) f c)
-    (* with fast-forward off every parked node is resumed every round, so
-       the ring keeps the tail of the run; the totals stay exact *)
-    [ (true, 1 lsl 16); (false, 1 lsl 12) ]
+    (fun fast_forward ->
+      let what = Printf.sprintf "far parks ff=%b" fast_forward in
+      (match engine_run ~fast_forward g (module Far_parks) with
+      | Ok (s, _) ->
+          check cb (what ^ ": ran past 10_000 rounds") true
+            (s.Congest.Stats.rounds > 10_000)
+      | Error e -> Alcotest.failf "%s: raised %s" what e);
+      check_matches_reference what ~fast_forward g (module Far_parks))
+    [ true; false ];
+  check_same_across_domains "far parks" g (module Far_parks)
 
 (* [on_round] is the host-side round clock (heartbeats, progress bars):
    its deltas, one per stepped round plus one per fast-forwarded span,
-   must sum to exactly [Stats.rounds] on both executors.  The heartbeat
-   cannot catch an executor that under-reports a skip, since it
-   publishes the larger of its sampled and its ticked rounds; this test
-   does.  The [max_rounds] leg cuts the run inside a skip. *)
+   must sum to exactly [Stats.rounds].  The heartbeat cannot catch an
+   engine that under-reports a skip, since it publishes the larger of
+   its sampled and its ticked rounds; this test does.  The [max_rounds]
+   leg cuts the run inside a skip. *)
 let test_on_round_sums_to_rounds () =
   let g = Generators.path 8 in
   List.iter
     (fun (fast_forward, max_rounds) ->
-      let what executor =
-        Printf.sprintf "%s ff=%b max_rounds=%d" executor fast_forward
-          max_rounds
-      in
-      let check_sum executor (s : Congest.Stats.t) sum =
-        if fast_forward then
-          check cb (what executor ^ ": skipped") true
-            (s.Congest.Stats.fast_forwarded_rounds > 0);
-        check ci (what executor ^ ": on_round deltas = rounds")
-          s.Congest.Stats.rounds sum
+      let what =
+        Printf.sprintf "ff=%b max_rounds=%d" fast_forward max_rounds
       in
       let sum = ref 0 in
       let module KE = Far_parks (E) in
@@ -1408,15 +1534,12 @@ let test_on_round_sums_to_rounds () =
           ~on_round:(fun d -> sum := !sum + d)
           g ~start:KE.start ~resume:KE.resume
       in
-      check_sum "engine" r.E.stats !sum;
-      let sum = ref 0 in
-      let module KC = Far_parks (C) in
-      let r =
-        C.run ~max_rounds ~fast_forward
-          ~on_round:(fun d -> sum := !sum + d)
-          g ~start:KC.start ~resume:KC.resume
-      in
-      check_sum "compiled" r.C.stats !sum)
+      let s = r.E.stats in
+      if fast_forward then
+        check cb (what ^ ": skipped") true
+          (s.Congest.Stats.fast_forwarded_rounds > 0);
+      check ci (what ^ ": on_round deltas = rounds") s.Congest.Stats.rounds
+        !sum)
     [ (true, 1_000_000); (false, 1_000_000); (true, 15_000) ]
 
 (* Odd nodes halt at start-up and node 2 halts in round 3, while their
@@ -1440,17 +1563,18 @@ struct
     end
 end
 
-let test_compiled_halted_arrivals () =
+let test_halted_arrivals () =
   let g = Generators.cycle 9 in
   List.iter
     (fun fast_forward ->
-      let f = fiber_outcome ~fast_forward g (module Halted_arrivals) in
-      let c = compiled_outcome ~fast_forward g (module Halted_arrivals) in
-      check cb "completed" true c.o_completed;
-      check_same_outcome
+      check_matches_reference
         (Printf.sprintf "halted arrivals ff=%b" fast_forward)
-        f c)
-    [ true; false ]
+        ~fast_forward g
+        (module Halted_arrivals))
+    [ true; false ];
+  (* On 64 nodes a round's due set is large enough to shard. *)
+  check_same_across_domains "halted arrivals" (Generators.cycle 64)
+    (module Halted_arrivals)
 
 (* Never halts: node 0 keeps a message in flight, the others park on
    staggered deadlines (some beyond the initial window). *)
@@ -1481,39 +1605,150 @@ module Fails (N : Congest.Compiled.NET with type msg = M.t) = struct
     Congest.Compiled.Park 1
 end
 
-let test_compiled_max_rounds_cut () =
+(* A run cut short leaves nodes parked in the pool's wheel; the next
+   run on the same pool must not see them. *)
+let check_pool_clean what ~fast_forward g pool =
+  let reused = traced_outcome ~pool ~fast_forward g (module Far_parks) in
+  let fresh = traced_outcome ~fast_forward g (module Far_parks) in
+  check_same_outcome (what ^ ": next run on the same pool") fresh reused
+
+let test_max_rounds_cut () =
   let g = Generators.path 8 in
   List.iter
     (fun fast_forward ->
       let what = Printf.sprintf "max_rounds cut ff=%b" fast_forward in
-      let f = fiber_outcome ~max_rounds:37 ~fast_forward g (module Forever) in
-      let pool = C.pool g in
-      let c =
-        compiled_outcome ~max_rounds:37 ~pool ~fast_forward g (module Forever)
+      check_matches_reference what ~max_rounds:37 ~fast_forward g
+        (module Forever);
+      let pool = E.pool g in
+      let cut =
+        traced_outcome ~max_rounds:37 ~pool ~fast_forward g (module Forever)
       in
-      check cb (what ^ ": incomplete") false c.o_completed;
-      check_same_outcome what f c;
-      (* The cut left nodes parked in the pool's scheduler. *)
-      let reused = compiled_outcome ~pool ~fast_forward g (module Far_parks) in
-      let fresh = compiled_outcome ~fast_forward g (module Far_parks) in
-      check_same_outcome (what ^ ": next run on the same pool") fresh reused)
+      check cb (what ^ ": incomplete") false cut.o_completed;
+      check_pool_clean what ~fast_forward g pool)
     [ true; false ]
 
-let test_compiled_hook_exception () =
+let test_hook_exception () =
   let g = Generators.path 8 in
   List.iter
     (fun fast_forward ->
       let what = Printf.sprintf "hook exception ff=%b" fast_forward in
-      let f = fiber_outcome ~fast_forward g (module Fails) in
-      let pool = C.pool g in
-      let c = compiled_outcome ~pool ~fast_forward g (module Fails) in
+      check_matches_reference what ~fast_forward g (module Fails);
+      let pool = E.pool g in
+      let failed = traced_outcome ~pool ~fast_forward g (module Fails) in
       check (Alcotest.option Alcotest.string) (what ^ ": raised")
-        (Some (Printexc.to_string Exit)) c.o_exn;
-      check_same_outcome what f c;
-      let reused = compiled_outcome ~pool ~fast_forward g (module Far_parks) in
-      let fresh = compiled_outcome ~fast_forward g (module Far_parks) in
-      check_same_outcome (what ^ ": next run on the same pool") fresh reused)
+        (Some (Printexc.to_string Exit)) failed.o_exn;
+      check_pool_clean what ~fast_forward g pool)
     [ true; false ]
+
+(* Nodes 3 and 7 park ~10^4 rounds, through every arrival, while the
+   others exchange messages for 12 rounds and halt.  Node 7, the last
+   deadline, crash-stops at round 5 (inside the exchange) or at round 20
+   (inside the skip to node 3's deadline): it must leave the run in the
+   first round it is down, or at the latest at the next stepped round,
+   never at its own deadline, so the run ends at node 3's.  A
+   crash-recovering node 7 instead resumes at its recovery round.
+   Rounds, crashes and completion are pinned at the values the
+   live-worklist engine gave. *)
+module Sleepers (N : Congest.Compiled.NET with type msg = M.t) = struct
+  let start ctx v =
+    if v mod 4 = 3 then Congest.Compiled.Park (10_000 + v)
+    else begin
+      N.broadcast ctx (M.Int v);
+      Congest.Compiled.Park 2
+    end
+
+  let resume ctx v _inbox =
+    let r = N.round ctx in
+    if v mod 4 = 3 then
+      if r >= 10_000 then Congest.Compiled.Halt
+      else Congest.Compiled.Park (10_000 + v - r)
+    else if r >= 12 then Congest.Compiled.Halt
+    else begin
+      N.broadcast ctx (M.Int r);
+      Congest.Compiled.Park (1 + (v mod 2))
+    end
+end
+
+let test_crash_stop_leaves_wheel () =
+  let g = Generators.path 10 in
+  List.iter
+    (fun (spec, rounds, crashed, completed) ->
+      let faults =
+        match Congest.Faults.of_spec spec with
+        | Ok p -> p
+        | Error e -> failwith e
+      in
+      List.iter
+        (fun (domains, fast_forward) ->
+          let what =
+            Printf.sprintf "%s domains=%d ff=%b" spec domains fast_forward
+          in
+          let module K = Sleepers (E) in
+          let r =
+            E.run_kernel ~faults ~domains ~fast_forward g ~start:K.start
+              ~resume:K.resume
+          in
+          let s = r.E.stats in
+          check ci (what ^ ": rounds") rounds s.Congest.Stats.rounds;
+          check ci (what ^ ": crashed nodes") crashed
+            s.Congest.Stats.crashed_nodes;
+          check cb (what ^ ": completed") completed r.E.completed)
+        [ (1, true); (1, false); (4, true); (4, false) ])
+    [
+      ("crash=7@5", 10_003, 1, false);
+      ("crash=7@20", 10_003, 1, false);
+      ("crash=3@5-30,crash=7@20-12000", 12_000, 2, true);
+    ]
+
+(* Every node parks ~2050 rounds, more than the wheel's 1024-round
+   window, while the start-up broadcasts are delayed 1..8 rounds: the
+   rounds they land in run before any deadline, and a node's deadline
+   2048 + t shares round t's wheel slot.  A node resumed with an empty
+   inbox broadcasts the round it woke in and halts, so an early wake
+   changes the bits sent.  Fast-forward must not change the stats. *)
+module Delayed_sleepers (N : Congest.Compiled.NET with type msg = M.t) =
+struct
+  let deadline v = 2_050 + (v mod 8)
+
+  let start ctx v =
+    N.broadcast ctx (M.Int v);
+    Congest.Compiled.Park (deadline v)
+
+  let resume ctx v inbox =
+    let r = N.round ctx in
+    if N.inbox_is_empty inbox then begin
+      N.broadcast ctx (M.Int r);
+      Congest.Compiled.Halt
+    end
+    else Congest.Compiled.Park (deadline v - r)
+end
+
+let test_delayed_frames_under_far_parks () =
+  let g = Generators.path 16 in
+  let faults = Congest.Faults.make ~seed:3 ~delay:1.0 ~max_delay:8 () in
+  List.iter
+    (fun domains ->
+      let run fast_forward =
+        match
+          engine_run ~faults ~domains ~fast_forward g (module Delayed_sleepers)
+        with
+        | Ok (s, c) -> (s, c)
+        | Error e ->
+            Alcotest.failf "domains=%d ff=%b: raised %s" domains fast_forward e
+      in
+      let what = Printf.sprintf "domains=%d" domains in
+      let on, c_on = run true and off, c_off = run false in
+      check cb (what ^ ": frames delayed") true (off.Congest.Stats.delayed > 0);
+      check cb (what ^ ": ran to the deadlines") true
+        (off.Congest.Stats.rounds > 2_050);
+      check cb (what ^ ": skipped") true
+        (on.Congest.Stats.fast_forwarded_rounds > 0);
+      check cb (what ^ ": completed") c_off c_on;
+      check cb (what ^ ": stats ff on = ff off") true
+        (stats_match ~fast_forward:true on off))
+    [ 1; 4 ];
+  check_same_across_domains "delayed frames under far parks" ~faults g
+    (module Delayed_sleepers)
 
 (* The engine's kernel adapter as it was before kernels stepped on the
    engine's own stack: a node program that drives a kernel through
@@ -1645,11 +1880,11 @@ let test_adapter_matches_direct () =
       ("crash", crash);
     ]
 
-(* The compiled executor allocates nothing per delivery beyond the
-   messages themselves: node 0 sends [count] messages to node 1 on its
-   known edge (no neighbor search), and node 1 reads them all from one
-   inbox through the cursor.  Doubling [count] on a warm pool may
-   cost at most the extra messages' words (an [M.Int] is 2 words). *)
+(* A kernel run allocates nothing per delivery beyond the messages
+   themselves: node 0 sends [count] messages to node 1 on its known edge
+   (no neighbor search), and node 1 reads them all from one inbox
+   through the cursor.  Doubling [count] on a warm pool may cost at most
+   the extra messages' words (an [M.Int] is 2 words). *)
 let alloc_count = ref 0
 let alloc_sum = ref 0
 let alloc_add (M.Int x) = alloc_sum := !alloc_sum + x
@@ -1657,26 +1892,26 @@ let alloc_add (M.Int x) = alloc_sum := !alloc_sum + x
 let alloc_start ctx v =
   if v = 0 then
     for i = 1 to !alloc_count do
-      C.send_port ctx ~dest:1 ~eid:0 (M.Int i)
+      E.send_port ctx ~dest:1 ~eid:0 (M.Int i)
     done;
-  C.Park 1
+  Congest.Compiled.Park 1
 
 let alloc_resume ctx _ inbox =
   let cur = ref inbox in
-  while not (C.inbox_is_empty !cur) do
-    alloc_add (C.inbox_msg ctx !cur);
-    cur := C.inbox_next ctx !cur
+  while not (E.inbox_is_empty !cur) do
+    alloc_add (E.inbox_msg ctx !cur);
+    cur := E.inbox_next ctx !cur
   done;
-  C.Halt
+  Congest.Compiled.Halt
 
-let test_compiled_alloc_per_message () =
+let test_alloc_per_message () =
   let g = Generators.path 2 in
-  let pool = C.pool g in
+  let pool = E.pool g in
   let words count =
     alloc_count := count;
     alloc_sum := 0;
     let w0 = Gc.minor_words () in
-    ignore (C.run ~pool g ~start:alloc_start ~resume:alloc_resume);
+    ignore (E.run_kernel ~pool g ~start:alloc_start ~resume:alloc_resume);
     let w = Gc.minor_words () -. w0 in
     check ci "every message read" (count * (count + 1) / 2) !alloc_sum;
     w
@@ -1916,7 +2151,7 @@ let () =
           Alcotest.test_case "min-id leader" `Quick test_protocols_leader;
           Alcotest.test_case "flood-echo count" `Quick test_protocols_count;
           q test_protocols_count_qcheck;
-          q test_protocols_compiled_differential;
+          q test_protocols_reference_differential;
           Alcotest.test_case "kernel Park 0 / Park -3 is one round" `Quick
             test_kernel_park_clamp;
           Alcotest.test_case "kernel adapter matches direct stepping" `Quick
@@ -1925,14 +2160,19 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "parks far beyond the wheel" `Quick
-            test_compiled_far_parks;
+            test_far_parks;
           Alcotest.test_case "arrivals at halted nodes" `Quick
-            test_compiled_halted_arrivals;
+            test_halted_arrivals;
           Alcotest.test_case "max_rounds cut leaves nodes parked" `Quick
-            test_compiled_max_rounds_cut;
+            test_max_rounds_cut;
           Alcotest.test_case "hook exception, then the same pool" `Quick
-            test_compiled_hook_exception;
+            test_hook_exception;
           Alcotest.test_case "no allocation per delivery" `Quick
-            test_compiled_alloc_per_message;
+            test_alloc_per_message;
+          Alcotest.test_case "a crash-stopped sleeper leaves the run" `Quick
+            test_crash_stop_leaves_wheel;
+          Alcotest.test_case "delayed frames land before far deadlines" `Quick
+            test_delayed_frames_under_far_parks;
+          q test_random_kernels_reference;
         ] );
     ]

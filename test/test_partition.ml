@@ -113,9 +113,9 @@ let test_boundary () =
     (List.sort compare seen.(1))
 
 (* Each lockstep kernel allocates per message sent, never per node
-   stepped, on either executor: neither starts a fiber for a kernel.  On
-   warm states of singleton parts (a cycle of n nodes and one of 2n),
-   compiled and serial fiber alike, the n extra nodes may cost a kernel
+   stepped: the engine starts no fiber for a kernel.  On warm serial
+   states of singleton parts (a cycle of n nodes and one of 2n), the n
+   extra nodes may cost a kernel
    the words of the message values they build ([msg_words] apiece: a
    [Root], a [Bdry] or a root's [Down]) plus at most one word each.  A
    closure, a boxed [Park], a fiber or an n-sized array per call or per
@@ -166,9 +166,8 @@ let alloc_words () =
   Gc.minor_words () +. major -. promoted
 
 (* Words one warm run allocates. *)
-let kernel_words mode n run =
+let kernel_words n run =
   let st = S.create (Generators.cycle n) in
-  st.S.mode <- mode;
   st.S.domains <- 1;
   run st;
   run st;
@@ -179,20 +178,14 @@ let kernel_words mode n run =
 let test_kernel_alloc_per_node () =
   let n = 2_000 in
   List.iter
-    (fun mode ->
-      List.iter
-        (fun (name, msg_words, run) ->
-          let extra =
-            kernel_words mode (2 * n) run -. kernel_words mode n run
-          in
-          let bound = float_of_int ((msg_words + 1) * n) in
-          check cb
-            (Printf.sprintf "%s %s: %d extra nodes cost %.0f words (<= %.0f)"
-               (Congest.Compiled.mode_to_string mode)
-               name n extra bound)
-            true (extra <= bound))
-        alloc_kernels)
-    [ Congest.Compiled.Compiled; Congest.Compiled.Fiber ]
+    (fun (name, msg_words, run) ->
+      let extra = kernel_words (2 * n) run -. kernel_words n run in
+      let bound = float_of_int ((msg_words + 1) * n) in
+      check cb
+        (Printf.sprintf "%s: %d extra nodes cost %.0f words (<= %.0f)" name n
+           extra bound)
+        true (extra <= bound))
+    alloc_kernels
 
 (* ------------------------------------------------------------------ *)
 (* Forest decomposition                                                *)
@@ -562,11 +555,10 @@ let test_stage1_full_schedule () =
    the benchmark's pins.  A row is one phase's rounds, messages, bits,
    charged rounds and largest per-edge load, then its cut and part
    count ([rejected] for a phase that ended in rejection); the last row
-   counts and digests the rejections.  Every executor and domain count
-   must give the pinned rows. *)
-let stage1_rows ~mode ~domains g ~eps =
+   counts and digests the rejections.  Every domain count must give the
+   pinned rows. *)
+let stage1_rows ~domains g ~eps =
   let st = S.create g in
-  st.S.mode <- mode;
   st.S.domains <- domains;
   let segs = ref [] and prev = ref (Congest.Stats.copy st.S.stats) in
   (* Close a phase's segment; zeroing [max_edge_bits] makes the next
@@ -649,30 +641,22 @@ let test_stage1_golden () =
     (fun (name, graph, eps, rows) ->
       let g = graph () in
       List.iter
-        (fun (mode, domains) ->
+        (fun domains ->
           check
             (Alcotest.list Alcotest.string)
-            (Printf.sprintf "%s %s --domains %d" name
-               (Congest.Compiled.mode_to_string mode)
-               domains)
+            (Printf.sprintf "%s --domains %d" name domains)
             rows
-            (stage1_rows ~mode ~domains g ~eps))
-        [
-          (Congest.Compiled.Fiber, 1);
-          (Congest.Compiled.Fiber, 4);
-          (Congest.Compiled.Fiber, 17);
-          (Congest.Compiled.Compiled, 1);
-        ])
+            (stage1_rows ~domains g ~eps))
+        [ 1; 4; 17 ])
     golden_stage1
 
 (* The two alternative partitions' wire, pinned like Stage I's above:
    one row per (input, partition) with the run's rounds, messages,
    total bits, charged rounds, largest per-edge load and cut, then a
-   digest of every node's (part_root, parent) pair.  Every executor and
-   domain count must give the pinned rows. *)
-let partition_row ~mode ~domains g (name, run) =
+   digest of every node's (part_root, parent) pair.  Every domain count
+   must give the pinned rows. *)
+let partition_row ~domains g (name, run) =
   let st = S.create g in
-  st.S.mode <- mode;
   st.S.domains <- domains;
   let cut = run st g in
   let s = st.S.stats in
@@ -728,20 +712,13 @@ let test_partitions_golden () =
     (fun (name, graph, rows) ->
       let g = graph () in
       List.iter
-        (fun (mode, domains) ->
+        (fun domains ->
           check
             (Alcotest.list Alcotest.string)
-            (Printf.sprintf "%s %s --domains %d" name
-               (Congest.Compiled.mode_to_string mode)
-               domains)
+            (Printf.sprintf "%s --domains %d" name domains)
             rows
-            (List.map (partition_row ~mode ~domains g) golden_partitions))
-        [
-          (Congest.Compiled.Fiber, 1);
-          (Congest.Compiled.Fiber, 4);
-          (Congest.Compiled.Fiber, 17);
-          (Congest.Compiled.Compiled, 1);
-        ])
+            (List.map (partition_row ~domains g) golden_partitions))
+        [ 1; 4; 17 ])
     golden_partition_inputs
 
 (* A run that needs fewer workers than the process-wide team holds

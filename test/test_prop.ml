@@ -12,12 +12,8 @@
 
    - Stats accounting is a pure function of the input: identical across
      engine domain counts (1..PROP_DOMAINS, default 4, plus 17), fast-forward
-     on/off, and any fault seed — the PR 2 determinism contract extended
-     to fault injection.
-
-   - The compiled execution mode (Congest.Compiled) is observationally
-     equal to the fiber engine: verdict, stats fingerprint and telemetry
-     JSON agree for every mode x fast-forward combination.
+     on/off, and any fault seed — the determinism contract extended to
+     fault injection.
 
    Plus a fuzz of the Bits framing path: fragment/reassemble round-trips,
    frames always fit the bandwidth, and any lossy or spliced frame set
@@ -195,45 +191,6 @@ let prop_stats_invariance =
                   domains fast_forward)
             [ true; false ])
         domain_sweep)
-
-(* --- 3b. compiled hot path == fiber engine --------------------------- *)
-
-(* The execution mode must be invisible in every observable: verdict,
-   full stats fingerprint INCLUDING fast_forwarded_rounds (both engines
-   make the same fast-forward decisions), and the per-round telemetry
-   JSON.  Run on planar and far inputs so both accepting and rejecting
-   Stage I paths cross the compiled primitives. *)
-let prop_compiled_matches_fiber =
-  QCheck.Test.make
-    ~name:"compiled mode == fiber mode (verdict + stats + telemetry JSON)"
-    ~count:12
-    QCheck.(
-      triple (int_range 0 3) (int_range 8 60) (int_range 0 10000))
-    (fun (family, n, seed) ->
-      let g = graph_of ~family ~n ~seed in
-      let eps = 0.25 +. float_of_int (seed mod 4) /. 10.0 in
-      let observe mode fast_forward =
-        let telemetry = Congest.Telemetry.create () in
-        let r =
-          PT.run ~telemetry ~domains:1 ~fast_forward ~mode g ~eps ~seed
-        in
-        ( fingerprint r,
-          r.PT.fast_forwarded_rounds,
-          Congest.Telemetry.Json.to_string (Congest.Telemetry.to_json telemetry)
-        )
-      in
-      List.for_all
-        (fun fast_forward ->
-          if
-            observe Congest.Compiled.Compiled fast_forward
-            = observe Congest.Compiled.Fiber fast_forward
-          then true
-          else
-            QCheck.Test.fail_reportf
-              "mode compiled diverges from fiber: %s n=%d seed=%d eps=%.2f \
-               ff=%b"
-              (family_name family) n seed eps fast_forward)
-        [ true; false ])
 
 (* --- 4. fuzz the framing / fragmentation path ------------------------ *)
 
@@ -544,8 +501,8 @@ let prop_portfolio_invariance =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
-         "bipartite/cycle-free totals invariant across domains 1..%d x ff \
-          x mode, and at 17 domains"
+         "bipartite/cycle-free totals invariant across domains 1..%d x ff, \
+          and at 17 domains"
          max_domains)
     ~count:6
     QCheck.(triple (int_range 0 3) (int_range 8 40) (int_range 0 10000))
@@ -554,53 +511,40 @@ let prop_portfolio_invariance =
       let runs =
         [
           ( "bipartite",
-            fun ~domains ~fast_forward ~mode ->
+            fun ~domains ~fast_forward ->
               snd
                 (Tester.Bipartite_tester.run ~seed ~domains ~fast_forward
-                   ~mode g ~eps:0.3) );
+                   g ~eps:0.3) );
           ( "cycle-free",
-            fun ~domains ~fast_forward ~mode ->
+            fun ~domains ~fast_forward ->
               snd
                 (Tester.Cycle_free_tester.run ~seed ~domains ~fast_forward
-                   ~mode g ~eps:0.3) );
+                   g ~eps:0.3) );
           ( "bipartite (Exponential_shifts)",
-            fun ~domains ~fast_forward ~mode ->
+            fun ~domains ~fast_forward ->
               snd
                 (Tester.Bipartite_tester.run
                    ~partition:Tester.Harness.Exponential_shifts ~seed ~domains
-                   ~fast_forward ~mode g ~eps:0.3) );
+                   ~fast_forward g ~eps:0.3) );
           ( "cycle-free (Randomized 0.1)",
-            fun ~domains ~fast_forward ~mode ->
+            fun ~domains ~fast_forward ->
               snd
                 (Tester.Cycle_free_tester.run
                    ~partition:(Tester.Harness.Randomized 0.1) ~seed ~domains
-                   ~fast_forward ~mode g ~eps:0.3) );
+                   ~fast_forward g ~eps:0.3) );
         ]
       in
       List.for_all
         (fun (prop, run) ->
-          let base =
-            totals_fingerprint
-              (run ~domains:1 ~fast_forward:true ~mode:Congest.Compiled.Fiber)
-          in
+          let base = totals_fingerprint (run ~domains:1 ~fast_forward:true) in
           List.for_all
             (fun domains ->
               List.for_all
                 (fun fast_forward ->
-                  List.for_all
-                    (fun mode ->
-                      let fp =
-                        totals_fingerprint (run ~domains ~fast_forward ~mode)
-                      in
-                      if fp = base then true
-                      else
-                        QCheck.Test.fail_reportf
-                          "%s totals differ: %s n=%d seed=%d domains=%d \
-                           ff=%b mode=%s"
-                          prop (family_name family) n seed domains
-                          fast_forward
-                          (Congest.Compiled.mode_to_string mode))
-                    [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
+                  totals_fingerprint (run ~domains ~fast_forward) = base
+                  || QCheck.Test.fail_reportf
+                       "%s totals differ: %s n=%d seed=%d domains=%d ff=%b"
+                       prop (family_name family) n seed domains fast_forward)
                 [ true; false ])
             domain_sweep)
         runs)
@@ -636,6 +580,5 @@ let () =
         [
           to_alcotest prop_planar_never_rejects;
           to_alcotest prop_stats_invariance;
-          to_alcotest prop_compiled_matches_fiber;
         ] );
     ]

@@ -353,28 +353,23 @@ let test_cycle_free_one_sided_qcheck =
 (* Spanners                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every engine setting a caller's state carries: the spanners must come
+(* Every domain count a caller's state may carry: the spanners must come
    out the same under each. *)
-let spanner_settings =
-  List.concat_map
-    (fun mode -> List.map (fun d -> (d, mode)) [ 1; 4; 17 ])
-    Congest.Compiled.[ Fiber; Compiled ]
+let spanner_settings = [ 1; 4; 17 ]
 
-let settings_state g (domains, mode) =
+let settings_state g domains =
   let st = Partition.State.create g in
   st.Partition.State.domains <- domains;
-  st.Partition.State.mode <- mode;
   st
 
 let check_settings_agree name build =
   let serial = build None in
   List.iter
-    (fun ((d, mode) as setting) ->
+    (fun d ->
       check cb
-        (Printf.sprintf "%s: domains=%d mode=%s agrees with the default" name d
-           (Congest.Compiled.mode_to_string mode))
+        (Printf.sprintf "%s: domains=%d agrees with the default" name d)
         true
-        (build (Some setting) = serial))
+        (build (Some d) = serial))
     spanner_settings
 
 (* Edge set (in construction order), rounds and nominal rounds. *)
@@ -731,10 +726,8 @@ let shared_decode_inputs =
          false );
      ])
 
-let stage2_run ~embedding ~domains ~mode g ~eps =
-  let r =
-    Tester.Planarity_tester.run ~seed:5 ~embedding ~domains ~mode g ~eps
-  in
+let stage2_run ~embedding ~domains g ~eps =
+  let r = Tester.Planarity_tester.run ~seed:5 ~embedding ~domains g ~eps in
   let json =
     Report.Json.to_string
       (Report.tester_stats ~n:(Graph.n g) ~m:(Graph.m g) ~eps ~seed:5
@@ -748,8 +741,7 @@ let test_shared_decode_invisible () =
       List.iter
         (fun (ename, embedding) ->
           let base_s2, base_json =
-            stage2_run ~embedding ~domains:1 ~mode:Congest.Compiled.Fiber g
-              ~eps
+            stage2_run ~embedding ~domains:1 g ~eps
           in
           (* The input must exercise the path: several parts broadcast
              a non-empty sample. *)
@@ -766,19 +758,12 @@ let test_shared_decode_invisible () =
                 >= 2)
           | None -> Alcotest.fail (name ^ ": Stage II did not run"));
           List.iter
-            (fun (domains, mode) ->
-              let s2, json = stage2_run ~embedding ~domains ~mode g ~eps in
-              let tag =
-                Printf.sprintf "%s/%s domains=%d mode=%s" name ename domains
-                  (Congest.Compiled.mode_to_string mode)
-              in
+            (fun domains ->
+              let s2, json = stage2_run ~embedding ~domains g ~eps in
+              let tag = Printf.sprintf "%s/%s domains=%d" name ename domains in
               check cb (tag ^ ": Stage2.result") true (s2 = base_s2);
               check Alcotest.string (tag ^ ": stats JSON") base_json json)
-            [
-              (4, Congest.Compiled.Fiber);
-              (17, Congest.Compiled.Fiber);
-              (1, Congest.Compiled.Compiled);
-            ])
+            [ 4; 17 ])
         [ ("oracle", Tester.Stage2.Oracle); ("collect", Tester.Stage2.Collect) ])
     (Lazy.force shared_decode_inputs)
 
@@ -916,12 +901,10 @@ let test_crossing_qcheck =
 
 (* Stage II's simulated cost, pinned as recorded before the sample path
    carried priced host values: a pricing drift fails here, not only in
-   the benchmark's pins.  Both executors must give the pinned row. *)
-let golden_row ~embedding ~mode g ~eps =
+   the benchmark's pins. *)
+let golden_row ~embedding g ~eps =
   let telemetry = Congest.Telemetry.create () in
-  let r =
-    Tester.Planarity_tester.run ~seed:5 ~embedding ~mode ~telemetry g ~eps
-  in
+  let r = Tester.Planarity_tester.run ~seed:5 ~embedding ~telemetry g ~eps in
   let charged =
     List.fold_left
       (fun acc (p : Congest.Telemetry.phase_view) -> acc + p.frames)
@@ -965,14 +948,10 @@ let test_stage2_golden () =
     (fun (name, g, eps, _) ->
       List.iter
         (fun (ename, embedding) ->
-          List.iter
-            (fun mode ->
-              let key = name ^ "/" ^ ename in
-              check Alcotest.string
-                (key ^ " " ^ Congest.Compiled.mode_to_string mode)
-                (List.assoc key golden_rows)
-                (golden_row ~embedding ~mode g ~eps))
-            [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
+          let key = name ^ "/" ^ ename in
+          check Alcotest.string key
+            (List.assoc key golden_rows)
+            (golden_row ~embedding g ~eps))
         [
           ("oracle", Tester.Stage2.Oracle); ("collect", Tester.Stage2.Collect);
         ])

@@ -270,7 +270,7 @@ let test_projections_agree () =
   let far =
     Generators.far_from_planar (Random.State.make [| 7 |]) ~n:256 ~eps:0.25
   in
-  let leg (name, g, partition, mode, fast_forward, faults) =
+  let leg (name, g, partition, fast_forward, faults) =
     let ci what = Alcotest.check Alcotest.int (name ^ ": " ^ what) in
     Fun.protect
       ~finally:(fun () -> M.set_enabled false)
@@ -285,7 +285,7 @@ let test_projections_agree () =
         in
         let partition_state = ref None in
         let _, t =
-          H.run ~telemetry ~trace ~heartbeat ~partition ~mode ~fast_forward
+          H.run ~telemetry ~trace ~heartbeat ~partition ~fast_forward
             ?faults ~property:"planarity"
             ~stage2:(fun st ~eps ~seed ->
               partition_state := Some st;
@@ -303,7 +303,6 @@ let test_projections_agree () =
         let tt = Tr.totals trace and tp = Tr.sim_phases trace in
         let tsum f = List.fold_left (fun acc p -> acc + f p) 0 tp in
         let hb = Obs.Heartbeat.current heartbeat in
-        let mode_label = Congest.Compiled.mode_to_string mode in
         (* rounds *)
         ci "totals rounds = Stats" s.St.rounds t.H.rounds;
         ci "telemetry rounds" s.St.rounds (sum (fun p -> p.Tel.rounds));
@@ -311,17 +310,6 @@ let test_projections_agree () =
         ci "trace phase rounds" s.St.rounds
           (tsum (fun (p : Tr.sim_phase) -> p.Tr.rounds));
         ci "congest_rounds" s.St.rounds (counter "congest_rounds");
-        (* every round ran on one of the two executors *)
-        ci "congest_mode_rounds" s.St.rounds
-          (counter ~labels:[ ("mode", "fiber") ] "congest_mode_rounds"
-          + counter ~labels:[ ("mode", "compiled") ] "congest_mode_rounds");
-        Alcotest.check cb (name ^ ": the mode's executor ran") true
-          (counter ~labels:[ ("mode", mode_label) ] "congest_mode_rounds" > 0);
-        (* every protocol is a kernel: without faults, compiled mode
-           never starts a fiber *)
-        if mode = Congest.Compiled.Compiled && faults = None then
-          ci "fiber runs in compiled mode" 0
-            (counter ~labels:[ ("mode", "fiber") ] "congest_mode_runs");
         ci "heartbeat rounds" s.St.rounds hb.Obs.Heartbeat.rounds;
         (* charged rounds, Stage II's oracle embedding charge included *)
         ci "telemetry frames" s.St.charged_rounds (sum (fun p -> p.Tel.frames));
@@ -395,24 +383,15 @@ let test_projections_agree () =
   List.iter leg
     (List.concat_map
        (fun (gname, g) ->
-         List.concat_map
-           (fun mode ->
-             List.map
-               (fun ff ->
-                 ( Printf.sprintf "%s %s ff=%b" gname
-                     (Congest.Compiled.mode_to_string mode)
-                     ff,
-                   g, H.Stage_one, mode, ff, None ))
-               [ true; false ])
-           [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
+         List.map
+           (fun ff ->
+             (Printf.sprintf "%s ff=%b" gname ff, g, H.Stage_one, ff, None))
+           [ true; false ])
        [ ("grid", grid); ("far", far) ]
     @ [
-        ( "grid fiber drop=0.01", grid, H.Stage_one, Congest.Compiled.Fiber,
-          true, drop );
-        ( "grid Exponential_shifts compiled", grid, H.Exponential_shifts,
-          Congest.Compiled.Compiled, true, None );
-        ( "grid Randomized 0.1 compiled", grid, H.Randomized 0.1,
-          Congest.Compiled.Compiled, true, None );
+        ("grid drop=0.01", grid, H.Stage_one, true, drop);
+        ("grid Exponential_shifts", grid, H.Exponential_shifts, true, None);
+        ("grid Randomized 0.1", grid, H.Randomized 0.1, true, None);
       ])
 
 (* ------------------------------------------------------------------ *)
