@@ -217,7 +217,7 @@ scale: build
 	./_build/default/bin/planartrace.exe diff $(SCALE_DIR)/full.ctrace \
 	  $(SCALE_DIR)/resumed.ctrace
 
-# Tester-portfolio and executor gate (also a CI leg).  Five parts:
+# Tester-portfolio and executor gate (also a CI leg).  Four parts:
 #   1. the harness unit suite: verdict plumbing, Degraded propagation
 #      under faults, checkpoint validation, the run's settings reaching
 #      every partition mode, eps-clamp boundaries.
@@ -240,13 +240,7 @@ scale: build
 #      wrong node would race), each gated by `planarmon compare
 #      --no-wall` against the serial stats JSON: only the members that
 #      echo the domain count (Report.field_class Config) may differ.
-#   5. the full-size C1 experiment with its throughput gate: on a flood
-#      kernel with fast-forward off, Engine.Make.run_kernel's speedup
-#      over the same kernel run as per-node fibers must reach
-#      C1_MIN_SPEEDUP (default 10) on both E1 families (C1 also
-#      hard-asserts stats equality internally).
 TESTERS_DIR ?= /tmp/planartesters
-C1_MIN_SPEEDUP ?= 10
 testers: build
 	mkdir -p $(TESTERS_DIR)
 	./_build/default/test/test_tester_harness.exe \
@@ -270,8 +264,6 @@ testers: build
 	  ./_build/default/bin/planarmon.exe compare --no-wall \
 	    $(TESTERS_DIR)/$$g-d1.json $(TESTERS_DIR)/$$g-d$$d.json; \
 	done; done
-	env C1_MIN_SPEEDUP=$(C1_MIN_SPEEDUP) ./_build/default/bench/main.exe \
-	  --only C1 --json $(TESTERS_DIR)/c1.json
 
 # Live-observability gate (also a CI leg).  Four parts:
 #   1. kill detection — run with --heartbeat --checkpoint

@@ -189,17 +189,6 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* Best-of-3 wall time (with the first run's result): a gate comparing
-   two timings takes minima to keep scheduler noise out of the ratio. *)
-let best_of_3 f =
-  let r, s = time f in
-  let best = ref s in
-  for _ = 2 to 3 do
-    let _, s' = time f in
-    if s' < !best then best := s'
-  done;
-  (r, !best)
-
 (* Interleaved minima: [reps] turns of one run of [a] then one of [b]
    (ABAB...), so a load shift on a shared host lands on both sides; each
    side keeps its first run's result and its best wall time. *)
@@ -346,7 +335,7 @@ let table cols rows =
 
 (* ------------------------------------------------------------------ *)
 
-(* The E1 graph families, which C1, P1 and L1 reuse: an apollonian
+(* The E1 graph families, which P1 and L1 reuse: an apollonian
    triangulation on n nodes, or the largest square grid within n. *)
 let e1_graph family n =
   if family = "apollonian" then
@@ -1396,143 +1385,6 @@ let m1_memory_substrate () =
     ]
     rows
 
-(* ------------------------------------------------------------------ *)
-(* Kernel stepping vs per-node fibers                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* C1 gates what stepping kernels on the engine's own stack was built to
-   remove: the per-node fiber.  One kernel (a flood, [Probe]) runs on
-   the E1 graph families at the largest E1 size, fast-forward off, two
-   ways: stepped directly by [Engine.Make.run_kernel], and as one fiber
-   node program per node through [Engine.Make.run] that is resumed every
-   round it is parked — how kernels once ran.  Both give the same stats
-   (gated on the spot).  C1_MIN_SPEEDUP=<x> turns the smaller of the two
-   speedups into a hard gate (exit 1 below x); unset, C1 only reports.
-   With fast-forward off the engine steps only a round's due nodes, so a
-   merely parked node costs it nothing, against ~100 ns per fiber
-   resume. *)
-
-module Probe_msg = struct
-  type t = int
-
-  let bits _ = 32
-end
-
-module Probe_eng = Congest.Engine.Make (Probe_msg)
-
-(* [Probe_eng] as a NET whose inbox is the list [sync] returns, for the
-   fiber-driven runs. *)
-module Probe_list = struct
-  include Probe_eng
-
-  type inbox = (int * int) list
-
-  let inbox_is_empty = function [] -> true | _ :: _ -> false
-  let inbox_sender _ l = fst (List.hd l)
-  let inbox_msg _ l = snd (List.hd l)
-  let inbox_next _ l = List.tl l
-end
-
-(* Node 0 floods at start-up, every node forwards the first message it
-   hears, and every node halts at round [horizon], parked in between:
-   with fast-forward off nearly every node-round steps a parked node. *)
-module Probe (N : Congest.Compiled.NET with type msg = int) = struct
-  let kernel ~horizon n =
-    let heard = Bytes.make n '\000' in
-    let start ctx v =
-      if v = 0 then begin
-        Bytes.set heard 0 '\001';
-        N.broadcast ctx 0
-      end;
-      Congest.Compiled.Park horizon
-    and resume ctx v inbox =
-      if (not (N.inbox_is_empty inbox)) && Bytes.get heard v = '\000' then begin
-        Bytes.set heard v '\001';
-        N.broadcast ctx (N.round ctx)
-      end;
-      let left = horizon - N.round ctx in
-      if left > 0 then Congest.Compiled.Park left else Congest.Compiled.Halt
-    in
-    (start, resume)
-end
-
-(* A kernel as a node program that syncs every round while parked,
-   resuming the kernel on an arrival or at its deadline: with
-   fast-forward off, the same stats as stepping the kernel directly, at
-   one fiber resume per live node per round. *)
-let program_of_kernel ~start ~resume c =
-  let v = Probe_eng.my_id c in
-  let rec park k =
-    match Probe_eng.sync c with
-    | [] when k > 1 -> park (k - 1)
-    | inbox -> step (resume c v inbox)
-  and step = function
-    | Congest.Compiled.Halt -> ()
-    | Congest.Compiled.Park k -> park (max 1 k)
-  in
-  step (start c v)
-
-let c1_kernel_stepping () =
-  let n = if quick then 512 else 2048 in
-  let horizon = 1024 in
-  let point family =
-    let g = e1_graph family n in
-    let engine () =
-      let module K = Probe (Probe_eng) in
-      let start, resume = K.kernel ~horizon (Graph.n g) in
-      let r =
-        Probe_eng.run_kernel ~fast_forward:false g ~start ~resume
-      in
-      (r.Probe_eng.stats, r.Probe_eng.completed)
-    and fibers () =
-      let module K = Probe (Probe_list) in
-      let start, resume = K.kernel ~horizon (Graph.n g) in
-      let r =
-        Probe_eng.run ~fast_forward:false g
-          (program_of_kernel ~start ~resume)
-      in
-      (r.Probe_eng.stats, r.Probe_eng.completed)
-    in
-    let (sf, _), tf = best_of_3 fibers in
-    let (se, ce), te = best_of_3 engine in
-    gate ce "%s: the flood did not complete" family;
-    gate (sf = se) "%s: fiber-driven and direct flood stats differ" family;
-    (family, g, se, (tf, te))
-  in
-  let rows = List.map point [ "apollonian"; "grid" ] in
-  let speedup (_, _, _, (tf, te)) = tf /. max 1e-9 te in
-  line
-    "kernel stepping vs per-node fibers: a flood halting at round %d, \
-     fast-forward off, E1 graph families at n=%d"
-    horizon n;
-  let data =
-    table
-      [
-        str 12 "family" "family" (fun (f, _, _, _) -> f);
-        data "n" (fun (_, g, _, _) -> J.Int (Graph.n g));
-        data "m" (fun (_, g, _, _) -> J.Int (Graph.m g));
-        int 8 "rounds" "rounds" (fun (_, _, s, _) -> s.Congest.Stats.rounds);
-        int 10 "messages" "messages" (fun (_, _, s, _) ->
-            s.Congest.Stats.messages);
-        cell 16 "stats identical" "stats_identical"
-          (fun _ -> J.Bool true)
-          (fun _ -> "yes");
-        float 10 3 "fibers(s)" "fibers_seconds" (fun (_, _, _, (tf, _)) -> tf);
-        float 10 3 "engine(s)" "engine_seconds" (fun (_, _, _, (_, te)) -> te);
-        float ~suffix:"x" 9 1 "speedup" "speedup" speedup;
-      ]
-      rows
-  in
-  Option.iter
-    (fun min_speedup ->
-      let x = List.fold_left (fun m row -> min m (speedup row)) infinity rows in
-      gate (x >= min_speedup)
-        "kernel-over-fiber speedup %.2fx below required %.2fx" x min_speedup;
-      line ~shows:"speedup" "C1 gate: kernel-over-fiber speedup %.2fx >= %.2fx"
-        x min_speedup)
-    (limit "C1_MIN_SPEEDUP");
-  data
-
 (* T1: the property portfolio on the shared Stage I harness.  One
    holding and one certified-far instance per property; the far
    instances are constructed so rejection is deterministic (planted
@@ -1779,12 +1631,6 @@ let experiments =
       "engineering target, not a paper claim: flat per-edge state keeps the \
        substrate at <= 64 bytes/edge so 10^6..10^7-node runs fit in RAM"
       m1_memory_substrate;
-    exp "C1" "kernel stepping vs per-node fibers"
-      "every protocol is a kernel stepped on the engine's own stack: \
-       byte-identical stats, at >=10x the per-round throughput of \
-       per-node fibers (ff off = every simulated round executed \
-       individually)"
-      c1_kernel_stepping;
     exp "T1" "property portfolio on the shared Stage I harness"
       "Section 1 framework: one Stage I partition serves planarity, \
        bipartiteness and cycle-freeness Stage II checks (one-sided error)"

@@ -487,7 +487,7 @@ let test_cmd =
   let trace_arg =
     let doc =
       "Record an event-level trace (message deliveries, fault firings, \
-       fiber resume/park, fast-forward spans, domain-shard boundaries) \
+       node resume/park, fast-forward spans, domain-shard boundaries) \
        and write it as a binary .ctrace file to $(docv).  Analyze or \
        export it with $(b,planartrace).  Also switches --stats-json to \
        the planartest.stats/v3 schema, whose 'host' block carries \

@@ -109,16 +109,10 @@ let close_round a ~stepped ~domains ~dropped ~duplicated ~delayed ~crashed
         ~stepped
   | None -> ()
 
-let crashed a k =
-  a.stats.Stats.crashed_nodes <- a.stats.Stats.crashed_nodes + k;
-  match a.telemetry with
-  | Some tel -> Telemetry.amend tel ~frames:0 ~crashed:k
-  | None -> ()
-
 let charge ~stats ~telemetry k =
   stats.Stats.charged_rounds <- stats.Stats.charged_rounds + k;
   (match telemetry with
-  | Some tel -> Telemetry.amend tel ~frames:k ~crashed:0
+  | Some tel -> Telemetry.amend tel ~frames:k
   | None -> ());
   Obs.Metrics.inc ~by:k m_charged_rounds
 

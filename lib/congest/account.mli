@@ -31,7 +31,7 @@
     alone writes [max_edge_bits] and [oversized].  It sums each round's
     messages, bits, frames and fault events into locals and hands them
     to {!close_round}, so mid-round the stats show the round opened but
-    not yet its deliveries (node programs have no stats accessor).  The
+    not yet its deliveries (kernels have no stats accessor).  The
     simulated clock is [(stats a).rounds]; the engine's own round
     counter follows it. *)
 
@@ -75,12 +75,6 @@ val close_round :
   frames:int ->
   messages:int ->
   unit
-
-(** [crashed a k] counts [k] crash events that took effect inside the
-    run's final fast-forwarded span, after its last stepped round, in the
-    stats and in the telemetry's open phase — where a round-by-round
-    execution counts them in {!close_round}. *)
-val crashed : t -> int -> unit
 
 (** [charge ~stats ~telemetry k] adds [k] rounds of a substituted
     subroutine that no engine run simulates (Stage II's oracle

@@ -6,12 +6,6 @@ module type MESSAGE = sig
   val bits : t -> int
 end
 
-exception Stopped
-
-(* Breaks out of a shard's stepping loop after a kernel hook raised; never
-   escapes this module. *)
-exception Shard_stop
-
 (* Memory-substrate gauges, set at every pool creation (the M1 gate reads
    them after a run): analytic bytes of the vertex- and edge-indexed
    arrays at creation time — a pure function of (n, m), hence stable. *)
@@ -61,8 +55,6 @@ module Make (Msg : MESSAGE) = struct
     mutable s_msgs : Msg.t array;
     mutable s_len : int;
     mutable afailed : (int * exn) option;  (* lowest failing node in block *)
-    mutable afails : (int * int * exn) list;
-        (* all failing nodes in block ([`Record] mode), reverse chron. *)
     mutable astepped : int;  (* nodes stepped this phase *)
   }
 
@@ -76,7 +68,6 @@ module Make (Msg : MESSAGE) = struct
       s_msgs = [||];
       s_len = 0;
       afailed = None;
-      afails = [];
       astepped = 0;
     }
 
@@ -103,8 +94,8 @@ module Make (Msg : MESSAGE) = struct
   (* Preallocated per-graph delivery and scheduling state, reusable across
      runs so that a protocol built from many short engine runs (Stage I's
      primitives) does not pay an O(n + m) allocation bill per run.  One
-     run at a time; a nested [run] on a busy pool silently falls back to
-     fresh allocation.
+     run at a time; a nested [run_kernel] on a busy pool silently falls
+     back to fresh allocation.
 
      Scheduler.  A parked node sits in exactly one intrusive,
      doubly-linked list ([bnext]/[bprev]): the wheel slot
@@ -391,8 +382,7 @@ module Make (Msg : MESSAGE) = struct
         done;
         a.asenders_len <- 0;
         a.s_len <- 0;
-        a.afailed <- None;
-        a.afails <- [])
+        a.afailed <- None)
       p.arenas;
     for i = 0 to p.extra_len - 1 do
       let de = p.extra_touched.(i) in
@@ -525,106 +515,6 @@ module Make (Msg : MESSAGE) = struct
       end
     end
 
-  type engine = {
-    graph : Graph.t;
-    p : pool;
-    estats : Stats.t;
-    mutable fail_log : (int * int * exn) list;
-        (* (round, node, exn) in [`Record] mode, reverse chronological *)
-    mutable current_round : int;
-  }
-
-  (* Kernel hooks share one ctx per arena, re-pointed at each node the
-     arena steps; a node program gets a ctx of its own, whose arena the
-     adapter re-points at each step. *)
-  type ctx = { mutable id : int; mutable a : arena; eng : engine }
-
-  (* [Suspend k] parks a node program's fiber until the first round with
-     a non-empty inbox, or unconditionally after [k] rounds (k >= 1). *)
-  type _ Effect.t += Suspend : int -> (int * Msg.t) list Effect.t
-
-  let my_id c = c.id
-  let n_nodes c = Graph.n c.eng.graph
-  let degree c = Graph.degree c.eng.graph c.id
-  let neighbors c = Graph.neighbors c.eng.graph c.id
-  let incident c = Graph.incident c.eng.graph c.id
-  let round c = c.eng.current_round
-
-  (* Within one domain nodes run one at a time in ascending id order
-     (both at start-up and when resumed), so appending on first use keeps
-     each arena's senders list sorted — and because a node steps at most
-     once per round, its sends stay contiguous from the offset recorded
-     here. *)
-  let send_de c dest de msg =
-    let p = c.eng.p and a = c.a in
-    if Bytes.unsafe_get p.queued c.id = '\000' then begin
-      Bytes.unsafe_set p.queued c.id '\001';
-      a.asenders.(a.asenders_len) <- c.id;
-      a.aoff.(a.asenders_len) <- a.s_len;
-      a.asenders_len <- a.asenders_len + 1
-    end;
-    push_send a dest de msg
-
-  let send c ~dest msg =
-    let e =
-      try Graph.find_edge c.eng.graph c.id dest
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "Engine.send: %d is not a neighbor of %d" dest c.id)
-    in
-    send_de c dest ((2 * e) + if c.id < dest then 0 else 1) msg
-
-  let send_port c ~dest ~eid msg =
-    send_de c dest ((2 * eid) + if c.id < dest then 0 else 1) msg
-
-  let broadcast c msg =
-    (* Port order is neighbor-ascending, matching a [send] per neighbor,
-       but with no neighbor-array allocation and no binary search. *)
-    let id = c.id in
-    Graph.iter_incident c.eng.graph id (fun dest e ->
-        send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
-
-  (* With fast-forward off every round is simulated and a waiting node is
-     counted as stepped each round (see [run_kernel]); [wait] is the same
-     either way. *)
-  let wait _ k = if k <= 0 then [] else Effect.perform (Suspend k)
-  let sync c = wait c 1
-
-  (* The inbox handed to [resume] is the head of the node's slab chain
-     ([-1] when empty); a cursor is a slab index, valid until the hook
-     returns. *)
-  type inbox = int
-
-  let inbox_is_empty s = s < 0
-  let inbox_sender c s = c.eng.p.ib_sender.(s)
-  let inbox_msg c s = c.eng.p.ib_msgs.(s)
-  let inbox_next c s = c.eng.p.ib_next.(s)
-
-  (* The list [wait] returns, in delivery order. *)
-  let[@tail_mod_cons] rec inbox_list p s =
-    if s < 0 then []
-    else (p.ib_sender.(s), p.ib_msgs.(s)) :: inbox_list p p.ib_next.(s)
-
-  let idle c k =
-    let deadline = c.eng.current_round + k in
-    let rec loop () =
-      let left = deadline - c.eng.current_round in
-      if left > 0 then begin
-        ignore (wait c left);
-        loop ()
-      end
-    in
-    loop ()
-
-  type 'o result = {
-    outputs : 'o option array;
-    failures : (int * int * exn) list;
-        (* (round, node, exn), chronological; non-empty only in [`Record]
-           mode — see [?on_error] *)
-    stats : Stats.t;
-    completed : bool;
-  }
-
   (* Below this many due nodes, a round is stepped by the coordinating
      domain alone: the work is too small to amortize a barrier. *)
   let par_threshold = 16
@@ -751,20 +641,28 @@ module Make (Msg : MESSAGE) = struct
     end;
     t
 
+  (* The inbox handed to [resume] is the head of the node's slab chain
+     ([-1] when empty); a cursor is a slab index, valid until the hook
+     returns. *)
+  type inbox = int
+
   (* One run's state.  The run's steps are the top-level functions below,
      each taking this record, so starting a run allocates the record and
-     no closure per step: Stage I makes thousands of short runs. *)
+     no closure per step: Stage I makes thousands of short runs.  Kernel
+     hooks share one ctx per arena, re-pointed at each node the arena
+     steps. *)
   type run = {
-    eng : engine;
+    graph : Graph.t;
+    p : pool;
     acct : Account.t;
+    estats : Stats.t;  (* [Account.stats acct] *)
+    mutable current_round : int;
     bw : int;
     d_req : int;  (* requested domains, >= 1 *)
-    strict : bool;
-    record_errors : bool;
     fast_forward : bool;
     trace : Trace.t option;
     traced : bool;
-    ctxs : ctx array;  (* one per arena *)
+    mutable ctxs : ctx array;  (* one per arena, set once the run exists *)
     start : ctx -> int -> Compiled.step;
     resume : ctx -> int -> inbox -> Compiled.step;
     mutable live : int;  (* nodes not halted, failed or culled *)
@@ -800,42 +698,78 @@ module Make (Msg : MESSAGE) = struct
     mutable max_frames : int;
   }
 
+  and ctx = { mutable id : int; a : arena; r : run }
+
+  let round c = c.r.current_round
+
+  (* Within one domain nodes run one at a time in ascending id order
+     (both at start-up and when resumed), so appending on first use keeps
+     each arena's senders list sorted — and because a node steps at most
+     once per round, its sends stay contiguous from the offset recorded
+     here. *)
+  let send_de c dest de msg =
+    let p = c.r.p and a = c.a in
+    if Bytes.unsafe_get p.queued c.id = '\000' then begin
+      Bytes.unsafe_set p.queued c.id '\001';
+      a.asenders.(a.asenders_len) <- c.id;
+      a.aoff.(a.asenders_len) <- a.s_len;
+      a.asenders_len <- a.asenders_len + 1
+    end;
+    push_send a dest de msg
+
+  let send c ~dest msg =
+    let e =
+      try Graph.find_edge c.r.graph c.id dest
+      with Not_found ->
+        invalid_arg
+          (Printf.sprintf "Engine.send: %d is not a neighbor of %d" dest c.id)
+    in
+    send_de c dest ((2 * e) + if c.id < dest then 0 else 1) msg
+
+  let send_port c ~dest ~eid msg =
+    send_de c dest ((2 * eid) + if c.id < dest then 0 else 1) msg
+
+  let broadcast c msg =
+    (* Port order is neighbor-ascending, matching a [send] per neighbor,
+       but with no neighbor-array allocation and no binary search. *)
+    let id = c.id in
+    Graph.iter_incident c.r.graph id (fun dest e ->
+        send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
+
+  let inbox_is_empty s = s < 0
+  let inbox_sender c s = c.r.p.ib_sender.(s)
+  let inbox_msg c s = c.r.p.ib_msgs.(s)
+  let inbox_next c s = c.r.p.ib_next.(s)
+
+  type result = { stats : Stats.t; completed : bool }
+
   (* Is node [v] down at the round currently being processed?  Reads
      only immutable schedule arrays and [current_round] (stable during a
      phase), so it is safe from worker domains. *)
   let is_crashed r v =
     Array.length r.crash_from > 0
-    && r.crash_from.(v) <= r.eng.current_round
-    && r.eng.current_round < r.crash_until.(v)
+    && r.crash_from.(v) <= r.current_round
+    && r.current_round < r.crash_until.(v)
 
-  (* A hook that raised leaves its node dead.  In [`Propagate] mode,
-     record the (lowest) failing node of the block and stop the block —
-     exactly what a serial loop does for its prefix; in [`Record] mode,
-     log the failure and keep stepping the block, so every failing node
-     is observed regardless of the domain count. *)
-  let fail r a v e =
-    r.eng.p.wake.(v) <- -1;
-    if r.record_errors then
-      a.afails <- (r.eng.current_round, v, e) :: a.afails
-    else begin
-      a.afailed <- Some (v, e);
-      raise Shard_stop
-    end
+  (* A hook that raised leaves its node dead and stops its block, exactly
+     as a serial loop stops at its prefix: the block's lowest failing
+     node is the one that raised. *)
+  let fail r a c e =
+    r.p.wake.(c.id) <- -1;
+    a.afailed <- Some (c.id, e)
 
   (* Run start-up for nodes [lo, hi) with arena [d]. *)
   let start_range r d lo hi =
-    let a = r.eng.p.arenas.(d) and c = r.ctxs.(d) and wake = r.eng.p.wake in
+    let a = r.p.arenas.(d) and c = r.ctxs.(d) and wake = r.p.wake in
     a.afailed <- None;
-    a.afails <- [];
     try
       for v = lo to hi - 1 do
         c.id <- v;
         match r.start c v with
         | Compiled.Park k -> wake.(v) <- if k < 1 then 1 else k
         | Compiled.Halt -> wake.(v) <- -1
-        | exception e -> fail r a v e
       done
-    with Shard_stop -> ()
+    with e -> fail r a c e
 
   (* Step the due-set slice [lo, hi) with arena [d] on this domain's own
      stack, in ascending id order, so each arena's sends come out in
@@ -843,12 +777,11 @@ module Make (Msg : MESSAGE) = struct
      node's own state and the arena: the coordinator took the due nodes
      off the wheel before the phase and re-parks them after it. *)
   let step_range r d lo hi =
-    let p = r.eng.p in
+    let p = r.p in
     let a = p.arenas.(d) and c = r.ctxs.(d) and wake = p.wake and due = p.due in
-    let now = r.eng.current_round in
+    let now = r.current_round in
     a.astepped <- 0;
     a.afailed <- None;
-    a.afails <- [];
     try
       for i = lo to hi - 1 do
         let v = due.(i) in
@@ -857,9 +790,8 @@ module Make (Msg : MESSAGE) = struct
         match r.resume c v p.ib_head.(v) with
         | Compiled.Park k -> wake.(v) <- (now + if k < 1 then 1 else k)
         | Compiled.Halt -> wake.(v) <- -1
-        | exception e -> fail r a v e
       done
-    with Shard_stop -> ()
+    with e -> fail r a c e
 
   (* Domain [d]'s slice of a [len]-item phase.  The items are cut over
      [min d_req len] blocks, so every block is non-empty and the
@@ -878,7 +810,7 @@ module Make (Msg : MESSAGE) = struct
   let work r d =
     try exec r d
     with e ->
-      let a = r.eng.p.arenas.(d) in
+      let a = r.p.arenas.(d) in
       if a.afailed = None then a.afailed <- Some (max_int, e)
 
   let acquire_team r =
@@ -945,53 +877,33 @@ module Make (Msg : MESSAGE) = struct
   let check_failures r =
     let best = ref None in
     for d = 0 to r.d_req - 1 do
-      match r.eng.p.arenas.(d).afailed with
+      match r.p.arenas.(d).afailed with
       | None -> ()
       | Some (v, _) as f -> (
           match !best with Some (bv, _) when bv <= v -> () | _ -> best := f)
     done;
     match !best with Some (_, e) -> raise e | None -> ()
 
-  let merge_failures r =
-    if r.record_errors then
-      for d = 0 to r.d_req - 1 do
-        let a = r.eng.p.arenas.(d) in
-        match a.afails with
-        | [] -> ()
-        | f ->
-            if Obs.Log.would_log Obs.Log.Debug then
-              List.iter
-                (fun (rd, v, e) ->
-                  Obs.Log.debugf ~node:v
-                    ~fields:[ ("round", Obs.Log.I rd) ]
-                    "node program raised (recorded): %s"
-                    (Printexc.to_string e))
-                (List.rev f);
-            r.eng.fail_log <- f @ r.eng.fail_log;
-            a.afails <- []
-      done
-
   let pending_sends r =
     let s = ref 0 in
     for d = 0 to r.d_req - 1 do
-      s := !s + r.eng.p.arenas.(d).asenders_len
+      s := !s + r.p.arenas.(d).asenders_len
     done;
     !s
 
-  (* Crash events taking effect by the current round (or during a span
-     the engine fast-forwarded over — node state cannot have changed
-     since, so the count is identical whether or not the span was
-     skipped): traced, and returned as a count for {!Account}.  Called
-     between rounds, when every live node is parked.  With [~cull] a
-     node that goes down leaves the wheel's deadline order: a
-     crash-stopped one is culled at once (it can never resume, and
-     waiting for its deadline would stretch the run), and a
-     crash-recovering one moves its deadline to its recovery round if
-     that is later — a frozen node observes nothing until then. *)
-  let crashes_due r ~cull =
-    let p = r.eng.p in
+  (* Crash events taking effect by the current round: traced, and
+     returned as a count for {!Account}.  Called between rounds, when
+     every live node is parked; fast-forward never skips past a live
+     node's crash round (see [skip_target]).  A node that goes down
+     leaves the wheel's deadline order: a crash-stopped one is culled at
+     once (it can never resume, and waiting for its deadline would
+     stretch the run), and a crash-recovering one moves its deadline to
+     its recovery round if that is later — a frozen node observes
+     nothing until then. *)
+  let crashes_due r =
+    let p = r.p in
     let k = ref 0 in
-    let now = r.eng.current_round in
+    let now = r.current_round in
     while
       r.crash_start_i < Array.length r.crash_starts
       && fst r.crash_starts.(r.crash_start_i) <= now
@@ -1006,17 +918,16 @@ module Make (Msg : MESSAGE) = struct
               ~edge:(-1)
               ~info:(if until = max_int then -1 else until - from)
         | None -> ());
-        if cull then
-          if until = max_int then begin
-            unpark p v;
-            p.wake.(v) <- -1;
-            r.live <- r.live - 1;
-            r.culled <- r.culled + 1
-          end
-          else if now < until && p.wake.(v) < until then begin
-            unpark p v;
-            park p ~now v until
-          end
+        if until = max_int then begin
+          unpark p v;
+          p.wake.(v) <- -1;
+          r.live <- r.live - 1;
+          r.culled <- r.culled + 1
+        end
+        else if now < until && p.wake.(v) < until then begin
+          unpark p v;
+          park p ~now v until
+        end
       end;
       r.crash_start_i <- r.crash_start_i + 1
     done;
@@ -1028,7 +939,7 @@ module Make (Msg : MESSAGE) = struct
     let k = ref 0 in
     for i = 0 to r.crash_start_i - 1 do
       let v = snd r.crash_starts.(i) in
-      if r.eng.p.wake.(v) >= 0 && is_crashed r v then incr k
+      if r.p.wake.(v) >= 0 && is_crashed r v then incr k
     done;
     !k
 
@@ -1047,17 +958,17 @@ module Make (Msg : MESSAGE) = struct
        expired — the only attribution that is invariant under
        fast-forward (ff-off spin wakes are pure Deadline resumes, arrival
        rounds look identical either way). *)
-    let p = r.eng.p in
+    let p = r.p in
     if p.ib_head.(v) >= 0 then
-      Trace.fiber_resume tr ~round:r.eng.current_round ~node:v
+      Trace.fiber_resume tr ~round:r.current_round ~node:v
         ~cause:Trace.Wake_deliver ~sender:p.wake_sender.(v)
         ~sent:p.wake_sent.(v)
     else
-      Trace.fiber_resume tr ~round:r.eng.current_round ~node:v
+      Trace.fiber_resume tr ~round:r.current_round ~node:v
         ~cause:Trace.Wake_deadline ~sender:(-1) ~sent:(-1)
 
   let trace_prescan r tr nd =
-    let p = r.eng.p in
+    let p = r.p in
     if r.fast_forward then
       for i = 0 to nd - 1 do
         trace_resume r tr p.due.(i)
@@ -1071,7 +982,7 @@ module Make (Msg : MESSAGE) = struct
      with fast-forward off, candidates past a failed hook were never
      stepped and keep this round as their wake. *)
   let trace_postscan r tr nd ~failed =
-    let p = r.eng.p and now = r.eng.current_round in
+    let p = r.p and now = r.current_round in
     if r.fast_forward then
       for i = 0 to nd - 1 do
         let v = p.due.(i) in
@@ -1088,19 +999,19 @@ module Make (Msg : MESSAGE) = struct
   let charge_wire r de b =
     r.round_msgs <- r.round_msgs + 1;
     r.round_bits <- r.round_bits + b;
-    r.eng.p.edge_bits.(de) <- r.eng.p.edge_bits.(de) + b
+    r.p.edge_bits.(de) <- r.p.edge_bits.(de) + b
 
   let trace_fault r kind ~sender ~dest ~de ~info =
     match r.trace with
     | Some tr ->
-        Trace.fault tr ~round:r.eng.current_round ~kind ~sender ~dest ~edge:de
+        Trace.fault tr ~round:r.current_round ~kind ~sender ~dest ~edge:de
           ~info
     | None -> ()
 
   (* The first delivery of the round to [dest]: list it as a receiver,
      and make it due if it is parked. *)
   let first_arrival r ~sent sender dest =
-    let p = r.eng.p in
+    let p = r.p in
     p.receivers.(p.receivers_len) <- dest;
     p.receivers_len <- p.receivers_len + 1;
     if Bytes.unsafe_get p.where dest <> '\000' then begin
@@ -1115,7 +1026,7 @@ module Make (Msg : MESSAGE) = struct
   (* A message reaching a node that is down is lost — the
      CONGEST-faithful model is silence, never an error. *)
   let deliver r ~sent ~de ~bits sender dest msg =
-    let p = r.eng.p in
+    let p = r.p in
     if is_crashed r dest then begin
       r.round_dropped <- r.round_dropped + 1;
       trace_fault r Trace.Down_drop ~sender ~dest ~de ~info:0
@@ -1125,39 +1036,26 @@ module Make (Msg : MESSAGE) = struct
       push_inbox p ~sender ~dest msg;
       match r.trace with
       | Some tr ->
-          Trace.message tr ~round:r.eng.current_round ~sent ~sender ~dest
+          Trace.message tr ~round:r.current_round ~sent ~sender ~dest
             ~edge:de ~bits
       | None -> ()
     end
 
-  (* [b] bits on directed edge [de] this round exceed the bandwidth. *)
-  let charge_oversized r de b =
-    let s = r.eng.estats in
-    if r.strict then begin
-      Obs.Log.warnf
-        ~fields:
-          [ ("round", Obs.Log.I r.eng.current_round); ("edge", Obs.Log.I de);
-            ("bits", Obs.Log.I b); ("bandwidth", Obs.Log.I r.bw) ]
-        "bandwidth exceeded in strict mode";
-      failwith
-        (Printf.sprintf
-           "Engine: %d bits on one edge in one round exceeds the %d-bit \
-            bandwidth (strict mode)"
-           b r.bw)
-    end;
-    s.oversized <- s.oversized + 1;
+  (* [b] bits on one directed edge this round exceed the bandwidth. *)
+  let charge_oversized r b =
+    r.estats.oversized <- r.estats.oversized + 1;
     let frames = Stats.frames ~bandwidth:r.bw b in
     if frames > r.max_frames then r.max_frames <- frames
 
   (* Charge bandwidth on a directed edge at its first touch; zeroing
      [edge_bits] doubles as the visited mark. *)
   let charge_de r de =
-    let p = r.eng.p and s = r.eng.estats in
+    let p = r.p and s = r.estats in
     let b = p.edge_bits.(de) in
     if b <> 0 then begin
       p.edge_bits.(de) <- 0;
       if b > s.max_edge_bits then s.max_edge_bits <- b;
-      if b > r.bw then charge_oversized r de b
+      if b > r.bw then charge_oversized r b
     end
 
   (* Deferred messages due this round arrive first, in original send
@@ -1165,7 +1063,7 @@ module Make (Msg : MESSAGE) = struct
      guaranteed to be sorted by sender.  Bits are charged at the round
      the frame actually occupies. *)
   let deliver_deferred r =
-    let p = r.eng.p and now = r.eng.current_round in
+    let p = r.p and now = r.current_round in
     (* Exact [dq_min] maintenance plus the fast-forward cap mean the only
        due entries live in this round's bucket, already in enqueue (=
        global sequence) order. *)
@@ -1197,7 +1095,7 @@ module Make (Msg : MESSAGE) = struct
      index) in the serial delivery order, so the schedule is invariant
      under the domain count. *)
   let deliver_faulted r fp ~sent ~de ~b v dest msg =
-    let p = r.eng.p in
+    let p = r.p in
     if is_crashed r v then begin
       (* The sender went down with this frame still queued: nothing ever
          reaches the wire. *)
@@ -1207,7 +1105,7 @@ module Make (Msg : MESSAGE) = struct
     else begin
       let k = p.fidx.(de) in
       p.fidx.(de) <- k + 1;
-      match Faults.draw fp ~edge:de ~round:r.eng.current_round ~k with
+      match Faults.draw fp ~edge:de ~round:r.current_round ~k with
       | Faults.Deliver ->
           charge_wire r de b;
           deliver r ~sent ~de ~bits:b v dest msg
@@ -1232,7 +1130,7 @@ module Make (Msg : MESSAGE) = struct
       | Faults.Delay dl ->
           r.round_delayed <- r.round_delayed + 1;
           trace_fault r Trace.Delay ~sender:v ~dest ~de ~info:dl;
-          let at = r.eng.current_round + dl in
+          let at = r.current_round + dl in
           let slot = r.dq.(at mod Array.length r.dq) in
           assert (slot.q_len = 0 || slot.q_due = at);
           if slot.q_len = 0 then slot.q_due <- at;
@@ -1242,11 +1140,11 @@ module Make (Msg : MESSAGE) = struct
     end
 
   let one_round r =
-    let p = r.eng.p and eng = r.eng in
+    let p = r.p in
     let wake = p.wake and due = p.due and n = Array.length p.wake in
     (* The clock follows [Stats.rounds], which also moves by skips. *)
-    eng.current_round <- Account.open_round r.acct;
-    let now = eng.current_round in
+    r.current_round <- Account.open_round r.acct;
+    let now = r.current_round in
     r.round_bits <- 0;
     r.round_msgs <- 0;
     r.round_dropped <- 0;
@@ -1254,7 +1152,7 @@ module Make (Msg : MESSAGE) = struct
     r.round_delayed <- 0;
     r.nd <- 0;
     let has_crash = Array.length r.crash_from > 0 in
-    let round_crashed = if has_crash then crashes_due r ~cull:true else 0 in
+    let round_crashed = if has_crash then crashes_due r else 0 in
     (* Deliver: drain arena senders (ascending blocks, each ascending)
        into the inbox slab, summing bits per directed edge.  Each sender's
        entry span is drained in reverse send order, so every inbox chain
@@ -1308,11 +1206,11 @@ module Make (Msg : MESSAGE) = struct
     (* Charge bandwidth per directed edge by re-scanning what was
        delivered: deferred-arrival arcs first ([extra_touched]), then the
        send entries in the exact drain order above, so an arc is charged
-       at its first touch (the arc a strict-mode overflow names).  The
+       at its first touch.  The
        scan also resets [fidx] and finally the send buffers themselves,
        always before the step phase queues new sends. *)
     r.max_frames <- 1;
-    let faulted = Option.is_some r.fpol and stats = eng.estats in
+    let faulted = Option.is_some r.fpol and stats = r.estats in
     for i = 0 to p.extra_len - 1 do
       charge_de r p.extra_touched.(i)
     done;
@@ -1330,7 +1228,7 @@ module Make (Msg : MESSAGE) = struct
           if b <> 0 then begin
             edge_bits.(de) <- 0;
             if b > stats.max_edge_bits then stats.max_edge_bits <- b;
-            if b > r.bw then charge_oversized r de b
+            if b > r.bw then charge_oversized r b
           end
         done
       done;
@@ -1422,7 +1320,6 @@ module Make (Msg : MESSAGE) = struct
     (* A propagated hook exception aborts here, after the round's
        accounting; the next run's [reset_pool] clears the leftovers. *)
     check_failures r;
-    merge_failures r;
     (* Re-park the due nodes that parked again. *)
     for i = 0 to nd - 1 do
       let v = due.(i) in
@@ -1441,20 +1338,31 @@ module Make (Msg : MESSAGE) = struct
      rounds before the earliest deadline are provably empty.  Under
      faults, a deferred message's due round bounds the skip just like
      the earliest deadline does: the round a delayed frame lands in must
-     be simulated.  (Crash windows need no extra cap: a frozen node's
-     deadline already accounts for its recovery, and crash events
-     landing in a skipped quiescent span are observably identical to the
-     unskipped execution.) *)
+     be simulated, and so must the round a live node goes down in: a
+     crash-stopped node leaves the run there, and skipping past that
+     round to its deadline would stretch the run.  Crash events of nodes
+     that already halted change nothing and are passed over here. *)
   let skip_target r =
-    if r.fast_forward && pending_sends r = 0 then
-      next_deadline r.eng.p (r.eng.current_round + 1) ~cap:r.dq_min
+    if r.fast_forward && pending_sends r = 0 then begin
+      let n_starts = Array.length r.crash_starts in
+      while
+        r.crash_start_i < n_starts
+        && r.p.wake.(snd r.crash_starts.(r.crash_start_i)) < 0
+      do
+        r.crash_start_i <- r.crash_start_i + 1
+      done;
+      let crash_cap =
+        if r.crash_start_i < n_starts then fst r.crash_starts.(r.crash_start_i)
+        else max_int
+      in
+      next_deadline r.p (r.current_round + 1) ~cap:(min r.dq_min crash_cap)
+    end
     else max_int
 
   let drive r =
-    let p = r.eng.p and n = Array.length r.eng.p.wake in
+    let p = r.p and n = Array.length r.p.wake in
     let (_ : int) = run_phase r ~start:true n in
     check_failures r;
-    merge_failures r;
     for v = 0 to n - 1 do
       if p.wake.(v) >= 0 then begin
         park p ~now:0 v p.wake.(v);
@@ -1476,19 +1384,12 @@ module Make (Msg : MESSAGE) = struct
         ~wake:(fun () -> skip_target r)
         ~step:(fun () -> one_round r)
     in
-    (* A final skip moved only [Stats.rounds]. *)
-    r.eng.current_round <- r.eng.estats.Stats.rounds;
-    (* Crash events inside a span the final fast-forward jumped over were
-       never seen by [one_round]; count them now so the tally matches a
-       round-by-round execution. *)
-    if Array.length r.crash_from > 0 then
-      Account.crashed r.acct (crashes_due r ~cull:false);
     if r.live = 0 then p.dirty <- false;
-    completed && r.culled = 0 && r.eng.fail_log = []
+    completed && r.culled = 0
 
-  let run_kernel ?bandwidth ?(strict = false) ?(max_rounds = 1_000_000)
-      ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
-      ?on_round ?(on_error = `Propagate) ?pool:opool g ~start ~resume =
+  let run_kernel ?bandwidth ?(max_rounds = 1_000_000) ?telemetry ?trace
+      ?(domains = 1) ?(fast_forward = true) ?faults ?on_round ?pool:opool g
+      ~start ~resume =
     let n = Graph.n g in
     let acct =
       Account.create ~bandwidth ~telemetry ~trace ~on_round ~max_rounds g
@@ -1535,27 +1436,20 @@ module Make (Msg : MESSAGE) = struct
        reset by the charge re-scan, entry by entry). *)
     if fpol <> None && Array.length p.fidx < 2 * Graph.m g then
       p.fidx <- Array.make (2 * Graph.m g) 0;
-    let eng =
+    let estats = Account.stats acct in
+    let r =
       {
         graph = g;
         p;
-        estats = Account.stats acct;
-        fail_log = [];
-        current_round = 0;
-      }
-    in
-    let r =
-      {
-        eng;
         acct;
-        bw = eng.estats.Stats.bandwidth;
+        estats;
+        current_round = 0;
+        bw = estats.Stats.bandwidth;
         d_req;
-        strict;
-        record_errors = on_error = `Record;
         fast_forward;
         trace;
         traced = Option.is_some trace;
-        ctxs = Array.init d_req (fun d -> { id = -1; a = p.arenas.(d); eng });
+        ctxs = [||];
         start;
         resume;
         live = 0;
@@ -1583,6 +1477,7 @@ module Make (Msg : MESSAGE) = struct
         max_frames = 1;
       }
     in
+    r.ctxs <- Array.init d_req (fun d -> { id = -1; a = p.arenas.(d); r });
     (* A narrower run first joins the team's surplus workers. *)
     if Mutex.try_lock team_owner then begin
       Option.iter (fun t -> team_trim t (d_req - 1)) !the_team;
@@ -1596,96 +1491,5 @@ module Make (Msg : MESSAGE) = struct
         (fun () -> drive r)
     in
     Account.finish acct ~domains:d_req ~completed;
-    {
-      outputs = [||];
-      failures = List.rev eng.fail_log;
-      stats = eng.estats;
-      completed;
-    }
-
-  (* A general node program runs as a kernel of its own: [start] runs the
-     program on a fiber up to its first [Suspend k] and answers [Park k],
-     and [resume] continues that fiber with the inbox as a list.  Fibers
-     and continuations exist only here. *)
-  let run ?bandwidth ?strict ?max_rounds ?telemetry ?trace ?domains
-      ?fast_forward ?faults ?on_round ?on_error ?pool g program =
-    let n = Graph.n g in
-    let outputs = Array.make n None in
-    (* Parked continuations; [none_k] (an immediate sentinel compared
-       with [==]) marks "not parked", avoiding an [option] box per
-       suspension.  Slot [v] is written only by the domain stepping [v]. *)
-    let none_k : ((int * Msg.t) list, Compiled.step) Effect.Deep.continuation
-        =
-      Obj.magic 0
-    in
-    let conts = Array.make n none_k in
-    (* Each program's own ctx; its sends go to the arena of the domain
-       stepping it, re-pointed at every step. *)
-    let pctxs = Array.make n None in
-    let start (c : ctx) v =
-      let pc = { id = v; a = c.a; eng = c.eng } in
-      pctxs.(v) <- Some pc;
-      (* The fiber runs the program itself and [retc] stores its output
-         from the handler's side, so no frame of this closure sits under
-         the node program in the fiber's stack. *)
-      Effect.Deep.match_with program pc
-        {
-          retc =
-            (fun o ->
-              outputs.(v) <- Some o;
-              Compiled.Halt);
-          exnc = (function Stopped -> Compiled.Halt | e -> raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Suspend k ->
-                  Some
-                    (fun (cont : (a, Compiled.step) Effect.Deep.continuation) ->
-                      conts.(v) <- cont;
-                      Compiled.Park k)
-              | _ -> None);
-        }
-    in
-    let resume c v inbox =
-      (match pctxs.(v) with Some pc -> pc.a <- c.a | None -> ());
-      let k = conts.(v) in
-      conts.(v) <- none_k;
-      Effect.Deep.continue k (inbox_list c.eng.p inbox)
-    in
-    (* Every exit path must run this: a node suspended at [wait] when the
-       run ends (strict-mode overflow, node exception, [max_rounds], a
-       crash-stopped node) is discontinued with [Stopped] so its stack
-       unwinds and finalizers ([Fun.protect] etc.) run.  [Stopped] itself
-       is swallowed by the handler; any exception a node raises while
-       unwinding is dropped here so every node still gets finalized.
-       Postcondition: [conts] is all-[none_k], even if a node caught
-       [Stopped] and tried to wait again. *)
-    let finalize () =
-      for v = 0 to n - 1 do
-        let k = conts.(v) in
-        if k != none_k then begin
-          conts.(v) <- none_k;
-          (try ignore (Effect.Deep.discontinue k Stopped) with _ -> ());
-          conts.(v) <- none_k
-        end
-      done
-    in
-    let r =
-      Fun.protect ~finally:finalize (fun () ->
-          run_kernel ?bandwidth ?strict ?max_rounds ?telemetry ?trace
-            ?domains ?fast_forward ?faults ?on_round ?on_error ?pool g ~start
-            ~resume)
-    in
-    (* Post-condition: a completed run has an output at every node.  A
-       node that silently dropped out of the run is an engine bug, never
-       a result. *)
-    if r.completed then
-      Array.iteri
-        (fun v o ->
-          if Option.is_none o then
-            failwith
-              (Printf.sprintf
-                 "Engine.run: run completed but node %d has no output" v))
-        outputs;
-    { r with outputs }
+    { stats = estats; completed }
 end

@@ -1,14 +1,11 @@
-(** Round-synchronous CONGEST simulator: the one executor of kernels.
+(** Round-synchronous CONGEST simulator: the one executor of protocols.
 
-    The engine steps {e kernels} ({!Compiled.step}): [start] at every node
-    in round 0, then [resume] with the node's inbox at each arrival or
-    deadline, run by {!Make.run_kernel} on the stepping domain's own stack.
-    A parked node is a deadline, not a continuation.  General node
-    programs, ordinary OCaml functions in direct style, run through
-    {!Make.run}, an effect adapter that is itself a kernel: each program
-    gets a fiber, which {!Make.wait} suspends until the node's next step.
-    All nodes run in lockstep: a round steps every due node once, and the
-    messages it sent reach its neighbors' next step.
+    Every protocol is a {e kernel} ({!Compiled.step}): a pair of hooks,
+    [start] at every node in round 0, then [resume] with the node's inbox
+    at each arrival or deadline, run by {!Make.run_kernel} on the
+    stepping domain's own stack.  A parked node is a deadline, nothing
+    more.  All nodes run in lockstep: a round steps every due node once,
+    and the messages it sent reach its neighbors' next step.
 
     Bandwidth is accounted per directed edge per round.  Rather than
     fragmenting payloads, the engine charges a round in which some edge
@@ -32,9 +29,10 @@
 
     {1 Concurrency and determinism}
 
-    With [run ~domains:d] (d > 1), the stepping half of each round is
-    sharded across [d] OCaml domains; delivery, bandwidth charging, the
-    wheel and all bookkeeping stay on the calling domain.  The contract:
+    With [run_kernel ~domains:d] (d > 1), the stepping half of each round
+    is sharded across [d] OCaml domains; delivery, bandwidth charging,
+    the wheel and all bookkeeping stay on the calling domain.  The
+    contract:
 
     - {b Sharding.}  The ascending due set is cut into [d] contiguous
       blocks; domain [i] steps block [i] in ascending id order.  Rounds
@@ -46,11 +44,10 @@
       by its own node id — the active-senders worklist and queued sends,
       an escaping exception — is written to the stepping domain's private
       arena, through the arena's one shared ctx.  State indexed by node id
-      (inboxes, deadlines, a kernel's per-node state, a node program's
-      continuation and output) has a single writer per round because
-      blocks are disjoint.  The engine keeps no other per-node state: a
-      protocol that needs randomness derives it from its own seed and the
-      node id.
+      (inboxes, deadlines, a kernel's per-node state) has a single writer
+      per round because blocks are disjoint.  The engine keeps no other
+      per-node state: a protocol that needs randomness derives it from
+      its own seed and the node id.
     - {b Barrier merge.}  After all blocks finish, the calling domain
       merges arenas in index order 0..d-1.  Because blocks are contiguous
       ascending id ranges, concatenating the arenas' sender lists yields
@@ -62,8 +59,8 @@
       ([parallel_rounds], [max_domains]) depend on [d].
     - {b Synchronization.}  One mutex/condition barrier per phase; its
       acquire/release pairs carry every cross-domain happens-before edge.
-      Kernel hooks and node programs never need locks and must not touch
-      shared mutable state other than through this module's API.
+      Kernel hooks never need locks and must not touch shared mutable
+      state other than through this module's API.
     - {b Worker team.}  Worker domains are spawned once per process (on
       the first sharded round) and reused by every subsequent run —
       protocols built from thousands of short runs never pay a
@@ -78,15 +75,16 @@
     queued a send) and every live node is parked on a deadline strictly
     in the future, the intervening rounds are provably empty: nothing to
     deliver, one frame charged, nobody resumed.
-    [run ~fast_forward:true] (the default) advances [rounds],
+    [run_kernel ~fast_forward:true] (the default) advances [rounds],
     [charged_rounds] and the round counter over that span in O(1) instead
     of simulating it, records the span in
     {!Stats.t.fast_forwarded_rounds}, and emits the same per-round
     telemetry the stepped rounds would have produced.  The round in which
-    the earliest deadline expires is always simulated normally, so nominal
-    and charged accounting are unchanged.  With fast-forward off every
-    round is simulated, and every live node counts as stepped in each —
-    the legacy baseline, which resumed every parked node every round.
+    the earliest deadline expires, a delayed frame lands or a live node
+    crashes is always simulated normally, so nominal and charged
+    accounting are unchanged.  With fast-forward off every round is
+    simulated, and every live node counts as stepped in each — the
+    legacy baseline, which resumed every parked node every round.
 
     {b Run accounting.}  What a run counts is not this module's: the
     {!Stats.t} record, the per-round telemetry tick and trace round
@@ -96,25 +94,24 @@
     bandwidth charging and the event-level trace records (messages,
     faults, resume/park, shards).
 
-    {b Fault injection.}  [run ?faults] consults a {!Faults.policy} at
-    delivery time — the serial, deterministically ordered half of a round
-    — to drop, duplicate, delay or truncate individual messages and to
-    crash-stop / crash-recover nodes at scheduled rounds.  Because every
-    decision is a pure function of [(policy, directed edge, round,
-    per-edge message index)], the injected schedule inherits the full
-    determinism contract: byte-identical [Stats] / [Telemetry] / outputs
-    for every [?domains] count and for [fast_forward] on/off.  A node
-    that goes down leaves the wheel's deadline order at the first round
-    it is down: a crash-stopped node is culled at once, and a
-    crash-recovering one waits for its recovery round.  Protocols
-    observe faults only as silence (lost or late messages, unresponsive
-    neighbors), which is the CONGEST-faithful model; every fault is
-    charged in {!Stats.t.dropped} / [duplicated] / [delayed] /
-    [crashed_nodes].  Two visible semantic changes under an active
-    policy: an inbox is no longer guaranteed sorted by sender (a delayed
-    message arrives before the round's fresh ones), and a run containing
-    a crash-stopped node returns [completed = false] (the node cannot
-    produce an output). *)
+    {b Fault injection.}  [run_kernel ?faults] consults a
+    {!Faults.policy} at delivery time — the serial, deterministically
+    ordered half of a round — to drop, duplicate, delay or truncate
+    individual messages and to crash-stop / crash-recover nodes at
+    scheduled rounds.  Because every decision is a pure function of
+    [(policy, directed edge, round, per-edge message index)], the
+    injected schedule inherits the full determinism contract:
+    byte-identical [Stats] / [Telemetry] for every [?domains] count and
+    for [fast_forward] on/off.  A node that goes down leaves the wheel's
+    deadline order at the first round it is down: a crash-stopped node
+    is culled at once, and a crash-recovering one waits for its recovery
+    round.  Protocols observe faults only as silence (lost or late
+    messages, unresponsive neighbors), which is the CONGEST-faithful
+    model; every fault is charged in {!Stats.t.dropped} / [duplicated] /
+    [delayed] / [crashed_nodes].  Two visible semantic changes under an
+    active policy: an inbox is no longer guaranteed sorted by sender (a
+    delayed message arrives before the round's fresh ones), and a run
+    containing a crash-stopped node returns [completed = false]. *)
 
 module type MESSAGE = sig
   type t
@@ -123,29 +120,14 @@ module type MESSAGE = sig
   val bits : t -> int
 end
 
-(** Raised {e into} node programs still suspended at a [sync] when a run
-    ends early (strict-mode overflow, node exception, or [max_rounds]), so
-    their stacks unwind and finalizers run.  Node programs should let it
-    propagate. *)
-exception Stopped
-
 module Make (Msg : MESSAGE) : sig
   type msg = Msg.t
 
   type ctx
-  (** Handle to a node's identity and mailboxes.  A node program has one
-      of its own; kernel hooks share their arena's, re-pointed at each
-      node, so a hook must use it synchronously. *)
-
-  val my_id : ctx -> int
-  val n_nodes : ctx -> int
-  val degree : ctx -> int
-
-  (** Sorted neighbor ids (shared array — do not mutate). *)
-  val neighbors : ctx -> int array
-
-  (** [(neighbor, edge id)] pairs, sorted by neighbor. *)
-  val incident : ctx -> (int * int) array
+  (** A kernel hook's handle for sending and reading its inbox.  Hooks
+      share their arena's ctx, re-pointed at each node, so a hook must
+      use it synchronously.  A hook receives its node id as an argument
+      and reads the graph directly. *)
 
   (** [send ctx ~dest msg] queues [msg] on the edge to neighbor [dest] for
       delivery at the end of the current round.  Raises [Invalid_argument]
@@ -159,25 +141,6 @@ module Make (Msg : MESSAGE) : sig
   (** [broadcast ctx msg] sends [msg] to every neighbor. *)
   val broadcast : ctx -> Msg.t -> unit
 
-  (** Ends the node's round.  Returns the messages received this round as
-      [(sender, message)] pairs sorted by sender; several messages from
-      the same sender arrive in reverse send order. *)
-  val sync : ctx -> (int * Msg.t) list
-
-  (** [wait ctx k] ends the node's round and parks it until the first
-      round in which its inbox is non-empty — returning that inbox, like
-      {!sync} — or unconditionally after [k] rounds, returning [[]].
-      [wait ctx 1] is exactly [sync ctx]; [k <= 0] returns [[]] without
-      ending the round.  Rounds spent parked cost the engine nothing per
-      parked node, and a round in which {e every} live node is parked with
-      no message in flight is fast-forwarded in O(1) (see the module
-      preamble), so protocols should prefer one [wait budget] over a
-      budget-length [sync] loop when they only react to arrivals.  With
-      fast-forward off the stepping loop steps a waiting node every
-      round, and [wait] still returns only on an arrival or at the
-      deadline.  Only a node program run by {!run} may call it. *)
-  val wait : ctx -> int -> (int * Msg.t) list
-
   (** A kernel's inbox cursor: a slab index into the round's deliveries,
       chained in delivery order (see {!Compiled.NET.inbox}). *)
   type inbox
@@ -187,36 +150,24 @@ module Make (Msg : MESSAGE) : sig
   val inbox_msg : ctx -> inbox -> Msg.t
   val inbox_next : ctx -> inbox -> inbox
 
-  (** [idle ctx k] parks for exactly [k] rounds, discarding any arrivals
-      (equivalent to [k] ignored syncs, but fast-forwardable). *)
-  val idle : ctx -> int -> unit
-
-  (** Current round number (starts at 0, increments at each [sync]). *)
+  (** Current round number (starts at 0, increments each round). *)
   val round : ctx -> int
 
-  type 'o result = {
-    outputs : 'o option array;
-        (** per node; [None] if the node did not finish before [max_rounds];
-            [[||]] from {!run_kernel}, whose kernels have no outputs *)
-    failures : (int * int * exn) list;
-        (** [(round, node, exn)] for every node program that raised, in
-            chronological order — non-empty only with [~on_error:`Record]
-            (the default [`Propagate] re-raises instead).  The set of
-            recorded failures is independent of the [?domains] count. *)
+  type result = {
     stats : Stats.t;
     completed : bool;
-        (** all nodes ran to completion (false when [max_rounds] hit, a
-            node crash-stopped, or a failure was recorded) *)
+        (** all nodes ran to completion (false when [max_rounds] hit or a
+            node crash-stopped) *)
   }
 
   type pool
   (** Preallocated delivery and scheduling state (message buffers,
       per-edge bit counters, the deadline wheel) for one graph, reusable
-      across {!run} calls so protocols
+      across {!run_kernel} calls so protocols
       built from many short runs avoid the O(n + m) per-run allocation
       bill.  A pool is single-domain and serves one run at a time; passing
       a busy pool (nested run) or one built for a different graph value
-      makes {!run} fall back to fresh allocation. *)
+      makes {!run_kernel} fall back to fresh allocation. *)
 
   (** [pool g] preallocates run state for [g].  Also publishes the
       [congest_graph_*_bytes] / [congest_pool_*_bytes] gauges read by the
@@ -245,46 +196,19 @@ module Make (Msg : MESSAGE) : sig
       [resume ctx v inbox] at each round in which [v] is due — a
       non-empty inbox, or the deadline of its last [Park k] ([k <= 0]
       means one round) — until every node halts.  Hooks run on the
-      stepping domain's own stack; options are {!run}'s, and the
-      result's [outputs] is [[||]].  A hook exception aborts the run
-      after the round's accounting (or is recorded, with
-      [~on_error:`Record]). *)
-  val run_kernel :
-    ?bandwidth:int ->
-    ?strict:bool ->
-    ?max_rounds:int ->
-    ?telemetry:Telemetry.t ->
-    ?trace:Trace.t ->
-    ?domains:int ->
-    ?fast_forward:bool ->
-    ?faults:Faults.policy ->
-    ?on_round:(int -> unit) ->
-    ?on_error:[ `Propagate | `Record ] ->
-    ?pool:pool ->
-    Graphlib.Graph.t ->
-    start:(ctx -> int -> Compiled.step) ->
-    resume:(ctx -> int -> inbox -> Compiled.step) ->
-    'o result
-
-  (** [run g program] executes [program] at every node of [g], each on a
-      fiber of its own, through an adapter kernel run by {!run_kernel}.
-
-      On every early exit — a strict-mode bandwidth failure, an exception
-      escaping a node program, or hitting [max_rounds] — all still-suspended
-      nodes are discontinued with {!Stopped} before [run] returns or
-      re-raises, so no live continuation (or its finalizers) is abandoned.
+      stepping domain's own stack.  A hook exception aborts the run
+      after the round's accounting: the exception of the lowest failing
+      node id is re-raised, for any [?domains] count.
 
       @param bandwidth per-edge per-round bit budget
-             (default {!Bits.default_bandwidth}).
-      @param strict raise [Failure] on the first (edge, round) pair whose
-             traffic exceeds [bandwidth], instead of charging extra rounds
-             (default [false]).
+             (default {!Bits.default_bandwidth}).  Traffic over it is
+             charged extra rounds, never rejected.
       @param max_rounds safety limit; exceeding it stops the run with
              [completed = false].  Fast-forwarded spans are capped so the
              run stops at exactly [max_rounds] simulated rounds.
       @param telemetry when given, {!Account} records one
              {!Telemetry.tick} per simulated round (bits, frames,
-             messages, fibers stepped, domains used); fast-forwarded
+             messages, nodes stepped, domains used); fast-forwarded
              rounds are recorded through {!Telemetry.fast_forward}.  A
              traced run ticks its trace's telemetry
              ({!Trace.resolve}): pass that one, or none.
@@ -320,15 +244,6 @@ module Make (Msg : MESSAGE) : sig
              the policy's splittable PRNG (default: none).  See
              {e Fault injection} in the module preamble.  Passing
              {!Faults.none} is byte-identical to omitting the argument.
-      @param on_error what to do when a node program raises.
-             [`Propagate] (the default) discontinues every other node and
-             re-raises the exception of the lowest failing node id —
-             historical behavior.  [`Record] contains the failure: the
-             node dies (its output stays [None]), the round keeps
-             stepping, and {e all} failing nodes are reported in
-             [result.failures] — the recorded set is the same for every
-             [?domains] count, closing the only-one-exception-observable
-             gap of [`Propagate].
       @param on_round host-side observer called on the coordinator after
              each completed round — [f 1] per stepped round, [f delta]
              after a fast-forwarded quiescent span of [delta] rounds.
@@ -338,9 +253,8 @@ module Make (Msg : MESSAGE) : sig
              {!Obs.Heartbeat}.
       @param pool reuse preallocated delivery state (must come from
              [pool g] on the same graph value). *)
-  val run :
+  val run_kernel :
     ?bandwidth:int ->
-    ?strict:bool ->
     ?max_rounds:int ->
     ?telemetry:Telemetry.t ->
     ?trace:Trace.t ->
@@ -348,9 +262,9 @@ module Make (Msg : MESSAGE) : sig
     ?fast_forward:bool ->
     ?faults:Faults.policy ->
     ?on_round:(int -> unit) ->
-    ?on_error:[ `Propagate | `Record ] ->
     ?pool:pool ->
     Graphlib.Graph.t ->
-    (ctx -> 'o) ->
-    'o result
+    start:(ctx -> int -> Compiled.step) ->
+    resume:(ctx -> int -> inbox -> Compiled.step) ->
+    result
 end

@@ -218,10 +218,9 @@ let fast_forward t ~rounds =
     Ivec.push_n p.stepped_series 0 rounds
   end
 
-let amend t ~frames ~crashed =
+let amend t ~frames =
   let p = t.cur in
-  p.frames <- p.frames + frames;
-  p.crashed <- p.crashed + crashed
+  p.frames <- p.frames + frames
 
 type phase_view = {
   label : string;

@@ -1,6 +1,6 @@
 (** Machine-readable observability for engine runs.
 
-    A [Telemetry.t] attached to {!Engine.Make.run} (and threaded through
+    A [Telemetry.t] attached to {!Engine.Make.run_kernel} (and threaded through
     higher layers via [Partition.State]) records, for every simulated
     round, the bits delivered, the frames charged on the most loaded
     directed edge, and the number of messages.  Rounds are grouped into
@@ -98,12 +98,11 @@ val tick :
     aggregates, plus one bulk write per series when [series] is on. *)
 val fast_forward : t -> rounds:int -> unit
 
-(** [amend t ~frames ~crashed] adds counts that belong to the open phase
-    but to no stepped round: the charged rounds of a substituted
-    subroutine ({!Account.charge}) and crash events that took effect
-    inside a run's final fast-forwarded span.  The series are left
-    alone.  Called by {!Account}. *)
-val amend : t -> frames:int -> crashed:int -> unit
+(** [amend t ~frames] adds frames that belong to the open phase but to
+    no stepped round: the charged rounds of a substituted subroutine
+    ({!Account.charge}).  The series are left alone.  Called by
+    {!Account}. *)
+val amend : t -> frames:int -> unit
 
 type phase_view = {
   label : string;

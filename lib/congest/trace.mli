@@ -1,8 +1,8 @@
 (** Event-level tracing of engine runs.
 
-    A [Trace.t] attached to {!Engine.Make.run} records a bounded,
+    A [Trace.t] attached to {!Engine.Make.run_kernel} records a bounded,
     allocation-light ring buffer of typed events: message send/deliver
-    pairs, fault-layer firings, fiber resume/park transitions, phase and
+    pairs, fault-layer firings, node resume/park transitions, phase and
     span open/close markers, fast-forwarded quiescent spans, and
     domain-shard round boundaries.  Where {!Telemetry} aggregates a
     per-phase series, a trace answers {e which edge} and {e which round}:
@@ -18,7 +18,7 @@
 
     {1 Determinism}
 
-    Every simulated-event category (rounds, messages, faults, fibers,
+    Every simulated-event category (rounds, messages, faults, resume/park,
     phases, spans, fast-forward) is recorded from the serial half of a
     round on the coordinating domain, in the deterministic order the
     engine contract fixes — the simulated event stream is byte-identical
@@ -60,7 +60,7 @@ type config = {
   sample_spans : int;  (** record every [k]-th {!span} pair (1 = all) *)
 }
 
-(** 65536 events, every message, every fiber, every span. *)
+(** 65536 events, every message, every resume/park, every span. *)
 val default_config : config
 
 (** [create tel] starts a trace that projects [tel]: every run that
@@ -107,7 +107,7 @@ type fault_kind =
   | Crash  (** a crash event took effect at a running node *)
   | Down_drop  (** a message lost because an endpoint was down *)
 
-(** Why a parked fiber resumed — the causal parent slot of every
+(** Why a parked node resumed — the causal parent slot of every
     {!Resume} event, recorded by the engine's serial delivery half.
     Constant constructors only, so recording stays allocation-free. *)
 type wake_cause =
@@ -130,11 +130,11 @@ type event =
                edge : int; info : int }
   | Resume of { round : int; node : int; cause : wake_cause; sender : int;
                 sent : int }
-      (** a parked fiber resumed this round; on [Wake_deliver] the
+      (** a parked node resumed this round; on [Wake_deliver] the
           causally-first frame it woke on was sent by [sender] at
           absolute round [sent] ([-1]/[-1] otherwise) *)
   | Park of { round : int; node : int; wake : int }
-      (** a fiber parked until round [wake] (or an earlier arrival) *)
+      (** a node parked until round [wake] (or an earlier arrival) *)
   | Phase_open of { round : int; label : string }
   | Phase_close of { round : int; label : string }
   | Span_open of { round : int; label : string }
@@ -222,9 +222,11 @@ val fault :
   t -> round:int -> kind:fault_kind -> sender:int -> dest:int -> edge:int ->
   info:int -> unit
 
-(** [want_fiber t node] pre-checks the fiber sampling gate so the engine
+(** [want_fiber t node] pre-checks the node sampling gate so the engine
     can skip building its resume-candidate scratch for sampled-out
-    nodes. *)
+    nodes.  The [fiber] in this and the two names below, and in
+    [sample_fibers], dates from when parked nodes were fibers;
+    [.ctrace] readers use them. *)
 val want_fiber : t -> int -> bool
 
 (** [fiber_resume t ~round ~node ~cause ~sender ~sent] records a resume

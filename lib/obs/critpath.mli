@@ -17,17 +17,16 @@
     Consecutive timer hops of one node are collapsed into a single hop,
     which makes the reported path {e identical} whether the engine
     fast-forwarded quiescent spans or stepped them one by one — the
-    fiber baseline's per-round spin resumes fold into the one deadline
-    wait they implement.  Recording is coordinator-serial, so the
-    report is also byte-identical across [--domains] and across the
-    fiber/compiled execution modes.
+    fast-forward-off baseline's per-round spin resumes fold into the one
+    deadline wait they implement.  Recording is coordinator-serial, so
+    the report is also byte-identical across [--domains].
 
     This module is deliberately independent of the engine: callers
     (in [lib/report] / [bin]) map their trace events into {!event}.
     The analyzer is offline and allocation-relaxed; nothing here runs
     on the recording hot path. *)
 
-(** Why a step's fiber woke (the trace's wake-cause, decoupled from the
+(** Why a step's node woke (the trace's wake-cause, decoupled from the
     engine's type).  [Unknown] comes from pre-causal (v1) traces; the
     analyzer then infers a deliver cause when the step's round saw a
     recorded first delivery. *)

@@ -9,8 +9,8 @@ let super_rounds_for n =
    order with their counts, [fill.(v)] of them, or [fill.(v) = -1] once
    more than [cap = 3 * alpha] distinct roots arrived ([Many]).  Only
    [v]'s own hooks (its notice deliveries, its convergecast start-up and
-   resumes) touch those words, so fiber rounds sharded over domains
-   never write one slot from two domains. *)
+   resumes) touch those words, so rounds sharded over domains never
+   write one slot from two domains. *)
 module Table = struct
   type t = { cap : int; fill : int array; keys : int array; cnts : int array }
 

@@ -11,8 +11,7 @@ let traced (st : State.t) label f =
   | None -> f ()
 
 (* Every primitive below is one kernel (see [Congest.Compiled.step])
-   written against [Congest.Compiled.NET] and run by [Eng.run_kernel];
-   none starts a fiber. *)
+   written against [Congest.Compiled.NET] and run by [Eng.run_kernel]. *)
 
 (* Kernel hooks have no [reject], so a run carries no rejections.  A run
    that cannot complete under an active fault policy (a crash-stopped

@@ -4,8 +4,7 @@
     network in which all nodes follow the same fixed round schedule.  Each
     is written once, as a kernel (see {!Congest.Compiled.step}), and runs
     on the engine ({!Congest.Engine.Make.run_kernel}) with the state's
-    settings.  There is no other way to run a node program here, so no
-    run of these primitives starts a fiber.
+    settings.
     Chaining primitives keeps every node in lockstep — exactly
     the fixed-budget scheduling the paper uses (it budgets each emulated
     super-round by the [4^i] diameter bound; we budget by the true

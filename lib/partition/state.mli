@@ -57,7 +57,7 @@ type node = {
   mutable w1 : int;  (** accumulated weight of odd edges below (root-only) *)
   mutable tbit : int;  (** contraction decision bit of this part's T-tree *)
   mutable contract : bool;  (** this part merges into its T-parent *)
-  (* Scratch fields used by individual node programs: *)
+  (* Scratch fields used by individual kernels: *)
   mutable scratch : int;
   mutable scratch2 : int;
   mutable scratch_list : (int * int) list;

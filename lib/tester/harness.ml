@@ -21,7 +21,7 @@ type partition_mode = Stage_one | Exponential_shifts | Randomized of float
 
 (* Everything Stage I needs to continue from a phase boundary.  Plain
    marshal-safe data only: [State.node] is ints/bools/lists/arrays, and
-   {!Congest.Stats.t} is a flat record — no closures, no fibers (engine
+   {!Congest.Stats.t} is a flat record — no closures (engine
    pools are quiescent at phase boundaries and are rebuilt on restore). *)
 type snapshot = {
   ck_phase : int;  (** next phase to run (1-based) *)

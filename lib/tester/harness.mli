@@ -48,7 +48,7 @@ type verdict =
 type partition_mode = Stage_one | Exponential_shifts | Randomized of float
 
 (** A resumable snapshot of Stage I at a phase boundary.  Contains only
-    marshal-safe data (no closures, no fibers); see {!Report.Checkpoint}
+    marshal-safe data (no closures); see {!Report.Checkpoint}
     for the on-disk format. *)
 type snapshot = {
   ck_phase : int;  (** next phase to run (1-based) *)

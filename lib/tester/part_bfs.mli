@@ -37,9 +37,9 @@ val is_tree_edge : Partition.State.t -> int -> int -> bool
 val assigned_to : t -> Partition.State.t -> int -> int -> bool
 
 (** [at_root a root] is the value part root [root] stored in [a.(root)]
-    from inside a node program; raises [Not_found] if it stored none.
+    from inside a kernel hook; raises [Not_found] if it stored none.
     Per-part convergecast results go in a node-indexed [option array]:
-    roots stepped by different fiber domains then write distinct cells,
+    roots stepped by different domains then write distinct cells,
     where a shared [Hashtbl] would race. *)
 val at_root : 'a option array -> int -> 'a
 

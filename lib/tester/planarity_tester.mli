@@ -35,8 +35,8 @@ type partition_mode = Harness.partition_mode =
 
 (** A resumable image of a [Stage_one] run, captured at a Stage I phase
     boundary — the only points where every engine pool is quiescent, so
-    the whole tester state is the plain data below (no fibers, no
-    continuations; all of it marshal-safe).  Stage II is not covered: it
+    the whole tester state is the plain data below (no closures; all of
+    it marshal-safe).  Stage II is not covered: it
     is a constant number of rounds per part and re-runs from the restored
     partition. *)
 type snapshot = Harness.snapshot = {

@@ -240,10 +240,8 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           | _ -> assert false));
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
-  (* Each node's (child, rank) pairs in rotation order, found before the
-     wave: a fiber's stack keeps the depth its hooks reached for as long
-     as the node stays parked, and the rotation scan is the deepest part
-     of this step. *)
+  (* Each node's (child, rank) pairs in rotation order, found once before
+     the wave. *)
   let child_ranks =
     Array.map
       (fun nd ->

@@ -113,13 +113,13 @@ let test_boundary () =
     (List.sort compare seen.(1))
 
 (* Each lockstep kernel allocates per message sent, never per node
-   stepped: the engine starts no fiber for a kernel.  On warm serial
+   stepped.  On warm serial
    states of singleton parts (a cycle of n nodes and one of 2n), the n
    extra nodes may cost a kernel
    the words of the message values they build ([msg_words] apiece: a
    [Root], a [Bdry] or a root's [Down]) plus at most one word each.  A
-   closure, a boxed [Park], a fiber or an n-sized array per call or per
-   node costs more.  The [wave] exchange sends one shared message per
+   closure, a boxed [Park] or an n-sized array per call or per node
+   costs more.  The [wave] exchange sends one shared message per
    node, so its nodes may cost a word each and no more. *)
 let kernel_payload = Some [ 1 ]
 let wave_msg = Partition.Msg.Bdry (4, [ 1 ])

@@ -13,13 +13,15 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-module M = struct
-  type t = Int of int
-
-  let bits (Int v) = Congest.Bits.int_bits ~universe:(abs v + 2)
-end
-
+module M = Kernels.M
 module E = Congest.Engine.Make (M)
+module R = Reference_net.Make (M)
+
+(* A fault-free engine run's stats equal the reference executor's, but
+   for [fast_forwarded_rounds]. *)
+let check_reference (s : Congest.Stats.t) (r : R.result) =
+  check cb "stats match the reference executor" true
+    ({ s with fast_forwarded_rounds = 0 } = r.R.stats)
 
 (* A trace over a fresh telemetry with series, as planartest builds one
    for --trace --stats-json. *)
@@ -145,29 +147,27 @@ let test_phases_and_spans () =
 (* Engine recording                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Staggered ping/echo over a star: exercises parking, waking, traffic
-   and a quiescent span the engine can fast-forward. *)
+(* Staggered ping/echo over a star ({!Kernels.Star_ping}): exercises
+   parking, waking, traffic and a quiescent span the engine can
+   fast-forward. *)
+module Star_ping = Kernels.Star_ping (struct
+  let pause = 12
+  let hub_wait = 30
+  let leaf_wait = 60
+end)
+
 let star_run ?faults ?(domains = 1) ?(fast_forward = true) ~trace () =
-  E.run ?faults ~trace ~domains ~fast_forward (Generators.star 29)
-    (fun ctx ->
-      if E.my_id ctx = 0 then begin
-        E.idle ctx 12;
-        E.broadcast ctx (M.Int 5);
-        let echoes = E.wait ctx 30 in
-        List.length echoes
-      end
-      else
-        match E.wait ctx 60 with
-        | (0, M.Int v) :: _ ->
-            E.send ctx ~dest:0 (M.Int (v * 2));
-            ignore (E.wait ctx 1);
-            v
-        | _ -> -1)
+  let module K = Star_ping (E) in
+  E.run_kernel ?faults ~trace ~domains ~fast_forward (Generators.star 29)
+    ~start:K.start ~resume:K.resume
 
 let test_engine_records () =
   let tr = new_trace () in
   let res = star_run ~trace:tr () in
   T.finish tr;
+  (let module KR = Star_ping (R) in
+   check_reference res.E.stats
+     (R.run (Generators.star 29) ~start:KR.start ~resume:KR.resume));
   let tot = T.totals tr in
   (match T.meta tr with
   | Some (n, m, bw) ->
@@ -632,26 +632,55 @@ let test_critpath_tester_exact () =
    every other node parks on a long deadline and forwards on arrival.
    The run's length is the sum of the wire latencies, which makes delay
    inflation exactly attributable. *)
+module Relay (P : sig
+  val k : int
+end)
+(N : Kernels.NET) =
+struct
+  let relayed = Array.make P.k false
+
+  let start ctx v =
+    if v = 0 then begin
+      N.send ctx ~dest:1 (M.Int 1);
+      Congest.Compiled.Park 1
+    end
+    else Congest.Compiled.Park 500
+
+  let resume ctx v inbox =
+    if v = 0 || relayed.(v) || N.inbox_is_empty inbox then
+      Congest.Compiled.Halt
+    else begin
+      let (M.Int x) = N.inbox_msg ctx inbox in
+      if v < P.k - 1 then N.send ctx ~dest:(v + 1) (M.Int (x + 1));
+      relayed.(v) <- true;
+      Congest.Compiled.Park 1
+    end
+end
+
 let relay_run ?faults ~trace k =
-  E.run ?faults ~trace (Generators.path k) (fun ctx ->
-      let me = E.my_id ctx in
-      if me = 0 then begin
-        E.send ctx ~dest:1 (M.Int 1);
-        ignore (E.wait ctx 1);
-        0
-      end
-      else
-        match E.wait ctx 500 with
-        | (_, M.Int v) :: _ ->
-            if me < k - 1 then E.send ctx ~dest:(me + 1) (M.Int (v + 1));
-            ignore (E.wait ctx 1);
-            v
-        | _ -> -1)
+  let module K =
+    Relay
+      (struct
+        let k = k
+      end)
+      (E)
+  in
+  E.run_kernel ?faults ~trace (Generators.path k) ~start:K.start
+    ~resume:K.resume
 
 let test_critpath_relay_clean () =
   let tr = new_trace () in
-  ignore (relay_run ~trace:tr 12);
+  let res = relay_run ~trace:tr 12 in
   T.finish tr;
+  (let module KR =
+     Relay
+       (struct
+         let k = 12
+       end)
+       (R)
+   in
+   check_reference res.E.stats
+     (R.run (Generators.path 12) ~start:KR.start ~resume:KR.resume));
   let r = analyze tr in
   check_chain r;
   check ci "one deliver hop per relay edge" 11 r.CP.deliver_hops;
